@@ -86,10 +86,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("\n%-12s %14s %12s %14s %14s\n",
+	fmt.Printf("\n%-16s %14s %12s %14s %14s\n",
 		"scheme", "records/sec", "ns/transl", "allocs/record", "bytes/record")
 	for _, s := range t.Schemes {
-		fmt.Printf("%-12s %14.0f %12.1f %14.4f %14.1f\n",
+		fmt.Printf("%-16s %14.0f %12.1f %14.4f %14.1f\n",
 			s.Scheme, s.RecordsPerSec, s.NsPerTranslation, s.AllocsPerRecord, s.BytesPerRecord)
 	}
 	fmt.Printf("\nwrote %s\n", path)

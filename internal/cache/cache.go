@@ -143,15 +143,6 @@ type Shadow interface {
 	InvalidateKind(kind Kind, n int)
 }
 
-// way is one line frame.
-type way struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	kind  Kind
-	lru   uint64 // higher = more recently used
-}
-
 // Eviction describes a line displaced by a fill.
 type Eviction struct {
 	// Valid is true when a line was actually displaced.
@@ -187,11 +178,39 @@ func (s Stats) TLBHitRate() float64 { return s.Access[TLBEntry].Ratio() }
 // branch the CPU predicts never-taken when no oracle is attached.
 type hook struct{ s Shadow }
 
-// Cache is one level of a write-back, write-allocate cache. All ways
-// live in one contiguous array; set i occupies ways[i*Ways : (i+1)*Ways].
+// A resident line is stored as one packed word: (line+1)<<wordShift,
+// the kind in bit 1 and the dirty flag in bit 0. The +1 keeps every
+// resident word non-zero, so 0 marks an invalid way and a tag probe is a
+// single shift and compare. Lines are host physical addresses >> 6, so
+// line < 2^58 and line+1 fits the word's upper 62 bits.
+const (
+	dirtyBit  = 1 << 0
+	kindShift = 1
+	wordShift = 2
+)
+
+// pack encodes a resident line.
+func pack(line uint64, dirty bool, kind Kind) uint64 {
+	w := (line+1)<<wordShift | uint64(kind)<<kindShift
+	if dirty {
+		w |= dirtyBit
+	}
+	return w
+}
+
+// wordLine decodes the line address of a resident word.
+func wordLine(w uint64) uint64 { return w>>wordShift - 1 }
+
+// wordKind decodes the kind of a resident word.
+func wordKind(w uint64) Kind { return Kind(w >> kindShift & 1) }
+
+// Cache is one level of a write-back, write-allocate cache. All sets
+// live in one contiguous array of 2*Ways words per set: set i's Ways
+// packed line words, then the LRU stamps of those ways (higher = more
+// recently used). A probe reads only the words; a hit writes one stamp.
 type Cache struct {
 	cfg     Config
-	ways    []way
+	sets    []uint64
 	nways   int
 	setMask uint64
 	clock   uint64
@@ -211,7 +230,7 @@ func New(cfg Config) (*Cache, error) {
 	n := cfg.Sets()
 	return &Cache{
 		cfg:     cfg,
-		ways:    make([]way, n*uint64(cfg.Ways)),
+		sets:    make([]uint64, n*2*uint64(cfg.Ways)),
 		nways:   cfg.Ways,
 		setMask: n - 1,
 	}, nil
@@ -245,46 +264,50 @@ func (c *Cache) Latency() uint64 { return c.cfg.Latency }
 // setIndex maps a line address to its set.
 func (c *Cache) setIndex(line uint64) uint64 { return line & c.setMask }
 
-// setFor returns the ways of the set a line maps to.
-func (c *Cache) setFor(line uint64) []way {
-	i := c.setIndex(line) * uint64(c.nways)
-	return c.ways[i : i+uint64(c.nways)]
+// block returns the packed words and LRU stamps of set si.
+func (c *Cache) block(si uint64) (words, stamps []uint64) {
+	n := uint64(c.nways)
+	b := c.sets[si*2*n : (si+1)*2*n]
+	return b[:n:n], b[n:]
+}
+
+// find returns the way holding line in words, or -1.
+func find(words []uint64, line uint64) int {
+	key := line + 1
+	for i, w := range words {
+		if w>>wordShift == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // Lookup probes for a line without recording statistics or changing
 // anything; used by tests and inclusive-hierarchy checks.
 func (c *Cache) Lookup(line uint64) bool {
-	set := c.setFor(line)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line {
-			return true
-		}
-	}
-	return false
+	words, _ := c.block(c.setIndex(line))
+	return find(words, line) >= 0
 }
 
 // Access performs a load (write=false) or store (write=true) of the line
 // and returns whether it hit. On a hit the LRU state advances and a store
 // marks the line dirty. On a miss nothing is allocated — callers model the
 // miss path explicitly and then Fill the line, mirroring how the simulator
-// threads a miss down the hierarchy.
+// threads a miss down the hierarchy. The line must be below 2^58 (a host
+// physical address >> 6), the limit of the packed encoding.
 func (c *Cache) Access(line uint64, write bool, kind Kind) bool {
 	c.clock++
-	set := c.setFor(line)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line {
-			w.lru = c.clock
-			if write {
-				w.dirty = true
-			}
-			c.stats.Access[kind].Hit()
-			if c.shadow != nil {
-				c.shadow.s.Access(line, write, kind, true)
-			}
-			return true
+	words, stamps := c.block(c.setIndex(line))
+	if i := find(words, line); i >= 0 {
+		stamps[i] = c.clock
+		if write {
+			words[i] |= dirtyBit
 		}
+		c.stats.Access[kind].Hit()
+		if c.shadow != nil {
+			c.shadow.s.Access(line, write, kind, true)
+		}
+		return true
 	}
 	c.stats.Access[kind].Miss()
 	if c.shadow != nil {
@@ -295,60 +318,48 @@ func (c *Cache) Access(line uint64, write bool, kind Kind) bool {
 
 // Fill inserts a line after a miss was resolved below, evicting a victim
 // if needed, and returns the eviction (if any). A fill for a store arrives
-// dirty. The victim is the LRU way, except under a Section 5.1 priority
-// policy, where non-preferred lines are evicted first.
+// dirty. The new line takes the first invalid way; in a full set the
+// victim is the LRU way, except under a Section 5.1 priority policy, where
+// non-preferred lines are evicted first. The line must be below 2^58, as
+// for Access.
 func (c *Cache) Fill(line uint64, write bool, kind Kind) Eviction {
 	c.clock++
-	set := c.setFor(line)
-	// Scan the whole set for a present copy before choosing a victim:
-	// stopping the search at an invalid way would miss a matching line
-	// beyond it and install a duplicate.
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line {
+	words, stamps := c.block(c.setIndex(line))
+	// One pass finds a present copy and the first invalid way. It covers
+	// the whole set: stopping at an invalid way would miss a matching
+	// line beyond it and install a duplicate.
+	key := line + 1
+	free := -1
+	for i, w := range words {
+		if w>>wordShift == key {
 			// Already present (e.g. filled by a racing sibling): refresh.
-			w.lru = c.clock
+			stamps[i] = c.clock
 			if write {
-				w.dirty = true
+				words[i] = w | dirtyBit
 			}
 			if c.shadow != nil {
 				c.shadow.s.Fill(line, write, kind, Eviction{})
 			}
 			return Eviction{}
 		}
-	}
-	victim := -1
-	victimPreferred := false
-	pref, hasPref := c.cfg.Priority.preferred()
-	for i := range set {
-		w := &set[i]
-		if !w.valid {
-			victim = i
-			victimPreferred = false
-			break
-		}
-		wPreferred := hasPref && w.kind == pref
-		switch {
-		case victim == -1:
-			victim, victimPreferred = i, wPreferred
-		case victimPreferred && !wPreferred:
-			// A non-preferred line always beats a preferred one.
-			victim, victimPreferred = i, wPreferred
-		case victimPreferred == wPreferred && w.lru < set[victim].lru:
-			victim = i
+		if w == 0 && free < 0 {
+			free = i
 		}
 	}
-	w := &set[victim]
 	var ev Eviction
-	if w.valid {
-		ev = Eviction{Valid: true, Line: w.tag, Dirty: w.dirty, Kind: w.kind}
-		c.stats.Evictions[w.kind]++
-		if w.dirty {
+	v := free
+	if v < 0 {
+		v = c.victim(words, stamps)
+		w := words[v]
+		ev = Eviction{Valid: true, Line: wordLine(w), Dirty: w&dirtyBit != 0, Kind: wordKind(w)}
+		c.stats.Evictions[ev.Kind]++
+		if ev.Dirty {
 			c.stats.Writebacks++
 		}
-		c.resident[w.kind]--
+		c.resident[ev.Kind]--
 	}
-	*w = way{tag: line, valid: true, dirty: write, kind: kind, lru: c.clock}
+	words[v] = pack(line, write, kind)
+	stamps[v] = c.clock
 	c.resident[kind]++
 	if c.shadow != nil {
 		c.shadow.s.Fill(line, write, kind, ev)
@@ -356,18 +367,40 @@ func (c *Cache) Fill(line uint64, write bool, kind Kind) Eviction {
 	return ev
 }
 
+// victim chooses the way a full set evicts: the least recently used way,
+// or under a priority policy the least recently used non-preferred way
+// when the set holds one. Stamps are unique within a set, so the minimum
+// is unambiguous.
+func (c *Cache) victim(words, stamps []uint64) int {
+	if pref, ok := c.cfg.Priority.preferred(); ok {
+		v := -1
+		for i, w := range words {
+			if wordKind(w) != pref && (v < 0 || stamps[i] < stamps[v]) {
+				v = i
+			}
+		}
+		if v >= 0 {
+			return v
+		}
+	}
+	v, min := 0, stamps[0]
+	for i, s := range stamps {
+		if s < min {
+			v, min = i, s
+		}
+	}
+	return v
+}
+
 // Invalidate drops a line if present, returning whether it was dirty. Used
 // for TLB shootdowns of cached POM-TLB sets.
 func (c *Cache) Invalidate(line uint64) (present, dirty bool) {
-	set := c.setFor(line)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line {
-			c.resident[w.kind]--
-			present, dirty = true, w.dirty
-			*w = way{}
-			break
-		}
+	words, _ := c.block(c.setIndex(line))
+	if i := find(words, line); i >= 0 {
+		w := words[i]
+		c.resident[wordKind(w)]--
+		present, dirty = true, w&dirtyBit != 0
+		words[i] = 0
 	}
 	if c.shadow != nil {
 		c.shadow.s.Invalidate(line, present, dirty)
@@ -379,13 +412,16 @@ func (c *Cache) Invalidate(line uint64) (present, dirty bool) {
 // flushes of cached POM-TLB sets) and returns the count dropped.
 func (c *Cache) InvalidateKind(kind Kind) int {
 	n := 0
-	for i := range c.ways {
-		if c.ways[i].valid && c.ways[i].kind == kind {
-			c.ways[i] = way{}
-			c.resident[kind]--
-			n++
+	for si := uint64(0); si <= c.setMask; si++ {
+		words, _ := c.block(si)
+		for i, w := range words {
+			if w != 0 && wordKind(w) == kind {
+				words[i] = 0
+				n++
+			}
 		}
 	}
+	c.resident[kind] -= uint64(n)
 	if c.shadow != nil {
 		c.shadow.s.InvalidateKind(kind, n)
 	}
@@ -396,41 +432,45 @@ func (c *Cache) InvalidateKind(kind Kind) int {
 func (c *Cache) Resident(kind Kind) uint64 { return c.resident[kind] }
 
 // CheckInvariants validates the cache's internal structural invariants:
-// every valid line resides in the set its address indexes, LRU stamps are
-// unique within a set and never ahead of the clock, no line is duplicated
-// across ways, and the per-kind residency counters match a recount. It
-// returns the first violation found, or nil.
+// every non-zero word encodes a line, every valid line resides in the set
+// its address indexes, LRU stamps are unique within a set and never ahead
+// of the clock, no line is duplicated across ways, and the per-kind
+// residency counters match a recount. It returns the first violation
+// found, or nil.
 func (c *Cache) CheckInvariants() error {
 	var recount [numKinds]uint64
-	seen := make(map[uint64]int)
-	numSets := len(c.ways) / c.nways
-	for si := 0; si < numSets; si++ {
-		set := c.ways[si*c.nways : (si+1)*c.nways]
-		stamps := make(map[uint64]int, len(set))
-		for wi := range set {
-			w := &set[wi]
-			if !w.valid {
+	seen := make(map[uint64]uint64)
+	for si := uint64(0); si <= c.setMask; si++ {
+		words, stamps := c.block(si)
+		ways := make(map[uint64]int, len(words))
+		for wi, w := range words {
+			if w == 0 {
 				continue
 			}
-			recount[w.kind]++
-			if want := c.setIndex(w.tag); want != uint64(si) {
+			if w>>wordShift == 0 {
+				return fmt.Errorf("cache %q: set %d way %d holds flags %#x without a line",
+					c.cfg.Name, si, wi, w)
+			}
+			line := wordLine(w)
+			recount[wordKind(w)]++
+			if want := c.setIndex(line); want != si {
 				return fmt.Errorf("cache %q: line %#x resident in set %d, its address indexes set %d",
-					c.cfg.Name, w.tag, si, want)
+					c.cfg.Name, line, si, want)
 			}
-			if w.lru > c.clock {
+			if stamps[wi] > c.clock {
 				return fmt.Errorf("cache %q: set %d way %d LRU stamp %d ahead of clock %d",
-					c.cfg.Name, si, wi, w.lru, c.clock)
+					c.cfg.Name, si, wi, stamps[wi], c.clock)
 			}
-			if prev, dup := stamps[w.lru]; dup {
+			if prev, dup := ways[stamps[wi]]; dup {
 				return fmt.Errorf("cache %q: set %d ways %d and %d share LRU stamp %d",
-					c.cfg.Name, si, prev, wi, w.lru)
+					c.cfg.Name, si, prev, wi, stamps[wi])
 			}
-			stamps[w.lru] = wi
-			if prev, dup := seen[w.tag]; dup {
+			ways[stamps[wi]] = wi
+			if prev, dup := seen[line]; dup {
 				return fmt.Errorf("cache %q: line %#x duplicated in sets %d and %d",
-					c.cfg.Name, w.tag, prev, si)
+					c.cfg.Name, line, prev, si)
 			}
-			seen[w.tag] = si
+			seen[line] = si
 		}
 	}
 	for k := Kind(0); k < numKinds; k++ {

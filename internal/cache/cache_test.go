@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -267,5 +268,37 @@ func TestInvalidateKind(t *testing.T) {
 	}
 	if n := c.InvalidateKind(TLBEntry); n != 0 {
 		t.Errorf("second flush removed %d", n)
+	}
+}
+
+// CheckInvariants must catch a corrupted set block: a packed word moved
+// into a set its line does not index (a tag probe would never find it
+// there), and a word that carries flags but no line.
+func TestCheckInvariantsCatchesCorruptWords(t *testing.T) {
+	cfg := Config{Name: "tiny", SizeBytes: 4 * 2 * 64, Ways: 2, Latency: 1} // 4 sets
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Cache)
+		want    string
+	}{
+		{"wrong set", func(c *Cache) {
+			from, _ := c.block(1)
+			to, _ := c.block(0)
+			to[1], from[0] = from[0], 0
+		}, "line 0x1 resident in set 0"},
+		{"flags without line", func(c *Cache) {
+			words, _ := c.block(2)
+			words[0] = dirtyBit
+		}, "without a line"},
+	} {
+		c := MustNew(cfg)
+		c.Fill(1, true, TLBEntry) // set 1
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s: clean cache: %v", tc.name, err)
+		}
+		tc.corrupt(c)
+		if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants = %v, want error containing %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -98,6 +98,10 @@ func (pomSchemeBase) Aggregate(s *System, res *Result) {
 type pomScheme struct{ pomSchemeBase }
 
 func (pomScheme) Name() Mode { return POMTLB }
+func (pomScheme) Build(s *System) {
+	s.pom = pomtlb.New(s.cfg.POM)
+	s.pomCaches = true
+}
 func (pomScheme) Describe() string {
 	return "die-stacked DRAM L3 TLB with predictors and data-cache probes of the addressable sets"
 }

@@ -56,7 +56,11 @@ type System struct {
 	l3    *cache.Cache
 	ddr   []*dram.Channel
 	pom   *pomtlb.TLB
-	tsbB  *tsb.TSB
+	// pomCaches is set by the pom-tlb scheme's Build: its POM-TLB set
+	// lines are probed in the L2/L3 data caches (pom-tlb-nocache leaves
+	// it false and goes straight to the die-stacked DRAM).
+	pomCaches bool
+	tsbB      *tsb.TSB
 	// l4 is the L4Cache mode's die-stacked data cache: an SRAM-tagged
 	// directory (the cache.Cache) whose hits cost one die-stacked DRAM
 	// access on l4chan.

@@ -113,7 +113,7 @@ func (s *System) baselinePath(c *coreState, va addr.VA) tlb.Entry {
 // bypass, L2D$/L3D$ probes of the addressable set, die-stacked DRAM
 // access, second-size retry, and finally the page walk.
 func (s *System) pomPath(c *coreState, va addr.VA) tlb.Entry {
-	useCaches := s.cfg.Mode == POMTLB
+	useCaches := s.pomCaches
 	predSize := c.pred.PredictSize(va)
 	bypass := useCaches && !s.cfg.DisableBypassPredictor && c.pred.PredictBypass(va)
 	probeCaches := useCaches && !bypass

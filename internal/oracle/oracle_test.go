@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -97,6 +98,111 @@ func TestRefCacheAgreement(t *testing.T) {
 			}
 			if err := prod.CheckInvariants(); err != nil {
 				t.Fatalf("production cache invariants: %v", err)
+			}
+		})
+	}
+}
+
+// maxLine is the largest cache line address: a line is a host physical
+// address >> 6, so lines stay below 2^58 — the limit of the production
+// cache's packed tag words.
+const maxLine = 1<<58 - 1
+
+// TestRefCacheGeometries drives every operation against the reference at
+// each associativity the simulator uses and under each priority policy,
+// checking the production cache's invariants after every operation. Some
+// lines sit at the top of the line space, where the packed encoding ends.
+func TestRefCacheGeometries(t *testing.T) {
+	for _, ways := range []int{1, 2, 4, 8, 16} {
+		for _, prio := range []cache.Priority{cache.NoPriority, cache.PreferTLB, cache.PreferData} {
+			t.Run(fmt.Sprintf("%dway-%s", ways, prio), func(t *testing.T) {
+				const sets = 8
+				h := NewHarness()
+				prod := cache.MustNew(cache.Config{
+					Name: "test", SizeBytes: sets * uint64(ways) * addr.CacheLineSize,
+					Ways: ways, Latency: 1, Priority: prio,
+				})
+				NewRefCache(h, prod)
+				rng := rand.New(rand.NewSource(int64(ways)*10 + int64(prio)))
+				span := 3 * sets * ways // enough lines to keep every set full
+				for i := 0; i < 10_000; i++ {
+					line := uint64(rng.Intn(span))
+					if rng.Intn(4) == 0 {
+						line = maxLine - uint64(rng.Intn(span))
+					}
+					write := rng.Intn(3) == 0
+					kind := cache.Data
+					if rng.Intn(3) == 0 {
+						kind = cache.TLBEntry
+					}
+					switch op := rng.Intn(100); {
+					case op < 60:
+						if !prod.Access(line, write, kind) {
+							prod.Fill(line, write, kind)
+						}
+					case op < 85:
+						prod.Fill(line, write, kind) // refreshes a present line
+					case op < 99:
+						prod.Invalidate(line)
+					default:
+						prod.InvalidateKind(kind)
+					}
+					if err := prod.CheckInvariants(); err != nil {
+						t.Fatalf("op %d: %v", i, err)
+					}
+				}
+				if err := h.Err(); err != nil {
+					t.Fatalf("reference diverged from production cache: %v", err)
+				}
+				if h.Decisions() == 0 {
+					t.Fatal("no decisions checked")
+				}
+			})
+		}
+	}
+}
+
+// TestRefCacheEncodingEdges takes the lowest and highest line addresses
+// through hit, dirty eviction and invalidation: line 0 packs to the
+// smallest valid word, maxLine to the largest.
+func TestRefCacheEncodingEdges(t *testing.T) {
+	for _, edge := range []uint64{0, maxLine} {
+		t.Run(fmt.Sprintf("%#x", edge), func(t *testing.T) {
+			h := NewHarness()
+			prod := cache.MustNew(cache.Config{Name: "test", SizeBytes: 4 * 2 * addr.CacheLineSize, Ways: 2, Latency: 1})
+			NewRefCache(h, prod)
+			check := func(step string) {
+				t.Helper()
+				if err := prod.CheckInvariants(); err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+			}
+			if prod.Access(edge, false, cache.TLBEntry) {
+				t.Fatal("cold access hit")
+			}
+			prod.Fill(edge, true, cache.TLBEntry)
+			check("fill")
+			if !prod.Lookup(edge) || !prod.Access(edge, false, cache.TLBEntry) {
+				t.Fatal("filled line not found")
+			}
+			// Two more lines of the same set push the edge line out.
+			prod.Fill(edge^4, false, cache.Data)
+			ev := prod.Fill(edge^8, false, cache.Data)
+			check("evict")
+			want := cache.Eviction{Valid: true, Line: edge, Dirty: true, Kind: cache.TLBEntry}
+			if ev != want {
+				t.Fatalf("eviction = %+v, want %+v", ev, want)
+			}
+			prod.Fill(edge, false, cache.Data)
+			if present, dirty := prod.Invalidate(edge); !present || dirty {
+				t.Fatalf("Invalidate = (%v, %v), want (true, false)", present, dirty)
+			}
+			check("invalidate")
+			if prod.Lookup(edge) {
+				t.Fatal("line present after invalidation")
+			}
+			if err := h.Err(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -57,6 +57,10 @@ type Comparison struct {
 	// Missing lists schemes present in the old trajectory but absent
 	// from the new one; a disappearing scheme fails the gate.
 	Missing []string
+	// Ungated lists schemes present in the new trajectory but absent
+	// from the old one. They have nothing to be compared with, so they
+	// cannot regress; they are listed so the gap is visible.
+	Ungated []string
 	// Tolerance is the allowed fractional records/sec slowdown.
 	Tolerance float64
 }
@@ -78,26 +82,34 @@ func (c *Comparison) Regressed() bool {
 // String renders the comparison as an aligned table.
 func (c *Comparison) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %14s %14s %8s\n", "scheme", "old rec/s", "new rec/s", "ratio")
+	fmt.Fprintf(&b, "%-16s %14s %14s %8s\n", "scheme", "old rec/s", "new rec/s", "ratio")
 	for _, d := range c.Deltas {
 		mark := ""
 		if d.Regressed {
 			mark = "  REGRESSED"
 		}
-		fmt.Fprintf(&b, "%-12s %14.0f %14.0f %7.2fx%s\n", d.Scheme, d.Old, d.New, d.Ratio, mark)
+		fmt.Fprintf(&b, "%-16s %14.0f %14.0f %7.2fx%s\n", d.Scheme, d.Old, d.New, d.Ratio, mark)
 	}
 	for _, m := range c.Missing {
-		fmt.Fprintf(&b, "%-12s missing from new trajectory  REGRESSED\n", m)
+		fmt.Fprintf(&b, "%-16s missing from new trajectory  REGRESSED\n", m)
+	}
+	for _, u := range c.Ungated {
+		fmt.Fprintf(&b, "%-16s ungated (no baseline)\n", u)
 	}
 	return b.String()
 }
 
 // Compare diffs two trajectories on records/sec. tolerance is the
 // allowed fractional slowdown (0.05 = 5%): a scheme regresses when
-// new < old*(1-tolerance). Schemes only present in the new trajectory
-// are ignored; schemes that vanished are reported in Missing.
+// new < old*(1-tolerance). Schemes that vanished are reported in
+// Missing; schemes only present in the new trajectory in Ungated.
 func Compare(old, new_ *Trajectory, tolerance float64) *Comparison {
 	c := &Comparison{Tolerance: tolerance}
+	for _, n := range new_.Schemes {
+		if _, ok := old.Scheme(n.Scheme); !ok {
+			c.Ungated = append(c.Ungated, n.Scheme)
+		}
+	}
 	for _, o := range old.Schemes {
 		n, ok := new_.Scheme(o.Scheme)
 		if !ok {

@@ -3,10 +3,10 @@
 // wall-clock second, wall nanoseconds per translation, and heap
 // allocations per record — for each translation scheme, and serializes
 // the measurements into a schema-versioned trajectory file
-// (`BENCH_<date>.json` at the repo root). Committed trajectory files form
-// the perf baseline every scaling PR must beat; Compare diffs two
-// trajectories and flags regressions beyond a tolerance, which is what
-// the CI bench gate runs.
+// (`BENCH_<date>.json` at the repo root). Committed trajectory files are
+// a log of past measurements; Compare diffs two trajectories and flags
+// regressions beyond a tolerance. Performance claims are measured with
+// the same-machine benchmark in simbench instead.
 //
 // Every record the simulator consumes is exactly one translation request
 // (plus its data access), so ns/translation is wall time per record over
@@ -32,12 +32,11 @@ import (
 // version it does not understand.
 const SchemaVersion = 1
 
-// Schemes is the trajectory's scheme matrix: the paper's baseline plus
-// the three large-structure schemes the evaluation compares, and the two
-// registered competitor schemes (adding schemes here is gate-safe: the
-// comparison only fails on schemes *missing* from the new trajectory).
-var Schemes = []core.Mode{core.Baseline, core.SharedL2, core.TSB, core.POMTLB,
-	core.Victima, core.DRAMCache}
+// Schemes is the trajectory's scheme matrix: every registered scheme, in
+// registration order. A scheme registered after a baseline was recorded
+// is reported as ungated by Compare; only schemes *missing* from the new
+// trajectory fail the comparison.
+var Schemes = core.Modes()
 
 // Config sizes one trajectory measurement.
 type Config struct {
@@ -109,8 +108,7 @@ func (c Config) Validate() error {
 
 // SchemeResult is one scheme's measured steady-state record-loop cost.
 type SchemeResult struct {
-	// Scheme is the core.Mode name ("baseline", "shared-l2", "tsb",
-	// "pom-tlb").
+	// Scheme is the core.Mode name ("baseline", "pom-tlb", ...).
 	Scheme string `json:"scheme"`
 	// RecordsPerSec is simulated records per wall-clock second over the
 	// fastest measurement window.
