@@ -71,8 +71,8 @@ func BenchmarkFig1NestedWalk(b *testing.B) {
 
 func BenchmarkFig2TranslationCycles(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts("mcf", "gups", "streamcluster"))
-		rows, err := experiments.Figure2(r)
+		r := experiments.NewRunner(benchOpts("mcf", "gups", "streamcluster"), nil)
+		rows, err := experiments.Figure2(context.Background(), r)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,8 +86,8 @@ func BenchmarkFig2TranslationCycles(b *testing.B) {
 
 func BenchmarkFig3VirtNativeRatio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts("mcf", "gups"))
-		rows, err := experiments.Figure3(r)
+		r := experiments.NewRunner(benchOpts("mcf", "gups"), nil)
+		rows, err := experiments.Figure3(context.Background(), r)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,8 +114,8 @@ func BenchmarkFig4SRAMScaling(b *testing.B) {
 
 func BenchmarkFig8Speedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts("mcf", "gups", "streamcluster"))
-		_, sum, err := experiments.Figure8(r)
+		r := experiments.NewRunner(benchOpts("mcf", "gups", "streamcluster"), nil)
+		_, sum, err := experiments.Figure8(context.Background(), r)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,8 +129,8 @@ func BenchmarkFig8Speedup(b *testing.B) {
 
 func BenchmarkFig9HitRatio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts("mcf", "lbm"))
-		rows, err := experiments.Figure9(r)
+		r := experiments.NewRunner(benchOpts("mcf", "lbm"), nil)
+		rows, err := experiments.Figure9(context.Background(), r)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,8 +145,8 @@ func BenchmarkFig9HitRatio(b *testing.B) {
 
 func BenchmarkFig10Predictors(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts("mcf", "lbm"))
-		rows, err := experiments.Figure10(r)
+		r := experiments.NewRunner(benchOpts("mcf", "lbm"), nil)
+		rows, err := experiments.Figure10(context.Background(), r)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,8 +161,8 @@ func BenchmarkFig10Predictors(b *testing.B) {
 
 func BenchmarkFig11RowBuffer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts("streamcluster", "gups"))
-		rows, err := experiments.Figure11(r)
+		r := experiments.NewRunner(benchOpts("streamcluster", "gups"), nil)
+		rows, err := experiments.Figure11(context.Background(), r)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,8 +176,8 @@ func BenchmarkFig11RowBuffer(b *testing.B) {
 
 func BenchmarkFig12Caching(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts("mcf", "lbm"))
-		_, withAvg, noAvg, err := experiments.Figure12(r)
+		r := experiments.NewRunner(benchOpts("mcf", "lbm"), nil)
+		_, withAvg, noAvg, err := experiments.Figure12(context.Background(), r)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -355,20 +355,9 @@ func BenchmarkAblationNeighborPrefetch(b *testing.B) {
 	}
 }
 
-func BenchmarkUnifiedSkewedSearch(b *testing.B) {
-	u := pomtlb.NewUnified(16<<20, 4)
-	for vpn := uint64(0); vpn < 10_000; vpn++ {
-		u.Insert(pomtlb.Entry{Valid: true, VM: 1, PID: 1, VPN: vpn, PFN: vpn, Size: addr.Page4K})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u.Search(1, 1, addr.VA(uint64(i%10_000)<<12))
-	}
-}
-
 func BenchmarkTradeoffL4VsPOM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.TradeoffStudy(benchOpts())
+		rows, err := experiments.TradeoffStudy(context.Background(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -399,7 +388,7 @@ func BenchmarkFRFCFSScheduler(b *testing.B) {
 
 func BenchmarkNativeStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.NativeStudy(benchOpts())
+		rows, err := experiments.NativeStudy(context.Background(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}

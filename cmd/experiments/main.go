@@ -10,8 +10,8 @@
 //	experiments -quick -fig 8             # short traces, 2 cores
 //	experiments -consolidation consol-zipf        # per-tenant-tier table
 //	experiments -workloads consol-churn -tenants 200 -churn 5000 -fig 8
-//	experiments -all -checkpoint c.json   # journal completed cells
-//	experiments -all -checkpoint c.json -resume   # skip journaled cells
+//	experiments -all -checkpoint c.journal          # journal completed cells
+//	experiments -all -checkpoint c.journal -resume  # skip journaled cells
 //
 //	experiments -sweep 'schemes=pom-tlb,tsb:pom-mb=4,8,16:pom-ways=2,4' \
 //	    -shards 8 -retry-budget 64 -quarantine-after 3 \
@@ -19,10 +19,10 @@
 //	    -checkpoint sweep.journal [-resume]
 //
 // Sweeps shard the grid over a work-stealing worker pool; every cell runs
-// inside the resilience envelope, failed cells are quarantined into the
-// -manifest instead of aborting the sweep, and the -checkpoint journal is
-// append-only and fsynced per cell, so even a SIGKILL mid-shard resumes
-// with exactly the missing cells.
+// inside the resilience envelope, and failed cells are quarantined into
+// the -manifest instead of aborting the sweep. In every mode the
+// -checkpoint journal is append-only and fsynced per cell, so even a
+// SIGKILL mid-run resumes with exactly the missing cells.
 //
 // SIGINT/SIGTERM cancel the in-flight simulations; the command still
 // emits every completed row (and the checkpoint keeps every completed
@@ -41,7 +41,6 @@ import (
 	"runtime"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/experiments/sweep"
@@ -80,13 +79,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		churn     = fs.Int("churn", 0, "override a consolidation preset's shootdown-storm interval in records (-1 = off, 0 = preset)")
 		phases    = fs.Int("phases", 0, "override a consolidation preset's working-set phase count (0 = preset)")
 		csvDir    = fs.String("csv", "", "write per-figure CSV files into this directory")
-		ckptPath  = fs.String("checkpoint", "", "journal completed (workload, scheme) cells to this JSON file")
+		ckptPath  = fs.String("checkpoint", "", "append every completed cell to this journal file")
 		resume    = fs.Bool("resume", false, "reuse cells already journaled in -checkpoint and run only the missing ones")
 		timeout   = fs.Duration("timeout", 0, "per-workload simulation deadline (0 = none), e.g. 90s")
 
 		sweepSpec  = fs.String("sweep", "", "run a design-space sweep over this grid, e.g. 'schemes=pom-tlb,tsb:pom-mb=4,8:pom-ways=2,4'")
 		shards     = fs.Int("shards", runtime.GOMAXPROCS(0), "sweep worker shards (work-stealing pool size)")
-		budget     = fs.Int("retry-budget", 64, "global retry budget shared by every sweep cell")
+		budget     = fs.Int("retry-budget", sweep.DefaultRetryBudget, "global retry budget shared by every sweep cell")
 		quarAfter  = fs.Int("quarantine-after", sweep.DefaultQuarantineAfter, "per-cell attempt cap before a sweep cell is quarantined")
 		sweepCSV   = fs.String("sweep-csv", "", "stream sweep results to this CSV file (default: stdout)")
 		manifest   = fs.String("manifest", "", "write the sweep quarantine manifest (JSON) to this file")
@@ -137,6 +136,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("-fault-rate/-fault-panic-rate require -sweep")
 	case *sweepSpec == "" && (*sweepCSV != "" || *manifest != ""):
 		return fmt.Errorf("-sweep-csv/-manifest require -sweep")
+	case !*all && *fig == 0 && *table == 0 && *report == "" && *csvDir == "" && *consol == "" && *sweepSpec == "":
+		return fmt.Errorf("nothing to do: pass -all, -fig N, -table N or -report FILE")
 	}
 
 	opts := experiments.DefaultOptions()
@@ -164,52 +165,47 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	opts.ChurnEvery = *churn
 	opts.Phases = *phases
 
-	if *consol != "" {
-		preset, ok := workloads.ConsolidationByName(*consol)
-		if !ok {
-			return fmt.Errorf("unknown consolidation preset %q (known: %s)", *consol, strings.Join(workloads.ConsolidationNames(), ", "))
-		}
-		fmt.Fprintf(out, "%s — %s\n\n", preset.Name, preset.Description)
-		rows, err := experiments.ConsolidationTiersContext(ctx, experiments.NewRunner(opts), preset.Name, nil)
-		experiments.WriteConsolidationTiers(out, rows)
-		return describeDegraded(out, err)
+	preset, ok := workloads.ConsolidationByName(*consol)
+	if *consol != "" && !ok {
+		return fmt.Errorf("unknown consolidation preset %q (known: %s)", *consol, strings.Join(workloads.ConsolidationNames(), ", "))
 	}
+	var spec sweep.Spec
+	fingerprint := experiments.Fingerprint(opts)
+	if *sweepSpec != "" {
+		var err error
+		if spec, err = sweep.ParseSpec(*sweepSpec); err != nil {
+			return err
+		}
+		fingerprint = experiments.SweepFingerprint(opts, spec.Canonical())
+	}
+	journal, err := openJournal(out, *ckptPath, *resume, fingerprint)
+	if err != nil {
+		return err
+	}
+	defer journal.Close()
 
 	if *sweepSpec != "" {
-		return runSweep(ctx, out, opts, sweepFlags{
-			spec:            *sweepSpec,
+		return runSweep(ctx, out, opts, spec, journal, sweepFlags{
 			shards:          *shards,
 			retryBudget:     *budget,
 			quarantineAfter: *quarAfter,
 			csvPath:         *sweepCSV,
 			manifestPath:    *manifest,
-			journalPath:     *ckptPath,
-			resume:          *resume,
-			cellTimeout:     *timeout,
 			faultRate:       *faultRate,
 			faultPanicRate:  *faultPanic,
 			faultSeed:       *faultSeed,
 		})
 	}
 
-	if *ckptPath != "" {
-		if !*resume {
-			if _, err := os.Stat(*ckptPath); err == nil {
-				return fmt.Errorf("checkpoint %s already exists; pass -resume to continue it or remove the file", *ckptPath)
-			}
-		}
-		cp, err := experiments.LoadCheckpoint(*ckptPath, experiments.Fingerprint(opts))
-		if err != nil {
-			return err
-		}
-		if *resume && cp.Len() > 0 {
-			fmt.Fprintf(out, "resuming: %d cell(s) already journaled in %s\n", cp.Len(), *ckptPath)
-		}
-		opts.Checkpoint = cp
+	r := experiments.NewRunner(opts, journal)
+	if *consol != "" {
+		fmt.Fprintf(out, "%s — %s\n\n", preset.Name, preset.Description)
+		rows, err := experiments.ConsolidationTiers(ctx, r, preset.Name, nil)
+		experiments.WriteConsolidationTiers(out, rows)
+		return describeDegraded(out, err)
 	}
-
 	if *csvDir != "" {
-		paths, err := experiments.WriteCSVsContext(ctx, *csvDir, experiments.NewRunner(opts))
+		paths, err := experiments.WriteCSVs(ctx, *csvDir, r)
 		for _, p := range paths {
 			fmt.Fprintln(out, p)
 		}
@@ -221,22 +217,21 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 		defer f.Close()
-		rerr := experiments.ReportContext(ctx, f, opts, true)
+		rerr := experiments.Report(ctx, f, r, true)
 		fmt.Fprintf(out, "wrote %s\n", *report)
 		return describeDegraded(out, rerr)
 	}
 	if *all {
-		return describeDegraded(out, experiments.ReportContext(ctx, out, opts, *ablations))
+		return describeDegraded(out, experiments.Report(ctx, out, r, *ablations))
 	}
 
-	r := experiments.NewRunner(opts)
 	switch {
 	case *table == 1:
 		fmt.Fprint(out, experiments.Table1())
 	case *table == 2:
 		fmt.Fprint(out, experiments.Table2())
 	case *fig == 2:
-		rows, err := experiments.Figure2Context(ctx, r)
+		rows, err := experiments.Figure2(ctx, r)
 		names, vals := make([]string, len(rows)), make([]float64, len(rows))
 		for i, row := range rows {
 			names[i], vals[i] = row.Name, row.SimCyc
@@ -244,7 +239,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprint(out, experiments.RenderBars("Figure 2 — simulated baseline cycles per L2 TLB miss", names, vals, "cyc"))
 		return describeDegraded(out, err)
 	case *fig == 3:
-		rows, err := experiments.Figure3Context(ctx, r)
+		rows, err := experiments.Figure3(ctx, r)
 		names, vals := make([]string, len(rows)), make([]float64, len(rows))
 		for i, row := range rows {
 			names[i], vals[i] = row.Name, row.SimRatio
@@ -258,7 +253,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		fmt.Fprint(out, t.String())
 	case *fig == 8:
-		rows, sum, err := experiments.Figure8Context(ctx, r)
+		rows, sum, err := experiments.Figure8(ctx, r)
 		t := stats.NewTable("benchmark", "POM-TLB %", "Shared_L2 %", "TSB %")
 		for _, row := range rows {
 			t.AddRow(row.Name, fmt.Sprintf("%.2f", row.POM),
@@ -271,7 +266,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprint(out, t.String())
 		return describeDegraded(out, err)
 	case *fig == 9:
-		rows, err := experiments.Figure9Context(ctx, r)
+		rows, err := experiments.Figure9(ctx, r)
 		t := stats.NewTable("benchmark", "L2D$", "L3D$", "POM-TLB", "walk elim")
 		for _, row := range rows {
 			t.AddRow(row.Name, stats.Pct(row.L2D), stats.Pct(row.L3D),
@@ -280,7 +275,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprint(out, t.String())
 		return describeDegraded(out, err)
 	case *fig == 10:
-		rows, err := experiments.Figure10Context(ctx, r)
+		rows, err := experiments.Figure10(ctx, r)
 		t := stats.NewTable("benchmark", "size acc", "bypass acc")
 		for _, row := range rows {
 			t.AddRow(row.Name, stats.Pct(row.SizeAcc), stats.Pct(row.BypassAcc))
@@ -288,7 +283,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprint(out, t.String())
 		return describeDegraded(out, err)
 	case *fig == 11:
-		rows, err := experiments.Figure11Context(ctx, r)
+		rows, err := experiments.Figure11(ctx, r)
 		names, vals := make([]string, len(rows)), make([]float64, len(rows))
 		for i, row := range rows {
 			names[i], vals[i] = row.Name, 100*row.RBH
@@ -296,7 +291,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprint(out, experiments.RenderBars("Figure 11 — POM-TLB row-buffer hit rate", names, vals, "%"))
 		return describeDegraded(out, err)
 	case *fig == 12:
-		rows, withAvg, noAvg, err := experiments.Figure12Context(ctx, r)
+		rows, withAvg, noAvg, err := experiments.Figure12(ctx, r)
 		t := stats.NewTable("benchmark", "with caching %", "without %")
 		for _, row := range rows {
 			t.AddRow(row.Name, fmt.Sprintf("%.2f", row.WithCache), fmt.Sprintf("%.2f", row.NoCache))
@@ -306,46 +301,63 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		fmt.Fprint(out, t.String())
 		return describeDegraded(out, err)
-	default:
-		return fmt.Errorf("nothing to do: pass -all, -fig N, -table N or -report FILE")
 	}
 	return nil
 }
 
+// openJournal opens the -checkpoint journal (nil, and inert, when path is
+// empty) for a campaign or sweep with the given fingerprint. Without
+// -resume an existing file is refused rather than continued by accident;
+// a torn trailing record and, on resume, the journaled cell count are
+// reported before any cell runs.
+func openJournal(out io.Writer, path string, resume bool, fingerprint string) (*experiments.SweepJournal, error) {
+	if path == "" {
+		return nil, nil
+	}
+	if !resume {
+		if _, err := os.Stat(path); err == nil {
+			return nil, fmt.Errorf("journal %s already exists; pass -resume to continue it or remove the file", path)
+		}
+	}
+	j, err := experiments.OpenSweepJournal(path, fingerprint)
+	if err != nil {
+		return nil, err
+	}
+	if n := j.TruncatedRecords(); n > 0 {
+		fmt.Fprintf(out, "journal %s: dropped %d torn trailing record(s) left by an interrupted append\n", path, n)
+	}
+	if resume && j.Len() > 0 {
+		fmt.Fprintf(out, "resuming: %d cell(s) already journaled in %s\n", j.Len(), path)
+	}
+	return j, nil
+}
+
 // sweepFlags carries the validated -sweep command line into runSweep.
 type sweepFlags struct {
-	spec            string
 	shards          int
 	retryBudget     int
 	quarantineAfter int
 	csvPath         string
 	manifestPath    string
-	journalPath     string
-	resume          bool
-	cellTimeout     time.Duration
 	faultRate       float64
 	faultPanicRate  float64
 	faultSeed       uint64
 }
 
-// runSweep drives one design-space sweep: parse the grid, open (or
-// resume) the append-only journal, optionally seed the chaos plan, run
-// the sharded engine, then emit the CSV, the quarantine manifest, and a
-// one-line summary. A sweep with quarantined cells still emits
-// everything and then exits non-zero, so automation notices the
-// degradation without losing the completed grid.
-func runSweep(ctx context.Context, out io.Writer, opts experiments.Options, f sweepFlags) error {
-	spec, err := sweep.ParseSpec(f.spec)
-	if err != nil {
-		return err
-	}
+// runSweep drives one design-space sweep over the parsed grid: optionally
+// seed the chaos plan, run the sharded engine on the journal, then emit
+// the CSV, the quarantine manifest, and a one-line summary. A sweep with
+// quarantined cells still emits everything and then exits non-zero, so
+// automation notices the degradation without losing the completed grid.
+func runSweep(ctx context.Context, out io.Writer, opts experiments.Options, spec sweep.Spec,
+	journal *experiments.SweepJournal, f sweepFlags) error {
 	cfg := sweep.Config{
 		Base:            opts,
 		Spec:            spec,
 		Shards:          f.shards,
 		RetryBudget:     f.retryBudget,
 		QuarantineAfter: f.quarantineAfter,
-		CellTimeout:     f.cellTimeout,
+		Journal:         journal,
 	}
 
 	names := opts.Workloads
@@ -360,32 +372,13 @@ func runSweep(ctx context.Context, out io.Writer, opts experiments.Options, f sw
 			f.faultSeed, len(plan.Panicked), len(plan.Flaky))
 	}
 
-	if f.journalPath != "" {
-		if !f.resume {
-			if _, err := os.Stat(f.journalPath); err == nil {
-				return fmt.Errorf("sweep journal %s already exists; pass -resume to continue it or remove the file", f.journalPath)
-			}
-		}
-		j, err := experiments.OpenSweepJournal(f.journalPath, experiments.SweepFingerprint(opts, spec.Canonical()))
-		if err != nil {
-			return err
-		}
-		defer j.Close()
-		if n := j.TruncatedRecords(); n > 0 {
-			fmt.Fprintf(out, "journal %s: dropped %d torn trailing record(s) left by an interrupted append\n", f.journalPath, n)
-		}
-		if f.resume && j.Len() > 0 {
-			fmt.Fprintf(out, "resuming: %d cell(s) already journaled in %s\n", j.Len(), f.journalPath)
-		}
-		cfg.Journal = j
-	}
-
 	// The CSV streams to a temp file renamed into place only when the
 	// sweep ran to completion: a killed run leaves no half-written
 	// sweep.csv, and the journal already preserves every finished cell
 	// for the resume to replay.
 	var tmp *os.File
 	if f.csvPath != "" {
+		var err error
 		tmp, err = os.CreateTemp(filepath.Dir(f.csvPath), filepath.Base(f.csvPath)+".tmp-*")
 		if err != nil {
 			return err

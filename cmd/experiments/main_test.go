@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func quickArgs(extra ...string) []string {
@@ -67,6 +69,53 @@ func TestSweepFlagValidation(t *testing.T) {
 		if err := run(context.Background(), args, &sb); err == nil {
 			t.Errorf("%s: args %v accepted, want error", name, args)
 		}
+	}
+}
+
+func TestCampaignJournalResume(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "campaign.journal")
+	args := quickArgs("-fig", "9", "-checkpoint", journal)
+
+	var first strings.Builder
+	if err := run(context.Background(), args, &first); err != nil {
+		t.Fatalf("campaign failed: %v\n%s", err, first.String())
+	}
+
+	// Without -resume an existing journal must be refused.
+	var sb strings.Builder
+	if err := run(context.Background(), args, &sb); err == nil ||
+		!strings.Contains(err.Error(), "already exists") {
+		t.Fatalf("existing journal not refused: %v", err)
+	}
+
+	// With -resume every cell is served from the journal and the figure
+	// table is reproduced byte for byte.
+	sb.Reset()
+	if err := run(context.Background(), append(args, "-resume"), &sb); err != nil {
+		t.Fatalf("resume failed: %v\n%s", err, sb.String())
+	}
+	resumed := sb.String()
+	if !strings.HasPrefix(resumed, "resuming: 2 cell(s) already journaled") {
+		t.Fatalf("resume did not report the journaled cells:\n%s", resumed)
+	}
+	if _, table, _ := strings.Cut(resumed, "\n"); table != first.String() {
+		t.Errorf("resumed table differs from the original run:\n%s\nvs\n%s", table, first.String())
+	}
+}
+
+func TestConsolidationJournal(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "consol.journal")
+	var sb strings.Builder
+	if err := run(context.Background(), []string{"-quick", "-consolidation", "consol-smoke", "-checkpoint", journal}, &sb); err != nil {
+		t.Fatalf("consolidation run failed: %v\n%s", err, sb.String())
+	}
+	raw, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(experiments.ConsolidationModes)
+	if n := strings.Count(string(raw), `{"kind":"done","key":"consol-smoke|`); n != want {
+		t.Errorf("journal holds %d consol-smoke cells, want one per compared scheme (%d):\n%s", n, want, raw)
 	}
 }
 

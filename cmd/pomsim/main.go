@@ -70,7 +70,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 		sweepSpec = fs.String("sweep", "", "sweep the workload over this geometry grid, e.g. 'schemes=pom-tlb,tsb:pom-mb=4,8,16:pom-ways=2,4'")
 		shards    = fs.Int("shards", runtime.GOMAXPROCS(0), "sweep worker shards (work-stealing pool size)")
-		budget    = fs.Int("retry-budget", 16, "global retry budget shared by every sweep cell")
+		budget    = fs.Int("retry-budget", sweep.DefaultRetryBudget, "global retry budget shared by every sweep cell")
 		quarAfter = fs.Int("quarantine-after", sweep.DefaultQuarantineAfter, "per-cell attempt cap before a sweep cell is quarantined")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -364,13 +364,13 @@ func runComparison(ctx context.Context, out io.Writer, p workloads.Profile, base
 
 // selfCheckWorkloads span the access-pattern space: uniformly random
 // (gups), pointer-chasing with locality (mcf), and bursty graph
-// traversal (graph500). Three patterns × three schemes exercise every
-// production structure against its reference model.
+// traversal (graph500). Three patterns × every registered scheme exercise
+// every production structure against its reference model.
 var selfCheckWorkloads = []string{"gups", "mcf", "graph500"}
 
 // runSelfCheck executes the differential-verification matrix: each
-// workload runs under each translation scheme with lockstep reference
-// models attached to every TLB, cache, DRAM channel and POM-TLB
+// workload runs under each registered translation scheme with lockstep
+// reference models attached to every TLB, cache, DRAM channel and POM-TLB
 // partition, plus periodic structural-invariant sweeps and result
 // accounting checks. Any divergence fails the command.
 func runSelfCheck(ctx context.Context, out io.Writer, base core.Config) error {
@@ -381,7 +381,7 @@ func runSelfCheck(ctx context.Context, out io.Writer, base core.Config) error {
 		if !ok {
 			return fmt.Errorf("selfcheck workload %q missing", name)
 		}
-		for _, mode := range []core.Mode{core.Baseline, core.POMTLB, core.TSB, core.Victima, core.DRAMCache} {
+		for _, mode := range core.Modes() {
 			cfg := base
 			cfg.Mode = mode
 			sys, err := core.NewSystem(cfg)

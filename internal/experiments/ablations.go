@@ -29,14 +29,13 @@ type AblationPoint struct {
 // sweep evaluates POM-TLB over the ablation subset for each option
 // variant and aggregates. Failed cells drop out of a point's aggregate
 // (a point with no surviving cells is dropped entirely); every failure
-// is reported through the returned *CampaignError.
+// is reported, labelled with its point, through the returned
+// *CampaignError.
 func sweep(ctx context.Context, base Options, labels []string, variant func(Options, int) Options) ([]AblationPoint, error) {
 	var fs failureSet
 	var out []AblationPoint
 	for i, label := range labels {
-		opts := variant(base, i)
-		opts.Checkpoint = nil // ablation variants have their own fingerprints
-		r := NewRunner(opts)
+		r := variantRunner(variant(base, i), label)
 		_ = r.Prefetch(ctx, ablationWorkloads, []core.Mode{core.POMTLB})
 		var speedups []float64
 		var penSum, elimSum float64
@@ -56,7 +55,7 @@ func sweep(ctx context.Context, base Options, labels []string, variant func(Opti
 			}
 			imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, pen))
 			if err != nil {
-				fs.record(err, name, core.POMTLB)
+				fs.record(r.fail(err, name, core.POMTLB), name, core.POMTLB)
 				continue
 			}
 			speedups = append(speedups, 1+imp/100)

@@ -18,18 +18,25 @@ import (
 type WorkloadError struct {
 	Workload string
 	Mode     core.Mode
-	// Variant is the geometry label of a design-space sweep cell
-	// ("pom-mb=4|pom-ways=2"); empty for plain figure-campaign cells.
+	// Variant tells apart cells that run the same (workload, scheme) pair
+	// under other options: the geometry label of a design-space sweep cell
+	// ("pom-mb=4|pom-ways=2"), an ablation point label ("8MB"), "native" or
+	// "uncalibrated"; empty for the main campaign's cells.
 	Variant string
 	Err     error
 }
 
+// cell names the failed cell: "workload/scheme", plus "[variant]" if set.
+func (e *WorkloadError) cell() string {
+	if e.Variant != "" {
+		return fmt.Sprintf("%s/%s[%s]", e.Workload, e.Mode, e.Variant)
+	}
+	return fmt.Sprintf("%s/%s", e.Workload, e.Mode)
+}
+
 // Error implements error.
 func (e *WorkloadError) Error() string {
-	if e.Variant != "" {
-		return fmt.Sprintf("workload %s/%s[%s]: %v", e.Workload, e.Mode, e.Variant, e.Err)
-	}
-	return fmt.Sprintf("workload %s/%s: %v", e.Workload, e.Mode, e.Err)
+	return fmt.Sprintf("workload %s: %v", e.cell(), e.Err)
 }
 
 // Unwrap exposes the cause to errors.Is/As (including *resilience.PanicError
@@ -60,7 +67,7 @@ func (e *CampaignError) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "campaign degraded: %d cell(s) failed", len(e.Failures))
 	for _, f := range e.Failures {
-		fmt.Fprintf(&b, "\n  %s/%s: %v", f.Workload, f.Mode, f.Err)
+		fmt.Fprintf(&b, "\n  %s: %v", f.cell(), f.Err)
 	}
 	return b.String()
 }
@@ -81,7 +88,7 @@ func (e *CampaignError) Verbose() string {
 	for _, f := range e.Failures {
 		var pe *resilience.PanicError
 		if errors.As(f.Err, &pe) {
-			fmt.Fprintf(&b, "\n--- stack for %s/%s ---\n%s", f.Workload, f.Mode, pe.Stack)
+			fmt.Fprintf(&b, "\n--- stack for %s ---\n%s", f.cell(), pe.Stack)
 		}
 	}
 	return b.String()
@@ -95,7 +102,7 @@ type failureSet struct {
 
 func (f *failureSet) record(err error, name string, mode core.Mode) {
 	we := asWorkloadError(err, name, mode)
-	key := we.Workload + "|" + we.Mode.String()
+	key := we.cell()
 	if f.seen == nil {
 		f.seen = map[string]bool{}
 	}
@@ -127,8 +134,8 @@ func (f *failureSet) absorb(err error) {
 func (f *failureSet) err() error { return campaignError(f.fails) }
 
 // campaignError wraps failures into a *CampaignError (nil when empty),
-// sorted by (workload, mode) so degraded campaigns report reproducibly
-// regardless of goroutine scheduling.
+// sorted by (workload, mode, variant) so degraded campaigns report
+// reproducibly regardless of goroutine scheduling.
 func campaignError(fails []*WorkloadError) error {
 	if len(fails) == 0 {
 		return nil
@@ -137,7 +144,10 @@ func campaignError(fails []*WorkloadError) error {
 		if fails[i].Workload != fails[j].Workload {
 			return fails[i].Workload < fails[j].Workload
 		}
-		return fails[i].Mode < fails[j].Mode
+		if fails[i].Mode != fails[j].Mode {
+			return fails[i].Mode < fails[j].Mode
+		}
+		return fails[i].Variant < fails[j].Variant
 	})
 	return &CampaignError{Failures: fails}
 }

@@ -48,25 +48,8 @@ func runConsolidationCell(ctx context.Context, opts Options, preset workloads.Co
 	if err != nil {
 		return core.Result{}, err
 	}
-	var sc *core.SelfCheck
-	if opts.SelfCheck {
-		sc = sys.EnableSelfCheck()
-	}
 	sys.SetEvents(scn.Events)
-	gen := faultinject.Wrap(scn.Gen, opts.Faults)
-	res, err := sys.Run(ctx, gen, preset.Name)
-	if err != nil {
-		return res, err
-	}
-	if sc != nil {
-		if err := sc.Err(); err != nil {
-			return res, resilience.Permanent(fmt.Errorf("experiments: self-check diverged: %w", err))
-		}
-	}
-	if err := res.CheckAccounting(); err != nil {
-		return res, resilience.Permanent(err)
-	}
-	return res, nil
+	return sys.Run(ctx, faultinject.Wrap(scn.Gen, opts.Faults), preset.Name)
 }
 
 // TierRow is one (scheme, tier) cell of the consolidation breakdown.
@@ -79,11 +62,11 @@ type TierRow struct {
 	Penalty  float64
 }
 
-// ConsolidationTiersContext runs the named consolidation preset under
-// each mode and extracts the per-tier rows. A nil modes slice uses
+// ConsolidationTiers runs the named consolidation preset under each mode
+// and extracts the per-tier rows. A nil modes slice uses
 // ConsolidationModes. Partial results plus a CampaignError are returned
 // when cells fail.
-func ConsolidationTiersContext(ctx context.Context, r *Runner, preset string, modes []core.Mode) ([]TierRow, error) {
+func ConsolidationTiers(ctx context.Context, r *Runner, preset string, modes []core.Mode) ([]TierRow, error) {
 	if len(modes) == 0 {
 		modes = ConsolidationModes
 	}

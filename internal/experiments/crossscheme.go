@@ -32,17 +32,12 @@ type CrossRow struct {
 	HasImprovement bool
 }
 
-// CrossScheme regenerates the cross-scheme comparison over every
-// registered translation scheme.
-func CrossScheme(r *Runner) ([]CrossRow, error) {
-	return CrossSchemeContext(context.Background(), r)
-}
-
-// CrossSchemeContext runs every workload under every scheme the registry
-// knows — including schemes registered after this package was written —
-// and returns one row per (workload, scheme) cell in registration order.
-// Failed cells are dropped and reported via the returned *CampaignError.
-func CrossSchemeContext(ctx context.Context, r *Runner) ([]CrossRow, error) {
+// CrossScheme regenerates the cross-scheme comparison: it runs every
+// workload under every scheme the registry knows — including schemes
+// registered after this package was written — and returns one row per
+// (workload, scheme) cell in registration order. Failed cells are dropped
+// and reported via the returned *CampaignError.
+func CrossScheme(ctx context.Context, r *Runner) ([]CrossRow, error) {
 	modes := core.Modes()
 	_ = r.Prefetch(ctx, r.names(), modes)
 	var fs failureSet

@@ -12,18 +12,13 @@ import (
 )
 
 // WriteCSVs runs the main figures and writes one CSV per figure into dir,
-// for plotting with external tools. Returns the written paths.
-func WriteCSVs(dir string, r *Runner) ([]string, error) {
-	return WriteCSVsContext(context.Background(), dir, r)
-}
-
-// WriteCSVsContext is WriteCSVs with cancellation and graceful
-// degradation. The directory is created if missing; each CSV lands via a
-// temp file and an atomic rename, so an error can never leave a
-// half-written CSV behind. Figures of a degraded campaign still produce
-// their partial CSVs; the combined *CampaignError is returned alongside
-// the paths that were written.
-func WriteCSVsContext(ctx context.Context, dir string, r *Runner) ([]string, error) {
+// for plotting with external tools, and returns the written paths. The
+// directory is created if missing; each CSV lands via a temp file and an
+// atomic rename, so an error can never leave a half-written CSV behind.
+// Figures of a degraded campaign still produce their partial CSVs; the
+// combined *CampaignError is returned alongside the paths that were
+// written.
+func WriteCSVs(ctx context.Context, dir string, r *Runner) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
@@ -60,7 +55,7 @@ func WriteCSVsContext(ctx context.Context, dir string, r *Runner) ([]string, err
 	}
 	ff := func(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 
-	f2, err := Figure2Context(ctx, r)
+	f2, err := Figure2(ctx, r)
 	fs.absorb(err)
 	rows := make([][]string, len(f2))
 	for i, row := range f2 {
@@ -81,7 +76,7 @@ func WriteCSVsContext(ctx context.Context, dir string, r *Runner) ([]string, err
 		return written, err
 	}
 
-	f8, sum, err := Figure8Context(ctx, r)
+	f8, sum, err := Figure8(ctx, r)
 	fs.absorb(err)
 	rows = rows[:0]
 	for _, row := range f8 {
@@ -96,7 +91,7 @@ func WriteCSVsContext(ctx context.Context, dir string, r *Runner) ([]string, err
 		return written, err
 	}
 
-	f9, err := Figure9Context(ctx, r)
+	f9, err := Figure9(ctx, r)
 	fs.absorb(err)
 	rows = rows[:0]
 	for _, row := range f9 {
@@ -107,7 +102,7 @@ func WriteCSVsContext(ctx context.Context, dir string, r *Runner) ([]string, err
 		return written, err
 	}
 
-	f10, err := Figure10Context(ctx, r)
+	f10, err := Figure10(ctx, r)
 	fs.absorb(err)
 	rows = rows[:0]
 	for _, row := range f10 {
@@ -118,7 +113,7 @@ func WriteCSVsContext(ctx context.Context, dir string, r *Runner) ([]string, err
 		return written, err
 	}
 
-	f11, err := Figure11Context(ctx, r)
+	f11, err := Figure11(ctx, r)
 	fs.absorb(err)
 	rows = rows[:0]
 	for _, row := range f11 {
@@ -129,7 +124,7 @@ func WriteCSVsContext(ctx context.Context, dir string, r *Runner) ([]string, err
 		return written, err
 	}
 
-	f12, withAvg, noAvg, err := Figure12Context(ctx, r)
+	f12, withAvg, noAvg, err := Figure12(ctx, r)
 	fs.absorb(err)
 	rows = rows[:0]
 	for _, row := range f12 {

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,7 +27,7 @@ func tiny() Options {
 func TestReportByteIdentical(t *testing.T) {
 	render := func() string {
 		var sb strings.Builder
-		if err := Report(&sb, tiny(), false); err != nil {
+		if err := Report(context.Background(), &sb, NewRunner(tiny(), nil), false); err != nil {
 			t.Fatal(err)
 		}
 		return sb.String()
@@ -41,11 +41,11 @@ func TestReportByteIdentical(t *testing.T) {
 // TestCSVsByteIdentical extends the property to the CSV artifacts.
 func TestCSVsByteIdentical(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	pathsA, err := WriteCSVs(dirA, NewRunner(tiny()))
+	pathsA, err := WriteCSVs(context.Background(), dirA, NewRunner(tiny(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pathsB, err := WriteCSVs(dirB, NewRunner(tiny()))
+	pathsB, err := WriteCSVs(context.Background(), dirB, NewRunner(tiny(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,38 +67,34 @@ func TestCSVsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestResumedReportMatchesFresh runs one campaign journaling into a
-// checkpoint, then renders the same report from a second process-worth of
-// state: a fresh runner resuming from the journal. The resumed report
+// TestResumedReportMatchesFresh runs one campaign journaling every cell,
+// then renders the same report from a second process-worth of state: a
+// fresh runner resuming from the reopened journal. The resumed report
 // must be byte-identical to the fresh one — resume must change where
 // results come from, never what they are.
 func TestResumedReportMatchesFresh(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "campaign.json")
-	fp := Fingerprint(tiny())
+	path := filepath.Join(t.TempDir(), "campaign.journal")
 
-	render := func() string {
-		cp, err := LoadCheckpoint(path, fp)
+	// render reports over the journal and returns how many cells it held
+	// before the campaign ran.
+	render := func() (string, int) {
+		j, err := OpenSweepJournal(path, Fingerprint(tiny()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := tiny()
-		o.Checkpoint = cp
+		defer j.Close()
+		held := j.DoneLen()
 		var sb strings.Builder
-		if err := Report(&sb, o, false); err != nil {
+		if err := Report(context.Background(), &sb, NewRunner(tiny(), j), false); err != nil {
 			t.Fatal(err)
 		}
-		return sb.String()
+		return sb.String(), held
 	}
-	fresh := render()
-
-	cp, err := LoadCheckpoint(path, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Len() == 0 {
+	fresh, _ := render()
+	resumed, held := render()
+	if held == 0 {
 		t.Fatal("first campaign journaled no cells; resume test is vacuous")
 	}
-	resumed := render()
 	if fresh != resumed {
 		t.Fatalf("resumed report differs from fresh:\n%s", firstDiff(fresh, resumed))
 	}
@@ -116,40 +112,57 @@ func firstDiff(a, b string) string {
 	return "texts differ in length"
 }
 
-// FuzzCheckpointLoad fuzzes the journal loader against arbitrary file
-// contents: it must never panic, must reject syntactically-corrupt JSON
-// and fingerprint mismatches with errors, and when it does accept a file
-// the journal must still round-trip a Put/Get.
-func FuzzCheckpointLoad(f *testing.F) {
+// FuzzOpenSweepJournal fuzzes the journal loader against arbitrary
+// existing files: it must never panic, a file it refuses must stay
+// byte-identical on disk, and a file it accepts must round-trip a PutDone
+// through Close and a reopen.
+func FuzzOpenSweepJournal(f *testing.F) {
 	fp := Fingerprint(QuickOptions())
-	valid, err := json.Marshal(checkpointPayload{Version: 1, Fingerprint: fp,
-		Cells: map[string]core.Result{"gups|pom-tlb": {Records: 7}}})
-	if err != nil {
-		f.Fatal(err)
+	var valid []byte
+	for _, rec := range []sweepRecord{
+		{Kind: "header", Version: 1, Fingerprint: fp},
+		{Kind: "done", Key: "gups|pom-tlb", Result: &core.Result{Records: 7}},
+	} {
+		line, err := sweepLine(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		valid = append(valid, line...)
 	}
 	f.Add([]byte{})
-	f.Add([]byte("{"))
-	f.Add([]byte(`{"version":1,"fingerprint":"wrong","cells":{}}`))
+	f.Add([]byte(`{"version":1,"fingerprint":"` + fp + `","cells":{}}`))
 	f.Add(valid)
-	f.Add([]byte(`{"version":1,"fingerprint":"` + fp + `","cells":null}`))
+	f.Add(valid[:len(valid)-1]) // the final record's newline never landed
+	f.Add(append(valid[:len(valid):len(valid)], "deadbeef"...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "cp.json")
+		path := filepath.Join(t.TempDir(), "journal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cp, err := LoadCheckpoint(path, fp)
+		j, err := OpenSweepJournal(path, fp)
 		if err != nil {
-			return // corrupt or mismatched journals are rejected, not loaded
+			after, rerr := os.ReadFile(path)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if !bytes.Equal(after, data) {
+				t.Fatalf("refused journal was modified on disk (%v)", err)
+			}
+			return
 		}
 		want := core.Result{Records: 123, Cycles: 456}
-		if err := cp.Put("wl", core.POMTLB, want); err != nil {
+		if err := j.PutDone("wl|pom-tlb", want); err != nil {
 			t.Fatal(err)
 		}
-		re, err := LoadCheckpoint(path, fp)
-		if err != nil {
-			t.Fatalf("journal written by Put failed to reload: %v", err)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
 		}
-		got, ok := re.Get("wl", core.POMTLB)
+		re, err := OpenSweepJournal(path, fp)
+		if err != nil {
+			t.Fatalf("journal written by PutDone failed to reopen: %v", err)
+		}
+		defer re.Close()
+		got, ok := re.Done("wl|pom-tlb")
 		if !ok || got.Records != want.Records || got.Cycles != want.Cycles {
 			t.Fatalf("round trip lost the cell: %+v ok=%v", got, ok)
 		}

@@ -18,7 +18,7 @@ func quick() Options {
 }
 
 func TestRunnerMemoizes(t *testing.T) {
-	r := NewRunner(quick())
+	r := NewRunner(quick(), nil)
 	a, err := r.Result(context.Background(), "gups", core.POMTLB)
 	if err != nil {
 		t.Fatal(err)
@@ -33,15 +33,15 @@ func TestRunnerMemoizes(t *testing.T) {
 }
 
 func TestRunnerUnknownWorkload(t *testing.T) {
-	r := NewRunner(quick())
+	r := NewRunner(quick(), nil)
 	if _, err := r.Result(context.Background(), "nope", core.POMTLB); err == nil {
 		t.Error("unknown workload should error")
 	}
 }
 
 func TestFigure8Shape(t *testing.T) {
-	r := NewRunner(quick())
-	rows, sum, err := Figure8(r)
+	r := NewRunner(quick(), nil)
+	rows, sum, err := Figure8(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +74,8 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestFigure9And10And11(t *testing.T) {
-	r := NewRunner(quick())
-	f9, err := Figure9(r)
+	r := NewRunner(quick(), nil)
+	f9, err := Figure9(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFigure9And10And11(t *testing.T) {
 			}
 		}
 	}
-	f10, err := Figure10(r)
+	f10, err := Figure10(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestFigure9And10And11(t *testing.T) {
 			t.Errorf("%s: size accuracy %.2f — paper reports ≈ 95%% average", row.Name, row.SizeAcc)
 		}
 	}
-	f11, err := Figure11(r)
+	f11, err := Figure11(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestFigure9And10And11(t *testing.T) {
 }
 
 func TestFigure12CachingHelps(t *testing.T) {
-	r := NewRunner(quick())
-	rows, withAvg, noAvg, err := Figure12(r)
+	r := NewRunner(quick(), nil)
+	rows, withAvg, noAvg, err := Figure12(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +127,8 @@ func TestFigure12CachingHelps(t *testing.T) {
 }
 
 func TestFigure2And3(t *testing.T) {
-	r := NewRunner(quick())
-	f2, err := Figure2(r)
+	r := NewRunner(quick(), nil)
+	f2, err := Figure2(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFigure2And3(t *testing.T) {
 			t.Errorf("%s: simulated baseline penalty %f", row.Name, row.SimCyc)
 		}
 	}
-	f3, err := Figure3(r)
+	f3, err := Figure3(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestMultiVMStudy(t *testing.T) {
 
 func TestReportQuick(t *testing.T) {
 	var sb strings.Builder
-	if err := Report(&sb, quick(), false); err != nil {
+	if err := Report(context.Background(), &sb, NewRunner(quick(), nil), false); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -278,8 +278,8 @@ func TestAblationNeighborPrefetch(t *testing.T) {
 
 func TestWriteCSVs(t *testing.T) {
 	dir := t.TempDir()
-	r := NewRunner(quick())
-	paths, err := WriteCSVs(dir, r)
+	r := NewRunner(quick(), nil)
+	paths, err := WriteCSVs(context.Background(), dir, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestWriteCSVs(t *testing.T) {
 }
 
 func TestTradeoffStudy(t *testing.T) {
-	rows, err := TradeoffStudy(quick())
+	rows, err := TradeoffStudy(context.Background(), quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +322,11 @@ func TestCampaignDeterminism(t *testing.T) {
 	// identical figures, regardless of goroutine scheduling.
 	o := quick()
 	o.Workloads = []string{"gups"}
-	a, _, err := Figure8(NewRunner(o))
+	a, _, err := Figure8(context.Background(), NewRunner(o, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Figure8(NewRunner(o))
+	b, _, err := Figure8(context.Background(), NewRunner(o, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestCampaignDeterminism(t *testing.T) {
 }
 
 func TestNativeStudy(t *testing.T) {
-	rows, err := NativeStudy(quick())
+	rows, err := NativeStudy(context.Background(), quick())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// Every FigureN has a FigureNContext variant. The Context variants degrade
-// gracefully: a failed (workload, scheme) cell drops only that figure row,
-// and the call returns the surviving rows together with a *CampaignError
-// listing exactly which cells are missing — so a cancelled or
-// partially-panicked campaign still yields every completed result.
+// Every FigureN degrades gracefully: a failed (workload, scheme) cell
+// drops only that figure row, and the call returns the surviving rows
+// together with a *CampaignError listing exactly which cells are missing —
+// so a cancelled or partially-panicked campaign still yields every
+// completed result.
 
 // Fig2Row is one bar of Figure 2: average translation cycles per L2 TLB
 // miss on the virtualized platform — the paper's measured value alongside
@@ -31,14 +31,9 @@ type Fig2Row struct {
 }
 
 // Figure2 regenerates Figure 2.
-func Figure2(r *Runner) ([]Fig2Row, error) {
-	return Figure2Context(context.Background(), r)
-}
-
-// Figure2Context is Figure2 with cancellation and graceful degradation.
-func Figure2Context(ctx context.Context, r *Runner) ([]Fig2Row, error) {
+func Figure2(ctx context.Context, r *Runner) ([]Fig2Row, error) {
 	// Warm the grid concurrently; per-cell failures resurface from
-	// ResultContext below, where they are attributed row by row.
+	// Result below, where they are attributed row by row.
 	_ = r.Prefetch(ctx, r.names(), []core.Mode{core.Baseline})
 	var fs failureSet
 	var rows []Fig2Row
@@ -68,16 +63,10 @@ type Fig3Row struct {
 
 // Figure3 regenerates Figure 3. It needs a second, native campaign, which
 // it derives from the runner's options.
-func Figure3(r *Runner) ([]Fig3Row, error) {
-	return Figure3Context(context.Background(), r)
-}
-
-// Figure3Context is Figure3 with cancellation and graceful degradation.
-func Figure3Context(ctx context.Context, r *Runner) ([]Fig3Row, error) {
+func Figure3(ctx context.Context, r *Runner) ([]Fig3Row, error) {
 	nativeOpts := r.Options()
 	nativeOpts.Virtualized = false
-	nativeOpts.Checkpoint = nil // different fingerprint; never share the journal
-	nr := NewRunner(nativeOpts)
+	nr := variantRunner(nativeOpts, "native")
 	_ = r.Prefetch(ctx, r.names(), []core.Mode{core.Baseline})
 	_ = nr.Prefetch(ctx, r.names(), []core.Mode{core.Baseline})
 	var fs failureSet
@@ -121,15 +110,10 @@ type Fig8Row struct {
 	BasePen float64 // Table 2 baseline penalty
 }
 
-// Figure8 regenerates Figure 8 (the headline result).
-func Figure8(r *Runner) ([]Fig8Row, Fig8Summary, error) {
-	return Figure8Context(context.Background(), r)
-}
-
-// Figure8Context is Figure8 with cancellation and graceful degradation: a
-// workload whose cell fails under any of the three schemes is dropped
-// from both the rows and the geomeans, and reported in the error.
-func Figure8Context(ctx context.Context, r *Runner) ([]Fig8Row, Fig8Summary, error) {
+// Figure8 regenerates Figure 8 (the headline result). A workload whose
+// cell fails under any of the three schemes is dropped from both the rows
+// and the geomeans, and reported in the error.
+func Figure8(ctx context.Context, r *Runner) ([]Fig8Row, Fig8Summary, error) {
 	modes := []core.Mode{core.POMTLB, core.SharedL2, core.TSB}
 	_ = r.Prefetch(ctx, r.names(), modes)
 	var fs failureSet
@@ -211,12 +195,7 @@ type Fig9Row struct {
 }
 
 // Figure9 regenerates Figure 9.
-func Figure9(r *Runner) ([]Fig9Row, error) {
-	return Figure9Context(context.Background(), r)
-}
-
-// Figure9Context is Figure9 with cancellation and graceful degradation.
-func Figure9Context(ctx context.Context, r *Runner) ([]Fig9Row, error) {
+func Figure9(ctx context.Context, r *Runner) ([]Fig9Row, error) {
 	_ = r.Prefetch(ctx, r.names(), []core.Mode{core.POMTLB})
 	var fs failureSet
 	var rows []Fig9Row
@@ -247,12 +226,7 @@ type Fig10Row struct {
 }
 
 // Figure10 regenerates Figure 10.
-func Figure10(r *Runner) ([]Fig10Row, error) {
-	return Figure10Context(context.Background(), r)
-}
-
-// Figure10Context is Figure10 with cancellation and graceful degradation.
-func Figure10Context(ctx context.Context, r *Runner) ([]Fig10Row, error) {
+func Figure10(ctx context.Context, r *Runner) ([]Fig10Row, error) {
 	_ = r.Prefetch(ctx, r.names(), []core.Mode{core.POMTLB})
 	var fs failureSet
 	var rows []Fig10Row
@@ -281,12 +255,7 @@ type Fig11Row struct {
 }
 
 // Figure11 regenerates Figure 11.
-func Figure11(r *Runner) ([]Fig11Row, error) {
-	return Figure11Context(context.Background(), r)
-}
-
-// Figure11Context is Figure11 with cancellation and graceful degradation.
-func Figure11Context(ctx context.Context, r *Runner) ([]Fig11Row, error) {
+func Figure11(ctx context.Context, r *Runner) ([]Fig11Row, error) {
 	_ = r.Prefetch(ctx, r.names(), []core.Mode{core.POMTLB})
 	var fs failureSet
 	var rows []Fig11Row
@@ -314,12 +283,7 @@ type Fig12Row struct {
 }
 
 // Figure12 regenerates Figure 12.
-func Figure12(r *Runner) ([]Fig12Row, float64, float64, error) {
-	return Figure12Context(context.Background(), r)
-}
-
-// Figure12Context is Figure12 with cancellation and graceful degradation.
-func Figure12Context(ctx context.Context, r *Runner) ([]Fig12Row, float64, float64, error) {
+func Figure12(ctx context.Context, r *Runner) ([]Fig12Row, float64, float64, error) {
 	modes := []core.Mode{core.POMTLB, core.POMTLBNoCache}
 	_ = r.Prefetch(ctx, r.names(), modes)
 	var fs failureSet

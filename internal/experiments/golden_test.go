@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -58,7 +59,7 @@ func goldenOptions() Options {
 // acknowledged via -update.
 func TestReportGolden(t *testing.T) {
 	var sb strings.Builder
-	if err := Report(&sb, goldenOptions(), false); err != nil {
+	if err := Report(context.Background(), &sb, NewRunner(goldenOptions(), nil), false); err != nil {
 		t.Fatal(err)
 	}
 	goldenCompare(t, "report_quick.golden", []byte(sb.String()))
@@ -69,7 +70,7 @@ func TestReportGolden(t *testing.T) {
 // or a behaviour change in any scheme's translation path shows up here
 // even if the scheme has no dedicated figure.
 func TestCrossSchemeGolden(t *testing.T) {
-	rows, err := CrossScheme(NewRunner(goldenOptions()))
+	rows, err := CrossScheme(context.Background(), NewRunner(goldenOptions(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestCrossSchemeGolden(t *testing.T) {
 // reviewable file.
 func TestCSVGolden(t *testing.T) {
 	dir := t.TempDir()
-	paths, err := WriteCSVs(dir, NewRunner(goldenOptions()))
+	paths, err := WriteCSVs(context.Background(), dir, NewRunner(goldenOptions(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,28 +1,41 @@
 package experiments
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
-	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/resilience"
 )
 
+// Campaigns (cmd/experiments -checkpoint) and design-space sweeps share
+// one crash-safe journal, the SweepJournal: it appends one fsynced,
+// hash-guarded record per cell,
+//
+//	<64-hex sha256 of payload> <payload JSON>\n
+//
+// The first record is a header carrying the run's fingerprint (Fingerprint
+// for a campaign, SweepFingerprint for a sweep); every later record is
+// either a completed cell with its full Result or a quarantined sweep cell
+// with its captured error and stack. Campaign cells are keyed
+// "workload|scheme", sweep cells "workload|scheme|variant". A record is
+// only trusted once its hash verifies and its newline is on disk, so a
+// torn trailing write — the mark of a SIGKILL mid-append — is skipped and
+// reported instead of poisoning the resume, and the run re-simulates
+// exactly that cell. Corruption anywhere *before* the tail cannot be
+// explained by a crash and fails the load.
+
 // Fingerprint identifies the simulation-relevant options of a campaign.
-// A checkpoint written under one fingerprint refuses to resume under
+// A journal written under one fingerprint refuses to resume under
 // another: mixing cells from different machine configurations would
-// silently corrupt every figure. The workload subset, parallelism,
-// timeout, checkpoint and fault-injection settings are deliberately
-// excluded — they change which cells run, not what any cell computes.
+// silently corrupt every figure. The workload subset, timeout and
+// fault-injection settings are deliberately excluded — they change which
+// cells run, not what any cell computes.
 func Fingerprint(o Options) string {
 	key := struct {
 		Cores             int
@@ -52,149 +65,6 @@ func Fingerprint(o Options) string {
 	}
 	return fmt.Sprintf("%x", sha256.Sum256(b))
 }
-
-// checkpointPayload is the on-disk JSON schema.
-type checkpointPayload struct {
-	Version     int                    `json:"version"`
-	Fingerprint string                 `json:"fingerprint"`
-	Cells       map[string]core.Result `json:"cells"`
-}
-
-// Checkpoint journals completed (workload, scheme) results to a JSON
-// file after each run, so an interrupted or partially-failed campaign
-// resumes from its last completed cell instead of from zero. All methods
-// are safe for concurrent use by the runner's workers; a nil *Checkpoint
-// is inert.
-type Checkpoint struct {
-	path string
-	mu   sync.Mutex
-	data checkpointPayload
-}
-
-// cellKey names one (workload, scheme) cell.
-func cellKey(name string, mode core.Mode) string { return name + "|" + mode.String() }
-
-// LoadCheckpoint opens (or initializes) the journal at path for a
-// campaign with the given options fingerprint. A missing file yields an
-// empty checkpoint; an existing file written under a different
-// fingerprint is an error.
-func LoadCheckpoint(path, fingerprint string) (*Checkpoint, error) {
-	c := &Checkpoint{
-		path: path,
-		data: checkpointPayload{Version: 1, Fingerprint: fingerprint, Cells: map[string]core.Result{}},
-	}
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return c, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	if looksLikeSweepJournal(raw) {
-		return nil, fmt.Errorf("checkpoint %s is an append-only sweep journal, not a campaign checkpoint; resume it with -sweep and the original grid", path)
-	}
-	var p checkpointPayload
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return nil, fmt.Errorf("checkpoint %s: corrupt journal: %w", path, err)
-	}
-	if p.Fingerprint != fingerprint {
-		return nil, fmt.Errorf("checkpoint %s was written by a campaign with different options; delete it or match the original flags", path)
-	}
-	if p.Cells == nil {
-		p.Cells = map[string]core.Result{}
-	}
-	c.data = p
-	return c, nil
-}
-
-// Path returns the journal's file path.
-func (c *Checkpoint) Path() string {
-	if c == nil {
-		return ""
-	}
-	return c.path
-}
-
-// Get returns the journaled result for a cell, if present.
-func (c *Checkpoint) Get(name string, mode core.Mode) (core.Result, bool) {
-	if c == nil {
-		return core.Result{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	res, ok := c.data.Cells[cellKey(name, mode)]
-	return res, ok
-}
-
-// Len returns the number of journaled cells.
-func (c *Checkpoint) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.data.Cells)
-}
-
-// Keys returns the journaled cell keys ("workload|scheme"), sorted.
-func (c *Checkpoint) Keys() []string {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, len(c.data.Cells))
-	for k := range c.data.Cells {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Put journals one completed cell and persists the file atomically
-// (write-temp-then-rename), retrying transient filesystem errors with
-// backoff so a momentarily unavailable disk does not fail a finished
-// simulation.
-func (c *Checkpoint) Put(name string, mode core.Mode, res core.Result) error {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.data.Cells[cellKey(name, mode)] = res
-	raw, err := json.MarshalIndent(c.data, "", " ")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	policy := resilience.Policy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond, Jitter: 0.5, Seed: 1}
-	return resilience.Retry(context.Background(), policy, func(context.Context) error {
-		tmp := c.path + ".tmp"
-		if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-			return err
-		}
-		return os.Rename(tmp, c.path)
-	})
-}
-
-// ---------------------------------------------------------------------------
-// Append-only sweep journal
-//
-// The campaign Checkpoint above rewrites one JSON document per completed
-// cell — fine for a 45-cell figure grid, pathological for a 10,000-cell
-// design-space sweep (O(n²) bytes rewritten, and a SIGKILL during the
-// rename window can lose the newest cell). The SweepJournal instead
-// appends one fsynced, hash-guarded record per cell:
-//
-//	<64-hex sha256 of payload> <payload JSON>\n
-//
-// The first record is a header carrying the sweep fingerprint (options +
-// grid geometry); every later record is either a completed cell with its
-// full Result or a quarantined cell with its captured error and stack. A
-// record is only trusted if its hash verifies, so a torn trailing write —
-// the fingerprint of a SIGKILL mid-append — is skipped and reported
-// instead of poisoning the resume, and the sweep re-runs exactly that
-// cell. Corruption anywhere *before* the tail cannot be explained by a
-// crash and fails the load.
 
 // SweepFingerprint identifies a sweep: the simulation-relevant campaign
 // options plus the canonical grid spec. A journal written under one grid
@@ -229,9 +99,10 @@ type sweepRecord struct {
 	Quarantine  *QuarantineInfo `json:"quarantine,omitempty"`
 }
 
-// SweepJournal is the crash-safe cell journal of a design-space sweep.
-// All methods are safe for concurrent use by the sweep engine's workers;
-// a nil *SweepJournal is inert (sweeps without -checkpoint).
+// SweepJournal is the crash-safe cell journal of campaigns and sweeps.
+// All methods are safe for concurrent use by the runner's and the sweep
+// engine's workers; a nil *SweepJournal is inert (runs without
+// -checkpoint).
 type SweepJournal struct {
 	path string
 
@@ -240,20 +111,6 @@ type SweepJournal struct {
 	done        map[string]core.Result
 	quarantined map[string]QuarantineInfo
 	truncated   int
-}
-
-// looksLikeSweepJournal reports whether raw begins with a hash-prefixed
-// journal line rather than a legacy JSON checkpoint document.
-func looksLikeSweepJournal(raw []byte) bool {
-	if len(raw) < 66 {
-		return false
-	}
-	for _, c := range raw[:64] {
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
-			return false
-		}
-	}
-	return raw[64] == ' '
 }
 
 // sweepLine renders one hash-guarded journal line for a payload.
@@ -287,13 +144,16 @@ func parseSweepLine(line []byte) (sweepRecord, error) {
 }
 
 // OpenSweepJournal opens (or creates) the append-only journal at path for
-// a sweep with the given fingerprint. A missing file is initialized with
-// a header record; an existing file is replayed record by record. A
-// record whose integrity hash fails verification is tolerated only at the
-// very end of the file — the torn tail of an interrupted append — and is
-// counted in TruncatedRecords; a bad record anywhere earlier, or a header
-// fingerprint that does not match, fails the open with a descriptive
-// error. The caller owns the returned journal and must Close it.
+// a campaign or sweep with the given fingerprint. A missing file is
+// initialized with a header record; an existing file is replayed record by
+// record. A record that fails its integrity hash or lacks its newline is
+// tolerated only at the very end of the file — the torn tail of an
+// interrupted append — and is counted in TruncatedRecords; a bad record
+// anywhere earlier, or a header fingerprint that does not match, fails the
+// open with a descriptive error. A file that starts with '{' is the
+// whole-file JSON checkpoint older versions wrote; it is refused and left
+// untouched rather than recreated as a torn header. The caller owns the
+// returned journal and must Close it.
 func OpenSweepJournal(path, fingerprint string) (*SweepJournal, error) {
 	j := &SweepJournal{
 		path:        path,
@@ -306,10 +166,10 @@ func OpenSweepJournal(path, fingerprint string) (*SweepJournal, error) {
 		// Fresh journal: create with a fsynced header record.
 		return j, j.create(fingerprint)
 	case err != nil:
-		return nil, fmt.Errorf("sweep journal: %w", err)
+		return nil, fmt.Errorf("journal: %w", err)
 	}
 	if len(raw) > 0 && raw[0] == '{' {
-		return nil, fmt.Errorf("sweep journal %s looks like a legacy campaign checkpoint (whole-file JSON); sweeps need their own journal file", path)
+		return nil, fmt.Errorf("journal %s is a whole-file JSON checkpoint from an older version, which this version cannot resume; move it aside and rerun", path)
 	}
 	validLen, err := j.replay(raw, fingerprint)
 	if err != nil {
@@ -324,12 +184,12 @@ func OpenSweepJournal(path, fingerprint string) (*SweepJournal, error) {
 		// otherwise the next record would be glued onto the partial line
 		// and read back as mid-file corruption.
 		if err := os.Truncate(path, validLen); err != nil {
-			return nil, fmt.Errorf("sweep journal: dropping torn tail: %w", err)
+			return nil, fmt.Errorf("journal: dropping torn tail: %w", err)
 		}
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("sweep journal: %w", err)
+		return nil, fmt.Errorf("journal: %w", err)
 	}
 	j.f = f
 	return j, nil
@@ -339,7 +199,7 @@ func OpenSweepJournal(path, fingerprint string) (*SweepJournal, error) {
 func (j *SweepJournal) create(fingerprint string) error {
 	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("sweep journal: %w", err)
+		return fmt.Errorf("journal: %w", err)
 	}
 	line, err := sweepLine(sweepRecord{Kind: "header", Version: 1, Fingerprint: fingerprint})
 	if err == nil {
@@ -350,7 +210,7 @@ func (j *SweepJournal) create(fingerprint string) error {
 	}
 	if err != nil {
 		f.Close()
-		return fmt.Errorf("sweep journal: %w", err)
+		return fmt.Errorf("journal: %w", err)
 	}
 	j.f = f
 	return nil
@@ -401,11 +261,17 @@ func (j *SweepJournal) replay(raw []byte, fingerprint string) (int64, error) {
 		j.truncated++
 		return 0, j.create(fingerprint)
 	}
+	last := len(lines) - 1
 	var validLen int64
 	for i, line := range lines {
 		rec, err := parseSweepLine(line.data)
+		if err == nil && i == last && raw[len(raw)-1] != '\n' {
+			// The hash verifies but the newline never landed: appending
+			// here would glue the next record onto this one.
+			err = errors.New("unterminated record")
+		}
 		if err != nil {
-			if i == len(lines)-1 {
+			if i == last {
 				// Torn tail: the record being appended when the process
 				// died. The cell it described was never acknowledged, so
 				// skipping it is exactly "resume with the missing cells".
@@ -417,14 +283,14 @@ func (j *SweepJournal) replay(raw []byte, fingerprint string) (int64, error) {
 				}
 				return validLen, nil
 			}
-			return 0, fmt.Errorf("sweep journal %s: record %d: %v (corruption before the tail cannot come from a torn append; refusing to resume)", j.path, i+1, err)
+			return 0, fmt.Errorf("journal %s: record %d: %v (corruption before the tail cannot come from a torn append; refusing to resume)", j.path, i+1, err)
 		}
 		if i == 0 {
 			if rec.Kind != "header" {
-				return 0, fmt.Errorf("sweep journal %s: first record is %q, want header", j.path, rec.Kind)
+				return 0, fmt.Errorf("journal %s: first record is %q, want header", j.path, rec.Kind)
 			}
 			if rec.Fingerprint != fingerprint {
-				return 0, fmt.Errorf("sweep journal %s was written by a sweep with different options or grid geometry; delete it or rerun with the original flags", j.path)
+				return 0, fmt.Errorf("journal %s was written with different options or grid geometry; delete it or rerun with the original flags", j.path)
 			}
 			validLen = line.end
 			continue
@@ -440,7 +306,7 @@ func (j *SweepJournal) replay(raw []byte, fingerprint string) (int64, error) {
 				j.quarantined[rec.Key] = *rec.Quarantine
 			}
 		default:
-			return 0, fmt.Errorf("sweep journal %s: record %d has unknown kind %q", j.path, i+1, rec.Kind)
+			return 0, fmt.Errorf("journal %s: record %d has unknown kind %q", j.path, i+1, rec.Kind)
 		}
 		validLen = line.end
 	}
@@ -454,13 +320,13 @@ func (j *SweepJournal) replay(raw []byte, fingerprint string) (int64, error) {
 func (j *SweepJournal) append(rec sweepRecord) error {
 	line, err := sweepLine(rec)
 	if err != nil {
-		return fmt.Errorf("sweep journal: %w", err)
+		return fmt.Errorf("journal: %w", err)
 	}
 	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("sweep journal: %w", err)
+		return fmt.Errorf("journal: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("sweep journal: %w", err)
+		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
 }

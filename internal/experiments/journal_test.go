@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -28,94 +29,27 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.json")
-	fp := Fingerprint(quick())
-	cp, err := LoadCheckpoint(path, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Len() != 0 {
-		t.Fatalf("fresh checkpoint has %d cells", cp.Len())
-	}
-	res := core.Result{Workload: "gups", Mode: core.POMTLB, Records: 123, PenaltyCycles: 456}
-	if err := cp.Put("gups", core.POMTLB, res); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := LoadCheckpoint(path, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := re.Get("gups", core.POMTLB)
-	if !ok {
-		t.Fatal("reloaded checkpoint lost the cell")
-	}
-	if got.Records != 123 || got.PenaltyCycles != 456 {
-		t.Errorf("reloaded cell corrupted: %+v", got)
-	}
-	if _, ok := re.Get("gups", core.Baseline); ok {
-		t.Error("cell present for a scheme that never ran")
-	}
-	if keys := re.Keys(); len(keys) != 1 || keys[0] != "gups|pom-tlb" {
-		t.Errorf("keys = %v", keys)
-	}
-}
-
-func TestCheckpointFingerprintMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.json")
-	cp, err := LoadCheckpoint(path, "aaa")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Put("gups", core.POMTLB, core.Result{}); err != nil {
-		t.Fatal(err)
-	}
-	_, err = LoadCheckpoint(path, "bbb")
-	if err == nil {
-		t.Fatal("fingerprint mismatch accepted")
-	}
-	if !strings.Contains(err.Error(), "different options") {
-		t.Errorf("unhelpful mismatch error: %v", err)
-	}
-}
-
-func TestCheckpointNilSafe(t *testing.T) {
-	var cp *Checkpoint
-	if _, ok := cp.Get("x", core.POMTLB); ok {
-		t.Error("nil checkpoint returned a cell")
-	}
-	if err := cp.Put("x", core.POMTLB, core.Result{}); err != nil {
-		t.Error("nil Put must be a no-op")
-	}
-	if cp.Len() != 0 || cp.Keys() != nil || cp.Path() != "" {
-		t.Error("nil accessors must return zero values")
-	}
-}
-
 func TestRunnerServesCheckpointedCells(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.json")
+	path := filepath.Join(t.TempDir(), "campaign.journal")
 	opts := quick()
-	cp, err := LoadCheckpoint(path, Fingerprint(opts))
+	j, err := OpenSweepJournal(path, Fingerprint(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer j.Close()
 	canned := core.Result{Workload: "gups", Mode: core.POMTLB, Records: 7}
-	if err := cp.Put("gups", core.POMTLB, canned); err != nil {
+	if err := j.PutDone("gups|pom-tlb", canned); err != nil {
 		t.Fatal(err)
 	}
-	opts.Checkpoint = cp
-	r := NewRunner(opts)
+	r := NewRunner(opts, j)
 	got, err := r.Result(context.Background(), "gups", core.POMTLB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Records != 7 {
-		t.Errorf("runner re-simulated a checkpointed cell: Records=%d", got.Records)
+		t.Errorf("runner re-simulated a journaled cell: Records=%d", got.Records)
 	}
 }
-
-// --- sweep journal ---
 
 func sweepFP(t *testing.T) string {
 	t.Helper()
@@ -258,33 +192,22 @@ func TestSweepJournalFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestSweepJournalVsLegacyCheckpoint opens a whole-file JSON checkpoint,
+// the format older versions wrote, as a journal: it must be refused with
+// a clear error and left byte for byte as it was.
 func TestSweepJournalVsLegacyCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-
-	// A legacy JSON checkpoint opened as a sweep journal: clear error.
-	legacy := filepath.Join(dir, "ckpt.json")
-	cp, err := LoadCheckpoint(legacy, "fp")
-	if err != nil {
+	legacy := filepath.Join(t.TempDir(), "campaign.json")
+	raw := []byte(`{"version":1,"fingerprint":"fp","cells":{}}`)
+	if err := os.WriteFile(legacy, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cp.Put("gups", core.POMTLB, core.Result{})
 	if _, err := OpenSweepJournal(legacy, "fp"); err == nil {
-		t.Fatal("legacy checkpoint accepted as sweep journal")
-	} else if !strings.Contains(err.Error(), "legacy campaign checkpoint") {
+		t.Fatal("JSON checkpoint accepted as a journal")
+	} else if !strings.Contains(err.Error(), "whole-file JSON checkpoint") {
 		t.Errorf("unhelpful error: %v", err)
 	}
-
-	// A sweep journal opened as a legacy checkpoint: clear error.
-	sweep := filepath.Join(dir, "sweep.journal")
-	j, err := OpenSweepJournal(sweep, "fp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	if _, err := LoadCheckpoint(sweep, "fp"); err == nil {
-		t.Fatal("sweep journal accepted as legacy checkpoint")
-	} else if !strings.Contains(err.Error(), "sweep journal") {
-		t.Errorf("unhelpful error: %v", err)
+	if after, err := os.ReadFile(legacy); err != nil || !bytes.Equal(after, raw) {
+		t.Errorf("refused checkpoint was modified: %q (%v)", after, err)
 	}
 }
 

@@ -8,20 +8,14 @@ import (
 	"repro/internal/stats"
 )
 
-// Report runs the full campaign and writes a paper-vs-measured markdown
-// report — the contents of EXPERIMENTS.md.
-func Report(w io.Writer, opts Options, ablations bool) error {
-	return ReportContext(context.Background(), w, opts, ablations)
-}
-
-// ReportContext is Report with cancellation and graceful degradation:
-// every section renders whatever rows its campaign cells produced, a
-// trailing section lists any failed cells, and the combined
-// *CampaignError is returned (nil for a clean campaign). A cancelled or
-// partially-panicked campaign therefore still emits a readable report of
-// everything that completed.
-func ReportContext(ctx context.Context, w io.Writer, opts Options, ablations bool) error {
-	r := NewRunner(opts)
+// Report runs the full campaign on r and writes a paper-vs-measured
+// markdown report — the contents of EXPERIMENTS.md. Every section renders
+// whatever rows its campaign cells produced, a trailing section lists any
+// failed cells, and the combined *CampaignError is returned (nil for a
+// clean campaign). A cancelled or partially-panicked campaign therefore
+// still emits a readable report of everything that completed.
+func Report(ctx context.Context, w io.Writer, r *Runner, ablations bool) error {
+	opts := r.Options()
 	var fs failureSet
 	fmt.Fprintf(w, "# EXPERIMENTS — POM-TLB reproduction\n\n")
 	fmt.Fprintf(w, "Campaign: %d cores, %d VMs, %d warmup + %d measured references per run, seed %d.\n\n",
@@ -34,7 +28,7 @@ func ReportContext(ctx context.Context, w io.Writer, opts Options, ablations boo
 	fmt.Fprintf(w, "## Table 2 — workloads\n\n```\n%s```\n\n", Table2())
 
 	// Figure 2.
-	f2, err := Figure2Context(ctx, r)
+	f2, err := Figure2(ctx, r)
 	fs.absorb(err)
 	fmt.Fprintf(w, "## Figure 2 — translation cycles per L2 TLB miss (virtualized)\n\n")
 	t := stats.NewTable("Benchmark", "Paper (meas.)", "Simulated baseline", "L2TLB missR")
@@ -45,7 +39,7 @@ func ReportContext(ctx context.Context, w io.Writer, opts Options, ablations boo
 	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
 
 	// Figure 3.
-	f3, err := Figure3Context(ctx, r)
+	f3, err := Figure3(ctx, r)
 	fs.absorb(err)
 	fmt.Fprintf(w, "## Figure 3 — virtualized / native translation cost ratio\n\n")
 	t = stats.NewTable("Benchmark", "Paper ratio", "Simulated ratio")
@@ -67,7 +61,7 @@ func ReportContext(ctx context.Context, w io.Writer, opts Options, ablations boo
 	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
 
 	// Figure 8.
-	f8, sum, err := Figure8Context(ctx, r)
+	f8, sum, err := Figure8(ctx, r)
 	fs.absorb(err)
 	fmt.Fprintf(w, "## Figure 8 — performance improvement (%d core)\n\n", opts.Cores)
 	fmt.Fprintf(w, "Paper averages: POM-TLB 9.57%%, Shared_L2 6.10%%, TSB 4.27%%.\n")
@@ -83,7 +77,7 @@ func ReportContext(ctx context.Context, w io.Writer, opts Options, ablations boo
 	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
 
 	// Figure 9.
-	f9, err := Figure9Context(ctx, r)
+	f9, err := Figure9(ctx, r)
 	fs.absorb(err)
 	fmt.Fprintf(w, "## Figure 9 — POM-TLB entry hit ratios per level\n\n")
 	fmt.Fprintf(w, "Paper averages: L2D$ ≈ 89.7%%, POM-TLB ≈ 88%%.\n\n")
@@ -98,7 +92,7 @@ func ReportContext(ctx context.Context, w io.Writer, opts Options, ablations boo
 	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
 
 	// Figure 10.
-	f10, err := Figure10Context(ctx, r)
+	f10, err := Figure10(ctx, r)
 	fs.absorb(err)
 	fmt.Fprintf(w, "## Figure 10 — predictor accuracy\n\n")
 	fmt.Fprintf(w, "Paper averages: size ≈ 95%%, bypass ≈ 45.8%%.\n\n")
@@ -113,7 +107,7 @@ func ReportContext(ctx context.Context, w io.Writer, opts Options, ablations boo
 	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
 
 	// Figure 11.
-	f11, err := Figure11Context(ctx, r)
+	f11, err := Figure11(ctx, r)
 	fs.absorb(err)
 	fmt.Fprintf(w, "## Figure 11 — POM-TLB row-buffer hit rate\n\n")
 	fmt.Fprintf(w, "Paper average: ≈ 71%% (spatially local workloads high, gups low).\n\n")
@@ -127,7 +121,7 @@ func ReportContext(ctx context.Context, w io.Writer, opts Options, ablations boo
 	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
 
 	// Figure 12.
-	f12, withAvg, noAvg, err := Figure12Context(ctx, r)
+	f12, withAvg, noAvg, err := Figure12(ctx, r)
 	fs.absorb(err)
 	fmt.Fprintf(w, "## Figure 12 — with vs without data caching of TLB entries\n\n")
 	fmt.Fprintf(w, "Paper: caching adds ≈ 5%% on average. Measured: %.2f%% vs %.2f%%.\n\n", withAvg, noAvg)
@@ -138,7 +132,7 @@ func ReportContext(ctx context.Context, w io.Writer, opts Options, ablations boo
 	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
 
 	// Cross-scheme comparison over the full registry.
-	xs, err := CrossSchemeContext(ctx, r)
+	xs, err := CrossScheme(ctx, r)
 	fs.absorb(err)
 	fmt.Fprintf(w, "## Cross-scheme comparison — every registered scheme\n\n")
 	fmt.Fprintf(w, "All schemes the registry knows, on one axis. Improvement uses the\n")
@@ -148,7 +142,7 @@ func ReportContext(ctx context.Context, w io.Writer, opts Options, ablations boo
 	WriteCrossScheme(w, xs)
 
 	// Cloud-consolidation scenario: per-tenant-tier breakdown.
-	tiers, err := ConsolidationTiersContext(ctx, r, DefaultConsolidationPreset, nil)
+	tiers, err := ConsolidationTiers(ctx, r, DefaultConsolidationPreset, nil)
 	fs.absorb(err)
 	fmt.Fprintf(w, "## Consolidation — %s per-tier breakdown\n\n", DefaultConsolidationPreset)
 	fmt.Fprintf(w, "Hundreds of guests with Zipf tenant popularity (hot/warm/cold tiers).\n")
@@ -197,7 +191,7 @@ func ReportContext(ctx context.Context, w io.Writer, opts Options, ablations boo
 		fs.absorb(err)
 		writeAbl("§5.2 — multiple VMs sharing the POM-TLB", "The large TLB retains several VMs' translations at once.", mvm)
 
-		trade, err := TradeoffStudyContext(ctx, opts)
+		trade, err := TradeoffStudy(ctx, opts)
 		fs.absorb(err)
 		fmt.Fprintf(w, "## §2.2 — same capacity as L4 data cache vs L3 TLB\n\n")
 		fmt.Fprintf(w, "Fully-simulated totals (no measured-baseline mixing).\n\n")
@@ -207,7 +201,7 @@ func ReportContext(ctx context.Context, w io.Writer, opts Options, ablations boo
 		}
 		fmt.Fprintf(w, "```\n%s```\n\n", tt.String())
 
-		native, err := NativeStudyContext(ctx, opts)
+		native, err := NativeStudy(ctx, opts)
 		fs.absorb(err)
 		fmt.Fprintf(w, "## Native execution — POM-TLB without virtualization\n\n")
 		fmt.Fprintf(w, "The paper's introduction: up to 14%% of native execution goes to\n")

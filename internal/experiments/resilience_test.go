@@ -22,9 +22,9 @@ func TestCampaignSurvivesWorkerPanic(t *testing.T) {
 	opts := quick()
 	opts.Faults = faultinject.NewSchedule()
 	opts.Faults.PanicOn(faultinject.WorkerSite("gups", core.POMTLB.String()), 1)
-	r := NewRunner(opts)
+	r := NewRunner(opts, nil)
 
-	rows, err := Figure9Context(context.Background(), r)
+	rows, err := Figure9(context.Background(), r)
 	if err == nil {
 		t.Fatal("panicked worker produced no campaign error")
 	}
@@ -57,40 +57,40 @@ func TestCampaignSurvivesWorkerPanic(t *testing.T) {
 	}
 }
 
-// TestResumeCompletesOnlyMissingCell proves the checkpoint/resume loop: a
+// TestResumeCompletesOnlyMissingCell proves the journal/resume loop: a
 // campaign degraded by one panicked worker journals every completed cell,
 // and a resumed campaign re-simulates only the cell that is missing.
 func TestResumeCompletesOnlyMissingCell(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.json")
+	path := filepath.Join(t.TempDir(), "campaign.journal")
 	opts := quick()
 	fp := Fingerprint(opts)
 
 	// First campaign: gups/pom-tlb panics, the other two cells complete.
-	cp, err := LoadCheckpoint(path, fp)
+	j, err := OpenSweepJournal(path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Checkpoint = cp
 	opts.Faults = faultinject.NewSchedule()
 	opts.Faults.PanicOn(faultinject.WorkerSite("gups", core.POMTLB.String()), 1)
-	if _, err := Figure9Context(context.Background(), NewRunner(opts)); err == nil {
+	if _, err := Figure9(context.Background(), NewRunner(opts, j)); err == nil {
 		t.Fatal("first campaign should be degraded")
 	}
-	if cp.Len() != 2 {
-		t.Fatalf("checkpoint holds %d cells after the degraded run, want 2 (%v)", cp.Len(), cp.Keys())
+	if n := j.DoneLen(); n != 2 {
+		t.Fatalf("journal holds %d cells after the degraded run, want 2", n)
 	}
+	j.Close()
 
 	// Resumed campaign: a fresh fault-free schedule counts which workers
-	// actually simulate. Checkpointed cells are served before the worker
+	// actually simulate. Journaled cells are served before the worker
 	// site fires, so only the missing cell may hit it.
-	cp2, err := LoadCheckpoint(path, fp)
+	j2, err := OpenSweepJournal(path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer j2.Close()
 	opts2 := quick()
-	opts2.Checkpoint = cp2
 	opts2.Faults = faultinject.NewSchedule() // empty: pure hit counting
-	rows, err := Figure9Context(context.Background(), NewRunner(opts2))
+	rows, err := Figure9(context.Background(), NewRunner(opts2, j2))
 	if err != nil {
 		t.Fatalf("resumed campaign failed: %v", err)
 	}
@@ -100,30 +100,29 @@ func TestResumeCompletesOnlyMissingCell(t *testing.T) {
 	for _, name := range []string{"streamcluster", "mcf"} {
 		site := faultinject.WorkerSite(name, core.POMTLB.String())
 		if n := opts2.Faults.Hits(site); n != 0 {
-			t.Errorf("%s re-simulated %d time(s) despite being checkpointed", name, n)
+			t.Errorf("%s re-simulated %d time(s) despite being journaled", name, n)
 		}
 	}
 	if n := opts2.Faults.Hits(faultinject.WorkerSite("gups", core.POMTLB.String())); n != 1 {
 		t.Errorf("missing cell gups simulated %d time(s), want exactly 1", n)
 	}
-	if cp2.Len() != 3 {
-		t.Errorf("checkpoint holds %d cells after resume, want 3", cp2.Len())
+	if n := j2.DoneLen(); n != 3 {
+		t.Errorf("journal holds %d cells after resume, want 3", n)
 	}
 }
 
 // TestMidCampaignCancellation cancels after the first workload completes:
-// the finished cell survives (result and checkpoint), the remaining cells
+// the finished cell survives (result and journal), the remaining cells
 // fail with context.Canceled, and no worker goroutines leak.
 func TestMidCampaignCancellation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.json")
+	path := filepath.Join(t.TempDir(), "campaign.journal")
 	opts := quick()
-	opts.Parallel = 1
-	cp, err := LoadCheckpoint(path, Fingerprint(opts))
+	j, err := OpenSweepJournal(path, Fingerprint(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Checkpoint = cp
-	r := NewRunner(opts)
+	defer j.Close()
+	r := NewRunner(opts, j)
 
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -154,18 +153,43 @@ func TestMidCampaignCancellation(t *testing.T) {
 	if _, err := r.Result(context.Background(), "streamcluster", core.POMTLB); err != nil {
 		t.Errorf("completed cell lost after cancellation: %v", err)
 	}
-	// The checkpoint holds exactly the finished cell.
-	if keys := cp.Keys(); len(keys) != 1 || keys[0] != "streamcluster|pom-tlb" {
-		t.Errorf("checkpoint cells = %v, want exactly [streamcluster|pom-tlb]", keys)
+	// The journal holds exactly the finished cell.
+	if _, ok := j.Done("streamcluster|pom-tlb"); !ok || j.DoneLen() != 1 {
+		t.Errorf("journal holds %d cell(s), want exactly streamcluster|pom-tlb", j.DoneLen())
 	}
-	// PrefetchContext waits for its workers, so the goroutine count must
-	// settle back to the baseline (small grace for runtime bookkeeping).
+	// Prefetch waits for its workers, so the goroutine count must settle
+	// back to the baseline (small grace for runtime bookkeeping).
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("goroutine leak: %d before, %d after", before, n)
+	}
+}
+
+// TestAblationFailuresKeepTheirPoints panics the same (workload, scheme)
+// pair at two capacity points. Each point is its own cell, so the
+// campaign error must list both failures, told apart by their variants.
+func TestAblationFailuresKeepTheirPoints(t *testing.T) {
+	opts := quick()
+	opts.Faults = faultinject.NewSchedule()
+	opts.Faults.PanicOn(faultinject.WorkerSite("gups", core.POMTLB.String()), 1, 2)
+	_, err := AblationCapacity(context.Background(), opts)
+	var ce *CampaignError
+	if !errors.As(err, &ce) {
+		t.Fatalf("error is %T, want *CampaignError", err)
+	}
+	if len(ce.Failures) != 2 {
+		t.Fatalf("want 2 failures, got %d: %v", len(ce.Failures), ce)
+	}
+	if a, b := ce.Failures[0].Variant, ce.Failures[1].Variant; a == "" || b == "" || a == b {
+		t.Errorf("failures not told apart by variant: %q, %q", a, b)
+	}
+	for _, want := range []string{"gups/pom-tlb[8MB]", "gups/pom-tlb[16MB]"} {
+		if !strings.Contains(ce.Verbose(), "stack for "+want) {
+			t.Errorf("Verbose() missing the stack for %s:\n%s", want, ce.Error())
+		}
 	}
 }
 
@@ -178,7 +202,7 @@ func TestDRAMFaultRecovered(t *testing.T) {
 	opts.Workloads = []string{"gups"}
 	opts.Faults = faultinject.NewSchedule()
 	opts.Faults.ErrorOn(faultinject.DRAMSite, sentinel, 1)
-	r := NewRunner(opts)
+	r := NewRunner(opts, nil)
 
 	_, err := r.Result(context.Background(), "gups", core.POMTLB)
 	if err == nil {
@@ -203,7 +227,7 @@ func TestTraceCorruptionSeamFires(t *testing.T) {
 	opts.Workloads = []string{"gups"}
 	opts.Faults = faultinject.NewSchedule()
 	opts.Faults.CorruptOn(faultinject.TraceSite, 5)
-	r := NewRunner(opts)
+	r := NewRunner(opts, nil)
 
 	if _, err := r.Result(context.Background(), "gups", core.POMTLB); err != nil {
 		t.Fatalf("corrupted record must not fail the run: %v", err)
@@ -221,7 +245,7 @@ func TestWorkloadTimeout(t *testing.T) {
 	opts := quick()
 	opts.Workloads = []string{"mcf"}
 	opts.WorkloadTimeout = time.Nanosecond
-	r := NewRunner(opts)
+	r := NewRunner(opts, nil)
 
 	_, err := r.Result(context.Background(), "mcf", core.POMTLB)
 	if err == nil {

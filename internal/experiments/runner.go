@@ -7,7 +7,7 @@
 // Campaigns are resilient: every (workload, scheme) cell is an
 // independently failable job. Worker panics are recovered into structured
 // *WorkloadError values, cells honor per-workload timeouts and campaign
-// cancellation, completed cells are journaled to an optional Checkpoint,
+// cancellation, completed cells are appended to an optional SweepJournal,
 // and the figure layer returns partial results plus a *CampaignError
 // instead of crashing — one degenerate workload degrades a multi-hour
 // sweep instead of destroying it.
@@ -40,8 +40,6 @@ type Options struct {
 	MaxRefs    int
 	// Seed feeds the trace generators.
 	Seed uint64
-	// Parallel bounds concurrent simulations (0 = GOMAXPROCS).
-	Parallel int
 	// POMSizeBytes overrides the POM-TLB capacity (0 = paper's 16 MB).
 	POMSizeBytes uint64
 	// POMWays overrides the associativity (0 = paper's 4).
@@ -72,21 +70,11 @@ type Options struct {
 	ChurnEvery int
 	Phases     int
 
-	// SelfCheck runs every cell under differential verification: lockstep
-	// reference models shadow each TLB/cache/DRAM structure and a cell
-	// whose production models diverge from the references fails even if it
-	// produced a Result. Roughly doubles per-cell cost; meant for
-	// validation campaigns, not headline sweeps.
-	SelfCheck bool
-
-	// WorkloadTimeout bounds each (workload, scheme) simulation; a cell
-	// that exceeds it fails with context.DeadlineExceeded while the rest
-	// of the campaign continues (0 = no per-job deadline).
+	// WorkloadTimeout bounds each (workload, scheme) simulation, and each
+	// attempt of a sweep cell; a cell that exceeds it fails with
+	// context.DeadlineExceeded while the rest of the campaign continues
+	// (0 = no per-job deadline).
 	WorkloadTimeout time.Duration
-	// Checkpoint, when non-nil, journals completed cells after each run
-	// and serves already-journaled cells without re-simulating — the
-	// -resume path of cmd/experiments.
-	Checkpoint *Checkpoint
 	// Faults is the deterministic fault-injection plan (nil in
 	// production). The runner fires faultinject.WorkerSite(workload,
 	// scheme) once per simulation job, wires faultinject.DRAMSite into
@@ -152,9 +140,13 @@ func (o Options) config(mode core.Mode) core.Config {
 
 // Runner memoizes simulation results across figures so each
 // (workload, scheme) pair runs exactly once per campaign, even under
-// concurrent figure extraction.
+// concurrent figure extraction. At most GOMAXPROCS cells simulate at once.
 type Runner struct {
-	opts Options
+	opts    Options
+	journal *SweepJournal
+	// variant labels the failures of a derived campaign (an ablation
+	// point, the native or uncalibrated re-run); "" for the main one.
+	variant string
 
 	mu    sync.Mutex
 	cells map[runKey]*cell
@@ -172,17 +164,25 @@ type cell struct {
 	err  error
 }
 
-// NewRunner creates a runner for the options.
-func NewRunner(opts Options) *Runner {
-	par := opts.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
+// NewRunner creates a runner for the options. A non-nil journal, opened
+// under Fingerprint(opts), serves the cells it already holds without
+// re-simulating and records each newly completed one — the -checkpoint
+// and -resume path of cmd/experiments.
+func NewRunner(opts Options, journal *SweepJournal) *Runner {
 	return &Runner{
-		opts:  opts,
-		cells: make(map[runKey]*cell),
-		sem:   make(chan struct{}, par),
+		opts:    opts,
+		journal: journal,
+		cells:   make(map[runKey]*cell),
+		sem:     make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
+}
+
+// variantRunner creates an unjournaled runner for a campaign derived from
+// the main one under other options; its failures carry the variant label.
+func variantRunner(opts Options, variant string) *Runner {
+	r := NewRunner(opts, nil)
+	r.variant = variant
+	return r
 }
 
 // Options returns the campaign options.
@@ -190,11 +190,12 @@ func (r *Runner) Options() Options { return r.opts }
 
 // Result simulates (or returns the memoized result of) one workload under
 // one scheme, with campaign cancellation and the full resilience path:
-// checkpointed cells are served without re-simulating; fresh cells run
+// journaled cells are served without re-simulating; fresh cells run
 // under the per-workload timeout with panic recovery, and failures come
 // back as structured *WorkloadError values.
 func (r *Runner) Result(ctx context.Context, name string, mode core.Mode) (core.Result, error) {
-	if res, ok := r.opts.Checkpoint.Get(name, mode); ok {
+	journalKey := name + "|" + mode.String()
+	if res, ok := r.journal.Done(journalKey); ok {
 		return res, nil
 	}
 	key := runKey{name, mode}
@@ -208,12 +209,22 @@ func (r *Runner) Result(ctx context.Context, name string, mode core.Mode) (core.
 	c.once.Do(func() {
 		c.res, c.err = r.simulate(ctx, name, mode)
 		if c.err == nil {
-			if err := r.opts.Checkpoint.Put(name, mode, c.res); err != nil {
-				c.err = &WorkloadError{Workload: name, Mode: mode, Err: err}
-			}
+			c.err = r.journal.PutDone(journalKey, c.res)
+		}
+		if c.err != nil {
+			c.err = r.fail(c.err, name, mode)
 		}
 	})
 	return c.res, c.err
+}
+
+// fail attributes a cell's error to the cell and to this runner's variant.
+func (r *Runner) fail(err error, name string, mode core.Mode) *WorkloadError {
+	we := asWorkloadError(err, name, mode)
+	if we.Variant == "" {
+		we.Variant = r.variant
+	}
+	return we
 }
 
 // simulate runs one (workload, scheme) job with semaphore admission
@@ -229,59 +240,31 @@ func (r *Runner) simulate(ctx context.Context, name string, mode core.Mode) (cor
 }
 
 // SimulateCell runs exactly one (workload, scheme) simulation under the
-// resilience envelope: the job runs under opts.WorkloadTimeout, and
-// panics anywhere in the simulation stack — substrate constructors, trace
+// resilience envelope: the job runs under opts.WorkloadTimeout, panics
+// anywhere in the simulation stack — substrate constructors, trace
 // generation, the core loop — are recovered into the returned
-// *WorkloadError. Unlike Runner.Result it performs no memoization,
-// checkpointing, or concurrency limiting; the design-space sweep engine
-// calls it directly from its own worker pool with per-cell geometry in
-// opts.
+// *WorkloadError, and a result that breaks the Result accounting
+// identities fails the cell. Unlike Runner.Result it performs no
+// memoization, journaling, or concurrency limiting; the design-space
+// sweep engine calls it directly from its own worker pool with per-cell
+// geometry in opts.
 func SimulateCell(ctx context.Context, opts Options, name string, mode core.Mode) (core.Result, error) {
 	var res core.Result
 	err := resilience.RunWithTimeout(ctx, opts.WorkloadTimeout, func(ctx context.Context) error {
 		if err := opts.Faults.Fire(faultinject.WorkerSite(name, mode.String())); err != nil {
 			return err
 		}
+		var err error
 		if preset, ok := workloads.ConsolidationByName(name); ok {
-			var err error
 			res, err = runConsolidationCell(ctx, opts, preset, mode)
-			return err
+		} else {
+			res, err = runProfileCell(ctx, opts, name, mode)
 		}
-		p, ok := workloads.ByName(name)
-		if !ok {
-			return resilience.Permanent(fmt.Errorf("experiments: unknown workload %q", name))
-		}
-		cfg := opts.config(mode)
-		if mode != core.Baseline && !opts.UncalibratedWalks && core.CalibratedWalks(mode) {
-			// Charge scheme-run walks at the measured baseline cost (§3.3).
-			// Schemes whose benefit lives inside the walk (l4-cache,
-			// dram-cache) opt out via CalibratedWalks and simulate walks.
-			pen := p.CyclesPerMissVirt
-			if !opts.Virtualized {
-				pen = p.CyclesPerMissNative
-			}
-			cfg.WalkPenaltyOverride = uint64(pen)
-		}
-		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			return err
 		}
-		var sc *core.SelfCheck
-		if opts.SelfCheck {
-			sc = sys.EnableSelfCheck()
-		}
-		gen := faultinject.Wrap(p.Generator(opts.Cores, opts.Seed), opts.Faults)
-		res, err = sys.Run(ctx, gen, name)
-		if err != nil {
-			return err
-		}
-		if sc != nil {
-			if err := sc.Err(); err != nil {
-				return resilience.Permanent(fmt.Errorf("experiments: self-check diverged: %w", err))
-			}
-			if err := res.CheckAccounting(); err != nil {
-				return resilience.Permanent(err)
-			}
+		if err := res.CheckAccounting(); err != nil {
+			return resilience.Permanent(err)
 		}
 		return nil
 	})
@@ -289,6 +272,31 @@ func SimulateCell(ctx context.Context, opts Options, name string, mode core.Mode
 		return core.Result{}, asWorkloadError(err, name, mode)
 	}
 	return res, nil
+}
+
+// runProfileCell simulates one Table 2 workload cell.
+func runProfileCell(ctx context.Context, opts Options, name string, mode core.Mode) (core.Result, error) {
+	p, ok := workloads.ByName(name)
+	if !ok {
+		return core.Result{}, resilience.Permanent(fmt.Errorf("experiments: unknown workload %q", name))
+	}
+	cfg := opts.config(mode)
+	if mode != core.Baseline && !opts.UncalibratedWalks && core.CalibratedWalks(mode) {
+		// Charge scheme-run walks at the measured baseline cost (§3.3).
+		// Schemes whose benefit lives inside the walk (l4-cache,
+		// dram-cache) opt out via CalibratedWalks and simulate walks.
+		pen := p.CyclesPerMissVirt
+		if !opts.Virtualized {
+			pen = p.CyclesPerMissNative
+		}
+		cfg.WalkPenaltyOverride = uint64(pen)
+	}
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		return core.Result{}, err
+	}
+	gen := faultinject.Wrap(p.Generator(opts.Cores, opts.Seed), opts.Faults)
+	return sys.Run(ctx, gen, name)
 }
 
 // workloads returns the campaign's benchmark profiles (the Options subset,

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -23,12 +22,16 @@ import (
 // it zero.
 const DefaultQuarantineAfter = 3
 
+// DefaultRetryBudget is the global retry pool the command-line front ends
+// give a sweep unless -retry-budget overrides it.
+const DefaultRetryBudget = 64
+
 // Config describes one sweep run.
 type Config struct {
 	// Base supplies the non-swept simulation options (refs, warmup,
 	// virtualization, ...). Base.Workloads restricts the workload axis
-	// (nil = all of Table 2). Base.Parallel and Base.WorkloadTimeout are
-	// ignored — Shards and CellTimeout replace them.
+	// (nil = all of Table 2), and Base.WorkloadTimeout bounds each attempt
+	// of a cell (0 = none).
 	Base experiments.Options
 	// Spec is the geometry grid crossed with workloads × schemes.
 	Spec Spec
@@ -41,8 +44,6 @@ type Config struct {
 	// QuarantineAfter is the per-cell attempt cap: a cell that has failed
 	// this many times is quarantined (0 = DefaultQuarantineAfter).
 	QuarantineAfter int
-	// CellTimeout bounds each attempt (0 = none).
-	CellTimeout time.Duration
 	// Journal, when non-nil, makes the sweep crash-safe: completed and
 	// quarantined cells are served from it without re-running, and every
 	// finished cell is appended to it.
@@ -354,14 +355,12 @@ func (e *engine) runCell(ctx context.Context, c Cell) {
 	var res core.Result
 	err := resilience.RetryBudget(ctx, e.policy, e.budget, func(ctx context.Context) error {
 		attempts++
-		return resilience.RunWithTimeout(ctx, e.cfg.CellTimeout, func(ctx context.Context) error {
-			if err := e.cfg.Faults.Fire(faultinject.SweepCellSite(key)); err != nil {
-				return err
-			}
-			var serr error
-			res, serr = experiments.SimulateCell(ctx, cellOpts, c.Workload, c.Mode)
-			return serr
-		})
+		if err := e.cfg.Faults.Fire(faultinject.SweepCellSite(key)); err != nil {
+			return err
+		}
+		var serr error
+		res, serr = experiments.SimulateCell(ctx, cellOpts, c.Workload, c.Mode)
+		return serr
 	})
 	if err != nil {
 		if ctx.Err() != nil {

@@ -107,9 +107,8 @@ func (c Cell) Key() string {
 }
 
 // Options materializes the campaign options for this cell: the base
-// options with the variant's geometry applied. Per-job plumbing that the
-// engine owns (timeout, checkpoint, memoization) is cleared — the sweep
-// engine supplies its own.
+// options with the variant's geometry applied and the workload subset
+// cleared (the cell names its own workload).
 func (c Cell) Options(base experiments.Options) experiments.Options {
 	o := base
 	if c.Variant.PomMB != 0 {
@@ -133,8 +132,6 @@ func (c Cell) Options(base experiments.Options) experiments.Options {
 	if c.Variant.Phases != 0 {
 		o.Phases = c.Variant.Phases
 	}
-	o.WorkloadTimeout = 0
-	o.Checkpoint = nil
 	o.Workloads = nil
 	return o
 }

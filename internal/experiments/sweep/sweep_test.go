@@ -338,9 +338,9 @@ func TestSweepCellTimeout(t *testing.T) {
 	base.Workloads = []string{"gups"}
 	base.MaxRefs = 2_000_000
 	base.WarmupRefs = 2_000_000
+	base.WorkloadTimeout = time.Millisecond
 	rep, err := Run(context.Background(), Config{
 		Base: base, Spec: spec, Shards: 1, RetryBudget: 0, QuarantineAfter: 1,
-		CellTimeout: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,19 +27,13 @@ var tradeoffWorkloads = []string{"mcf", "gups", "lbm", "soplex"}
 
 // TradeoffStudy quantifies §2.2's argument that a translation hit saves
 // more than a data hit: an L3 TLB hit removes a blocking multi-reference
-// walk, while an L4 data hit removes one overlappable memory access.
-func TradeoffStudy(base Options) ([]TradeoffRow, error) {
-	return TradeoffStudyContext(context.Background(), base)
-}
-
-// TradeoffStudyContext is TradeoffStudy with cancellation and graceful
-// degradation: a workload missing any of its three machines is dropped
-// and reported through the returned *CampaignError.
-func TradeoffStudyContext(ctx context.Context, base Options) ([]TradeoffRow, error) {
+// walk, while an L4 data hit removes one overlappable memory access. A
+// workload missing any of its three machines is dropped and reported
+// through the returned *CampaignError.
+func TradeoffStudy(ctx context.Context, base Options) ([]TradeoffRow, error) {
 	opts := base
 	opts.UncalibratedWalks = true // all three machines fully simulated
-	opts.Checkpoint = nil         // different fingerprint; never share the journal
-	r := NewRunner(opts)
+	r := variantRunner(opts, "uncalibrated")
 	modes := []core.Mode{core.Baseline, core.L4Cache, core.POMTLB}
 	_ = r.Prefetch(ctx, tradeoffWorkloads, modes)
 	var fs failureSet
@@ -90,17 +84,10 @@ var nativeWorkloads = []string{"astar", "GemsFDTD", "gups", "mcf", "soplex", "pa
 
 // NativeStudy runs the POM-TLB under bare-metal (1D-walk) translation and
 // models the improvement against the measured native baselines.
-func NativeStudy(base Options) ([]NativeRow, error) {
-	return NativeStudyContext(context.Background(), base)
-}
-
-// NativeStudyContext is NativeStudy with cancellation and graceful
-// degradation.
-func NativeStudyContext(ctx context.Context, base Options) ([]NativeRow, error) {
+func NativeStudy(ctx context.Context, base Options) ([]NativeRow, error) {
 	opts := base
 	opts.Virtualized = false
-	opts.Checkpoint = nil // different fingerprint; never share the journal
-	r := NewRunner(opts)
+	r := variantRunner(opts, "native")
 	_ = r.Prefetch(ctx, nativeWorkloads, []core.Mode{core.POMTLB})
 	var fs failureSet
 	var rows []NativeRow
@@ -118,7 +105,7 @@ func NativeStudyContext(ctx context.Context, base Options) ([]NativeRow, error) 
 		}
 		imp, err := perfmodel.ImprovementPct(perfmodel.FromProfileNative(p, pen))
 		if err != nil {
-			fs.record(err, name, core.POMTLB)
+			fs.record(r.fail(err, name, core.POMTLB), name, core.POMTLB)
 			continue
 		}
 		row.ImprovementPct = imp
