@@ -70,6 +70,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-config", "/does/not/exist.json"}, &sb); err == nil {
 		t.Error("missing config accepted")
 	}
+	// 3 MB of 16-way L4 is 3072 sets, not a power of two.
+	if err := run(context.Background(), []string{"-mode", "l4-cache", "-pom-mb", "3", "-refs", "10", "-warmup", "0"}, &sb); err == nil {
+		t.Error("an L4 cache NewSystem cannot build accepted")
+	}
 }
 
 func TestRunFromConfigFile(t *testing.T) {

@@ -13,6 +13,6 @@
 // (2)–(5).
 //
 // Start with the README, run examples/quickstart, and regenerate the
-// paper's tables and figures with cmd/experiments. The benchmark harness
-// in bench_test.go has one testing.B benchmark per table and figure.
+// paper's tables and figures with cmd/experiments. The simbench module
+// measures how fast the simulator itself runs.
 package repro

@@ -22,10 +22,10 @@ func allocGen(cores int) trace.Generator {
 }
 
 // TestSteadyStateZeroAllocs pins the tentpole property: with self-checking
-// off, the per-record hot path of every measured scheme allocates nothing
-// once the footprint is mapped and every structure is warm. A regression
-// here is exactly what the perf-trajectory gate exists to catch, but this
-// test catches it in 'go test' without timing noise.
+// off, the per-record hot path of every registered scheme allocates
+// nothing once the footprint is mapped and every structure is warm. In
+// simbench an allocation would show only as lost throughput, within
+// timing noise; this test catches it exactly in 'go test'.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	for _, mode := range Modes() {
 		t.Run(mode.String(), func(t *testing.T) {

@@ -239,6 +239,9 @@ func (c Config) Validate() error {
 	if err := c.DDR.Validate(); err != nil {
 		return err
 	}
+	if err := c.Walker.Validate(); err != nil {
+		return err
+	}
 	sch, ok := SchemeFor(c.Mode)
 	if !ok {
 		return fmt.Errorf("core: unknown mode %q (%s)", string(c.Mode), strings.Join(ModeNames(), ", "))

@@ -47,29 +47,44 @@ func runMode(t *testing.T, mode Mode) Result {
 	return res
 }
 
+// TestConfigValidate pins that every configuration NewSystem cannot build
+// fails Validate, and that NewSystem returns that error instead of
+// panicking in a constructor.
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := DefaultConfig()
-	bad.Cores = 0
-	if bad.Validate() == nil {
-		t.Error("zero cores should be invalid")
-	}
-	bad = DefaultConfig()
-	bad.VMs = 0
-	if bad.Validate() == nil {
-		t.Error("virtualized with zero VMs should be invalid")
-	}
-	bad = DefaultConfig()
-	bad.MaxRefs = 0
-	if bad.Validate() == nil {
-		t.Error("zero MaxRefs should be invalid")
-	}
-	bad = DefaultConfig()
-	bad.L1D.Ways = 0
-	if bad.Validate() == nil {
-		t.Error("bad cache config should be invalid")
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"zero cores", func(c *Config) { c.Cores = 0 }},
+		{"virtualized with zero VMs", func(c *Config) { c.VMs = 0 }},
+		{"zero MaxRefs", func(c *Config) { c.MaxRefs = 0 }},
+		{"L1D with zero ways", func(c *Config) { c.L1D.Ways = 0 }},
+		{"zero PDE cache entries", func(c *Config) { c.Walker.PDEEntries = 0 }},
+		{"zero nested TLB entries", func(c *Config) { c.Walker.NestedTLB = 0 }},
+		{"pom-tlb DRAM without banks", func(c *Config) { c.POM.DRAM.Banks = 0 }},
+		{"pom-tlb too small for one small set", func(c *Config) { c.POM.SizeBytes = 64 }},
+		{"pom-tlb too small for one large set", func(c *Config) {
+			c.POM.SizeBytes, c.POM.SmallFraction = 100, 0.99
+		}},
+		{"l4-cache with 3072 sets", func(c *Config) { c.Mode, c.POM.SizeBytes = L4Cache, 3<<20 }},
+		{"l4-cache with 24576 sets", func(c *Config) { c.Mode, c.POM.SizeBytes = L4Cache, 24<<20 }},
+		{"l4-cache DRAM without banks", func(c *Config) { c.Mode, c.POM.DRAM.Banks = L4Cache, 0 }},
+		{"shared-l2 on 3 cores", func(c *Config) { c.Mode, c.Cores = SharedL2, 3 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.edit(&cfg)
+			err := cfg.Validate()
+			if err == nil {
+				t.Fatal("Validate accepted the config")
+			}
+			if _, nerr := NewSystem(cfg); nerr == nil || nerr.Error() != err.Error() {
+				t.Fatalf("NewSystem error = %v, want %v", nerr, err)
+			}
+		})
 	}
 }
 

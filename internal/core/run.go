@@ -393,10 +393,10 @@ func (s *System) Run(ctx context.Context, g trace.Generator, workload string) (R
 
 // Advance consumes exactly n records from the generator without any
 // warmup bookkeeping, statistics reset, or finalization — the primitive
-// the perf-trajectory harness times: call it once to reach steady state,
-// then time subsequent calls as pure record-loop windows. The scheduler
-// (and its buffered records) persists across Advance calls on the same
-// generator.
+// for callers that drive a system window by window (pomsimd sessions,
+// the simbench benchmark): call it once to reach steady state, then time
+// subsequent calls as pure record-loop windows. The scheduler (and its
+// buffered records) persists across Advance calls on the same generator.
 func (s *System) Advance(ctx context.Context, g trace.Generator, n int) error {
 	if s.sched == nil || s.sched.g != g {
 		s.sched = newScheduler(g, len(s.cores))

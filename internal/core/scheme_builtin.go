@@ -121,7 +121,8 @@ func (sharedScheme) Name() Mode { return SharedL2 }
 func (sharedScheme) Describe() string {
 	return "shared SRAM TLB with the combined capacity of all cores' L2 TLBs"
 }
-func (sharedScheme) Build(s *System) { s.shared = tlb.MustNew(tlb.SharedL2(s.cfg.Cores)) }
+func (sharedScheme) Validate(cfg *Config) error { return tlb.SharedL2(cfg.Cores).Validate() }
+func (sharedScheme) Build(s *System)            { s.shared = tlb.MustNew(tlb.SharedL2(s.cfg.Cores)) }
 func (sharedScheme) Path(s *System, c *coreState, va addr.VA) tlb.Entry {
 	return s.sharedPath(c, va)
 }
@@ -188,13 +189,22 @@ func (l4Scheme) Describe() string {
 // reads inside the walk, which a measured-baseline walk charge would
 // erase.
 func (l4Scheme) CalibratedWalks() bool { return false }
+
+// l4Config is the L4 data cache: the capacity of the POM-TLB it
+// replaces, with Latency 0 because the DRAM access itself is charged per
+// hit.
+func l4Config(cfg *Config) cache.Config {
+	return cache.Config{Name: "L4", SizeBytes: cfg.POM.SizeBytes, Ways: 16}
+}
+
+func (l4Scheme) Validate(cfg *Config) error {
+	if err := l4Config(cfg).Validate(); err != nil {
+		return err
+	}
+	return cfg.POM.DRAM.Validate()
+}
 func (l4Scheme) Build(s *System) {
-	s.l4 = cache.MustNew(cache.Config{
-		Name:      "L4",
-		SizeBytes: s.cfg.POM.SizeBytes, // same capacity as the TLB it replaces
-		Ways:      16,
-		Latency:   0, // the DRAM access itself is charged per hit
-	})
+	s.l4 = cache.MustNew(l4Config(&s.cfg))
 	s.l4chan = dram.MustNew(s.cfg.POM.DRAM)
 }
 func (l4Scheme) Path(s *System, c *coreState, va addr.VA) tlb.Entry {

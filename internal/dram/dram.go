@@ -120,7 +120,7 @@ func (c Config) Validate() error {
 	case c.BusBytes == 0 || c.RowBytes == 0:
 		return fmt.Errorf("dram %q: bus/row geometry must be nonzero", c.Name)
 	case c.Banks <= 0:
-		return fmt.Errorf("dram %q: need at least one bank", c.Banks)
+		return fmt.Errorf("dram %q: need at least one bank", c.Name)
 	case c.RowBytes%addr.CacheLineSize != 0:
 		return fmt.Errorf("dram %q: row size %d not a multiple of the line size", c.Name, c.RowBytes)
 	}

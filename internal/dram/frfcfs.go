@@ -11,8 +11,7 @@ import (
 // controllers use. The analytic Channel model answers per-access latency
 // questions inline; the Scheduler replays a whole request stream through
 // explicit ACT/PRE/CAS command timing and reports the same statistics, so
-// the two models can be cross-validated (see TestSchedulerAgreesWithChannel
-// and BenchmarkFRFCFS).
+// the two models can be cross-validated (see TestSchedulerAgreesWithChannel).
 
 // Request is one line-granular memory request presented to the scheduler.
 type Request struct {

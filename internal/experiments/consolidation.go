@@ -46,7 +46,7 @@ func runConsolidationCell(ctx context.Context, opts Options, preset workloads.Co
 	cfg.VMs = scn.Guests
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
-		return core.Result{}, err
+		return core.Result{}, resilience.Permanent(err)
 	}
 	sys.SetEvents(scn.Events)
 	return sys.Run(ctx, faultinject.Wrap(scn.Gen, opts.Faults), preset.Name)

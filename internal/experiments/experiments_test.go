@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -189,6 +190,43 @@ func TestAblationCapacityInsensitive(t *testing.T) {
 	for _, p := range pts {
 		if p.WalkElimination < 0.8 {
 			t.Errorf("%s: elimination %.2f", p.Label, p.WalkElimination)
+		}
+	}
+}
+
+func TestAblationCoresInsensitive(t *testing.T) {
+	pts, err := AblationCores(context.Background(), quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"4 cores", "8 cores", "16 cores"}
+	if len(pts) != len(want) {
+		t.Fatalf("points = %d", len(pts))
+	}
+	lo, hi := pts[0].MeanImprovementPct, pts[0].MeanImprovementPct
+	for i, p := range pts {
+		if p.Label != want[i] {
+			t.Errorf("point %d = %q, want %q", i, p.Label, want[i])
+		}
+		lo, hi = math.Min(lo, p.MeanImprovementPct), math.Max(hi, p.MeanImprovementPct)
+	}
+	// §4.6: the improvement is about the same at every core count.
+	if hi-lo >= 1 {
+		t.Errorf("core sweep spread = %.2f points, paper says about unchanged", hi-lo)
+	}
+}
+
+func TestAblationBypass(t *testing.T) {
+	pts, err := AblationBypass(context.Background(), quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 2 || pts[0].Label != "predictor" || pts[1].Label != "never-bypass" {
+		t.Fatalf("points = %+v, want predictor then never-bypass", pts)
+	}
+	for _, p := range pts {
+		if p.MeanPenalty <= 0 || p.WalkElimination < 0.8 {
+			t.Errorf("%s: penalty %.1f, elimination %.2f", p.Label, p.MeanPenalty, p.WalkElimination)
 		}
 	}
 }

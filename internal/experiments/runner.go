@@ -293,7 +293,7 @@ func runProfileCell(ctx context.Context, opts Options, name string, mode core.Mo
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
-		return core.Result{}, err
+		return core.Result{}, resilience.Permanent(err)
 	}
 	gen := faultinject.Wrap(p.Generator(opts.Cores, opts.Seed), opts.Faults)
 	return sys.Run(ctx, gen, name)

@@ -187,6 +187,37 @@ func TestSweepQuarantinesPanickingCell(t *testing.T) {
 	}
 }
 
+// TestSweepQuarantinesUnbuildableConfig pins that a cell whose geometry
+// the simulator cannot build (a 24 MB L4 cache has 24576 sets, not a power
+// of two) fails on its first attempt with the configuration error, spends
+// no retry and carries no panic stack, for Table 2 and consolidation
+// workloads alike, while the buildable cells complete.
+func TestSweepQuarantinesUnbuildableConfig(t *testing.T) {
+	spec, err := ParseSpec("schemes=l4-cache:pom-mb=16,24")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := consolBase()
+	base.Workloads = []string{"gups", "consol-smoke"}
+	rep, err := Run(context.Background(), Config{Base: base, Spec: spec, Shards: 2, RetryBudget: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 2 || len(rep.Quarantined) != 2 {
+		t.Fatalf("completed %d, quarantined %+v; want the two pom-mb=16 cells done, the two pom-mb=24 cells quarantined",
+			rep.Completed, rep.Quarantined)
+	}
+	for _, q := range rep.Quarantined {
+		if !strings.HasSuffix(q.Key, "|l4-cache|pom-mb=24") || q.Attempts != 1 || q.Stack != "" ||
+			!strings.Contains(q.Error, "not a power of two") {
+			t.Errorf("quarantine = %+v, want one attempt ending in the config error", q)
+		}
+	}
+	if rep.Retried != 0 || rep.BudgetRemaining != 8 {
+		t.Errorf("retried %d, budget remaining %d; a config error must not be retried", rep.Retried, rep.BudgetRemaining)
+	}
+}
+
 func TestSweepRetryBudgetExhaustion(t *testing.T) {
 	spec, _ := ParseSpec("schemes=pom-tlb:pom-mb=1,2,4")
 	faults := faultinject.NewSchedule()

@@ -36,6 +36,18 @@ func DefaultWalkerConfig() WalkerConfig {
 	}
 }
 
+// Validate reports configuration errors.
+func (c WalkerConfig) Validate() error {
+	switch {
+	case c.PML4Entries <= 0 || c.PDPEntries <= 0 || c.PDEEntries <= 0:
+		return fmt.Errorf("pagetable: PSC capacities %d/%d/%d (PML4/PDP/PDE) must be positive",
+			c.PML4Entries, c.PDPEntries, c.PDEEntries)
+	case c.NestedTLB <= 0:
+		return fmt.Errorf("pagetable: nested TLB capacity %d must be positive", c.NestedTLB)
+	}
+	return nil
+}
+
 // WalkResult is the outcome of one translation walk.
 type WalkResult struct {
 	// HPFN is the host physical frame number at Size granularity.

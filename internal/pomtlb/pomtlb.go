@@ -52,11 +52,35 @@ func (c Config) Validate() error {
 	case c.BaseAddr%addr.CacheLineSize != 0:
 		return fmt.Errorf("pomtlb: base address must be line aligned")
 	}
+	sb := c.setBytes()
+	small := partitionSets(c.smallBytes(), sb)
+	if small == 0 || partitionSets(c.SizeBytes-small*sb, sb) == 0 {
+		return fmt.Errorf("pomtlb: %d bytes, a %g share for 4 KB pages, cannot hold one %d-way set in each partition",
+			c.SizeBytes, c.SmallFraction, c.Ways)
+	}
+	if err := c.DRAM.Validate(); err != nil {
+		return fmt.Errorf("pomtlb: %w", err)
+	}
 	return nil
 }
 
 // setBytes returns the byte span of one set.
 func (c Config) setBytes() uint64 { return uint64(c.Ways) * EntryBytes }
+
+// smallBytes returns the byte span offered to the 4 KB-page partition;
+// the large partition gets what the small one leaves of SizeBytes.
+func (c Config) smallBytes() uint64 { return uint64(float64(c.SizeBytes) * c.SmallFraction) }
+
+// partitionSets returns how many sets a partition carves out of bytes:
+// the whole sets that fit, rounded down to a power of two so the index
+// is a simple mask (0 when not even one set fits).
+func partitionSets(bytes, setBytes uint64) uint64 {
+	n := bytes / setBytes
+	for n&(n-1) != 0 {
+		n &= n - 1
+	}
+	return n
+}
 
 // Shadow observes every partition mutation in program order. The
 // differential oracle (internal/oracle) attaches one per partition and
@@ -105,17 +129,11 @@ func (p *Partition) SetShadow(s Shadow) {
 	p.shadow = &hook{s}
 }
 
-// newPartition carves numSets sets out of the address range at base.
+// newPartition carves partitionSets sets out of the address range at
+// base; Config.Validate guarantees at least one.
 func newPartition(size addr.PageSize, base uint64, bytes uint64, ways int) *Partition {
 	setBytes := uint64(ways) * EntryBytes
-	n := bytes / setBytes
-	// Round down to a power of two so the index is a simple mask.
-	for n&(n-1) != 0 {
-		n &= n - 1
-	}
-	if n == 0 {
-		panic(fmt.Sprintf("pomtlb: partition too small for even one %d-way set", ways))
-	}
+	n := partitionSets(bytes, setBytes)
 	return &Partition{
 		PageSize: size,
 		base:     base,
@@ -415,8 +433,7 @@ func New(cfg Config) *TLB {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	smallBytes := uint64(float64(cfg.SizeBytes) * cfg.SmallFraction)
-	small := newPartition(addr.Page4K, cfg.BaseAddr, smallBytes, cfg.Ways)
+	small := newPartition(addr.Page4K, cfg.BaseAddr, cfg.smallBytes(), cfg.Ways)
 	large := newPartition(addr.Page2M, cfg.BaseAddr+small.SizeBytes(), cfg.SizeBytes-small.SizeBytes(), cfg.Ways)
 	return &TLB{
 		cfg:     cfg,

@@ -25,8 +25,8 @@ func FuzzIngest(f *testing.F) {
 	valid := fuzzEncode(trace.Collect(parityGen(), 3))
 	f.Add([]byte{}, uint8(1))
 	f.Add(valid, uint8(5))
-	f.Add(valid[:len(valid)-7], uint8(3))   // torn mid-record
-	f.Add(valid[:4], uint8(1))              // torn mid-header
+	f.Add(valid[:len(valid)-7], uint8(3))        // torn mid-record
+	f.Add(valid[:4], uint8(1))                   // torn mid-header
 	f.Add([]byte("NOTATRACE-------"), uint8(16)) // full-length bad magic
 	f.Add(append(append([]byte{}, valid...), 0xFF), uint8(2))
 
@@ -101,6 +101,7 @@ func FuzzCreateSession(f *testing.F) {
 	f.Add("POM-TLB", 1, false)
 	f.Add("victima", 0, false)
 	f.Add("dram-cache", -3, true)
+	f.Add("shared-l2", 3, false)
 	f.Fuzz(func(t *testing.T, mode string, cores int, native bool) {
 		srv := New(Config{})
 		defer srv.Close()
@@ -133,7 +134,10 @@ func FuzzCreateSession(f *testing.F) {
 				t.Fatalf("metrics on fresh session: status %d", rec.Code)
 			}
 		case http.StatusBadRequest:
-			if modeOK && cores > 0 && cores <= 256 {
+			// The shared TLB has 128 sets per core: a power of two only
+			// on a power-of-two core count.
+			sharedOK := mode != string(core.SharedL2) || cores&(cores-1) == 0
+			if modeOK && sharedOK && cores > 0 && cores <= 256 {
 				t.Fatalf("rejected a valid request (mode %q, cores %d): %s", mode, cores, rec.Body.Bytes())
 			}
 		default:

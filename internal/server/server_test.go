@@ -300,6 +300,29 @@ func TestSessionCapAndDelete(t *testing.T) {
 	}
 }
 
+// TestCreateRejectsUnbuildableConfig pins that a session config the
+// simulator cannot build is answered 400 with the reason, not a handler
+// panic that drops the connection.
+func TestCreateRejectsUnbuildableConfig(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	tc := newTestClient(t, ts.URL)
+	for _, body := range []string{
+		`{"mode":"l4-cache","pom_mb":3}`, // a 3072-set L4
+		`{"mode":"shared-l2","cores":3}`, // a 384-set shared TLB
+	} {
+		var out struct {
+			Error string `json:"error"`
+		}
+		status, _ := tc.do("POST", "/sessions", strings.NewReader(body), &out)
+		if status != http.StatusBadRequest || !strings.Contains(out.Error, "not a power of two") {
+			t.Errorf("POST /sessions %s: status %d (%q), want 400 naming the set count", body, status, out.Error)
+		}
+	}
+}
+
 // TestDrainRunsSessionsToCompletion pins the graceful-shutdown contract:
 // Drain finishes in-flight sessions (wrapping their uploads) and refuses
 // new work, and the drained server reports frozen, complete results.
