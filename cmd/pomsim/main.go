@@ -226,11 +226,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(res)
 	}
-	printResult(out, p, res)
+	printResult(out, p, file.Config.Virtualized, res)
 	return nil
 }
 
-func printResult(out io.Writer, p workloads.Profile, res core.Result) {
+func printResult(out io.Writer, p workloads.Profile, virtualized bool, res core.Result) {
 	fmt.Fprintf(out, "workload  %s (%s, %d MB footprint, %.1f%% large pages)\n",
 		p.Name, p.Pattern, p.FootprintBytes>>20, p.LargePagePct)
 	fmt.Fprintf(out, "scheme    %s\n", res.Mode)
@@ -272,7 +272,7 @@ func printResult(out io.Writer, p workloads.Profile, res core.Result) {
 	fmt.Fprint(out, t.String())
 
 	if res.Mode != core.Baseline && core.CalibratedWalks(res.Mode) {
-		if imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, capPen(res.AvgPenalty(), p.CyclesPerMissVirt))); err == nil {
+		if imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, virtualized, res.AvgPenalty())); err == nil {
 			fmt.Fprintf(out, "\nmodelled improvement over measured baseline: %.2f%%\n", imp)
 		}
 	}
@@ -350,8 +350,7 @@ func runComparison(ctx context.Context, out io.Writer, p workloads.Profile, base
 		}
 		imp := "—"
 		if mode != core.Baseline && core.CalibratedWalks(mode) {
-			if v, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p,
-				capPen(res.AvgPenalty(), p.CyclesPerMissVirt))); err == nil {
+			if v, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, base.Virtualized, res.AvgPenalty())); err == nil {
 				imp = fmt.Sprintf("%.2f", v)
 			}
 		}
@@ -470,11 +469,4 @@ func runConsolidationComparison(ctx context.Context, out io.Writer, preset workl
 	}
 	fmt.Fprintf(out, "scenario %s — all schemes, identical tenant plan\n\n%s", preset.Name, t.String())
 	return nil
-}
-
-func capPen(pen, base float64) float64 {
-	if pen > base {
-		return base
-	}
-	return pen
 }

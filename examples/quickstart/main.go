@@ -50,11 +50,7 @@ func main() {
 
 	// The paper's performance model combines the measured baseline
 	// (Table 2) with the simulated POM-TLB penalty.
-	pen := pom.AvgPenalty()
-	if pen > p.CyclesPerMissVirt {
-		pen = p.CyclesPerMissVirt
-	}
-	imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, pen))
+	imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, true, pom.AvgPenalty()))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -197,12 +197,6 @@ func Index(v VA, l Level) uint64 {
 	return (uint64(v) >> l.indexShift()) & 0x1FF
 }
 
-// IndexGPA extracts the 9-bit radix index of a guest physical address for
-// level l; used when the host tables translate guest-physical pointers.
-func IndexGPA(p GPA, l Level) uint64 {
-	return (uint64(p) >> l.indexShift()) & 0x1FF
-}
-
 // Canonical truncates an address to the 48-bit canonical range used by the
 // 4-level tables. Synthetic workload generators use it to keep addresses
 // inside the translatable region.

@@ -8,8 +8,8 @@ import "testing"
 func TestPageBoundaryEdges(t *testing.T) {
 	for _, s := range []PageSize{Page4K, Page2M, Page1G} {
 		b := s.Bytes()
-		last := VA(b - 1)       // final byte of page 0
-		first := VA(b)          // first byte of page 1
+		last := VA(b - 1) // final byte of page 0
+		first := VA(b)    // first byte of page 1
 		if last.VPN(s) != 0 || first.VPN(s) != 1 {
 			t.Errorf("%s: VPN across boundary = %d,%d; want 0,1", s, last.VPN(s), first.VPN(s))
 		}

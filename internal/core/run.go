@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/cache"
@@ -282,11 +283,11 @@ func (s *System) runRecordsLocked(sched *scheduler, n int) error {
 	return s.runRecords(sched, n)
 }
 
-// runRecords consumes exactly n records through the scheduler — the
-// allocation-free inner loop shared by Run and Advance. Boundary events
-// (context polls, the warmup reset, self-check sweeps) are the callers'
-// business: they size n so the loop body carries no per-record checks.
-// Callers synchronize via runRecordsLocked.
+// runRecords consumes exactly n records through the scheduler — Advance's
+// allocation-free inner loop. Boundary events (context polls, scenario
+// events, self-check sweeps) are Advance's business: it sizes n so the
+// loop body carries no per-record checks. Callers synchronize via
+// runRecordsLocked.
 func (s *System) runRecords(sched *scheduler, n int) error {
 	tiered := s.tierTrack
 	for i := 0; i < n; i++ {
@@ -327,76 +328,42 @@ func (s *System) runRecords(sched *scheduler, n int) error {
 	return nil
 }
 
-// nextBoundary returns the first record index after i at which the run
-// loop must surface for an event: a cancellation poll, the warmup
-// statistics reset, or (when self-checking) an invariant sweep.
-func nextBoundary(i, warmup int, selfCheck bool) int {
-	next := (i/cancelCheckInterval + 1) * cancelCheckInterval
-	if warmup > i && warmup < next {
-		next = warmup
-	}
-	if selfCheck {
-		sweep := (i/selfCheckInterval)*selfCheckInterval + selfCheckInterval - 1
-		if sweep <= i {
-			sweep += selfCheckInterval
-		}
-		if sweep < next {
-			next = sweep
-		}
-	}
-	return next
-}
-
-// Run consumes WarmupRefs + MaxRefs records from the generator, resetting
-// statistics after warmup, and returns the final Result. The simulation
-// polls ctx between record batches and returns ctx.Err() (with the
-// partial Result accumulated so far) when the deadline passes or the
-// campaign is cancelled mid-run. Records are consumed in batches between
-// event boundaries, so the per-record path carries no bookkeeping.
+// Run consumes WarmupRefs + MaxRefs records from the generator and
+// returns the measured Result. It is the sequence a pomsimd session
+// runs: Advance through the warmup on a fresh scheduler, fire the events
+// due at the boundary, reset statistics, Advance through the measured
+// window, fire the events due at its end, and Snapshot. On cancellation
+// it returns the partial Result with an error wrapping ctx.Err().
 func (s *System) Run(ctx context.Context, g trace.Generator, workload string) (Result, error) {
 	s.SetWorkload(workload)
-	total := s.cfg.WarmupRefs + s.cfg.MaxRefs
-	sched := newScheduler(g, len(s.cores))
-	for i := 0; i < total; {
-		select {
-		case <-ctx.Done():
-			s.finalize()
-			return s.res, fmt.Errorf("core: %s interrupted after %d/%d refs: %w",
-				workload, i, total, ctx.Err())
-		default:
-		}
+	s.sched = newScheduler(g, len(s.cores))
+	start, total := s.consumed, s.cfg.WarmupRefs+s.cfg.MaxRefs
+	err := s.Advance(ctx, g, s.cfg.WarmupRefs)
+	if err == nil {
 		s.fireDueEvents()
-		if i == s.cfg.WarmupRefs {
-			s.ResetStats()
-		}
-		if s.selfCheck != nil && i%selfCheckInterval == selfCheckInterval-1 {
-			s.selfCheck.sweep()
-		}
-		n := total - i
-		if next := nextBoundary(i, s.cfg.WarmupRefs, s.selfCheck != nil); next-i < n {
-			n = next - i
-		}
-		if gap, ok := s.nextEventGap(); ok && gap > 0 && gap < uint64(n) {
-			n = int(gap)
-		}
-		if err := s.runRecordsLocked(sched, n); err != nil {
-			return s.res, err
-		}
-		i += n
+		s.ResetStats()
+		err = s.Advance(ctx, g, s.cfg.MaxRefs)
 	}
-	// Events scheduled exactly at end-of-run still fire (a scenario's
-	// final quantum boundary can coincide with the trace length).
-	s.fireDueEvents()
-	s.finalize()
-	return s.res, nil
+	if err == nil {
+		// A scenario's final quantum boundary can coincide with the
+		// trace length.
+		s.fireDueEvents()
+	}
+	if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
+		err = fmt.Errorf("core: %s interrupted after %d/%d refs: %w",
+			workload, s.consumed-start, total, err)
+	}
+	return s.Snapshot(), err
 }
 
 // Advance consumes exactly n records from the generator without any
-// warmup bookkeeping, statistics reset, or finalization — the primitive
-// for callers that drive a system window by window (pomsimd sessions,
-// the simbench benchmark): call it once to reach steady state, then time
-// subsequent calls as pure record-loop windows. The scheduler (and its
+// warmup bookkeeping or statistics reset — the record loop behind Run,
+// and the primitive for callers that drive a system window by window
+// (pomsimd sessions, the simbench benchmark). The scheduler (and its
 // buffered records) persists across Advance calls on the same generator.
+// Between batches it polls ctx, fires due scenario events and, when
+// self-checking, sweeps the structural invariants every
+// selfCheckInterval consumed records.
 func (s *System) Advance(ctx context.Context, g trace.Generator, n int) error {
 	if s.sched == nil || s.sched.g != g {
 		s.sched = newScheduler(g, len(s.cores))
@@ -416,6 +383,11 @@ func (s *System) Advance(ctx context.Context, g trace.Generator, n int) error {
 			return err
 		}
 		done += chunk
+		// A chunk is shorter than the sweep interval, so it crossed a
+		// multiple of it exactly when the remainder is below its length.
+		if s.selfCheck != nil && s.consumed%selfCheckInterval < uint64(chunk) {
+			s.selfCheck.sweep()
+		}
 	}
 	return nil
 }
@@ -427,11 +399,6 @@ func (s *System) Advance(ctx context.Context, g trace.Generator, n int) error {
 func (s *System) ResetStats() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.resetStats()
-}
-
-// resetStats is ResetStats without the lock.
-func (s *System) resetStats() {
 	workload := s.res.Workload
 	mode := s.res.Mode
 	s.res = Result{Workload: workload, Mode: mode}
@@ -465,34 +432,26 @@ func addCacheStats(dst *cache.Stats, src cache.Stats) {
 	dst.Writebacks += src.Writebacks
 }
 
-// finalize aggregates component counters into the Result (Run's
-// end-of-run step; must be called at most once per measured window).
-func (s *System) finalize() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.res = s.aggregate()
-}
-
 // Snapshot returns a point-in-time copy of the Result as it stands now,
-// computed without disturbing the accumulating counters — unlike Run's
-// finalize, it is idempotent and safe to call repeatedly mid-run. It
-// synchronizes with the record loop (and every other counter-mutating
-// path) on the stats mutex, so polling it from another goroutine while
-// Advance runs is race-free; the poll blocks for at most one record
-// batch — provided the generator keeps producing. A generator that blocks
-// mid-batch (a starved streaming session) holds the batch, and with it
-// this mutex, until input arrives; concurrent pollers of such systems
-// should cache snapshots between batches instead (as the pomsimd session
-// worker does). All Result fields are value types, so the returned copy
-// shares no state with the live system.
+// computed without disturbing the accumulating counters, so it is
+// idempotent and safe to call repeatedly mid-run. It synchronizes with
+// the record loop (and every other counter-mutating path) on the stats
+// mutex, so polling it from another goroutine while Advance runs is
+// race-free; the poll blocks for at most one record batch — provided
+// the generator keeps producing. A generator that blocks mid-batch (a
+// starved streaming session) holds the batch, and with it this mutex,
+// until input arrives; concurrent pollers of such systems should cache
+// snapshots between batches instead (as the pomsimd session worker
+// does). All Result fields are value types, so the returned copy shares
+// no state with the live system.
 func (s *System) Snapshot() Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.aggregate()
 }
 
-// SetWorkload labels subsequent Snapshot/finalize results, mirroring the
-// workload argument of Run for Advance-driven sessions.
+// SetWorkload labels subsequent Snapshot results, mirroring the workload
+// argument of Run for Advance-driven sessions.
 func (s *System) SetWorkload(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

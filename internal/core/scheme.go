@@ -20,8 +20,6 @@ import (
 type Scheme interface {
 	// Name is the registry key ("pom-tlb", "victima", ...).
 	Name() Mode
-	// Describe is a one-line summary for CLI help and docs.
-	Describe() string
 	// Validate checks the scheme-specific part of the configuration
 	// (Config.Validate runs the scheme-independent checks first).
 	Validate(cfg *Config) error

@@ -3,7 +3,7 @@ package core
 import (
 	"repro/internal/addr"
 	"repro/internal/cache"
-	"repro/internal/dram"
+	"repro/internal/dramcache"
 	"repro/internal/oracle"
 	"repro/internal/pomtlb"
 	"repro/internal/tlb"
@@ -19,9 +19,6 @@ import (
 type baselineScheme struct{ baseScheme }
 
 func (baselineScheme) Name() Mode { return Baseline }
-func (baselineScheme) Describe() string {
-	return "2D nested page walk with page-structure caches and a nested TLB (Skylake-like)"
-}
 func (baselineScheme) Path(s *System, c *coreState, va addr.VA) tlb.Entry {
 	return s.baselinePath(c, va)
 }
@@ -102,25 +99,16 @@ func (pomScheme) Build(s *System) {
 	s.pom = pomtlb.New(s.cfg.POM)
 	s.pomCaches = true
 }
-func (pomScheme) Describe() string {
-	return "die-stacked DRAM L3 TLB with predictors and data-cache probes of the addressable sets"
-}
 
 type pomNoCacheScheme struct{ pomSchemeBase }
 
 func (pomNoCacheScheme) Name() Mode { return POMTLBNoCache }
-func (pomNoCacheScheme) Describe() string {
-	return "POM-TLB with data-cache probing disabled (every access goes to the die-stacked DRAM)"
-}
 
 // sharedScheme is the Shared_L2 comparison point: one SRAM TLB with the
 // combined capacity of all cores' private L2 TLBs.
 type sharedScheme struct{ baseScheme }
 
-func (sharedScheme) Name() Mode { return SharedL2 }
-func (sharedScheme) Describe() string {
-	return "shared SRAM TLB with the combined capacity of all cores' L2 TLBs"
-}
+func (sharedScheme) Name() Mode                 { return SharedL2 }
 func (sharedScheme) Validate(cfg *Config) error { return tlb.SharedL2(cfg.Cores).Validate() }
 func (sharedScheme) Build(s *System)            { s.shared = tlb.MustNew(tlb.SharedL2(s.cfg.Cores)) }
 func (sharedScheme) Path(s *System, c *coreState, va addr.VA) tlb.Entry {
@@ -147,10 +135,7 @@ func (sharedScheme) Aggregate(s *System, res *Result) {
 // tsbScheme is the SPARC-style software comparison point.
 type tsbScheme struct{ baseScheme }
 
-func (tsbScheme) Name() Mode { return TSB }
-func (tsbScheme) Describe() string {
-	return "software trap probing a 16 MB direct-mapped translation storage buffer (SPARC-style)"
-}
+func (tsbScheme) Name() Mode                 { return TSB }
 func (tsbScheme) Validate(cfg *Config) error { return cfg.TSBCfg.Validate() }
 func (tsbScheme) Build(s *System)            { s.tsbB = tsb.MustNew(s.cfg.TSBCfg) }
 func (tsbScheme) Path(s *System, c *coreState, va addr.VA) tlb.Entry {
@@ -176,55 +161,25 @@ func (tsbScheme) Aggregate(s *System, res *Result) {
 	res.TSBConflicts = s.tsbB.Conflicts
 }
 
-// l4Scheme spends the die-stacked capacity as an L4 data cache; the
-// translation path is the baseline walk, whose PTE reads hit the L4.
-type l4Scheme struct{ baseScheme }
+// l4Scheme spends the die-stacked capacity as an L4 data cache that
+// serves every reference; the translation path is the baseline walk,
+// whose PTE reads hit the L4.
+type l4Scheme struct{ stackedScheme }
 
 func (l4Scheme) Name() Mode { return L4Cache }
-func (l4Scheme) Describe() string {
-	return "die-stacked capacity spent as an L4 data cache; translations use the baseline walk"
+
+// l4Config is the L4 data cache: the capacity and die-stacked channel of
+// the POM-TLB it replaces, 16-way.
+func l4Config(cfg *Config) dramcache.Config {
+	return dramcache.Config{SizeBytes: cfg.POM.SizeBytes, Ways: 16, DRAM: cfg.POM.DRAM}
 }
 
-// CalibratedWalks is false: the L4's translation benefit is shorter PTE
-// reads inside the walk, which a measured-baseline walk charge would
-// erase.
-func (l4Scheme) CalibratedWalks() bool { return false }
-
-// l4Config is the L4 data cache: the capacity of the POM-TLB it
-// replaces, with Latency 0 because the DRAM access itself is charged per
-// hit.
-func l4Config(cfg *Config) cache.Config {
-	return cache.Config{Name: "L4", SizeBytes: cfg.POM.SizeBytes, Ways: 16}
-}
-
-func (l4Scheme) Validate(cfg *Config) error {
-	if err := l4Config(cfg).Validate(); err != nil {
-		return err
-	}
-	return cfg.POM.DRAM.Validate()
-}
+func (l4Scheme) Validate(cfg *Config) error { return l4Config(cfg).Validate() }
 func (l4Scheme) Build(s *System) {
-	s.l4 = cache.MustNew(l4Config(&s.cfg))
-	s.l4chan = dram.MustNew(s.cfg.POM.DRAM)
-}
-func (l4Scheme) Path(s *System, c *coreState, va addr.VA) tlb.Entry {
-	return s.baselinePath(c, va)
-}
-func (l4Scheme) AttachSelfCheck(s *System, sc *SelfCheck) {
-	oracle.NewRefCache(sc.h, s.l4)
-	oracle.NewRefDRAM(sc.h, s.l4chan)
-}
-func (l4Scheme) CheckInvariants(s *System) error {
-	if err := s.l4.CheckInvariants(); err != nil {
-		return err
-	}
-	return s.l4chan.CheckInvariants()
-}
-func (l4Scheme) ResetStats(s *System) {
-	s.l4.ResetStats()
-	s.l4chan.ResetStats()
+	s.stacked = dramcache.MustNew(l4Config(&s.cfg))
+	s.stackedAll = true
 }
 func (l4Scheme) Aggregate(s *System, res *Result) {
-	res.L4Cache = s.l4.Stats()
-	res.L4DRAMStats = s.l4chan.Stats()
+	res.L4Cache = s.stacked.Stats()
+	res.L4DRAMStats = s.stacked.DRAMStats()
 }

@@ -7,39 +7,40 @@ import (
 	"repro/internal/tlb"
 )
 
-// dramCacheScheme registers the die-stacked DRAM cache competitor (after
-// Patil et al., arXiv 2002.01073): the same stacked capacity the POM-TLB
-// spends on translations instead services the page walker's PTE reads,
-// so walks get shorter rather than being eliminated. The translation
-// path is the unmodified baseline walk; the cache itself is probed
-// inside System.access for walk references only (data references bypass
-// it — the study isolates the translation benefit of the silicon).
-type dramCacheScheme struct{ baseScheme }
+// stackedScheme is the shared half of the two schemes that spend the
+// POM-TLB's die-stacked silicon as a data cache instead of a TLB
+// (l4-cache and dram-cache): Build puts one dramcache.Cache on
+// System.stacked, System.access probes and fills it, and translations
+// take the unmodified baseline walk.
+type stackedScheme struct{ baseScheme }
 
-func (dramCacheScheme) Name() Mode { return DRAMCache }
-func (dramCacheScheme) Describe() string {
-	return "die-stacked DRAM cache servicing page-walk PTE reads (arXiv 2002.01073)"
-}
-func (dramCacheScheme) Validate(cfg *Config) error { return cfg.DCache.Validate() }
+// CalibratedWalks is false: the entire benefit lives inside the walk
+// (shorter PTE reads), which a measured-baseline walk charge would erase.
+func (stackedScheme) CalibratedWalks() bool { return false }
 
-// CalibratedWalks is false: like the L4 study, the entire benefit lives
-// inside the walk, which a measured-baseline walk charge would erase.
-func (dramCacheScheme) CalibratedWalks() bool { return false }
-
-func (dramCacheScheme) Build(s *System) { s.dcache = dramcache.MustNew(s.cfg.DCache) }
-
-func (dramCacheScheme) Path(s *System, c *coreState, va addr.VA) tlb.Entry {
+func (stackedScheme) Path(s *System, c *coreState, va addr.VA) tlb.Entry {
 	return s.baselinePath(c, va)
 }
 
-func (dramCacheScheme) AttachSelfCheck(s *System, sc *SelfCheck) {
-	oracle.NewRefCache(sc.h, s.dcache.Tags())
-	oracle.NewRefDRAM(sc.h, s.dcache.Channel())
+func (stackedScheme) AttachSelfCheck(s *System, sc *SelfCheck) {
+	oracle.NewRefCache(sc.h, s.stacked.Tags())
+	oracle.NewRefDRAM(sc.h, s.stacked.Channel())
 }
 
-func (dramCacheScheme) CheckInvariants(s *System) error { return s.dcache.CheckInvariants() }
-func (dramCacheScheme) ResetStats(s *System)            { s.dcache.ResetStats() }
+func (stackedScheme) CheckInvariants(s *System) error { return s.stacked.CheckInvariants() }
+func (stackedScheme) ResetStats(s *System)            { s.stacked.ResetStats() }
+
+// dramCacheScheme registers the die-stacked DRAM cache competitor (after
+// Patil et al., arXiv 2002.01073): the same stacked capacity the POM-TLB
+// spends on translations instead serves the page walker's PTE reads, so
+// walks get shorter rather than being eliminated. Data references bypass
+// it — the study isolates the translation benefit of the silicon.
+type dramCacheScheme struct{ stackedScheme }
+
+func (dramCacheScheme) Name() Mode                 { return DRAMCache }
+func (dramCacheScheme) Validate(cfg *Config) error { return cfg.DCache.Validate() }
+func (dramCacheScheme) Build(s *System)            { s.stacked = dramcache.MustNew(s.cfg.DCache) }
 func (dramCacheScheme) Aggregate(s *System, res *Result) {
-	res.DCache = s.dcache.Stats()
-	res.DCacheDRAM = s.dcache.DRAMStats()
+	res.DCache = s.stacked.Stats()
+	res.DCacheDRAM = s.stacked.DRAMStats()
 }

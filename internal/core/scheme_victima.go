@@ -26,10 +26,7 @@ const victimaLineBase = uint64(1) << 52
 // exact baseline.
 type victimaScheme struct{ baseScheme }
 
-func (victimaScheme) Name() Mode { return Victima }
-func (victimaScheme) Describe() string {
-	return "TLB entries in L2 data-cache ways with PTE-aware replacement (Victima, arXiv 2310.04158)"
-}
+func (victimaScheme) Name() Mode                 { return Victima }
 func (victimaScheme) Validate(cfg *Config) error { return cfg.VictimaCfg.Validate() }
 
 func (victimaScheme) Build(s *System) {

@@ -117,3 +117,26 @@ func TestShootdownThenRemapWorks(t *testing.T) {
 		t.Errorf("post-remap translation %v != logical %v (ok=%v)", hpa, want, ok)
 	}
 }
+
+// TestProcessExitFlushesHugeL1 pins that ProcessExit reaches the L1's
+// 1 GB structure: a translated 1 GB page must not survive the exit.
+func TestProcessExitFlushesHugeL1(t *testing.T) {
+	sys, err := NewSystem(smallConfig(POMTLB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.cores[0]
+	va := addr.VA(0x40_0000_0000 + 0x1234)
+	if err := sys.touch(c, va, addr.Page1G); err != nil {
+		t.Fatal(err)
+	}
+	c.now = c.clock
+	sys.translate(c, va)
+	if e, ok := c.l1tlb.Lookup(c.vmid, c.pid, va); !ok || e.Size != addr.Page1G {
+		t.Fatalf("1 GB translation not in the L1 TLB before the exit: %+v, %v", e, ok)
+	}
+	sys.ProcessExit(c.vmid, c.pid)
+	if _, ok := c.l1tlb.Lookup(c.vmid, c.pid, va); ok {
+		t.Error("1 GB L1 TLB entry survived ProcessExit")
+	}
+}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -61,7 +63,7 @@ func TestAdvanceSnapshotMatchesRun(t *testing.T) {
 			if got != want {
 				t.Errorf("incremental snapshot diverges from Run:\n got %+v\nwant %+v", got, want)
 			}
-			// Snapshot must be idempotent, unlike Run's finalize.
+			// Snapshot must be idempotent.
 			if again := inc.Snapshot(); again != got {
 				t.Errorf("second snapshot differs:\n got %+v\nwant %+v", again, got)
 			}
@@ -123,5 +125,72 @@ func TestSnapshotDuringAdvance(t *testing.T) {
 
 	if got := sys.Snapshot().Records; got != 300_000 {
 		t.Errorf("Records = %d, want 300000", got)
+	}
+}
+
+// TestSnapshotAfterRunMatchesRun pins that Run leaves the accumulating
+// counters as they were: a Snapshot taken right after it returns Run's
+// own Result rather than every aggregated counter counted twice.
+func TestSnapshotAfterRunMatchesRun(t *testing.T) {
+	cfg := smallConfig(POMTLB)
+	cfg.WarmupRefs, cfg.MaxRefs = 2000, 5000
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(context.Background(), trace.NewUniform(gupsParams(cfg.Cores)), "gups")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Snapshot(); got != res {
+		t.Errorf("Snapshot after Run diverges: L1TLB %d/%d, Run's %d/%d\n got %+v\nwant %+v",
+			got.L1TLB.Hits, got.L1TLB.Total(), res.L1TLB.Hits, res.L1TLB.Total(), got, res)
+	}
+}
+
+// cancelAfter cancels its context once n records have been pulled, so a
+// test can interrupt Run at a chosen point of the trace.
+type cancelAfter struct {
+	trace.Generator
+	n      int
+	cancel context.CancelFunc
+}
+
+func (g *cancelAfter) Next() trace.Record {
+	if g.n--; g.n == 0 {
+		g.cancel()
+	}
+	return g.Generator.Next()
+}
+
+// TestRunCancelled pins Run's cancellation contract in both windows: the
+// error wraps context.Canceled and names how far the run got, and the
+// partial Result still satisfies the accounting identities.
+func TestRunCancelled(t *testing.T) {
+	cfg := smallConfig(POMTLB)
+	cfg.WarmupRefs, cfg.MaxRefs = 20_000, 20_000
+	for _, tc := range []struct {
+		name string
+		at   int
+	}{{"warmup", 5_000}, {"measurement", 30_000}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			g := &cancelAfter{Generator: trace.NewUniform(gupsParams(cfg.Cores)), n: tc.at, cancel: cancel}
+			res, err := sys.Run(ctx, g, "gups")
+			if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "interrupted after") {
+				t.Fatalf("err = %v, want an interruption wrapping context.Canceled", err)
+			}
+			if res.Records == 0 || res.Records >= uint64(cfg.MaxRefs) {
+				t.Errorf("partial Result has %d records, want some but fewer than %d", res.Records, cfg.MaxRefs)
+			}
+			if err := res.CheckAccounting(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

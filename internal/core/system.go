@@ -61,18 +61,17 @@ type System struct {
 	// it false and goes straight to the die-stacked DRAM).
 	pomCaches bool
 	tsbB      *tsb.TSB
-	// l4 is the L4Cache mode's die-stacked data cache: an SRAM-tagged
-	// directory (the cache.Cache) whose hits cost one die-stacked DRAM
-	// access on l4chan.
-	l4     *cache.Cache
-	l4chan *dram.Channel
+	// stacked is the die-stacked DRAM cache the l4-cache and dram-cache
+	// schemes spend the POM-TLB's silicon on, probed between the L3 and
+	// off-chip memory. stackedAll is set by l4-cache's Build: the cache
+	// serves every reference, not only page-walk PTE reads.
+	stacked    *dramcache.Cache
+	stackedAll bool
 	// shared is the Shared_L2 scheme's combined SRAM TLB.
 	shared *tlb.TLB
 	// vict is the Victima mode's per-core cache-resident TLB stores (nil
 	// when the mode is off or the donation is zero).
 	vict []*victima.Store
-	// dcache is the DRAMCache mode's die-stacked page-walk cache.
-	dcache *dramcache.Cache
 
 	// scheme is the registered translation scheme for cfg.Mode, resolved
 	// exactly once at construction so no event path performs a registry
@@ -174,7 +173,7 @@ func (s *System) Hypervisor() *virt.Hypervisor { return s.hyp }
 
 // walkMemFunc returns the MemFunc routing a core's page-table-entry reads
 // through its data-cache hierarchy (PTEs are cached like data in x86).
-// Walk references are flagged so the DRAMCache scheme's die-stacked
+// Walk references are flagged so the dram-cache scheme's die-stacked
 // page-walk cache sees them and only them.
 func (s *System) walkMemFunc(c *coreState) pagetable.MemFunc {
 	return func(a addr.HPA, write bool) uint64 {
@@ -191,7 +190,7 @@ func (s *System) dataAccess(c *coreState, a addr.HPA, write bool, kind cache.Kin
 // the core's current time cursor, advances the cursor by the access
 // latency, and returns that latency. kind tags the line for the split
 // statistics; walkRef marks page-walk PTE references (the only ones the
-// DRAMCache scheme's stacked cache services).
+// dram-cache scheme's stacked cache serves).
 func (s *System) access(c *coreState, a addr.HPA, write bool, kind cache.Kind, walkRef bool) uint64 {
 	line := a.Line()
 	if write && s.cfg.Coherence {
@@ -225,22 +224,11 @@ func (s *System) access(c *coreState, a addr.HPA, write bool, kind cache.Kind, w
 		c.now += lat
 		return lat
 	}
-	if s.l4 != nil {
-		// L4Cache mode: a die-stacked DRAM cache sits between the L3 and
-		// off-chip memory. A tag hit costs one die-stacked access.
-		if s.l4.Access(line, write, kind) {
-			lat += s.l4chan.Access(c.now+lat, a.LineBase(), false).Latency
-			s.fillL3(c, line, false, kind)
-			s.fillL2(c, line, false, kind)
-			s.fillL1(c, line, write, kind)
-			c.now += lat
-			return lat
-		}
-	}
-	if walkRef && s.dcache != nil {
-		// DRAMCache mode: PTE reads that missed on chip are serviced from
-		// the die-stacked page-walk cache before going off chip.
-		if dlat, hit := s.dcache.Probe(c.now+lat, a, write); hit {
+	stacked := s.stacked != nil && (walkRef || s.stackedAll)
+	if stacked {
+		// A die-stacked DRAM cache sits between the L3 and off-chip
+		// memory; a tag hit costs one die-stacked access.
+		if dlat, hit := s.stacked.Probe(c.now+lat, a, write); hit {
 			lat += dlat
 			s.fillL3(c, line, false, kind)
 			s.fillL2(c, line, false, kind)
@@ -251,17 +239,10 @@ func (s *System) access(c *coreState, a addr.HPA, write bool, kind cache.Kind, w
 	}
 	// Miss everywhere: fetch the line from memory (write-allocate).
 	lat += s.memFetch(c.now+lat, a, kind)
-	if s.l4 != nil {
-		// Fill the L4 (the die-stacked write is off the critical path).
-		if ev := s.l4.Fill(line, false, kind); ev.Valid && ev.Dirty {
-			s.ddrFor(addr.HPA(ev.Line<<addr.CacheLineShift)).Access(c.now, addr.HPA(ev.Line<<addr.CacheLineShift), true)
-		}
-		s.l4chan.Access(c.now, a.LineBase(), true)
-	}
-	if walkRef && s.dcache != nil {
+	if stacked {
 		// Fill the stacked cache; its dirty victim retires off chip, both
 		// off the critical path.
-		if victim, dirty := s.dcache.Fill(c.now, a); dirty {
+		if victim, dirty := s.stacked.Fill(c.now, a); dirty {
 			va := addr.HPA(victim << addr.CacheLineShift)
 			s.ddrFor(va).Access(c.now, va, true)
 		}
@@ -420,23 +401,8 @@ func (s *System) touch(c *coreState, va addr.VA, size addr.PageSize) error {
 // seed installs a freshly-mapped page's translation into the simulated
 // scheme's large structure (never into L1/L2 TLBs or data caches).
 func (s *System) seed(c *coreState, va addr.VA) {
-	var hpa addr.HPA
-	var size addr.PageSize
-	if c.vm != nil {
-		var ok bool
-		hpa, size, ok = c.vm.Translate(c.pid, va)
-		if !ok {
-			return
-		}
-	} else {
-		e, ok := s.hyp.NativeProcess(c.pid).Lookup(uint64(va))
-		if !ok {
-			return
-		}
-		size = e.Size
-		hpa = addr.FromPFN(e.PFN, e.Size, 0)
-	}
-	s.scheme.Seed(s, c, va, size, hpa.PFN(size))
+	e := s.logicalEntry(c, va)
+	s.scheme.Seed(s, c, va, e.Size, e.PFN)
 }
 
 // walk performs the mode-appropriate page walk for a core.
@@ -498,8 +464,7 @@ func (s *System) ProcessExit(vmid addr.VMID, pid addr.PID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, c := range s.cores {
-		c.l1tlb.Small.InvalidateProcess(vmid, pid)
-		c.l1tlb.Large.InvalidateProcess(vmid, pid)
+		c.l1tlb.InvalidateProcess(vmid, pid)
 		c.l2tlb.InvalidateProcess(vmid, pid)
 		c.walker.InvalidateAll()
 	}

@@ -1,11 +1,12 @@
-// Package dramcache models a die-stacked DRAM cache dedicated to page
-// walks (after Patil et al., arXiv 2002.01073): the walker's page-table
-// entry reads that miss the on-chip data caches are serviced from a large
-// stacked-DRAM array before going off chip, shortening every walk rather
-// than eliminating walks the way a translation structure does. The
-// structure is an SRAM tag directory (a cache.Cache, so hits and
-// replacement are modelled exactly like the L4 trade-off machine) whose
-// hits cost one access on a die-stacked dram.Channel.
+// Package dramcache models a die-stacked DRAM data cache: an SRAM tag
+// directory (a cache.Cache) whose hits cost one access on a die-stacked
+// dram.Channel, probed after the on-chip caches miss and filled from
+// backing memory. The core spends the POM-TLB's stacked silicon on it
+// two ways: the l4-cache scheme (the paper's §2.2 trade-off) lets it
+// serve every reference, and the dram-cache scheme (after Patil et al.,
+// arXiv 2002.01073) lets it serve only the page walker's PTE reads,
+// shortening every walk rather than eliminating walks the way a
+// translation structure does.
 package dramcache
 
 import (
@@ -40,9 +41,9 @@ func DefaultConfig() Config {
 // tagConfig materializes the tag-directory cache config. The directory's
 // own SRAM probe is folded into the miss path already charged (the L3
 // lookup preceding it), so its Latency is 0 and a hit costs exactly one
-// die-stacked access — the same convention as the L4 trade-off machine.
+// die-stacked access.
 func (c Config) tagConfig() cache.Config {
-	return cache.Config{Name: "DCache", SizeBytes: c.SizeBytes, Ways: c.Ways}
+	return cache.Config{Name: "stacked", SizeBytes: c.SizeBytes, Ways: c.Ways}
 }
 
 // Validate reports configuration errors.
@@ -56,7 +57,7 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Cache is the die-stacked page-walk cache.
+// Cache is the die-stacked DRAM cache.
 type Cache struct {
 	cfg  Config
 	tags *cache.Cache

@@ -50,10 +50,7 @@ func sweep(ctx context.Context, base Options, labels []string, variant func(Opti
 			pen := res.AvgPenalty()
 			penSum += pen
 			elimSum += res.WalkEliminationRate()
-			if pen > p.CyclesPerMissVirt {
-				pen = p.CyclesPerMissVirt
-			}
-			imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, pen))
+			imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, true, pen))
 			if err != nil {
 				fs.record(r.fail(err, name, core.POMTLB), name, core.POMTLB)
 				continue

@@ -56,15 +56,7 @@ func CrossScheme(ctx context.Context, r *Runner) ([]CrossRow, error) {
 				WalkElim: res.WalkEliminationRate(),
 			}
 			if mode != core.Baseline && core.CalibratedWalks(mode) {
-				// Same capping as Figure 8: a simulated penalty above the
-				// measured baseline reads as "no gain".
-				pen := row.Penalty
-				base := p.CyclesPerMissVirt
-				in := perfmodel.FromProfile(p, min64(pen, base))
-				if !r.Options().Virtualized {
-					base = p.CyclesPerMissNative
-					in = perfmodel.FromProfileNative(p, min64(pen, base))
-				}
+				in := perfmodel.FromProfile(p, r.Options().Virtualized, row.Penalty)
 				if imp, err := perfmodel.ImprovementPct(in); err == nil {
 					row.ImprovementPct = imp
 					row.HasImprovement = true
@@ -88,11 +80,4 @@ func WriteCrossScheme(w io.Writer, rows []CrossRow) {
 			fmt.Sprintf("%.1f", row.Penalty), stats.Pct(row.WalkElim), imp)
 	}
 	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
-}
-
-func min64(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -218,12 +218,3 @@ func (o *OrderedCSV) Rows() int {
 	defer o.mu.Unlock()
 	return o.rows
 }
-
-// Pending returns how many rows are buffered waiting for earlier indices
-// — nonzero after an interrupted sweep whose missing cells will only
-// arrive on resume.
-func (o *OrderedCSV) Pending() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.pending)
-}

@@ -142,16 +142,7 @@ func Figure8(ctx context.Context, r *Runner) ([]Fig8Row, Fig8Summary, error) {
 				continue
 			}
 			*sl.pen = res.AvgPenalty()
-			// The scheme cannot be worse than running every miss at the
-			// measured baseline cost: cap penalties at P_base so a
-			// simulated penalty above the measured one (possible when our
-			// synthetic substrate is harsher than the real machine) reads
-			// as "no gain", matching how the paper reports Figure 8.
-			pen := *sl.pen
-			if pen > p.CyclesPerMissVirt {
-				pen = p.CyclesPerMissVirt
-			}
-			imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, pen))
+			imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, true, *sl.pen))
 			if err != nil {
 				fs.record(err, p.Name, sl.mode)
 				ok = false
@@ -300,11 +291,7 @@ func Figure12(ctx context.Context, r *Runner) ([]Fig12Row, float64, float64, err
 				ok = false
 				continue
 			}
-			pen := res.AvgPenalty()
-			if pen > p.CyclesPerMissVirt {
-				pen = p.CyclesPerMissVirt
-			}
-			imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, pen))
+			imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, true, res.AvgPenalty()))
 			if err != nil {
 				fs.record(err, p.Name, m)
 				ok = false

@@ -61,9 +61,6 @@ type Config struct {
 	// Progress, when non-nil, receives one line per completed shard-
 	// stealing event and quarantine — coarse, log-friendly narration.
 	Progress io.Writer
-	// Retry shapes the backoff between attempts (zero = DefaultPolicy
-	// with the base seed).
-	Retry resilience.Policy
 }
 
 // CellResult is one completed cell.
@@ -231,12 +228,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		shards = runtime.GOMAXPROCS(0)
 	}
 
-	e := &engine{cfg: cfg}
-	e.policy = cfg.Retry
-	if e.policy.MaxAttempts == 0 && e.policy.BaseDelay == 0 {
-		e.policy = resilience.DefaultPolicy()
-		e.policy.Seed = cfg.Base.Seed
-	}
+	e := &engine{cfg: cfg, policy: resilience.DefaultPolicy()}
+	e.policy.Seed = cfg.Base.Seed
 	e.policy.MaxAttempts = cfg.QuarantineAfter
 	if cfg.RetryBudget >= 0 {
 		e.budget = resilience.NewBudget(cfg.RetryBudget)

@@ -47,10 +47,8 @@ func TestRefTLBAgreement(t *testing.T) {
 			})
 		case op < 96:
 			prod.InvalidatePage(vm, pid, va.VPN(size), size)
-		case op < 98:
-			prod.InvalidateProcess(vm, pid)
 		case op < 99:
-			prod.InvalidateVM(vm)
+			prod.InvalidateProcess(vm, pid)
 		default:
 			prod.InvalidateAll()
 		}
@@ -260,10 +258,8 @@ func TestRefPOMAgreement(t *testing.T) {
 			})
 		case op < 97:
 			part.InvalidatePage(vm, pid, va.VPN(size))
-		case op < 99:
-			part.InvalidateProcess(vm, pid)
 		default:
-			part.InvalidateVM(vm)
+			part.InvalidateProcess(vm, pid)
 		}
 	}
 	if err := h.Err(); err != nil {

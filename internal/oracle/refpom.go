@@ -153,28 +153,20 @@ func (r *RefPOM) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, found bo
 	}
 }
 
-// InvalidateProcess implements pomtlb.Shadow.
+// InvalidateProcess implements pomtlb.Shadow: it drops every reference
+// entry of (vm, pid) and diffs the removal count.
 func (r *RefPOM) InvalidateProcess(vm addr.VMID, pid addr.PID, n int) {
-	r.sweep(func(w refWay) bool { return w.vm == vm && w.pid == pid }, n, "process flush")
-}
-
-// InvalidateVM implements pomtlb.Shadow.
-func (r *RefPOM) InvalidateVM(vm addr.VMID, n int) {
-	r.sweep(func(w refWay) bool { return w.vm == vm }, n, "VM flush")
-}
-
-func (r *RefPOM) sweep(drop func(refWay) bool, n int, what string) {
 	r.h.Decision()
 	removed := 0
 	for _, set := range r.sets {
 		for i := range set {
-			if set[i].valid && drop(set[i]) {
+			if set[i].valid && set[i].vm == vm && set[i].pid == pid {
 				set[i] = refWay{}
 				removed++
 			}
 		}
 	}
 	if removed != n {
-		r.h.Reportf("%s: %s dropped %d production entries, %d reference entries", r.name, what, n, removed)
+		r.h.Reportf("%s: process flush dropped %d production entries, %d reference entries", r.name, n, removed)
 	}
 }

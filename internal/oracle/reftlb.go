@@ -126,32 +126,15 @@ func (r *RefTLB) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, size add
 	}
 }
 
-// InvalidateProcess implements tlb.Shadow.
+// InvalidateProcess implements tlb.Shadow: it drops every reference
+// entry of (vm, pid) and diffs the removal count.
 func (r *RefTLB) InvalidateProcess(vm addr.VMID, pid addr.PID, n int) {
-	r.sweep(func(e tlb.Entry) bool { return e.VM == vm && e.PID == pid }, n, "process flush")
-}
-
-// InvalidateVM implements tlb.Shadow.
-func (r *RefTLB) InvalidateVM(vm addr.VMID, n int) {
-	r.sweep(func(e tlb.Entry) bool { return e.VM == vm }, n, "VM flush")
-}
-
-// InvalidateAll implements tlb.Shadow.
-func (r *RefTLB) InvalidateAll() {
-	r.h.Decision()
-	for i := range r.sets {
-		r.sets[i] = nil
-	}
-}
-
-// sweep removes every entry matching drop and diffs the removal count.
-func (r *RefTLB) sweep(drop func(tlb.Entry) bool, n int, what string) {
 	r.h.Decision()
 	removed := 0
 	for si, set := range r.sets {
 		kept := set[:0:len(set)]
 		for _, e := range set {
-			if drop(e) {
+			if e.VM == vm && e.PID == pid {
 				removed++
 			} else {
 				kept = append(kept, e)
@@ -160,6 +143,14 @@ func (r *RefTLB) sweep(drop func(tlb.Entry) bool, n int, what string) {
 		r.sets[si] = kept
 	}
 	if removed != n {
-		r.h.Reportf("tlb %s: %s dropped %d production entries, %d reference entries", r.name, what, n, removed)
+		r.h.Reportf("tlb %s: process flush dropped %d production entries, %d reference entries", r.name, n, removed)
+	}
+}
+
+// InvalidateAll implements tlb.Shadow.
+func (r *RefTLB) InvalidateAll() {
+	r.h.Decision()
+	for i := range r.sets {
+		r.sets[i] = nil
 	}
 }

@@ -35,7 +35,7 @@ func TestSpeedupMCFExample(t *testing.T) {
 	// mcf: f = 19.01%, P_base = 169. A simulated POM penalty of ~45
 	// cycles gives the mid-teens improvement Figure 8 shows.
 	p, _ := workloads.ByName("mcf")
-	imp, err := ImprovementPct(FromProfile(p, 45))
+	imp, err := ImprovementPct(FromProfile(p, true, 45))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSpeedupMCFExample(t *testing.T) {
 func TestStreamclusterHasNoHeadroom(t *testing.T) {
 	// streamcluster: f = 2.11% — even a perfect scheme gains ~2%.
 	p, _ := workloads.ByName("streamcluster")
-	imp, err := ImprovementPct(FromProfile(p, 0))
+	imp, err := ImprovementPct(FromProfile(p, true, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,12 +167,37 @@ func TestSpeedupBoundProperty(t *testing.T) {
 
 func TestFromProfileNative(t *testing.T) {
 	p, _ := workloads.ByName("astar")
-	in := FromProfileNative(p, 50)
-	if math.Abs(in.OverheadFrac-0.1389) > 1e-9 || in.BaselinePenalty != 98 {
+	in := FromProfile(p, false, 50)
+	if math.Abs(in.OverheadFrac-0.1389) > 1e-9 || in.BaselinePenalty != 98 || in.SchemePenalty != 50 {
 		t.Errorf("native input = %+v", in)
 	}
-	inv := FromProfile(p, 50)
-	if math.Abs(inv.OverheadFrac-0.1608) > 1e-9 || inv.BaselinePenalty != 114 {
+	inv := FromProfile(p, true, 50)
+	if math.Abs(inv.OverheadFrac-0.1608) > 1e-9 || inv.BaselinePenalty != 114 || inv.SchemePenalty != 50 {
 		t.Errorf("virt input = %+v", inv)
+	}
+}
+
+// TestFromProfileCapsAtBaseline pins that a simulated penalty above the
+// measured baseline of the run's own columns models as no gain, never as
+// a slowdown: ccomponent's native baseline is 44 cycles, its virtualized
+// one 1158.
+func TestFromProfileCapsAtBaseline(t *testing.T) {
+	p, _ := workloads.ByName("ccomponent")
+	for _, tc := range []struct {
+		virtualized  bool
+		pen, wantCap float64
+	}{
+		{false, 200, 44},
+		{false, 30, 30},
+		{true, 2000, 1158},
+		{true, 200, 200},
+	} {
+		in := FromProfile(p, tc.virtualized, tc.pen)
+		if in.SchemePenalty != tc.wantCap {
+			t.Errorf("virtualized=%v pen=%v: scheme penalty %v, want %v", tc.virtualized, tc.pen, in.SchemePenalty, tc.wantCap)
+		}
+		if imp, err := ImprovementPct(in); err != nil || imp < -1e-9 {
+			t.Errorf("virtualized=%v pen=%v: improvement %v, %v; want no slowdown", tc.virtualized, tc.pen, imp, err)
+		}
 	}
 }

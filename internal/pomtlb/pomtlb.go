@@ -92,7 +92,6 @@ type Shadow interface {
 	Insert(e Entry, victim Entry, evicted bool)
 	InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, found bool)
 	InvalidateProcess(vm addr.VMID, pid addr.PID, n int)
-	InvalidateVM(vm addr.VMID, n int)
 }
 
 // hook wraps an attached Shadow behind a concrete pointer: the
@@ -317,22 +316,6 @@ func (p *Partition) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
 	return n
 }
 
-// InvalidateVM removes every entry of a VM, returning the count removed.
-func (p *Partition) InvalidateVM(vm addr.VMID) int {
-	n := 0
-	for i := range p.entries {
-		if p.entries[i].Valid && p.entries[i].VM == vm {
-			p.entries[i] = Entry{}
-			p.count--
-			n++
-		}
-	}
-	if p.shadow != nil {
-		p.shadow.s.InvalidateVM(vm, n)
-	}
-	return n
-}
-
 // CheckInvariants validates the partition's structural invariants: every
 // valid entry sits in the set its (VPN, VM) index to, carries the
 // partition's page size, has in-range 2-bit LRU state, no (vm, pid, vpn)
@@ -514,11 +497,6 @@ func (t *TLB) HitRate() float64 {
 // InvalidatePage shoots a page out of the partition matching its size.
 func (t *TLB) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, size addr.PageSize) bool {
 	return t.Partition(size).InvalidatePage(vm, pid, vpn)
-}
-
-// InvalidateVM removes all of a VM's entries from both partitions.
-func (t *TLB) InvalidateVM(vm addr.VMID) int {
-	return t.Small.InvalidateVM(vm) + t.Large.InvalidateVM(vm)
 }
 
 // InvalidateProcess removes all of a process's entries from both

@@ -93,14 +93,7 @@ func (s *Server) sessionMetrics(sess *session) SessionMetrics {
 		Error:  emsg,
 	}
 	if p, ok := knownProfile(sess.workload); ok && sess.cfg.Mode != core.Baseline {
-		pen := res.AvgPenalty()
-		if pen > p.CyclesPerMissVirt {
-			pen = p.CyclesPerMissVirt
-		}
-		in := perfmodel.FromProfile(p, pen)
-		if !sess.cfg.Virtualized {
-			in = perfmodel.FromProfileNative(p, pen)
-		}
+		in := perfmodel.FromProfile(p, sess.cfg.Virtualized, res.AvgPenalty())
 		if imp, err := perfmodel.ImprovementPct(in); err == nil {
 			m.ModelledImprovementPct = &imp
 		}

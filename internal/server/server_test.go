@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -223,6 +224,40 @@ func TestHTTPOfflineParity(t *testing.T) {
 				t.Error("stream never wrapped; the parity test should exercise replay wrap")
 			}
 		})
+	}
+}
+
+// TestNativeSessionModelsNativeColumns pins that a bare-metal session
+// caps its penalty at Table 2's native baseline (ccomponent: 44 cycles),
+// not the virtualized one (1158): a simulated P_avg above 44 models as
+// no gain rather than as a slowdown.
+func TestNativeSessionModelsNativeColumns(t *testing.T) {
+	// A 4 GB uniform footprint of 4 KB pages: native walks miss the
+	// caches, so P_avg lands well above 44 cycles.
+	recs := trace.Collect(trace.NewUniform(trace.Params{Seed: 5, FootprintBytes: 4 << 30,
+		Threads: 2, MeanGap: 6}), 20_000)
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	tc := newTestClient(t, ts.URL)
+
+	id := tc.createSession(CreateRequest{Workload: "ccomponent", Mode: "shared-l2", Native: true,
+		Cores: 2, WarmupRefs: 10_000, MaxRefs: 10_000})
+	tc.upload(id, recs, 4096)
+	tc.finish(id)
+	m := tc.await(id, 30*time.Second)
+	if m.State != "done" {
+		t.Fatalf("session state = %s (error %q), want done", m.State, m.Error)
+	}
+	if m.AvgPenalty <= 44 {
+		t.Fatalf("P_avg = %.1f does not exceed the native baseline; the cap goes unexercised", m.AvgPenalty)
+	}
+	if m.ModelledImprovementPct == nil {
+		t.Fatal("no modelled improvement for a Table 2 workload")
+	}
+	if imp := *m.ModelledImprovementPct; math.Abs(imp) > 1e-9 {
+		t.Errorf("modelled improvement = %.2f%%, want 0 (P_avg %.1f capped at 44)", imp, m.AvgPenalty)
 	}
 }
 

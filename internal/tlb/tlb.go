@@ -105,8 +105,6 @@ type Shadow interface {
 	// InvalidateProcess reports a process flush and how many entries the
 	// production model dropped.
 	InvalidateProcess(vm addr.VMID, pid addr.PID, n int)
-	// InvalidateVM reports a VM flush and how many entries were dropped.
-	InvalidateVM(vm addr.VMID, n int)
 	// InvalidateAll reports a full flush.
 	InvalidateAll()
 }
@@ -295,22 +293,6 @@ func (t *TLB) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, size addr.P
 	return found
 }
 
-// InvalidateVM drops every translation belonging to a VM (VM teardown) and
-// returns how many entries were removed.
-func (t *TLB) InvalidateVM(vm addr.VMID) int {
-	n := 0
-	for i := range t.slots {
-		if t.slots[i].entry.Valid && t.slots[i].entry.VM == vm {
-			t.slots[i] = slot{}
-			n++
-		}
-	}
-	if t.shadow != nil {
-		t.shadow.s.InvalidateVM(vm, n)
-	}
-	return n
-}
-
 // InvalidateProcess drops every translation of (vm, pid) — the shootdown
 // a process exit requires before its PID can be recycled (§2.2).
 func (t *TLB) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
@@ -481,6 +463,13 @@ func (l *SplitL1) Insert(e Entry) {
 // InvalidatePage shoots one page out of whichever structure holds it.
 func (l *SplitL1) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, size addr.PageSize) bool {
 	return l.structFor(size).InvalidatePage(vm, pid, vpn, size)
+}
+
+// InvalidateProcess drops every translation of (vm, pid) from all
+// structures, returning how many entries were removed.
+func (l *SplitL1) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
+	return l.Small.InvalidateProcess(vm, pid) + l.Large.InvalidateProcess(vm, pid) +
+		l.Huge.InvalidateProcess(vm, pid)
 }
 
 // InvalidateAll flushes all structures.

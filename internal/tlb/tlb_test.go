@@ -139,20 +139,6 @@ func TestInvalidatePage(t *testing.T) {
 	}
 }
 
-func TestInvalidateVM(t *testing.T) {
-	tl := MustNew(L2Unified())
-	for vpn := uint64(0); vpn < 10; vpn++ {
-		tl.Insert(entry4K(1, 1, vpn, vpn))
-		tl.Insert(entry4K(2, 1, vpn+1000, vpn))
-	}
-	if n := tl.InvalidateVM(1); n != 10 {
-		t.Errorf("InvalidateVM removed %d, want 10", n)
-	}
-	if tl.Count() != 10 {
-		t.Errorf("Count = %d, want 10 (VM 2 untouched)", tl.Count())
-	}
-}
-
 func TestInvalidateAll(t *testing.T) {
 	tl := MustNew(L2Unified())
 	tl.Insert(entry4K(1, 1, 1, 1))
@@ -283,6 +269,28 @@ func TestSplitL1HugePages(t *testing.T) {
 	}
 	if !l1.InvalidatePage(1, 1, va.VPN(addr.Page1G), addr.Page1G) {
 		t.Error("1G shootdown failed")
+	}
+}
+
+// TestSplitL1InvalidateProcess pins that a process flush reaches all
+// three L1 structures, the 1 GB one included, and spares other processes.
+func TestSplitL1InvalidateProcess(t *testing.T) {
+	l1 := DefaultSplitL1()
+	for _, size := range []addr.PageSize{addr.Page4K, addr.Page2M, addr.Page1G} {
+		l1.Insert(Entry{VM: 1, PID: 1, VPN: 1, PFN: 0x10, Size: size, Valid: true})
+		l1.Insert(Entry{VM: 1, PID: 2, VPN: 1, PFN: 0x20, Size: size, Valid: true})
+	}
+	if n := l1.InvalidateProcess(1, 1); n != 3 {
+		t.Errorf("removed %d, want 3 (one per page size)", n)
+	}
+	for _, size := range []addr.PageSize{addr.Page4K, addr.Page2M, addr.Page1G} {
+		va := addr.VA(1 << size.Shift())
+		if _, ok := l1.Lookup(1, 1, va); ok {
+			t.Errorf("%s translation of the flushed process survived", size)
+		}
+		if e, ok := l1.Lookup(1, 2, va); !ok || e.PFN != 0x20 {
+			t.Errorf("%s translation of PID 2 = %+v, %v; want it kept", size, e, ok)
+		}
 	}
 }
 

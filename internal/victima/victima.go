@@ -350,22 +350,6 @@ func (s *Store) Occupied(si uint64) bool {
 	return false
 }
 
-// OccupiedSets returns how many blocks currently hold at least one entry
-// — the store's L2 data-cache footprint in lines.
-func (s *Store) OccupiedSets() int {
-	n := 0
-	for si := uint64(0); si <= s.setMask; si++ {
-		set := s.setFor(si)
-		for i := range set {
-			if set[i].entry.Valid {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
 // CheckInvariants validates internal consistency: the count matches the
 // valid slots, every entry sits in the set its VPN selects, and no set
 // holds duplicate (vm, pid, vpn, size) entries.

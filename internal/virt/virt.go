@@ -123,9 +123,6 @@ func NewHypervisor(cfg Config) *Hypervisor {
 
 func alignUp(x, a uint64) uint64 { return (x + a - 1) &^ (a - 1) }
 
-// HostAlloc returns the host physical frame allocator.
-func (h *Hypervisor) HostAlloc() *FrameAlloc { return h.halloc }
-
 // NewVM registers a virtual machine. VMID 0 is reserved for native
 // execution.
 func (h *Hypervisor) NewVM(id addr.VMID) (*VM, error) {
