@@ -43,7 +43,6 @@ import (
 	"syscall"
 
 	"repro/internal/experiments"
-	"repro/internal/experiments/sweep"
 	"repro/internal/resilience/faultinject"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -68,7 +67,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fig       = fs.Int("fig", 0, "figure number to regenerate (2,3,4,8,9,10,11,12)")
 		table     = fs.Int("table", 0, "table number to print (1,2)")
 		report    = fs.String("report", "", "write the full markdown report to this file")
-		quick     = fs.Bool("quick", false, "short traces and 2 cores (smoke test)")
+		quick     = fs.Bool("quick", false, "short traces and 2 cores (smoke test); -cores, -refs and -warmup still override")
 		cores     = fs.Int("cores", 8, "simulated cores")
 		refs      = fs.Int("refs", 500_000, "measured references per run")
 		warmup    = fs.Int("warmup", 500_000, "warmup references per run")
@@ -85,8 +84,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 		sweepSpec  = fs.String("sweep", "", "run a design-space sweep over this grid, e.g. 'schemes=pom-tlb,tsb:pom-mb=4,8:pom-ways=2,4'")
 		shards     = fs.Int("shards", runtime.GOMAXPROCS(0), "sweep worker shards (work-stealing pool size)")
-		budget     = fs.Int("retry-budget", sweep.DefaultRetryBudget, "global retry budget shared by every sweep cell")
-		quarAfter  = fs.Int("quarantine-after", sweep.DefaultQuarantineAfter, "per-cell attempt cap before a sweep cell is quarantined")
+		budget     = fs.Int("retry-budget", experiments.DefaultRetryBudget, "global retry budget shared by every sweep cell")
+		quarAfter  = fs.Int("quarantine-after", experiments.DefaultQuarantineAfter, "per-cell attempt cap before a sweep cell is quarantined")
 		sweepCSV   = fs.String("sweep-csv", "", "stream sweep results to this CSV file (default: stdout)")
 		manifest   = fs.String("manifest", "", "write the sweep quarantine manifest (JSON) to this file")
 		faultRate  = fs.Float64("fault-rate", 0, "chaos testing: per-cell probability of one injected transient failure")
@@ -141,12 +140,20 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	opts := experiments.DefaultOptions()
-	opts.Cores = *cores
-	opts.MaxRefs = *refs
-	opts.WarmupRefs = *warmup
 	if *quick {
 		opts = experiments.QuickOptions()
 	}
+	// Flags given on the command line override either preset.
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "cores":
+			opts.Cores = *cores
+		case "refs":
+			opts.MaxRefs = *refs
+		case "warmup":
+			opts.WarmupRefs = *warmup
+		}
+	})
 	if *wl != "" {
 		opts.Workloads = strings.Split(*wl, ",")
 		for _, n := range opts.Workloads {
@@ -169,11 +176,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *consol != "" && !ok {
 		return fmt.Errorf("unknown consolidation preset %q (known: %s)", *consol, strings.Join(workloads.ConsolidationNames(), ", "))
 	}
-	var spec sweep.Spec
+	var spec experiments.Spec
 	fingerprint := experiments.Fingerprint(opts)
 	if *sweepSpec != "" {
 		var err error
-		if spec, err = sweep.ParseSpec(*sweepSpec); err != nil {
+		if spec, err = experiments.ParseSpec(*sweepSpec); err != nil {
 			return err
 		}
 		fingerprint = experiments.SweepFingerprint(opts, spec.Canonical())
@@ -349,9 +356,9 @@ type sweepFlags struct {
 // the CSV, the quarantine manifest, and a one-line summary. A sweep with
 // quarantined cells still emits everything and then exits non-zero, so
 // automation notices the degradation without losing the completed grid.
-func runSweep(ctx context.Context, out io.Writer, opts experiments.Options, spec sweep.Spec,
+func runSweep(ctx context.Context, out io.Writer, opts experiments.Options, spec experiments.Spec,
 	journal *experiments.SweepJournal, f sweepFlags) error {
-	cfg := sweep.Config{
+	cfg := experiments.SweepConfig{
 		Base:            opts,
 		Spec:            spec,
 		Shards:          f.shards,
@@ -366,7 +373,7 @@ func runSweep(ctx context.Context, out io.Writer, opts experiments.Options, spec
 	}
 	if f.faultRate > 0 || f.faultPanicRate > 0 {
 		s := faultinject.NewSchedule()
-		plan := sweep.SeedChaos(s, spec.Cells(names), f.faultPanicRate, f.faultRate, f.faultSeed)
+		plan := experiments.SeedChaos(s, spec.Cells(names), f.faultPanicRate, f.faultRate, f.faultSeed)
 		cfg.Faults = s
 		fmt.Fprintf(out, "chaos plan (seed %d): %d cell(s) panic, %d flaky\n",
 			f.faultSeed, len(plan.Panicked), len(plan.Flaky))
@@ -395,7 +402,7 @@ func runSweep(ctx context.Context, out io.Writer, opts experiments.Options, spec
 		cfg.CSV = out
 	}
 
-	rep, runErr := sweep.Run(ctx, cfg)
+	rep, runErr := experiments.RunSweep(ctx, cfg)
 	if rep == nil {
 		return runErr
 	}

@@ -103,6 +103,24 @@ func TestCampaignJournalResume(t *testing.T) {
 	}
 }
 
+// TestQuickKeepsExplicitFlags pins that -quick only sets defaults: a
+// journal written under -quick -cores 4 simulates another machine than
+// plain -quick (2 cores), so resuming it there must be refused.
+func TestQuickKeepsExplicitFlags(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "campaign.journal")
+	var sb strings.Builder
+	if err := run(context.Background(), []string{"-quick", "-cores", "4", "-fig", "9",
+		"-workloads", "gups", "-checkpoint", journal}, &sb); err != nil {
+		t.Fatalf("campaign failed: %v\n%s", err, sb.String())
+	}
+	sb.Reset()
+	err := run(context.Background(), []string{"-quick", "-fig", "9",
+		"-workloads", "gups", "-checkpoint", journal, "-resume"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "different options") {
+		t.Fatalf("resume under other -cores not refused: %v\n%s", err, sb.String())
+	}
+}
+
 func TestConsolidationJournal(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "consol.journal")
 	var sb strings.Builder

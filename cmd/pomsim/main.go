@@ -3,7 +3,6 @@
 // Usage:
 //
 //	pomsim -workload mcf -mode pom-tlb -cores 8 -refs 500000
-//	pomsim -workload mcf -sweep 'schemes=pom-tlb,tsb:pom-mb=4,8,16'
 //	pomsim -workload consol-zipf -compare               # consolidation scenario
 //	pomsim -workload consol-churn -tenants 200 -churn 5000
 //	pomsim -config experiment.json
@@ -22,7 +21,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 
@@ -30,7 +28,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/experiments/sweep"
 	"repro/internal/perfmodel"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -67,11 +64,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		tenants  = fs.Int("tenants", 0, "consolidation: override the preset's guest count (0 = preset)")
 		churn    = fs.Int("churn", 0, "consolidation: override the storm interval in records (-1 = off, 0 = preset)")
 		phases   = fs.Int("phases", 0, "consolidation: override the working-set phase count (0 = preset)")
-
-		sweepSpec = fs.String("sweep", "", "sweep the workload over this geometry grid, e.g. 'schemes=pom-tlb,tsb:pom-mb=4,8,16:pom-ways=2,4'")
-		shards    = fs.Int("shards", runtime.GOMAXPROCS(0), "sweep worker shards (work-stealing pool size)")
-		budget    = fs.Int("retry-budget", sweep.DefaultRetryBudget, "global retry budget shared by every sweep cell")
-		quarAfter = fs.Int("quarantine-after", sweep.DefaultQuarantineAfter, "per-cell attempt cap before a sweep cell is quarantined")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,14 +83,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("-warmup must be non-negative (got %d)", *warmup)
 	case *pomMB == 0:
 		return fmt.Errorf("-pom-mb must be positive")
-	case *shards <= 0:
-		return fmt.Errorf("-shards must be positive (got %d)", *shards)
-	case *budget <= 0:
-		return fmt.Errorf("-retry-budget must be positive (got %d)", *budget)
-	case *quarAfter < 1:
-		return fmt.Errorf("-quarantine-after must be at least 1 (got %d)", *quarAfter)
-	case *sweepSpec != "" && (*compare || *selfchk || *trcPath != "" || *cfgPath != ""):
-		return fmt.Errorf("-sweep cannot be combined with -compare/-selfcheck/-trace/-config")
+	case *trcPath != "" && (*compare || *selfchk):
+		return fmt.Errorf("-trace cannot be combined with -compare/-selfcheck, which run the synthetic generators")
 	case *tenants < 0 || (*tenants > 0 && *tenants < 3):
 		return fmt.Errorf("-tenants must be 0 (inherit) or at least 3 (got %d)", *tenants)
 	case *churn < -1:
@@ -160,8 +146,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return fmt.Errorf("-trace replay cannot drive consolidation scenario %q", file.Workload)
 		}
 		switch {
-		case *sweepSpec != "":
-			return runGeometrySweep(ctx, out, file.Workload, base, *sweepSpec, *shards, *budget, *quarAfter)
 		case *selfchk:
 			return runSelfCheck(ctx, out, cfg)
 		case *compare:
@@ -183,9 +167,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	p, ok := workloads.ByName(file.Workload)
 	if !ok {
 		return fmt.Errorf("unknown workload %q (try -list)", file.Workload)
-	}
-	if *sweepSpec != "" {
-		return runGeometrySweep(ctx, out, p.Name, base, *sweepSpec, *shards, *budget, *quarAfter)
 	}
 	if *selfchk {
 		return runSelfCheck(ctx, out, file.Config)
@@ -284,50 +265,6 @@ func printResult(out io.Writer, p workloads.Profile, virtualized bool, res core.
 		}
 	}
 	fmt.Fprintln(out)
-}
-
-// runGeometrySweep runs one workload across the -sweep geometry grid on
-// the sharded sweep engine and prints the per-cell metrics as a table.
-// Quarantined cells are listed after the table and make the command exit
-// non-zero without suppressing the completed rows.
-func runGeometrySweep(ctx context.Context, out io.Writer, name string, base experiments.Options,
-	specStr string, shards, budget, quarAfter int) error {
-	spec, err := sweep.ParseSpec(specStr)
-	if err != nil {
-		return err
-	}
-	base.Workloads = []string{name}
-	rep, runErr := sweep.Run(ctx, sweep.Config{
-		Base:            base,
-		Spec:            spec,
-		Shards:          shards,
-		RetryBudget:     budget,
-		QuarantineAfter: quarAfter,
-		Collect:         true,
-	})
-	if rep == nil {
-		return runErr
-	}
-
-	t := stats.NewTable("scheme", "variant", "P_avg", "walk elim", "L2 TLB hit", "IPC")
-	for _, r := range rep.Results {
-		t.AddRow(r.Cell.Mode.String(), r.Cell.Variant.Label(),
-			fmt.Sprintf("%.1f", r.Res.AvgPenalty()),
-			stats.Pct(r.Res.WalkEliminationRate()),
-			stats.Pct(r.Res.L2TLB.Ratio()),
-			fmt.Sprintf("%.3f", r.Res.IPC()))
-	}
-	fmt.Fprintf(out, "workload %s — %d-cell geometry sweep\n\n%s", name, rep.Total, t.String())
-	for _, q := range rep.Quarantined {
-		fmt.Fprintf(out, "quarantined: %s after %d attempt(s): %s\n", q.Key, q.Attempts, q.Error)
-	}
-	if runErr != nil {
-		return runErr
-	}
-	if n := len(rep.Quarantined); n > 0 {
-		return fmt.Errorf("sweep degraded: %d of %d cell(s) quarantined", n, rep.Total)
-	}
-	return nil
 }
 
 // runComparison runs every registered translation scheme on one workload

@@ -74,6 +74,15 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-mode", "l4-cache", "-pom-mb", "3", "-refs", "10", "-warmup", "0"}, &sb); err == nil {
 		t.Error("an L4 cache NewSystem cannot build accepted")
 	}
+	// -compare and -selfcheck run the synthetic generators, so a -trace
+	// beside them would be silently ignored.
+	for _, flag := range []string{"-compare", "-selfcheck"} {
+		args := []string{"-trace", "/nonexistent.trc", flag, "-workload", "gups",
+			"-cores", "2", "-refs", "2000", "-warmup", "2000"}
+		if err := run(context.Background(), args, &sb); err == nil {
+			t.Errorf("-trace with %s accepted", flag)
+		}
+	}
 }
 
 func TestRunFromConfigFile(t *testing.T) {
@@ -143,41 +152,6 @@ func TestRunCompare(t *testing.T) {
 	for _, want := range []string{"baseline", "pom-tlb", "shared-l2", "tsb", "l4-cache", "walk elim"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("comparison missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestRunGeometrySweep(t *testing.T) {
-	var sb strings.Builder
-	err := run(context.Background(), []string{"-workload", "gups", "-cores", "2",
-		"-refs", "4000", "-warmup", "4000",
-		"-sweep", "schemes=pom-tlb,tsb:pom-mb=4,16"}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "4-cell geometry sweep") {
-		t.Errorf("sweep header missing:\n%s", out)
-	}
-	for _, want := range []string{"pom-tlb", "tsb", "pom-mb=4", "pom-mb=16", "P_avg"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("sweep table missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestSweepFlagValidation(t *testing.T) {
-	cases := map[string][]string{
-		"shards":        {"-sweep", "schemes=pom-tlb", "-shards", "0"},
-		"retry budget":  {"-sweep", "schemes=pom-tlb", "-retry-budget", "-1"},
-		"quarantine":    {"-sweep", "schemes=pom-tlb", "-quarantine-after", "0"},
-		"bad spec":      {"-sweep", "bogus-axis=1"},
-		"sweep+compare": {"-sweep", "schemes=pom-tlb", "-compare"},
-	}
-	for name, args := range cases {
-		var sb strings.Builder
-		if err := run(context.Background(), args, &sb); err == nil {
-			t.Errorf("%s: args %v accepted, want error", name, args)
 		}
 	}
 }

@@ -139,7 +139,7 @@ func WriteCSVs(ctx context.Context, dir string, r *Runner) ([]string, error) {
 	return written, fs.err()
 }
 
-// OrderedCSV streams rows to an underlying writer in strict index order
+// orderedCSV streams rows to an underlying writer in strict index order
 // while accepting them in any order — the bridge between a work-stealing
 // sweep (cells finish whenever their shard gets to them) and a results
 // file whose bytes must be identical run over run. Rows are buffered only
@@ -148,18 +148,17 @@ func WriteCSVs(ctx context.Context, dir string, r *Runner) ([]string, error) {
 // rows in memory instead of the whole grid. Quarantined cells call Skip
 // so the prefix can advance past indices that will never produce a row.
 // Safe for concurrent use.
-type OrderedCSV struct {
+type orderedCSV struct {
 	mu      sync.Mutex
 	w       *csv.Writer
 	next    int
 	pending map[int][]string
 	skipped map[int]bool
-	rows    int
 }
 
-// NewOrderedCSV writes the header immediately and returns the streaming
+// newOrderedCSV writes the header immediately and returns the streaming
 // writer.
-func NewOrderedCSV(w io.Writer, header []string) (*OrderedCSV, error) {
+func newOrderedCSV(w io.Writer, header []string) (*orderedCSV, error) {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(header); err != nil {
 		return nil, err
@@ -168,12 +167,12 @@ func NewOrderedCSV(w io.Writer, header []string) (*OrderedCSV, error) {
 	if err := cw.Error(); err != nil {
 		return nil, err
 	}
-	return &OrderedCSV{w: cw, pending: map[int][]string{}, skipped: map[int]bool{}}, nil
+	return &orderedCSV{w: cw, pending: map[int][]string{}, skipped: map[int]bool{}}, nil
 }
 
 // Put hands over the row for index i; it is written once every smaller
 // index has been Put or Skipped.
-func (o *OrderedCSV) Put(i int, row []string) error {
+func (o *orderedCSV) Put(i int, row []string) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.pending[i] = row
@@ -182,7 +181,7 @@ func (o *OrderedCSV) Put(i int, row []string) error {
 
 // Skip marks index i as permanently rowless (a quarantined cell), letting
 // the contiguous prefix flush past it.
-func (o *OrderedCSV) Skip(i int) error {
+func (o *orderedCSV) Skip(i int) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.skipped[i] = true
@@ -190,14 +189,13 @@ func (o *OrderedCSV) Skip(i int) error {
 }
 
 // advance flushes the contiguous prefix. Caller holds o.mu.
-func (o *OrderedCSV) advance() error {
+func (o *orderedCSV) advance() error {
 	for {
 		if row, ok := o.pending[o.next]; ok {
 			if err := o.w.Write(row); err != nil {
 				return err
 			}
 			delete(o.pending, o.next)
-			o.rows++
 			o.next++
 			continue
 		}
@@ -210,11 +208,4 @@ func (o *OrderedCSV) advance() error {
 	}
 	o.w.Flush()
 	return o.w.Error()
-}
-
-// Rows returns how many data rows have been written so far.
-func (o *OrderedCSV) Rows() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.rows
 }

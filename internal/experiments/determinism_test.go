@@ -83,7 +83,7 @@ func TestResumedReportMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer j.Close()
-		held := j.DoneLen()
+		held := j.Len()
 		var sb strings.Builder
 		if err := Report(context.Background(), &sb, NewRunner(tiny(), j), false); err != nil {
 			t.Fatal(err)

@@ -1,4 +1,4 @@
-package sweep
+package experiments
 
 import (
 	"context"
@@ -12,27 +12,37 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/resilience"
 	"repro/internal/resilience/faultinject"
 	"repro/internal/workloads"
 )
 
-// DefaultQuarantineAfter is the per-cell attempt cap when Config leaves
-// it zero.
+// The design-space sweep engine: it shards a set of cells — the
+// workloads × schemes × geometry grid of a sweep, or the workload ×
+// scheme cells a Runner has not memoized yet — over a work-stealing
+// worker pool, runs each inside the resilience envelope (per-cell
+// deadline, capped-backoff retry drawing on a global budget), and
+// degrades gracefully: a cell that exhausts its attempts is quarantined
+// with its captured failure while the others keep going. Completed cells
+// are appended to the SweepJournal, so a SIGKILL mid-shard resumes with
+// exactly the missing cells, and results stream to CSV in deterministic
+// grid order as cells finish.
+
+// DefaultQuarantineAfter is the per-cell attempt cap when SweepConfig
+// leaves it zero.
 const DefaultQuarantineAfter = 3
 
-// DefaultRetryBudget is the global retry pool the command-line front ends
-// give a sweep unless -retry-budget overrides it.
+// DefaultRetryBudget is the global retry pool experiments -sweep gives a
+// sweep unless -retry-budget overrides it.
 const DefaultRetryBudget = 64
 
-// Config describes one sweep run.
-type Config struct {
+// SweepConfig describes one sweep run.
+type SweepConfig struct {
 	// Base supplies the non-swept simulation options (refs, warmup,
 	// virtualization, ...). Base.Workloads restricts the workload axis
 	// (nil = all of Table 2), and Base.WorkloadTimeout bounds each attempt
 	// of a cell (0 = none).
-	Base experiments.Options
+	Base Options
 	// Spec is the geometry grid crossed with workloads × schemes.
 	Spec Spec
 	// Shards is the worker count; each worker owns one shard of the grid
@@ -44,10 +54,11 @@ type Config struct {
 	// QuarantineAfter is the per-cell attempt cap: a cell that has failed
 	// this many times is quarantined (0 = DefaultQuarantineAfter).
 	QuarantineAfter int
-	// Journal, when non-nil, makes the sweep crash-safe: completed and
-	// quarantined cells are served from it without re-running, and every
-	// finished cell is appended to it.
-	Journal *experiments.SweepJournal
+	// Journal, when non-nil, makes the sweep crash-safe: completed cells
+	// are served from it without re-running, and every newly completed
+	// cell is appended to it. Failures are not journaled, so a resume
+	// runs a quarantined cell again.
+	Journal *SweepJournal
 	// Faults is the deterministic chaos plan (nil in production); the
 	// engine fires faultinject.SweepCellSite(key) once per cell attempt
 	// and threads the schedule into each cell's simulation seams.
@@ -55,7 +66,7 @@ type Config struct {
 	// CSV, when non-nil, receives the results as a stream of rows in
 	// deterministic grid order (header first).
 	CSV io.Writer
-	// Collect retains every cell's Result in the Report — convenient for
+	// Collect retains every cell's Result in the report — convenient for
 	// small sweeps and tables, unbounded memory for huge ones.
 	Collect bool
 	// Progress, when non-nil, receives one line per completed shard-
@@ -82,13 +93,15 @@ type QuarantinedCell struct {
 	Error           string `json:"error"`
 	Stack           string `json:"stack,omitempty"`
 	BudgetExhausted bool   `json:"budget_exhausted,omitempty"`
-	FromJournal     bool   `json:"from_journal,omitempty"`
+	// Err is the final error itself, for errors.Is/As and its panic
+	// stack; Error is its message with the cell's variant tagged on.
+	Err error `json:"-"`
 }
 
-// Report summarizes a sweep: how much of the grid completed, what was
-// served from the journal, and the quarantine manifest for everything
-// that did not.
-type Report struct {
+// SweepReport summarizes a sweep: how much of the grid completed, what
+// was served from the journal, and the quarantine manifest for
+// everything that did not.
+type SweepReport struct {
 	Total       int
 	Completed   int
 	FromJournal int
@@ -97,14 +110,14 @@ type Report struct {
 	// BudgetRemaining is the unused retry allowance (-1 = unlimited).
 	BudgetRemaining int
 	Quarantined     []QuarantinedCell
-	// Results is populated only under Config.Collect, in grid order.
+	// Results is populated only under SweepConfig.Collect, in grid order.
 	Results []CellResult
 }
 
 // Abandoned returns how many cells neither completed nor quarantined —
 // nonzero only for cancelled sweeps, and exactly the cells a resume will
 // run.
-func (r *Report) Abandoned() int {
+func (r *SweepReport) Abandoned() int {
 	return r.Total - r.Completed - len(r.Quarantined)
 }
 
@@ -119,7 +132,7 @@ type manifest struct {
 }
 
 // WriteManifest emits the structured failure manifest as indented JSON.
-func (r *Report) WriteManifest(w io.Writer) error {
+func (r *SweepReport) WriteManifest(w io.Writer) error {
 	m := manifest{
 		Total:       r.Total,
 		Completed:   r.Completed,
@@ -136,8 +149,8 @@ func (r *Report) WriteManifest(w io.Writer) error {
 	return enc.Encode(m)
 }
 
-// CSVHeader is the schema of the streamed results file.
-func CSVHeader() []string {
+// csvHeader is the schema of the streamed results file.
+func csvHeader() []string {
 	return []string{"cell", "workload", "scheme", "variant", "pom_mb", "pom_ways",
 		"cores", "seed", "tenants", "churn", "phases",
 		"p_avg", "walk_elim", "l1_hit", "l2_hit", "ipc",
@@ -146,7 +159,7 @@ func CSVHeader() []string {
 
 // csvRow renders one cell's result row. Formatting is fixed-precision so
 // a resumed sweep reproduces an uninterrupted run byte for byte.
-func csvRow(c Cell, o experiments.Options, res core.Result) []string {
+func csvRow(c Cell, o Options, res core.Result) []string {
 	ff := func(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 	pomMB := o.POMSizeBytes >> 20
 	if pomMB == 0 {
@@ -185,25 +198,26 @@ func csvRow(c Cell, o experiments.Options, res core.Result) []string {
 	}
 }
 
-// engine is the mutable state of one Run.
+// engine is the mutable state of one runCells call.
 type engine struct {
-	cfg    Config
+	cfg    SweepConfig
 	budget *resilience.Budget
 	policy resilience.Policy
-	csv    *experiments.OrderedCSV
+	csv    *orderedCSV
 
 	mu      sync.Mutex
 	queues  [][]Cell
-	report  Report
+	report  SweepReport
 	results []CellResult
 }
 
-// Run executes the sweep. The returned Report is valid even when err is
-// non-nil: a cancelled sweep reports what completed before the
-// cancellation (everything of which is journaled), and a degraded sweep
-// returns a nil error with a non-empty quarantine manifest — quarantine
-// is the engine working as designed, not a failure of the sweep.
-func Run(ctx context.Context, cfg Config) (*Report, error) {
+// RunSweep executes the sweep over cfg.Spec's grid. The returned report
+// is valid even when err is non-nil: a cancelled sweep reports what
+// completed before the cancellation (everything of which is journaled),
+// and a degraded sweep returns a nil error with a non-empty quarantine
+// manifest — quarantine is the engine working as designed, not a failure
+// of the sweep.
+func RunSweep(ctx context.Context, cfg SweepConfig) (*SweepReport, error) {
 	names := cfg.Base.Workloads
 	if len(names) == 0 {
 		names = workloads.Names()
@@ -220,6 +234,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
+	return runCells(ctx, cfg, cfg.Spec.Cells(names))
+}
+
+// runCells is the engine's cell loop and the only code in this package
+// that simulates a cell. It runs cells (each Index its position in the
+// slice, which orders the CSV) under cfg and ignores cfg.Spec; RunSweep
+// feeds it a grid, Runner the cells it has not memoized.
+func runCells(ctx context.Context, cfg SweepConfig, cells []Cell) (*SweepReport, error) {
 	if cfg.QuarantineAfter <= 0 {
 		cfg.QuarantineAfter = DefaultQuarantineAfter
 	}
@@ -235,7 +257,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		e.budget = resilience.NewBudget(cfg.RetryBudget)
 	}
 
-	cells := cfg.Spec.Cells(names)
 	e.report.Total = len(cells)
 	if len(cells) == 0 {
 		return &e.report, nil
@@ -243,7 +264,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	if cfg.CSV != nil {
 		var err error
-		e.csv, err = experiments.NewOrderedCSV(cfg.CSV, CSVHeader())
+		e.csv, err = newOrderedCSV(cfg.CSV, csvHeader())
 		if err != nil {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
@@ -281,9 +302,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if e.budget != nil {
 		e.report.BudgetRemaining = e.budget.Remaining()
 	}
-	sortQuarantine(e.report.Quarantined)
+	// Grid order, so degraded sweeps report reproducibly regardless of
+	// worker scheduling.
+	sort.Slice(e.report.Quarantined, func(i, j int) bool {
+		return e.report.Quarantined[i].Index < e.report.Quarantined[j].Index
+	})
 	if cfg.Collect {
-		// Grid order, like the CSV.
 		sort.Slice(e.results, func(i, j int) bool { return e.results[i].Cell.Index < e.results[j].Cell.Index })
 		e.report.Results = e.results
 	}
@@ -339,10 +363,6 @@ func (e *engine) runCell(ctx context.Context, c Cell) {
 		e.finish(CellResult{Cell: c, Res: res, FromJournal: true}, cellOpts)
 		return
 	}
-	if q, ok := e.cfg.Journal.Quarantined(key); ok {
-		e.quarantine(c, q, true, false)
-		return
-	}
 
 	attempts := 0
 	var res core.Result
@@ -352,7 +372,7 @@ func (e *engine) runCell(ctx context.Context, c Cell) {
 			return err
 		}
 		var serr error
-		res, serr = experiments.SimulateCell(ctx, cellOpts, c.Workload, c.Mode)
+		res, serr = SimulateCell(ctx, cellOpts, c.Workload, c.Mode)
 		return serr
 	})
 	if err != nil {
@@ -361,19 +381,7 @@ func (e *engine) runCell(ctx context.Context, c Cell) {
 			// resume runs it.
 			return
 		}
-		q := experiments.QuarantineInfo{
-			Attempts:        attempts,
-			Error:           tagVariant(err, c),
-			BudgetExhausted: errors.Is(err, resilience.ErrBudgetExhausted),
-		}
-		var pe *resilience.PanicError
-		if errors.As(err, &pe) {
-			q.Stack = string(pe.Stack)
-		}
-		if jerr := e.cfg.Journal.PutQuarantined(key, q); jerr != nil {
-			e.journalErr(key, jerr)
-		}
-		e.quarantine(c, q, false, true)
+		e.quarantine(c, attempts, err)
 		return
 	}
 	if jerr := e.cfg.Journal.PutDone(key, res); jerr != nil {
@@ -386,7 +394,7 @@ func (e *engine) runCell(ctx context.Context, c Cell) {
 // campaign layer's WorkloadError, so quarantine manifests name exact grid
 // coordinates.
 func tagVariant(err error, c Cell) string {
-	var we *experiments.WorkloadError
+	var we *WorkloadError
 	if errors.As(err, &we) {
 		if we.Variant == "" {
 			tagged := *we
@@ -397,12 +405,12 @@ func tagVariant(err error, c Cell) string {
 	}
 	// Seam panics and retry-budget errors arrive without workload
 	// identity; stamp the full cell coordinates on.
-	full := &experiments.WorkloadError{Workload: c.Workload, Mode: c.Mode, Variant: c.Variant.Label(), Err: err}
+	full := &WorkloadError{Workload: c.Workload, Mode: c.Mode, Variant: c.Variant.Label(), Err: err}
 	return full.Error()
 }
 
 // finish records one completed cell and streams its row.
-func (e *engine) finish(r CellResult, cellOpts experiments.Options) {
+func (e *engine) finish(r CellResult, cellOpts Options) {
 	if e.csv != nil {
 		if err := e.csv.Put(r.Cell.Index, csvRow(r.Cell, cellOpts, r.Res)); err != nil {
 			e.journalErr(r.Cell.Key(), fmt.Errorf("csv: %w", err))
@@ -424,29 +432,31 @@ func (e *engine) finish(r CellResult, cellOpts experiments.Options) {
 
 // quarantine records one failed cell in the manifest and advances the
 // CSV past its row slot.
-func (e *engine) quarantine(c Cell, q experiments.QuarantineInfo, fromJournal, log bool) {
-	if e.csv != nil {
-		if err := e.csv.Skip(c.Index); err != nil {
-			e.journalErr(c.Key(), fmt.Errorf("csv: %w", err))
-		}
-	}
-	e.mu.Lock()
-	e.report.Quarantined = append(e.report.Quarantined, QuarantinedCell{
+func (e *engine) quarantine(c Cell, attempts int, err error) {
+	q := QuarantinedCell{
 		Index:           c.Index,
 		Key:             c.Key(),
 		Workload:        c.Workload,
 		Scheme:          c.Mode.String(),
 		Variant:         c.Variant.Label(),
-		Attempts:        q.Attempts,
-		Error:           q.Error,
-		Stack:           q.Stack,
-		BudgetExhausted: q.BudgetExhausted,
-		FromJournal:     fromJournal,
-	})
-	e.mu.Unlock()
-	if log {
-		e.logf("sweep: quarantined %s after %d attempt(s): %s", c.Key(), q.Attempts, q.Error)
+		Attempts:        attempts,
+		Error:           tagVariant(err, c),
+		BudgetExhausted: errors.Is(err, resilience.ErrBudgetExhausted),
+		Err:             err,
 	}
+	var pe *resilience.PanicError
+	if errors.As(err, &pe) {
+		q.Stack = string(pe.Stack)
+	}
+	if e.csv != nil {
+		if err := e.csv.Skip(c.Index); err != nil {
+			e.journalErr(q.Key, fmt.Errorf("csv: %w", err))
+		}
+	}
+	e.mu.Lock()
+	e.report.Quarantined = append(e.report.Quarantined, q)
+	e.mu.Unlock()
+	e.logf("sweep: quarantined %s after %d attempt(s): %s", q.Key, attempts, q.Error)
 }
 
 // journalErr counts a journaling/streaming failure without killing the

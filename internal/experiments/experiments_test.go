@@ -5,9 +5,11 @@ import (
 	"math"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/resilience/faultinject"
 )
 
 // quick returns a fast campaign over a 3-workload subset that spans the
@@ -30,6 +32,45 @@ func TestRunnerMemoizes(t *testing.T) {
 	}
 	if a.PenaltyCycles != b.PenaltyCycles || a.Cycles != b.Cycles {
 		t.Error("memoized result differs")
+	}
+}
+
+// TestRunnerConcurrentCallers calls one runner from several goroutines
+// at once: every caller sees the same result, and each cell simulates
+// exactly once.
+func TestRunnerConcurrentCallers(t *testing.T) {
+	opts := sweepTiny()
+	opts.Faults = faultinject.NewSchedule() // empty: counts simulations
+	r := NewRunner(opts, nil)
+	modes := []core.Mode{core.POMTLB, core.TSB}
+	results := make([]core.Result, 4)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				if err := r.Prefetch(context.Background(), []string{"gups"}, modes); err != nil {
+					t.Error(err)
+				}
+			}
+			res, err := r.Result(context.Background(), "gups", core.POMTLB)
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = res
+		}()
+	}
+	wg.Wait()
+	for i, res := range results {
+		if res != results[0] {
+			t.Errorf("caller %d saw a different result", i)
+		}
+	}
+	for _, m := range modes {
+		if n := opts.Faults.Hits(faultinject.WorkerSite("gups", m.String())); n != 1 {
+			t.Errorf("gups/%s simulated %d times, want 1", m, n)
+		}
 	}
 }
 

@@ -20,10 +20,10 @@ import (
 //	<64-hex sha256 of payload> <payload JSON>\n
 //
 // The first record is a header carrying the run's fingerprint (Fingerprint
-// for a campaign, SweepFingerprint for a sweep); every later record is
-// either a completed cell with its full Result or a quarantined sweep cell
-// with its captured error and stack. Campaign cells are keyed
-// "workload|scheme", sweep cells "workload|scheme|variant". A record is
+// for a campaign, SweepFingerprint for a sweep); every later record is a
+// completed cell with its full Result, keyed by Cell.Key. Failures are not
+// journaled: a quarantine is the verdict of the run that made it and lives
+// in that run's manifest, so a resume runs the cell again. A record is
 // only trusted once its hash verifies and its newline is on disk, so a
 // torn trailing write — the mark of a SIGKILL mid-append — is skipped and
 // reported instead of poisoning the resume, and the run re-simulates
@@ -76,41 +76,25 @@ func SweepFingerprint(o Options, grid string) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// QuarantineInfo is the captured failure of a quarantined sweep cell.
-type QuarantineInfo struct {
-	// Attempts is how many times the cell ran before being quarantined.
-	Attempts int `json:"attempts"`
-	// Error is the final error's message.
-	Error string `json:"error"`
-	// Stack is the recovered panic stack, when the failure was a panic.
-	Stack string `json:"stack,omitempty"`
-	// BudgetExhausted marks a cell that was quarantined early because the
-	// sweep's global retry budget ran dry.
-	BudgetExhausted bool `json:"budget_exhausted,omitempty"`
-}
-
 // sweepRecord is the on-disk payload of one journal line.
 type sweepRecord struct {
-	Kind        string          `json:"kind"` // "header", "done", "quarantined"
-	Version     int             `json:"version,omitempty"`
-	Fingerprint string          `json:"fingerprint,omitempty"`
-	Key         string          `json:"key,omitempty"`
-	Result      *core.Result    `json:"result,omitempty"`
-	Quarantine  *QuarantineInfo `json:"quarantine,omitempty"`
+	Kind        string       `json:"kind"` // "header" or "done"
+	Version     int          `json:"version,omitempty"`
+	Fingerprint string       `json:"fingerprint,omitempty"`
+	Key         string       `json:"key,omitempty"`
+	Result      *core.Result `json:"result,omitempty"`
 }
 
 // SweepJournal is the crash-safe cell journal of campaigns and sweeps.
-// All methods are safe for concurrent use by the runner's and the sweep
-// engine's workers; a nil *SweepJournal is inert (runs without
-// -checkpoint).
+// All methods are safe for concurrent use by the engine's workers; a nil
+// *SweepJournal is inert (runs without -checkpoint).
 type SweepJournal struct {
 	path string
 
-	mu          sync.Mutex
-	f           *os.File
-	done        map[string]core.Result
-	quarantined map[string]QuarantineInfo
-	truncated   int
+	mu        sync.Mutex
+	f         *os.File
+	done      map[string]core.Result
+	truncated int
 }
 
 // sweepLine renders one hash-guarded journal line for a payload.
@@ -152,13 +136,13 @@ func parseSweepLine(line []byte) (sweepRecord, error) {
 // anywhere earlier, or a header fingerprint that does not match, fails the
 // open with a descriptive error. A file that starts with '{' is the
 // whole-file JSON checkpoint older versions wrote; it is refused and left
-// untouched rather than recreated as a torn header. The caller owns the
-// returned journal and must Close it.
+// untouched rather than recreated as a torn header. The "quarantined"
+// records older versions wrote are skipped, so those cells run again.
+// The caller owns the returned journal and must Close it.
 func OpenSweepJournal(path, fingerprint string) (*SweepJournal, error) {
 	j := &SweepJournal{
-		path:        path,
-		done:        map[string]core.Result{},
-		quarantined: map[string]QuarantineInfo{},
+		path: path,
+		done: map[string]core.Result{},
 	}
 	raw, err := os.ReadFile(path)
 	switch {
@@ -299,12 +283,10 @@ func (j *SweepJournal) replay(raw []byte, fingerprint string) (int64, error) {
 		case "done":
 			if rec.Result != nil {
 				j.done[rec.Key] = *rec.Result
-				delete(j.quarantined, rec.Key)
 			}
 		case "quarantined":
-			if rec.Quarantine != nil {
-				j.quarantined[rec.Key] = *rec.Quarantine
-			}
+			// An older version's failure record: skipped, so the cell
+			// runs again.
 		default:
 			return 0, fmt.Errorf("journal %s: record %d has unknown kind %q", j.path, i+1, rec.Kind)
 		}
@@ -342,21 +324,6 @@ func (j *SweepJournal) PutDone(key string, res core.Result) error {
 		return err
 	}
 	j.done[key] = res
-	delete(j.quarantined, key)
-	return nil
-}
-
-// PutQuarantined journals one quarantined cell with its captured failure.
-func (j *SweepJournal) PutQuarantined(key string, q QuarantineInfo) error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.append(sweepRecord{Kind: "quarantined", Key: key, Quarantine: &q}); err != nil {
-		return err
-	}
-	j.quarantined[key] = q
 	return nil
 }
 
@@ -371,29 +338,8 @@ func (j *SweepJournal) Done(key string) (core.Result, bool) {
 	return res, ok
 }
 
-// Quarantined returns the journaled quarantine record for a cell.
-func (j *SweepJournal) Quarantined(key string) (QuarantineInfo, bool) {
-	if j == nil {
-		return QuarantineInfo{}, false
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	q, ok := j.quarantined[key]
-	return q, ok
-}
-
-// Len returns the number of journaled cells (completed + quarantined).
+// Len returns the number of journaled completed cells.
 func (j *SweepJournal) Len() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.done) + len(j.quarantined)
-}
-
-// DoneLen returns the number of journaled completed cells.
-func (j *SweepJournal) DoneLen() int {
 	if j == nil {
 		return 0
 	}
@@ -412,14 +358,6 @@ func (j *SweepJournal) TruncatedRecords() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.truncated
-}
-
-// Path returns the journal's file path.
-func (j *SweepJournal) Path() string {
-	if j == nil {
-		return ""
-	}
-	return j.path
 }
 
 // Close releases the journal's file handle. Records already appended are

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,6 +58,9 @@ func sweepFP(t *testing.T) string {
 	return SweepFingerprint(quick(), "pom-mb=1,2:pom-ways=2")
 }
 
+// TestSweepJournalRoundTrip reopens a journal: completed cells survive,
+// and a quarantine record in the format older versions appended is
+// skipped, so that cell runs again.
 func TestSweepJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	fp := sweepFP(t)
@@ -67,12 +72,18 @@ func TestSweepJournalRoundTrip(t *testing.T) {
 	if err := j.PutDone("gups|pom-tlb|pom-mb=1", res); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.PutQuarantined("mcf|tsb|pom-mb=2", QuarantineInfo{Attempts: 3, Error: "boom", Stack: "stack..."}); err != nil {
-		t.Fatal(err)
-	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := `{"kind":"quarantined","key":"mcf|tsb|pom-mb=2","quarantine":{"attempts":3,"error":"boom","stack":"stack..."}}`
+	if _, err := fmt.Fprintf(f, "%x %s\n", sha256.Sum256([]byte(payload)), payload); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 
 	re, err := OpenSweepJournal(path, fp)
 	if err != nil {
@@ -86,12 +97,11 @@ func TestSweepJournalRoundTrip(t *testing.T) {
 	if !ok || got.Records != 42 || got.PenaltyCycles != 7 {
 		t.Errorf("done cell lost or corrupted: %v %+v", ok, got)
 	}
-	q, ok := re.Quarantined("mcf|tsb|pom-mb=2")
-	if !ok || q.Attempts != 3 || q.Error != "boom" {
-		t.Errorf("quarantine record lost: %v %+v", ok, q)
+	if _, ok := re.Done("mcf|tsb|pom-mb=2"); ok {
+		t.Error("a quarantine record was served as a result")
 	}
-	if re.Len() != 2 || re.DoneLen() != 1 {
-		t.Errorf("Len=%d DoneLen=%d, want 2/1", re.Len(), re.DoneLen())
+	if re.Len() != 1 {
+		t.Errorf("Len = %d, want 1", re.Len())
 	}
 }
 
@@ -235,16 +245,10 @@ func TestSweepJournalNilSafe(t *testing.T) {
 	if _, ok := j.Done("x"); ok {
 		t.Error("nil journal returned a cell")
 	}
-	if _, ok := j.Quarantined("x"); ok {
-		t.Error("nil journal returned a quarantine record")
-	}
 	if err := j.PutDone("x", core.Result{}); err != nil {
 		t.Error("nil PutDone must be a no-op")
 	}
-	if err := j.PutQuarantined("x", QuarantineInfo{}); err != nil {
-		t.Error("nil PutQuarantined must be a no-op")
-	}
-	if j.Len() != 0 || j.DoneLen() != 0 || j.TruncatedRecords() != 0 || j.Path() != "" {
+	if j.Len() != 0 || j.TruncatedRecords() != 0 {
 		t.Error("nil accessors must return zero values")
 	}
 	if err := j.Close(); err != nil {

@@ -259,10 +259,3 @@ const fidelityNotes = `## Fidelity notes — where we deviate and why
   caches roughly halves the average penalty in our runs — the clearest
   confirmation of the paper's "TLB-aware caching" suggestion.
 `
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

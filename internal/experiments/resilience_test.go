@@ -75,7 +75,7 @@ func TestResumeCompletesOnlyMissingCell(t *testing.T) {
 	if _, err := Figure9(context.Background(), NewRunner(opts, j)); err == nil {
 		t.Fatal("first campaign should be degraded")
 	}
-	if n := j.DoneLen(); n != 2 {
+	if n := j.Len(); n != 2 {
 		t.Fatalf("journal holds %d cells after the degraded run, want 2", n)
 	}
 	j.Close()
@@ -106,7 +106,7 @@ func TestResumeCompletesOnlyMissingCell(t *testing.T) {
 	if n := opts2.Faults.Hits(faultinject.WorkerSite("gups", core.POMTLB.String())); n != 1 {
 		t.Errorf("missing cell gups simulated %d time(s), want exactly 1", n)
 	}
-	if n := j2.DoneLen(); n != 3 {
+	if n := j2.Len(); n != 3 {
 		t.Errorf("journal holds %d cells after resume, want 3", n)
 	}
 }
@@ -154,8 +154,8 @@ func TestMidCampaignCancellation(t *testing.T) {
 		t.Errorf("completed cell lost after cancellation: %v", err)
 	}
 	// The journal holds exactly the finished cell.
-	if _, ok := j.Done("streamcluster|pom-tlb"); !ok || j.DoneLen() != 1 {
-		t.Errorf("journal holds %d cell(s), want exactly streamcluster|pom-tlb", j.DoneLen())
+	if _, ok := j.Done("streamcluster|pom-tlb"); !ok || j.Len() != 1 {
+		t.Errorf("journal holds %d cell(s), want exactly streamcluster|pom-tlb", j.Len())
 	}
 	// Prefetch waits for its workers, so the goroutine count must settle
 	// back to the baseline (small grace for runtime bookkeeping).

@@ -5,7 +5,8 @@
 // and series the paper reports.
 //
 // Campaigns are resilient: every (workload, scheme) cell is an
-// independently failable job. Worker panics are recovered into structured
+// independently failable job, run by the same engine as a design-space
+// sweep (RunSweep). Worker panics are recovered into structured
 // *WorkloadError values, cells honor per-workload timeouts and campaign
 // cancellation, completed cells are appended to an optional SweepJournal,
 // and the figure layer returns partial results plus a *CampaignError
@@ -16,7 +17,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -139,8 +139,9 @@ func (o Options) config(mode core.Mode) core.Config {
 }
 
 // Runner memoizes simulation results across figures so each
-// (workload, scheme) pair runs exactly once per campaign, even under
-// concurrent figure extraction. At most GOMAXPROCS cells simulate at once.
+// (workload, scheme) pair runs at most once per campaign. It is a memo
+// over the sweep engine: the cells it has no outcome for run through
+// runCells, one attempt each, on the runner's journal.
 type Runner struct {
 	opts    Options
 	journal *SweepJournal
@@ -148,20 +149,11 @@ type Runner struct {
 	// point, the native or uncalibrated re-run); "" for the main one.
 	variant string
 
-	mu    sync.Mutex
-	cells map[runKey]*cell
-	sem   chan struct{}
-}
-
-type runKey struct {
-	workload string
-	mode     core.Mode
-}
-
-type cell struct {
-	once sync.Once
-	res  core.Result
-	err  error
+	// mu serializes engine runs, so concurrent callers never simulate
+	// one cell twice, and guards the memo, keyed by Cell.Key.
+	mu       sync.Mutex
+	results  map[string]core.Result
+	failures map[string]*WorkloadError
 }
 
 // NewRunner creates a runner for the options. A non-nil journal, opened
@@ -170,10 +162,10 @@ type cell struct {
 // and -resume path of cmd/experiments.
 func NewRunner(opts Options, journal *SweepJournal) *Runner {
 	return &Runner{
-		opts:    opts,
-		journal: journal,
-		cells:   make(map[runKey]*cell),
-		sem:     make(chan struct{}, runtime.GOMAXPROCS(0)),
+		opts:     opts,
+		journal:  journal,
+		results:  map[string]core.Result{},
+		failures: map[string]*WorkloadError{},
 	}
 }
 
@@ -188,34 +180,91 @@ func variantRunner(opts Options, variant string) *Runner {
 // Options returns the campaign options.
 func (r *Runner) Options() Options { return r.opts }
 
-// Result simulates (or returns the memoized result of) one workload under
-// one scheme, with campaign cancellation and the full resilience path:
-// journaled cells are served without re-simulating; fresh cells run
-// under the per-workload timeout with panic recovery, and failures come
-// back as structured *WorkloadError values.
+// Result returns the memoized outcome of one workload under one scheme,
+// running the cell first if it has none. Journaled cells are served
+// without re-simulating; fresh cells run under the per-workload timeout
+// with panic recovery, and failures come back as structured
+// *WorkloadError values.
 func (r *Runner) Result(ctx context.Context, name string, mode core.Mode) (core.Result, error) {
-	journalKey := name + "|" + mode.String()
-	if res, ok := r.journal.Done(journalKey); ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := Cell{Workload: name, Mode: mode}
+	r.run(ctx, []Cell{c})
+	return r.outcome(ctx, c)
+}
+
+// Prefetch runs the given (workload × mode) grid under ctx so later
+// figure extraction is instant, waiting for every cell. Unlike a
+// fail-fast errgroup, it always drains the whole grid — one failed cell
+// must not abandon the others' in-flight work — and aggregates every
+// failure into a *CampaignError (nil when clean).
+func (r *Runner) Prefetch(ctx context.Context, names []string, modes []core.Mode) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var cells []Cell
+	for _, n := range names {
+		for _, m := range modes {
+			cells = append(cells, Cell{Workload: n, Mode: m})
+		}
+	}
+	r.run(ctx, cells)
+	var fails []*WorkloadError
+	for _, c := range cells {
+		if _, err := r.outcome(ctx, c); err != nil {
+			fails = append(fails, asWorkloadError(err, c.Workload, c.Mode))
+		}
+	}
+	return campaignError(fails)
+}
+
+// run passes the engine, in one call, every cell with neither a result
+// nor a failure, and memoizes what comes back. Caller holds r.mu.
+func (r *Runner) run(ctx context.Context, cells []Cell) {
+	var todo []Cell
+	queued := map[string]bool{}
+	for _, c := range cells {
+		key := c.Key()
+		_, done := r.results[key]
+		_, failed := r.failures[key]
+		if done || failed || queued[key] {
+			continue
+		}
+		queued[key] = true
+		c.Index = len(todo)
+		todo = append(todo, c)
+	}
+	if len(todo) == 0 {
+		return
+	}
+	// The error only reports a cancellation, which outcome turns into
+	// each unreached cell's failure.
+	rep, _ := runCells(ctx, SweepConfig{
+		Base:            r.opts,
+		QuarantineAfter: 1,
+		Journal:         r.journal,
+		Faults:          r.opts.Faults,
+		Collect:         true,
+	}, todo)
+	for _, cr := range rep.Results {
+		r.results[cr.Cell.Key()] = cr.Res
+	}
+	for _, q := range rep.Quarantined {
+		r.failures[q.Key] = r.fail(q.Err, q.Workload, core.Mode(q.Scheme))
+	}
+}
+
+// outcome returns a cell's memoized result or failure. A cell with
+// neither was never reached by a cancelled run: it fails with ctx's
+// error and stays unrun. Caller holds r.mu.
+func (r *Runner) outcome(ctx context.Context, c Cell) (core.Result, error) {
+	key := c.Key()
+	if res, ok := r.results[key]; ok {
 		return res, nil
 	}
-	key := runKey{name, mode}
-	r.mu.Lock()
-	c, ok := r.cells[key]
-	if !ok {
-		c = &cell{}
-		r.cells[key] = c
+	if we, ok := r.failures[key]; ok {
+		return core.Result{}, we
 	}
-	r.mu.Unlock()
-	c.once.Do(func() {
-		c.res, c.err = r.simulate(ctx, name, mode)
-		if c.err == nil {
-			c.err = r.journal.PutDone(journalKey, c.res)
-		}
-		if c.err != nil {
-			c.err = r.fail(c.err, name, mode)
-		}
-	})
-	return c.res, c.err
+	return core.Result{}, &WorkloadError{Workload: c.Workload, Mode: c.Mode, Variant: r.variant, Err: ctx.Err()}
 }
 
 // fail attributes a cell's error to the cell and to this runner's variant.
@@ -227,27 +276,14 @@ func (r *Runner) fail(err error, name string, mode core.Mode) *WorkloadError {
 	return we
 }
 
-// simulate runs one (workload, scheme) job with semaphore admission
-// (abortable) in front of the shared single-cell path.
-func (r *Runner) simulate(ctx context.Context, name string, mode core.Mode) (core.Result, error) {
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		return core.Result{}, &WorkloadError{Workload: name, Mode: mode, Err: ctx.Err()}
-	}
-	defer func() { <-r.sem }()
-	return SimulateCell(ctx, r.opts, name, mode)
-}
-
 // SimulateCell runs exactly one (workload, scheme) simulation under the
 // resilience envelope: the job runs under opts.WorkloadTimeout, panics
 // anywhere in the simulation stack — substrate constructors, trace
 // generation, the core loop — are recovered into the returned
 // *WorkloadError, and a result that breaks the Result accounting
-// identities fails the cell. Unlike Runner.Result it performs no
-// memoization, journaling, or concurrency limiting; the design-space
-// sweep engine calls it directly from its own worker pool with per-cell
-// geometry in opts.
+// identities fails the cell. It performs no memoization, journaling,
+// retry or concurrency limiting: the engine's cell loop (runCells) adds
+// those around it, with per-cell geometry in opts.
 func SimulateCell(ctx context.Context, opts Options, name string, mode core.Mode) (core.Result, error) {
 	var res core.Result
 	err := resilience.RunWithTimeout(ctx, opts.WorkloadTimeout, func(ctx context.Context) error {
@@ -322,30 +358,4 @@ func (r *Runner) names() []string {
 		out[i] = p.Name
 	}
 	return out
-}
-
-// Prefetch runs the given (workload × mode) grid concurrently under ctx
-// so later figure extraction is instant, waiting for every cell. Unlike a
-// fail-fast errgroup, it always drains the whole grid — one failed cell
-// must not abandon the others' in-flight work — and aggregates every
-// failure into a *CampaignError (nil when clean).
-func (r *Runner) Prefetch(ctx context.Context, names []string, modes []core.Mode) error {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var fails []*WorkloadError
-	for _, n := range names {
-		for _, m := range modes {
-			wg.Add(1)
-			go func(n string, m core.Mode) {
-				defer wg.Done()
-				if _, err := r.Result(ctx, n, m); err != nil {
-					mu.Lock()
-					fails = append(fails, asWorkloadError(err, n, m))
-					mu.Unlock()
-				}
-			}(n, m)
-		}
-	}
-	wg.Wait()
-	return campaignError(fails)
 }

@@ -1,24 +1,11 @@
-// Package sweep is the design-space exploration engine: it shards the
-// cross-product of workloads × translation schemes × geometry (POM-TLB
-// capacity, associativity, core count, trace seed) into independently
-// failable cells, runs them on a work-stealing worker pool inside the
-// resilience envelope (per-cell deadline, capped-backoff retry drawing on
-// a global budget), and degrades gracefully — a cell that exhausts its
-// retries is quarantined with its captured failure while the sweep keeps
-// going. Completed and quarantined cells are journaled to an append-only,
-// fsynced, hash-guarded journal, so a SIGKILL mid-shard resumes with
-// exactly the missing cells, and results stream to CSV in deterministic
-// grid order as cells finish.
-package sweep
+package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 )
 
 // Spec is a design-space grid: every axis is a list of values to cross
@@ -101,15 +88,20 @@ type Cell struct {
 }
 
 // Key is the cell's stable identity in the journal and fault plans:
-// "workload|scheme|variant".
+// "workload|scheme|variant", or "workload|scheme" for a cell with no
+// geometry axis — the key campaign journals have always used.
 func (c Cell) Key() string {
-	return c.Workload + "|" + c.Mode.String() + "|" + c.Variant.Label()
+	key := c.Workload + "|" + c.Mode.String()
+	if c.Variant == (Variant{}) {
+		return key
+	}
+	return key + "|" + c.Variant.Label()
 }
 
 // Options materializes the campaign options for this cell: the base
 // options with the variant's geometry applied and the workload subset
 // cleared (the cell names its own workload).
-func (c Cell) Options(base experiments.Options) experiments.Options {
+func (c Cell) Options(base Options) Options {
 	o := base
 	if c.Variant.PomMB != 0 {
 		o.POMSizeBytes = c.Variant.PomMB << 20
@@ -408,10 +400,4 @@ func orInheritI(vs []int) []int {
 		return []int{0}
 	}
 	return vs
-}
-
-// sortQuarantine orders manifest entries by grid index so degraded sweeps
-// report reproducibly regardless of worker scheduling.
-func sortQuarantine(qs []QuarantinedCell) {
-	sort.Slice(qs, func(i, j int) bool { return qs[i].Index < qs[j].Index })
 }

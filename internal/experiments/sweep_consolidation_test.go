@@ -1,4 +1,4 @@
-package sweep
+package experiments
 
 import (
 	"bytes"
@@ -7,14 +7,13 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/experiments"
 	"repro/internal/resilience/faultinject"
 )
 
 // consolBase is a short consolidation campaign: small traces, but real
 // multi-VM scenarios with storms and phase changes in every cell.
-func consolBase() experiments.Options {
-	return experiments.Options{
+func consolBase() Options {
+	return Options{
 		Cores:       2,
 		VMs:         1,
 		WarmupRefs:  3_000,
@@ -40,7 +39,7 @@ func TestSweepConsolidationAxes(t *testing.T) {
 		t.Fatalf("grid has %d cells, want 8", len(cells))
 	}
 	var csv bytes.Buffer
-	rep, err := Run(context.Background(), Config{Base: base, Spec: spec, Shards: 4, CSV: &csv})
+	rep, err := RunSweep(context.Background(), SweepConfig{Base: base, Spec: spec, Shards: 4, CSV: &csv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestSweepConsolidationAxes(t *testing.T) {
 	plain := consolBase()
 	plain.Workloads = []string{"gups"}
 	var csv2 bytes.Buffer
-	if _, err := Run(context.Background(), Config{
+	if _, err := RunSweep(context.Background(), SweepConfig{
 		Base: plain, Spec: Spec{}, Shards: 1, CSV: &csv2,
 	}); err != nil {
 		t.Fatal(err)
@@ -109,7 +108,7 @@ func TestSweepConsolidationKillResume(t *testing.T) {
 	}
 
 	var csvA bytes.Buffer
-	repA, err := Run(context.Background(), Config{Base: base, Spec: spec, Shards: 4, CSV: &csvA})
+	repA, err := RunSweep(context.Background(), SweepConfig{Base: base, Spec: spec, Shards: 4, CSV: &csvA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +118,8 @@ func TestSweepConsolidationKillResume(t *testing.T) {
 
 	// Interrupted run: hard-cancel when a mid-grid cell starts.
 	path := filepath.Join(t.TempDir(), "consol.journal")
-	fp := experiments.SweepFingerprint(base, spec.Canonical())
-	j1, err := experiments.OpenSweepJournal(path, fp)
+	fp := SweepFingerprint(base, spec.Canonical())
+	j1, err := OpenSweepJournal(path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +127,7 @@ func TestSweepConsolidationKillResume(t *testing.T) {
 	defer cancel()
 	chaos := faultinject.NewSchedule()
 	chaos.CallOn(faultinject.SweepCellSite(cells[len(cells)/2].Key()), cancel, 1)
-	repB, err := Run(ctx, Config{Base: base, Spec: spec, Shards: 2, Journal: j1, Faults: chaos})
+	repB, err := RunSweep(ctx, SweepConfig{Base: base, Spec: spec, Shards: 2, Journal: j1, Faults: chaos})
 	j1.Close()
 	if err == nil {
 		t.Fatal("interrupted run must return an error")
@@ -138,13 +137,13 @@ func TestSweepConsolidationKillResume(t *testing.T) {
 	}
 
 	// Resume against the same journal.
-	j2, err := experiments.OpenSweepJournal(path, fp)
+	j2, err := OpenSweepJournal(path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
 	var csvC bytes.Buffer
-	repC, err := Run(context.Background(), Config{Base: base, Spec: spec, Shards: 4, Journal: j2, CSV: &csvC})
+	repC, err := RunSweep(context.Background(), SweepConfig{Base: base, Spec: spec, Shards: 4, Journal: j2, CSV: &csvC})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package sweep
+package experiments
 
 import (
 	"bytes"
@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/resilience/faultinject"
 	"repro/internal/workloads"
 )
@@ -29,7 +28,7 @@ func TestSweepSoakKillResumeByteIdentical(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 
-	base := experiments.Options{
+	base := Options{
 		Cores:       1,
 		VMs:         1,
 		WarmupRefs:  400,
@@ -60,7 +59,7 @@ func TestSweepSoakKillResumeByteIdentical(t *testing.T) {
 
 	// Reference: one uninterrupted run.
 	var csvA bytes.Buffer
-	repA, err := Run(context.Background(), Config{
+	repA, err := RunSweep(context.Background(), SweepConfig{
 		Base: base, Spec: spec, Shards: 8, RetryBudget: budget,
 		Faults: newChaos(), CSV: &csvA,
 	})
@@ -77,8 +76,8 @@ func TestSweepSoakKillResumeByteIdentical(t *testing.T) {
 	// Interrupted run: journal on, hard cancellation once a mid-grid
 	// fault-free cell is reached.
 	path := filepath.Join(t.TempDir(), "sweep.journal")
-	fp := experiments.SweepFingerprint(base, spec.Canonical())
-	j1, err := experiments.OpenSweepJournal(path, fp)
+	fp := SweepFingerprint(base, spec.Canonical())
+	j1, err := OpenSweepJournal(path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestSweepSoakKillResumeByteIdentical(t *testing.T) {
 	}
 	chaos.CallOn(faultinject.SweepCellSite(cancelKey), cancel, 1)
 
-	repB, err := Run(ctx, Config{
+	repB, err := RunSweep(ctx, SweepConfig{
 		Base: base, Spec: spec, Shards: 8, RetryBudget: budget,
 		Journal: j1, Faults: chaos,
 	})
@@ -128,7 +127,7 @@ func TestSweepSoakKillResumeByteIdentical(t *testing.T) {
 	// Resume: fresh chaos schedule (fault plans are per-process), same
 	// journal. Must complete the grid and reproduce the reference CSV
 	// byte for byte.
-	j2, err := experiments.OpenSweepJournal(path, fp)
+	j2, err := OpenSweepJournal(path, fp)
 	if err != nil {
 		t.Fatalf("resume failed to open torn journal: %v", err)
 	}
@@ -137,7 +136,7 @@ func TestSweepSoakKillResumeByteIdentical(t *testing.T) {
 		t.Errorf("torn tail not detected: TruncatedRecords = %d", j2.TruncatedRecords())
 	}
 	var csvC bytes.Buffer
-	repC, err := Run(context.Background(), Config{
+	repC, err := RunSweep(context.Background(), SweepConfig{
 		Base: base, Spec: spec, Shards: 8, RetryBudget: budget,
 		Journal: j2, Faults: newChaos(), CSV: &csvC,
 	})
@@ -180,7 +179,7 @@ func allWorkloads(t *testing.T) []string {
 	return names
 }
 
-func quarantineKeys(r *Report) []string {
+func quarantineKeys(r *SweepReport) []string {
 	keys := make([]string, 0, len(r.Quarantined))
 	for _, q := range r.Quarantined {
 		keys = append(keys, q.Key)

@@ -1,4 +1,4 @@
-package sweep
+package experiments
 
 import (
 	"bytes"
@@ -9,14 +9,13 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/resilience/faultinject"
 )
 
-// tiny returns base options small enough to run hundreds of cells in a
+// sweepTiny returns base options small enough to run hundreds of cells in a
 // test.
-func tiny() experiments.Options {
-	return experiments.Options{
+func sweepTiny() Options {
+	return Options{
 		Cores:       1,
 		VMs:         1,
 		WarmupRefs:  1500,
@@ -92,21 +91,21 @@ func TestCellsEnumerationDeterministic(t *testing.T) {
 			t.Fatalf("cell %d has index %d", i, c.Index)
 		}
 	}
-	// The zero variant labels as "base" and inherits the base options.
+	// The zero variant keeps the campaign key "workload|scheme".
 	base := Cell{Workload: "gups", Mode: core.POMTLB}
-	if base.Key() != "gups|pom-tlb|base" {
+	if base.Key() != "gups|pom-tlb" {
 		t.Errorf("base key = %s", base.Key())
 	}
 }
 
 func TestCellOptionsAppliesGeometry(t *testing.T) {
 	c := Cell{Variant: Variant{PomMB: 4, PomWays: 2, Cores: 3, Seed: 9}}
-	o := c.Options(tiny())
+	o := c.Options(sweepTiny())
 	if o.POMSizeBytes != 4<<20 || o.POMWays != 2 || o.Cores != 3 || o.Seed != 9 {
 		t.Errorf("options = %+v", o)
 	}
 	// Inherit when zero.
-	o = Cell{}.Options(tiny())
+	o = Cell{}.Options(sweepTiny())
 	if o.POMSizeBytes != 0 || o.Cores != 1 || o.Seed != 1 {
 		t.Errorf("inherit options = %+v", o)
 	}
@@ -115,8 +114,8 @@ func TestCellOptionsAppliesGeometry(t *testing.T) {
 func TestSweepCleanRun(t *testing.T) {
 	spec, _ := ParseSpec("schemes=pom-tlb:pom-mb=1,2")
 	var csv bytes.Buffer
-	rep, err := Run(context.Background(), Config{
-		Base: tiny(), Spec: spec, Shards: 4, RetryBudget: 8, CSV: &csv, Collect: true,
+	rep, err := RunSweep(context.Background(), SweepConfig{
+		Base: sweepTiny(), Spec: spec, Shards: 4, RetryBudget: 8, CSV: &csv, Collect: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +149,8 @@ func TestSweepQuarantinesPanickingCell(t *testing.T) {
 	faults.ErrorOn(faultinject.SweepCellSite("gups|pom-tlb|pom-mb=2"), ErrInjected, 1)
 
 	var csv bytes.Buffer
-	rep, err := Run(context.Background(), Config{
-		Base: tiny(), Spec: spec, Shards: 2, RetryBudget: 8, Faults: faults, CSV: &csv,
+	rep, err := RunSweep(context.Background(), SweepConfig{
+		Base: sweepTiny(), Spec: spec, Shards: 2, RetryBudget: 8, Faults: faults, CSV: &csv,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +198,7 @@ func TestSweepQuarantinesUnbuildableConfig(t *testing.T) {
 	}
 	base := consolBase()
 	base.Workloads = []string{"gups", "consol-smoke"}
-	rep, err := Run(context.Background(), Config{Base: base, Spec: spec, Shards: 2, RetryBudget: 8})
+	rep, err := RunSweep(context.Background(), SweepConfig{Base: base, Spec: spec, Shards: 2, RetryBudget: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +227,8 @@ func TestSweepRetryBudgetExhaustion(t *testing.T) {
 		site := faultinject.SweepCellSite(c.Key())
 		faults.ErrorOn(site, ErrInjected, 1, 2, 3, 4, 5)
 	}
-	rep, err := Run(context.Background(), Config{
-		Base: tiny(), Spec: spec, Shards: 1, RetryBudget: 2, QuarantineAfter: 3, Faults: faults,
+	rep, err := RunSweep(context.Background(), SweepConfig{
+		Base: sweepTiny(), Spec: spec, Shards: 1, RetryBudget: 2, QuarantineAfter: 3, Faults: faults,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,20 +257,24 @@ func TestSweepRetryBudgetExhaustion(t *testing.T) {
 
 func TestSweepResumeServesJournal(t *testing.T) {
 	spec, _ := ParseSpec("schemes=pom-tlb:pom-mb=1,2")
-	base := tiny()
-	fp := experiments.SweepFingerprint(base, spec.Canonical())
+	base := sweepTiny()
+	fp := SweepFingerprint(base, spec.Canonical())
 	path := filepath.Join(t.TempDir(), "sweep.journal")
+	const doomed = "gups|pom-tlb|pom-mb=1"
+	panicking := func() *faultinject.Schedule {
+		faults := faultinject.NewSchedule()
+		faults.PanicOn(faultinject.SweepCellSite(doomed), 1, 2, 3)
+		return faults
+	}
 
 	// First run: one cell panics forever and is quarantined.
-	j1, err := experiments.OpenSweepJournal(path, fp)
+	j1, err := OpenSweepJournal(path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults := faultinject.NewSchedule()
-	faults.PanicOn(faultinject.SweepCellSite("gups|pom-tlb|pom-mb=1"), 1, 2, 3)
 	var csv1 bytes.Buffer
-	rep1, err := Run(context.Background(), Config{
-		Base: base, Spec: spec, Shards: 2, RetryBudget: 4, Journal: j1, Faults: faults, CSV: &csv1,
+	rep1, err := RunSweep(context.Background(), SweepConfig{
+		Base: base, Spec: spec, Shards: 2, RetryBudget: 4, Journal: j1, Faults: panicking(), CSV: &csv1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,16 +284,18 @@ func TestSweepResumeServesJournal(t *testing.T) {
 		t.Fatalf("run1 = %+v", rep1)
 	}
 
-	// Second run, same journal: every cell must be served from the
-	// journal — no simulation, no new faults fired.
-	j2, err := experiments.OpenSweepJournal(path, fp)
+	// Second run, same journal, same fault plan re-armed: the three
+	// results are served from the journal, and only the quarantined cell
+	// runs again — to be quarantined again.
+	j2, err := OpenSweepJournal(path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
+	faults := panicking()
 	var csv2 bytes.Buffer
-	rep2, err := Run(context.Background(), Config{
-		Base: base, Spec: spec, Shards: 2, RetryBudget: 4, Journal: j2, CSV: &csv2,
+	rep2, err := RunSweep(context.Background(), SweepConfig{
+		Base: base, Spec: spec, Shards: 2, RetryBudget: 4, Journal: j2, Faults: faults, CSV: &csv2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,20 +303,29 @@ func TestSweepResumeServesJournal(t *testing.T) {
 	if rep2.FromJournal != 3 || rep2.Completed != 3 {
 		t.Errorf("run2 = %+v", rep2)
 	}
-	if len(rep2.Quarantined) != 1 || !rep2.Quarantined[0].FromJournal {
+	if len(rep2.Quarantined) != 1 || rep2.Quarantined[0].Key != doomed {
 		t.Errorf("run2 quarantine = %+v", rep2.Quarantined)
 	}
+	for _, c := range spec.Cells(base.Workloads) {
+		want := uint64(0)
+		if c.Key() == doomed {
+			want = 1
+		}
+		if n := faults.Hits(faultinject.SweepCellSite(c.Key())); n != want {
+			t.Errorf("%s attempted %d time(s) on resume, want %d", c.Key(), n, want)
+		}
+	}
 	if csv1.String() != csv2.String() {
-		t.Error("journal-served CSV differs from the original run")
+		t.Error("resumed CSV differs from the original run")
 	}
 }
 
 func TestSweepCancellationLeavesCellsForResume(t *testing.T) {
 	spec, _ := ParseSpec("schemes=pom-tlb:pom-mb=1,2,4:seeds=1,2,3")
-	base := tiny()
-	fp := experiments.SweepFingerprint(base, spec.Canonical())
+	base := sweepTiny()
+	fp := SweepFingerprint(base, spec.Canonical())
 	path := filepath.Join(t.TempDir(), "sweep.journal")
-	j, err := experiments.OpenSweepJournal(path, fp)
+	j, err := OpenSweepJournal(path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +335,7 @@ func TestSweepCancellationLeavesCellsForResume(t *testing.T) {
 	// Cancel the sweep the first time any worker reaches this cell.
 	faults.CallOn(faultinject.SweepCellSite("gups|pom-tlb|pom-mb=2|seed=2"), cancel, 1)
 
-	rep, err := Run(ctx, Config{
+	rep, err := RunSweep(ctx, SweepConfig{
 		Base: base, Spec: spec, Shards: 1, RetryBudget: 4, Journal: j, Faults: faults,
 	})
 	if err == nil {
@@ -333,18 +347,18 @@ func TestSweepCancellationLeavesCellsForResume(t *testing.T) {
 	if rep.Abandoned() == 0 {
 		t.Error("cancelled sweep reports no abandoned cells")
 	}
-	if got := j.DoneLen(); got != rep.Completed {
+	if got := j.Len(); got != rep.Completed {
 		t.Errorf("journal holds %d cells, report says %d completed", got, rep.Completed)
 	}
 	j.Close()
 
 	// Resume completes exactly the missing cells.
-	j2, err := experiments.OpenSweepJournal(path, fp)
+	j2, err := OpenSweepJournal(path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	rep2, err := Run(context.Background(), Config{
+	rep2, err := RunSweep(context.Background(), SweepConfig{
 		Base: base, Spec: spec, Shards: 2, RetryBudget: 4, Journal: j2,
 	})
 	if err != nil {
@@ -356,21 +370,21 @@ func TestSweepCancellationLeavesCellsForResume(t *testing.T) {
 }
 
 func TestSweepUnknownWorkloadRejected(t *testing.T) {
-	base := tiny()
+	base := sweepTiny()
 	base.Workloads = []string{"not-a-benchmark"}
-	if _, err := Run(context.Background(), Config{Base: base}); err == nil {
+	if _, err := RunSweep(context.Background(), SweepConfig{Base: base}); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
 
 func TestSweepCellTimeout(t *testing.T) {
 	spec, _ := ParseSpec("schemes=pom-tlb:pom-mb=1")
-	base := tiny()
+	base := sweepTiny()
 	base.Workloads = []string{"gups"}
 	base.MaxRefs = 2_000_000
 	base.WarmupRefs = 2_000_000
 	base.WorkloadTimeout = time.Millisecond
-	rep, err := Run(context.Background(), Config{
+	rep, err := RunSweep(context.Background(), SweepConfig{
 		Base: base, Spec: spec, Shards: 1, RetryBudget: 0, QuarantineAfter: 1,
 	})
 	if err != nil {

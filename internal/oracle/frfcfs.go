@@ -1,17 +1,19 @@
-package dram
+package oracle
 
 import (
 	"container/heap"
 
-	"repro/internal/addr"
+	"repro/internal/dram"
 )
 
 // This file provides an event-driven FR-FCFS (first-ready, first-come
 // first-served) command scheduler — the policy Ramulator and real memory
-// controllers use. The analytic Channel model answers per-access latency
+// controllers use. The analytic dram.Channel answers per-access latency
 // questions inline; the Scheduler replays a whole request stream through
 // explicit ACT/PRE/CAS command timing and reports the same statistics, so
 // the two models can be cross-validated (see TestSchedulerAgreesWithChannel).
+// Like RefDRAM, it rederives bank, row and cycle timing from the raw
+// configuration instead of reusing the channel's arithmetic.
 
 // Request is one line-granular memory request presented to the scheduler.
 type Request struct {
@@ -34,13 +36,13 @@ type Completion struct {
 
 // Scheduler replays request streams under FR-FCFS.
 type Scheduler struct {
-	cfg Config
+	cfg dram.Config
 	// QueueCap bounds the per-channel request queue (controller window).
 	QueueCap int
 }
 
 // NewScheduler builds an FR-FCFS scheduler for a channel configuration.
-func NewScheduler(cfg Config) *Scheduler {
+func NewScheduler(cfg dram.Config) *Scheduler {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -81,7 +83,7 @@ func (h *reqHeap) Pop() any {
 // each step it issues, among the requests whose bank is ready, first any
 // row-buffer hit (first-ready) and otherwise the oldest request (FCFS).
 func (s *Scheduler) Run(reqs []Request) []Completion {
-	ch := MustNew(s.cfg) // reuse the bank geometry decomposition
+	t := timingOf(s.cfg)
 	type bankState struct {
 		openRow   uint64
 		hasOpen   bool
@@ -92,7 +94,7 @@ func (s *Scheduler) Run(reqs []Request) []Completion {
 	// Feed requests through an arrival-ordered heap.
 	arrivals := make(reqHeap, 0, len(reqs))
 	for i, r := range reqs {
-		bi, row := ch.decompose(addr.HPA(r.Addr))
+		bi, row := t.locate(r.Addr)
 		arrivals = append(arrivals, reqState{Request: r, bank: bi, row: row, seq: i})
 	}
 	heap.Init(&arrivals)
@@ -102,10 +104,10 @@ func (s *Scheduler) Run(reqs []Request) []Completion {
 	var clock uint64
 	out := make([]Completion, 0, len(reqs))
 
-	burst := s.cfg.BurstCycles()
-	tCAS := s.cfg.cpuCycles(s.cfg.TCAS)
-	tRCD := s.cfg.cpuCycles(s.cfg.TRCD)
-	tRP := s.cfg.cpuCycles(s.cfg.TRP)
+	burst := t.burst
+	tCAS := t.cpu(s.cfg.TCAS)
+	tRCD := t.cpu(s.cfg.TRCD)
+	tRP := t.cpu(s.cfg.TRP)
 
 	refill := func() {
 		for len(window) < s.QueueCap && arrivals.Len() > 0 &&
@@ -154,7 +156,7 @@ func (s *Scheduler) Run(reqs []Request) []Completion {
 		window = append(window[:pick], window[pick+1:]...)
 
 		b := &banks[r.bank]
-		start := maxU64(clock, maxU64(r.Arrival, b.busyUntil))
+		start := max(clock, r.Arrival, b.busyUntil)
 		var core uint64
 		switch {
 		case b.hasOpen && b.openRow == r.row:
@@ -165,7 +167,7 @@ func (s *Scheduler) Run(reqs []Request) []Completion {
 			core = tRP + tRCD + tCAS
 		}
 		dataReady := start + core
-		busStart := maxU64(dataReady, busBusy)
+		busStart := max(dataReady, busBusy)
 		finish := busStart + burst
 
 		b.hasOpen = true
@@ -209,11 +211,4 @@ func AvgServiceLatency(cs []Completion) float64 {
 		sum += c.Finish - c.Arrival
 	}
 	return float64(sum) / float64(len(cs))
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

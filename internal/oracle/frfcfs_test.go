@@ -1,9 +1,10 @@
-package dram
+package oracle
 
 import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/dram"
 )
 
 // stream builds n sequential line requests spaced gap cycles apart.
@@ -29,7 +30,7 @@ func scatter(n int, gap uint64) []Request {
 }
 
 func TestSchedulerServicesEverything(t *testing.T) {
-	s := NewScheduler(DieStacked())
+	s := NewScheduler(dram.DieStacked())
 	reqs := stream(1000, 50)
 	cs := s.Run(reqs)
 	if len(cs) != len(reqs) {
@@ -43,7 +44,7 @@ func TestSchedulerServicesEverything(t *testing.T) {
 }
 
 func TestSchedulerRowLocality(t *testing.T) {
-	s := NewScheduler(DieStacked())
+	s := NewScheduler(dram.DieStacked())
 	seq := RowBufferHitRate(s.Run(stream(5000, 20)))
 	rnd := RowBufferHitRate(s.Run(scatter(5000, 20)))
 	if seq < 0.9 {
@@ -57,7 +58,7 @@ func TestSchedulerRowLocality(t *testing.T) {
 func TestSchedulerFirstReadyReordering(t *testing.T) {
 	// Two requests to row A, one to row B between them, all arrived at
 	// once: FR-FCFS should service both A-row requests back to back.
-	cfg := DieStacked()
+	cfg := dram.DieStacked()
 	s := NewScheduler(cfg)
 	rowStride := cfg.RowBytes * uint64(cfg.Banks) // same bank, next row
 	reqs := []Request{
@@ -80,7 +81,7 @@ func TestSchedulerFirstReadyReordering(t *testing.T) {
 // event-driven scheduler must agree on row-buffer behaviour and land in
 // the same latency band.
 func TestSchedulerAgreesWithChannel(t *testing.T) {
-	cfg := DieStacked()
+	cfg := dram.DieStacked()
 	cfg.TREFI = 0 // refresh timing differs between the two models
 	for name, reqs := range map[string][]Request{
 		"sequential": stream(4000, 200),
@@ -89,7 +90,7 @@ func TestSchedulerAgreesWithChannel(t *testing.T) {
 		s := NewScheduler(cfg)
 		cs := s.Run(reqs)
 
-		ch := MustNew(cfg)
+		ch := dram.MustNew(cfg)
 		var chHits, chTotal uint64
 		var chLat float64
 		for _, r := range reqs {
@@ -114,7 +115,7 @@ func TestSchedulerAgreesWithChannel(t *testing.T) {
 }
 
 func TestSchedulerEmptyAndSummaries(t *testing.T) {
-	s := NewScheduler(DieStacked())
+	s := NewScheduler(dram.DieStacked())
 	if got := s.Run(nil); len(got) != 0 {
 		t.Error("empty stream should yield no completions")
 	}
@@ -129,5 +130,5 @@ func TestNewSchedulerPanicsOnInvalid(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewScheduler(Config{})
+	NewScheduler(dram.Config{})
 }

@@ -62,6 +62,10 @@ func (s *Server) handleSessionMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) sessionMetrics(sess *session) SessionMetrics {
+	// State first: the worker publishes its final Result before it leaves
+	// the running state, so a finished state always comes with the final
+	// Result, never a live snapshot one chunk stale.
+	state := sess.getState()
 	res, emsg := sess.result()
 	ing, _, backlog, loops, fin := sess.gen.stat()
 	m := SessionMetrics{
@@ -69,7 +73,7 @@ func (s *Server) sessionMetrics(sess *session) SessionMetrics {
 		Tenant:   sess.tenant,
 		Workload: sess.workload,
 		Mode:     sess.cfg.Mode.String(),
-		State:    sess.getState().String(),
+		State:    state.String(),
 
 		Ingested:   ing,
 		Committed:  sess.committed.Snapshot(),
