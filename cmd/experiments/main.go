@@ -3,7 +3,8 @@
 //
 // Usage:
 //
-//	experiments -all                      # every figure + ablations
+//	experiments -all                      # every figure and table
+//	experiments -all -ablations           # ... plus the §4.6 ablations
 //	experiments -fig 8                    # one figure
 //	experiments -table 2                  # one table
 //	experiments -report EXPERIMENTS.md    # write the full markdown report
@@ -63,7 +64,7 @@ var validFigs = map[int]bool{2: true, 3: true, 4: true, 8: true, 9: true, 10: tr
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		all       = fs.Bool("all", false, "run every figure and ablation")
+		all       = fs.Bool("all", false, "run every figure and table (with -ablations, the §4.6 ablations too)")
 		fig       = fs.Int("fig", 0, "figure number to regenerate (2,3,4,8,9,10,11,12)")
 		table     = fs.Int("table", 0, "table number to print (1,2)")
 		report    = fs.String("report", "", "write the full markdown report to this file")
@@ -72,7 +73,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		refs      = fs.Int("refs", 500_000, "measured references per run")
 		warmup    = fs.Int("warmup", 500_000, "warmup references per run")
 		wl        = fs.String("workloads", "", "comma-separated benchmark subset")
-		ablations = fs.Bool("ablations", false, "include the §4.6 ablation sweeps")
+		ablations = fs.Bool("ablations", false, "with -all, include the §4.6 ablation sweeps")
 		consol    = fs.String("consolidation", "", "run a consolidation scenario and print the per-tenant-tier cross-scheme table: "+strings.Join(workloads.ConsolidationNames(), ", "))
 		tenants   = fs.Int("tenants", 0, "override a consolidation preset's guest count (0 = preset)")
 		churn     = fs.Int("churn", 0, "override a consolidation preset's shootdown-storm interval in records (-1 = off, 0 = preset)")
@@ -96,7 +97,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
+	actions := 0
+	for _, given := range []bool{*all, *fig != 0, *table != 0, *report != "", *csvDir != "", *consol != "", *sweepSpec != ""} {
+		if given {
+			actions++
+		}
+	}
 	switch {
+	case actions != 1:
+		return fmt.Errorf("pass exactly one of -all, -fig N, -table N, -report FILE, -csv DIR, -consolidation NAME or -sweep SPEC")
+	case *ablations && !*all:
+		return fmt.Errorf("-ablations requires -all")
 	case *cores <= 0:
 		return fmt.Errorf("-cores must be positive (got %d)", *cores)
 	case *refs <= 0:
@@ -127,16 +138,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("-churn must be a positive interval, -1 (off) or 0 (inherit) (got %d)", *churn)
 	case *phases < 0:
 		return fmt.Errorf("-phases must be non-negative (got %d)", *phases)
-	case *sweepSpec != "" && (*all || *fig != 0 || *table != 0 || *report != "" || *csvDir != "" || *consol != ""):
-		return fmt.Errorf("-sweep cannot be combined with -all/-fig/-table/-report/-csv/-consolidation")
-	case *consol != "" && (*all || *fig != 0 || *table != 0 || *report != ""):
-		return fmt.Errorf("-consolidation cannot be combined with -all/-fig/-table/-report")
 	case *sweepSpec == "" && (*faultRate > 0 || *faultPanic > 0):
 		return fmt.Errorf("-fault-rate/-fault-panic-rate require -sweep")
 	case *sweepSpec == "" && (*sweepCSV != "" || *manifest != ""):
 		return fmt.Errorf("-sweep-csv/-manifest require -sweep")
-	case !*all && *fig == 0 && *table == 0 && *report == "" && *csvDir == "" && *consol == "" && *sweepSpec == "":
-		return fmt.Errorf("nothing to do: pass -all, -fig N, -table N or -report FILE")
 	}
 
 	opts := experiments.DefaultOptions()

@@ -51,7 +51,15 @@ func TestNoArgsErrors(t *testing.T) {
 }
 
 func TestSweepFlagValidation(t *testing.T) {
+	dir := t.TempDir()
 	cases := map[string][]string{
+		// Exactly one action runs; a second one would be dropped.
+		"consolidation+csv": {"-quick", "-consolidation", "consol-smoke", "-csv", filepath.Join(dir, "c")},
+		"table+fig":         {"-quick", "-table", "2", "-fig", "4"},
+		"fig+csv":           {"-quick", "-workloads", "gups", "-fig", "4", "-csv", filepath.Join(dir, "f")},
+		"all+report":        {"-quick", "-workloads", "gups", "-all", "-report", filepath.Join(dir, "r.md")},
+		"ablations w/o all": {"-quick", "-fig", "4", "-ablations"},
+
 		"shards":           {"-sweep", "schemes=pom-tlb", "-shards", "0"},
 		"negative shards":  {"-sweep", "schemes=pom-tlb", "-shards", "-4"},
 		"retry budget":     {"-sweep", "schemes=pom-tlb", "-retry-budget", "0"},

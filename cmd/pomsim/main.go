@@ -68,6 +68,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	// Validate flag values up front so a bad invocation fails with a
 	// usage error instead of a panic from deep inside the simulator.
 	switch {
@@ -141,8 +143,21 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Workloads:    []string{file.Workload},
 	}
 
-	if preset, isConsol := workloads.ConsolidationByName(file.Workload); isConsol {
-		if *trcPath != "" {
+	preset, isConsol := workloads.ConsolidationByName(file.Workload)
+	if !isConsol && (set["tenants"] || set["churn"] || set["phases"]) {
+		return fmt.Errorf("-tenants/-churn/-phases apply only to consolidation scenarios, not %q", file.Workload)
+	}
+	if isConsol {
+		// The scenario builds its own machine: virtualized, one VM per
+		// guest, from the flags copied into base above.
+		switch {
+		case *cfgPath != "":
+			return fmt.Errorf("%s names consolidation scenario %q; config files name Table 2 benchmarks", *cfgPath, file.Workload)
+		case *native:
+			return fmt.Errorf("-native does not apply to consolidation scenario %q, which virtualizes every guest", file.Workload)
+		case set["vms"]:
+			return fmt.Errorf("-vms does not apply to consolidation scenario %q, which runs one VM per guest (see -tenants)", file.Workload)
+		case *trcPath != "":
 			return fmt.Errorf("-trace replay cannot drive consolidation scenario %q", file.Workload)
 		}
 		switch {

@@ -60,27 +60,38 @@ func TestRunBaselineNative(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	var sb strings.Builder
-	if err := run(context.Background(), []string{"-workload", "nope", "-refs", "10", "-warmup", "0"}, &sb); err == nil {
-		t.Error("unknown workload accepted")
+	consolCfg := config.Default()
+	consolCfg.Workload = "consol-smoke"
+	consolPath := filepath.Join(t.TempDir(), "consol.json")
+	if err := config.Save(consolPath, consolCfg); err != nil {
+		t.Fatal(err)
 	}
-	if err := run(context.Background(), []string{"-mode", "nope"}, &sb); err == nil {
-		t.Error("unknown mode accepted")
+	small := []string{"-cores", "2", "-refs", "2000", "-warmup", "2000"}
+	cases := map[string][]string{
+		"unknown workload": {"-workload", "nope", "-refs", "10", "-warmup", "0"},
+		"unknown mode":     {"-mode", "nope"},
+		"missing config":   {"-config", "/does/not/exist.json"},
+		// 3 MB of 16-way L4 is 3072 sets, not a power of two.
+		"unbuildable L4": {"-mode", "l4-cache", "-pom-mb", "3", "-refs", "10", "-warmup", "0"},
+		// A 1 TiB POM-TLB would exhaust host memory when allocated.
+		"1 TiB POM-TLB": {"-pom-mb", "1048576", "-refs", "10", "-warmup", "0"},
+		// -compare and -selfcheck run the synthetic generators, so a
+		// -trace beside them would be silently ignored.
+		"-trace with -compare":   append([]string{"-trace", "/nonexistent.trc", "-compare", "-workload", "gups"}, small...),
+		"-trace with -selfcheck": append([]string{"-trace", "/nonexistent.trc", "-selfcheck", "-workload", "gups"}, small...),
+		// A consolidation scenario builds its own machine: one VM per
+		// guest, virtualized, from the flags alone.
+		"consolidation -native": append([]string{"-workload", "consol-smoke", "-native"}, small...),
+		"consolidation -vms":    append([]string{"-workload", "consol-smoke", "-vms", "4"}, small...),
+		"consolidation -vms 1":  append([]string{"-workload", "consol-smoke", "-vms", "1"}, small...),
+		"consolidation -config": {"-config", consolPath},
+		"-tenants on a Table 2": append([]string{"-workload", "mcf", "-tenants", "200"}, small...),
+		"-phases on a Table 2":  append([]string{"-workload", "mcf", "-phases", "2"}, small...),
 	}
-	if err := run(context.Background(), []string{"-config", "/does/not/exist.json"}, &sb); err == nil {
-		t.Error("missing config accepted")
-	}
-	// 3 MB of 16-way L4 is 3072 sets, not a power of two.
-	if err := run(context.Background(), []string{"-mode", "l4-cache", "-pom-mb", "3", "-refs", "10", "-warmup", "0"}, &sb); err == nil {
-		t.Error("an L4 cache NewSystem cannot build accepted")
-	}
-	// -compare and -selfcheck run the synthetic generators, so a -trace
-	// beside them would be silently ignored.
-	for _, flag := range []string{"-compare", "-selfcheck"} {
-		args := []string{"-trace", "/nonexistent.trc", flag, "-workload", "gups",
-			"-cores", "2", "-refs", "2000", "-warmup", "2000"}
+	for name, args := range cases {
+		var sb strings.Builder
 		if err := run(context.Background(), args, &sb); err == nil {
-			t.Errorf("-trace with %s accepted", flag)
+			t.Errorf("%s: args %v accepted, want error", name, args)
 		}
 	}
 }

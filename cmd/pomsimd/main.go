@@ -73,6 +73,8 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		return fmt.Errorf("-rate must be non-negative (got %g)", *rate)
 	case *burst < 0:
 		return fmt.Errorf("-burst must be non-negative (got %g)", *burst)
+	case *maxIngest == 0:
+		return fmt.Errorf("-max-ingest-records must be positive, or negative for no cap (got 0)")
 	case *rate > 0 && *burst == 0:
 		*burst = *rate
 	}

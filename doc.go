@@ -12,7 +12,8 @@
 // TSB comparison schemes, and the linear performance model of Equations
 // (2)–(5).
 //
-// Start with the README, run examples/quickstart, and regenerate the
-// paper's tables and figures with cmd/experiments. The simbench module
-// measures how fast the simulator itself runs.
+// Start with the README and the runnable Example_quickstart in
+// internal/core, and regenerate the paper's tables and figures with
+// cmd/experiments. The simbench module measures how fast the simulator
+// itself runs.
 package repro

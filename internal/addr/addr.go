@@ -116,17 +116,8 @@ func (v VA) Offset(s PageSize) uint64 { return uint64(v) & (s.Bytes() - 1) }
 // Line returns the cache-line index of the address (address >> 6).
 func (v VA) Line() uint64 { return uint64(v) >> CacheLineShift }
 
-// PFN returns the guest physical frame number at the given page size.
-func (p GPA) PFN(s PageSize) uint64 { return uint64(p) >> s.Shift() }
-
-// PageBase returns the first byte of the guest physical frame containing p.
-func (p GPA) PageBase(s PageSize) GPA { return p &^ GPA(s.Bytes()-1) }
-
 // PFN returns the host physical frame number at the given page size.
 func (p HPA) PFN(s PageSize) uint64 { return uint64(p) >> s.Shift() }
-
-// PageBase returns the first byte of the host physical frame containing p.
-func (p HPA) PageBase(s PageSize) HPA { return p &^ HPA(s.Bytes()-1) }
 
 // Line returns the cache-line index of the host physical address.
 func (p HPA) Line() uint64 { return uint64(p) >> CacheLineShift }
@@ -169,9 +160,6 @@ const (
 	PD
 	// PT is the leaf page-table level for 4 KB mappings.
 	PT
-
-	// NumLevels is the number of radix levels.
-	NumLevels = 4
 )
 
 // String implements fmt.Stringer.
@@ -196,8 +184,3 @@ func (l Level) indexShift() uint { return 12 + 9*(3-uint(l)) }
 func Index(v VA, l Level) uint64 {
 	return (uint64(v) >> l.indexShift()) & 0x1FF
 }
-
-// Canonical truncates an address to the 48-bit canonical range used by the
-// 4-level tables. Synthetic workload generators use it to keep addresses
-// inside the translatable region.
-func Canonical(x uint64) VA { return VA(x & ((1 << 48) - 1)) }

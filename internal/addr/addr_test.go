@@ -136,7 +136,7 @@ func TestTranslateProperty(t *testing.T) {
 		if large {
 			s = Page2M
 		}
-		v := Canonical(raw)
+		v := canonical(raw)
 		h := Translate(v, uint64(pfn), s)
 		return h.PFN(s) == uint64(pfn) && uint64(h)&(s.Bytes()-1) == v.Offset(s)
 	}
@@ -152,7 +152,7 @@ func TestVPNPageBaseProperty(t *testing.T) {
 		if large {
 			s = Page2M
 		}
-		v := Canonical(raw)
+		v := canonical(raw)
 		return uint64(v.PageBase(s)) == v.VPN(s)<<s.Shift()
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -163,7 +163,7 @@ func TestVPNPageBaseProperty(t *testing.T) {
 // Property: radix indices are always 9 bits and reconstruct the VPN.
 func TestRadixIndexProperty(t *testing.T) {
 	f := func(raw uint64) bool {
-		v := Canonical(raw)
+		v := canonical(raw)
 		var rebuilt uint64
 		for l := PML4; l <= PT; l++ {
 			idx := Index(v, l)
@@ -176,13 +176,6 @@ func TestRadixIndexProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCanonical(t *testing.T) {
-	v := Canonical(0xFFFF_FFFF_FFFF_FFFF)
-	if uint64(v) != (1<<48)-1 {
-		t.Errorf("Canonical = %#x", uint64(v))
 	}
 }
 
@@ -213,3 +206,7 @@ func TestPage1G(t *testing.T) {
 		t.Errorf("Offset(1G) = %d", v.Offset(Page1G))
 	}
 }
+
+// canonical truncates x to the 48-bit canonical range the 4-level tables
+// translate.
+func canonical(x uint64) VA { return VA(x & (1<<48 - 1)) }

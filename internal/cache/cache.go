@@ -93,11 +93,21 @@ type Config struct {
 	Priority Priority
 }
 
+// maxSizeBytes bounds SizeBytes. New allocates every way up front, at a
+// quarter byte of host memory per simulated byte (16 B per 64 B line), so
+// an unchecked size from a config file or an HTTP request would exhaust
+// host memory before anything could reject it. 1 GiB costs 256 MiB of
+// host memory and is 128× the 8 MB L3; the die-stacked caches of the
+// l4-cache and dram-cache schemes are 16 MB by default.
+const maxSizeBytes = 1 << 30
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes == 0 || c.Ways <= 0:
 		return fmt.Errorf("cache %q: size and ways must be positive", c.Name)
+	case c.SizeBytes > maxSizeBytes:
+		return fmt.Errorf("cache %q: %d MiB exceeds the %d MiB limit", c.Name, c.SizeBytes>>20, maxSizeBytes>>20)
 	case c.SizeBytes%(uint64(c.Ways)*addr.CacheLineSize) != 0:
 		return fmt.Errorf("cache %q: size %d not divisible into %d ways of 64B lines", c.Name, c.SizeBytes, c.Ways)
 	}
@@ -114,9 +124,6 @@ func (c Config) Sets() uint64 {
 }
 
 // Table 1 cache levels.
-
-// L1I returns the 32 KB 8-way 4-cycle instruction cache config.
-func L1I() Config { return Config{Name: "L1I", SizeBytes: 32 << 10, Ways: 8, Latency: 4} }
 
 // L1D returns the 32 KB 8-way 4-cycle data cache config.
 func L1D() Config { return Config{Name: "L1D", SizeBytes: 32 << 10, Ways: 8, Latency: 4} }
@@ -165,12 +172,6 @@ type Stats struct {
 	// Writebacks counts dirty evictions.
 	Writebacks uint64
 }
-
-// DataHitRate returns the hit ratio for ordinary data lines.
-func (s Stats) DataHitRate() float64 { return s.Access[Data].Ratio() }
-
-// TLBHitRate returns the hit ratio for POM-TLB entry lines (Figure 9).
-func (s Stats) TLBHitRate() float64 { return s.Access[TLBEntry].Ratio() }
 
 // hook wraps an attached Shadow behind a concrete pointer: the
 // unobserved hot path pays a single-word nil check instead of a
@@ -427,9 +428,6 @@ func (c *Cache) InvalidateKind(kind Kind) int {
 	}
 	return n
 }
-
-// Resident returns how many valid lines currently hold the given kind.
-func (c *Cache) Resident(kind Kind) uint64 { return c.resident[kind] }
 
 // CheckInvariants validates the cache's internal structural invariants:
 // every non-zero word encodes a line, every valid line resides in the set

@@ -11,7 +11,6 @@ func TestTable1Configs(t *testing.T) {
 		cfg  Config
 		sets uint64
 	}{
-		{L1I(), 64},
 		{L1D(), 64},
 		{L2(), 1024},
 		{L3(), 8192},
@@ -144,11 +143,11 @@ func TestKindStatsSeparated(t *testing.T) {
 	c.Access(2, false, TLBEntry) // hit
 	c.Access(3, false, TLBEntry) // miss
 	s := c.Stats()
-	if s.DataHitRate() != 0.5 {
-		t.Errorf("DataHitRate = %f", s.DataHitRate())
+	if got := s.Access[Data].Ratio(); got != 0.5 {
+		t.Errorf("data hit ratio = %f", got)
 	}
-	if got := s.TLBHitRate(); got != 1.0/3.0 {
-		t.Errorf("TLBHitRate = %f", got)
+	if got := s.Access[TLBEntry].Ratio(); got != 1.0/3.0 {
+		t.Errorf("TLB-entry hit ratio = %f", got)
 	}
 }
 
@@ -157,18 +156,18 @@ func TestResidentTracking(t *testing.T) {
 	c := MustNew(cfg)
 	c.Fill(1, false, Data)
 	c.Fill(2, false, TLBEntry)
-	if c.Resident(Data) != 1 || c.Resident(TLBEntry) != 1 {
-		t.Errorf("resident = %d data, %d tlb", c.Resident(Data), c.Resident(TLBEntry))
+	if c.resident[Data] != 1 || c.resident[TLBEntry] != 1 {
+		t.Errorf("resident = %d data, %d tlb", c.resident[Data], c.resident[TLBEntry])
 	}
 	c.Fill(3, false, Data) // evicts line 1 (LRU, Data)
-	if c.Resident(Data) != 1 || c.Resident(TLBEntry) != 1 {
-		t.Errorf("after evict: %d data, %d tlb", c.Resident(Data), c.Resident(TLBEntry))
+	if c.resident[Data] != 1 || c.resident[TLBEntry] != 1 {
+		t.Errorf("after evict: %d data, %d tlb", c.resident[Data], c.resident[TLBEntry])
 	}
 	if c.Stats().Evictions[Data] != 1 {
 		t.Errorf("evictions = %v", c.Stats().Evictions)
 	}
 	c.Invalidate(2)
-	if c.Resident(TLBEntry) != 0 {
+	if c.resident[TLBEntry] != 0 {
 		t.Error("invalidate should decrement resident count")
 	}
 }
@@ -216,7 +215,7 @@ func TestFillLookupProperty(t *testing.T) {
 		if !c.Lookup(line) {
 			return false
 		}
-		return c.Resident(Data)+c.Resident(TLBEntry) <= capacity
+		return c.resident[Data]+c.resident[TLBEntry] <= capacity
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -260,8 +259,8 @@ func TestInvalidateKind(t *testing.T) {
 	if n := c.InvalidateKind(TLBEntry); n != 2 {
 		t.Errorf("InvalidateKind removed %d, want 2", n)
 	}
-	if c.Resident(TLBEntry) != 0 || c.Resident(Data) != 1 {
-		t.Errorf("resident after flush: tlb=%d data=%d", c.Resident(TLBEntry), c.Resident(Data))
+	if c.resident[TLBEntry] != 0 || c.resident[Data] != 1 {
+		t.Errorf("resident after flush: tlb=%d data=%d", c.resident[TLBEntry], c.resident[Data])
 	}
 	if c.Lookup(2) || c.Lookup(3) || !c.Lookup(1) {
 		t.Error("wrong lines flushed")

@@ -50,11 +50,6 @@ func (m Model) AccessNS(capacityBytes uint64) float64 {
 	return m.Fixed + m.Decoder*math.Log2(rows) + m.Wire*math.Sqrt(kb)
 }
 
-// AccessCycles converts AccessNS to CPU cycles at the given core clock.
-func (m Model) AccessCycles(capacityBytes uint64, cpuMHz uint64) float64 {
-	return m.AccessNS(capacityBytes) * float64(cpuMHz) / 1000
-}
-
 // Normalized reproduces Figure 4's y-axis: access latency normalized to a
 // 16 KB array.
 func (m Model) Normalized(capacityBytes uint64) float64 {

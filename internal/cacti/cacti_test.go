@@ -38,11 +38,9 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 func TestAccessCycles(t *testing.T) {
-	m := Default()
-	// A 16 KB array at 4 GHz should be a handful of cycles, in line with
-	// Table 1's 4-cycle L1.
-	cyc := m.AccessCycles(16<<10, 4000)
-	if cyc < 1 || cyc > 8 {
+	// A 16 KB array at 4 GHz (4 cycles per ns) should be a handful of
+	// cycles, in line with Table 1's 4-cycle L1.
+	if cyc := Default().AccessNS(16<<10) * 4; cyc < 1 || cyc > 8 {
 		t.Errorf("16KB at 4GHz = %f cycles", cyc)
 	}
 }

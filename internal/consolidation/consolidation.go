@@ -117,18 +117,6 @@ func (p *Pool) Pick(u float64) *Tenant {
 	return &p.Tenants[i]
 }
 
-// TierCount returns how many tenants a tier holds.
-func (p *Pool) TierCount(t Tier) int {
-	switch t {
-	case Hot:
-		return p.hotN
-	case Warm:
-		return p.warmN
-	default:
-		return len(p.Tenants) - p.hotN - p.warmN
-	}
-}
-
 // Config parameterizes a scenario build.
 type Config struct {
 	Preset workloads.Consolidation
@@ -428,29 +416,4 @@ func (g *Gen) Reset() {
 			sub.Reset()
 		}
 	}
-}
-
-func init() {
-	trace.RegisterFactory("consolidation", func(seed uint64) trace.Generator {
-		preset, ok := workloads.ConsolidationByName("consol-smoke")
-		if !ok {
-			panic("consolidation: consol-smoke preset missing")
-		}
-		scn, err := New(Config{Preset: preset, Cores: 2, Seed: seed, TotalRecords: 20_000})
-		if err != nil {
-			panic(err)
-		}
-		return scn.Gen
-	})
-	trace.RegisterFactory("consolidation-phased", func(seed uint64) trace.Generator {
-		preset, ok := workloads.ConsolidationByName("consol-smoke")
-		if !ok {
-			panic("consolidation: consol-smoke preset missing")
-		}
-		scn, err := New(Config{Preset: preset, Cores: 2, Seed: seed, TotalRecords: 20_000, Phases: 3})
-		if err != nil {
-			panic(err)
-		}
-		return scn.Gen
-	})
 }

@@ -28,7 +28,7 @@ func TestPoolTiersAndPopularity(t *testing.T) {
 	if got := len(pool.Tenants); got != 120 {
 		t.Fatalf("pool has %d tenants, want 120", got)
 	}
-	if h, w, c := pool.TierCount(Hot), pool.TierCount(Warm), pool.TierCount(Cold); h != 6 || w != 30 || c != 84 {
+	if h, w, c := pool.hotN, pool.warmN, len(pool.Tenants)-pool.hotN-pool.warmN; h != 6 || w != 30 || c != 84 {
 		t.Fatalf("tier split %d/%d/%d, want 6/30/84", h, w, c)
 	}
 	for i, tn := range pool.Tenants {
@@ -143,7 +143,7 @@ func TestScenarioEndToEnd(t *testing.T) {
 	// Zipf tenant hotness must show: the 6-ish hot guests out of 120
 	// carry a popularity share far above their cardinality share.
 	hotShare := res.TierShare(0)
-	cardShare := float64(scn.Pool.TierCount(Hot)) / float64(scn.Guests)
+	cardShare := float64(scn.Pool.hotN) / float64(scn.Guests)
 	if hotShare < 3*cardShare {
 		t.Errorf("hot tier share %.3f not Zipf-dominant over cardinality share %.3f", hotShare, cardShare)
 	}

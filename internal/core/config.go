@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/cache"
@@ -219,6 +220,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: cores %d out of range", c.Cores)
 	case c.Virtualized && c.VMs <= 0:
 		return fmt.Errorf("core: virtualized run needs at least one VM")
+	case c.Virtualized && c.VMs > math.MaxUint16:
+		return fmt.Errorf("core: %d VMs exceed the 16-bit VMID limit of %d (VMID 0 is the host's)", c.VMs, math.MaxUint16)
 	case c.MaxRefs <= 0:
 		return fmt.Errorf("core: MaxRefs must be positive")
 	case c.WarmupRefs < 0:

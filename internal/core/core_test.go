@@ -300,16 +300,18 @@ func TestMultiVM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Hypervisor().VMs() != 2 {
-		t.Fatalf("VMs = %d", sys.Hypervisor().VMs())
+	if len(sys.vms) != 2 {
+		t.Fatalf("VMs = %d", len(sys.vms))
 	}
 	res, err := sys.Run(context.Background(), trace.NewUniform(gupsParams(cfg.Cores)), "multivm")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Both VMs' translations coexist in the POM-TLB.
-	if sys.POM().Small.Count() == 0 {
-		t.Error("POM-TLB empty after multi-VM run")
+	for _, vm := range sys.vms {
+		if sys.pom.InvalidateProcess(vm.ID(), 1) == 0 {
+			t.Errorf("POM-TLB holds no translations of VM %d after multi-VM run", vm.ID())
+		}
 	}
 	if res.WalkEliminationRate() < 0.5 {
 		t.Errorf("multi-VM walk elimination = %.2f", res.WalkEliminationRate())

@@ -1,7 +1,4 @@
-// Quickstart: build the paper's 8-core virtualized system, run one
-// TLB-intensive workload under the baseline and under the POM-TLB, and
-// print the headline comparison — the 60-second tour of the library.
-package main
+package core_test
 
 import (
 	"context"
@@ -13,11 +10,13 @@ import (
 	"repro/internal/workloads"
 )
 
-func main() {
-	const benchmark = "mcf"
-	p, ok := workloads.ByName(benchmark)
+// Example_quickstart builds the paper's virtualized system, runs one
+// TLB-intensive workload under the baseline and under the POM-TLB, and
+// prints the headline comparison.
+func Example_quickstart() {
+	p, ok := workloads.ByName("mcf")
 	if !ok {
-		log.Fatalf("unknown workload %q", benchmark)
+		log.Fatal("unknown workload mcf")
 	}
 
 	run := func(mode core.Mode) core.Result {
@@ -55,4 +54,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nmodelled speedup over the measured Skylake baseline: +%.2f%%\n", imp)
+	// Output:
+	// workload: mcf — 320 MB footprint, 61% 2MB pages
+	//
+	// baseline (2D page walks):   204.4 cycles per L2 TLB miss
+	// POM-TLB:                    100.5 cycles per L2 TLB miss
+	// page walks eliminated:      100.0%
+	// POM entries found in L2D$:   37.2%, in L3D$: 27.1%
+	//
+	// modelled speedup over the measured Skylake baseline: +8.35%
 }

@@ -210,21 +210,21 @@ func TestProcessExitRecyclesPID(t *testing.T) {
 		}
 		// All SRAM TLBs empty for the PID.
 		for _, c := range sys.cores {
-			if c.l2tlb.Count() != 0 {
-				t.Errorf("%s: L2 TLB still holds %d entries", mode, c.l2tlb.Count())
+			if n := c.l2tlb.InvalidateProcess(vm.ID(), 1); n != 0 {
+				t.Errorf("%s: L2 TLB still holds %d entries", mode, n)
 			}
 		}
 		switch mode {
 		case POMTLB:
-			if sys.pom.Small.Count()+sys.pom.Large.Count() != 0 {
+			if sys.pom.InvalidateProcess(vm.ID(), 1) != 0 {
 				t.Errorf("POM-TLB still holds entries after process exit")
 			}
 		case TSB:
-			if sys.tsbB.Count() != 0 {
+			if sys.tsbB.InvalidateProcess(vm.ID(), 1) != 0 {
 				t.Errorf("TSB still holds entries after process exit")
 			}
 		case SharedL2:
-			if sys.shared.Count() != 0 {
+			if sys.shared.InvalidateProcess(vm.ID(), 1) != 0 {
 				t.Errorf("shared TLB still holds entries after process exit")
 			}
 		}

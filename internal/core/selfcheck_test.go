@@ -74,7 +74,7 @@ func TestSelfCheckCatchesInjectedCorruption(t *testing.T) {
 	// behind the shadow's back — the reference keeps the old PFNs, so the
 	// next search hit on any corrupted page must diverge.
 	sched.CallOn(faultinject.TraceSite, func() {
-		part := sys.POM().Small
+		part := sys.pom.Small
 		part.SetShadow(nil)
 		defer part.SetShadow(sc.pomSmall)
 		for vpn := uint64(0); vpn < 1<<16 && corrupted < 8; vpn += 4 {

@@ -162,15 +162,6 @@ func NewSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
-
-// POM returns the POM-TLB (nil unless a POMTLB mode).
-func (s *System) POM() *pomtlb.TLB { return s.pom }
-
-// Hypervisor returns the virtualization substrate.
-func (s *System) Hypervisor() *virt.Hypervisor { return s.hyp }
-
 // walkMemFunc returns the MemFunc routing a core's page-table-entry reads
 // through its data-cache hierarchy (PTEs are cached like data in x86).
 // Walk references are flagged so the dram-cache scheme's die-stacked

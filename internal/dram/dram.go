@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
-	"repro/internal/stats"
 )
 
 // Config describes one DRAM channel's geometry and timing.
@@ -166,14 +165,6 @@ func (s Stats) RowBufferHitRate() float64 {
 		return 0
 	}
 	return float64(s.RowHits) / float64(s.Accesses)
-}
-
-// AvgLatency returns the mean access latency in CPU cycles.
-func (s Stats) AvgLatency() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.TotalCycle) / float64(s.Accesses)
 }
 
 // Shadow observes every DRAM access in program order. The differential
@@ -402,9 +393,3 @@ func (ch *Channel) Stats() Stats { return ch.stats }
 
 // ResetStats clears counters without disturbing bank state.
 func (ch *Channel) ResetStats() { ch.stats = Stats{} }
-
-// HitMiss converts the row-buffer counters into a stats.HitMiss for
-// uniform reporting.
-func (s Stats) HitMiss() stats.HitMiss {
-	return stats.HitMiss{Hits: s.RowHits, Misses: s.RowMisses + s.RowConfl}
-}

@@ -59,7 +59,6 @@ func (c Config) Validate() error {
 
 // Cache is the die-stacked DRAM cache.
 type Cache struct {
-	cfg  Config
 	tags *cache.Cache
 	ch   *dram.Channel
 }
@@ -70,7 +69,6 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	return &Cache{
-		cfg:  cfg,
 		tags: cache.MustNew(cfg.tagConfig()),
 		ch:   dram.MustNew(cfg.DRAM),
 	}, nil
@@ -84,9 +82,6 @@ func MustNew(cfg Config) *Cache {
 	}
 	return d
 }
-
-// Config returns the configuration.
-func (d *Cache) Config() Config { return d.cfg }
 
 // Tags exposes the tag directory (for the differential oracle).
 func (d *Cache) Tags() *cache.Cache { return d.tags }

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/resilience"
 )
 
 // WorkloadError is one failed (workload, scheme) cell of a campaign: the
@@ -79,19 +78,6 @@ func (e *CampaignError) Unwrap() []error {
 		out[i] = f
 	}
 	return out
-}
-
-// Verbose renders the report with recovered panic stacks included.
-func (e *CampaignError) Verbose() string {
-	var b strings.Builder
-	b.WriteString(e.Error())
-	for _, f := range e.Failures {
-		var pe *resilience.PanicError
-		if errors.As(f.Err, &pe) {
-			fmt.Fprintf(&b, "\n--- stack for %s ---\n%s", f.cell(), pe.Stack)
-		}
-	}
-	return b.String()
 }
 
 // failureSet collects per-cell failures during figure extraction.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cacti"
 	"repro/internal/core"
 	"repro/internal/perfmodel"
-	"repro/internal/pomtlb"
 	"repro/internal/stats"
 	"repro/internal/tlb"
 	"repro/internal/workloads"
@@ -357,9 +356,6 @@ func Table2() string {
 	}
 	return t.String()
 }
-
-// pomConfigForDoc exposes the default POM geometry for documentation.
-func pomConfigForDoc() pomtlb.Config { return pomtlb.DefaultConfig() }
 
 // RenderBars renders a one-column bar chart used by cmd/experiments.
 func RenderBars(title string, names []string, values []float64, unit string) string {

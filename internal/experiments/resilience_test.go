@@ -5,7 +5,6 @@ import (
 	"errors"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -52,8 +51,8 @@ func TestCampaignSurvivesWorkerPanic(t *testing.T) {
 	if !errors.As(f.Err, &pe) {
 		t.Fatalf("failure cause is %T, want *resilience.PanicError", f.Err)
 	}
-	if !strings.Contains(ce.Verbose(), "stack for gups/pom-tlb") {
-		t.Error("Verbose() missing the recovered stack")
+	if len(pe.Stack) == 0 {
+		t.Error("the recovered panic carries no stack")
 	}
 }
 
@@ -186,9 +185,14 @@ func TestAblationFailuresKeepTheirPoints(t *testing.T) {
 	if a, b := ce.Failures[0].Variant, ce.Failures[1].Variant; a == "" || b == "" || a == b {
 		t.Errorf("failures not told apart by variant: %q, %q", a, b)
 	}
+	stacks := map[string]bool{}
+	for _, f := range ce.Failures {
+		var pe *resilience.PanicError
+		stacks[f.cell()] = errors.As(f.Err, &pe) && len(pe.Stack) > 0
+	}
 	for _, want := range []string{"gups/pom-tlb[8MB]", "gups/pom-tlb[16MB]"} {
-		if !strings.Contains(ce.Verbose(), "stack for "+want) {
-			t.Errorf("Verbose() missing the stack for %s:\n%s", want, ce.Error())
+		if !stacks[want] {
+			t.Errorf("no recovered stack for %s:\n%s", want, ce.Error())
 		}
 	}
 }

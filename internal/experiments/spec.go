@@ -367,27 +367,6 @@ func (s Spec) Cells(workloadNames []string) []Cell {
 	return cells
 }
 
-// Size returns the cell count of the grid over the given workloads.
-func (s Spec) Size(workloads int) int {
-	n := workloads
-	mul := func(k int) {
-		if k > 0 {
-			n *= k
-		}
-	}
-	if len(s.Schemes) > 0 {
-		mul(len(s.Schemes))
-	}
-	mul(len(s.PomMB))
-	mul(len(s.PomWays))
-	mul(len(s.Cores))
-	mul(len(s.Seeds))
-	mul(len(s.Tenants))
-	mul(len(s.Churn))
-	mul(len(s.Phases))
-	return n
-}
-
 func orInheritU(vs []uint64) []uint64 {
 	if len(vs) == 0 {
 		return []uint64{0}

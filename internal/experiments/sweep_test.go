@@ -40,8 +40,8 @@ func TestParseSpec(t *testing.T) {
 	if got := spec.Canonical(); got != "schemes=pom-tlb,tsb:pom-mb=4,8:pom-ways=2,4:seeds=1,2" {
 		t.Errorf("Canonical = %q", got)
 	}
-	if n := spec.Size(2); n != 2*2*2*2*2 {
-		t.Errorf("Size = %d", n)
+	if n := len(spec.Cells([]string{"gups", "mcf"})); n != 2*2*2*2*2 {
+		t.Errorf("%d cells", n)
 	}
 }
 

@@ -46,7 +46,7 @@ func TestFig1NativeOrdering(t *testing.T) {
 	table := New(bump(0x40_0000))
 	table.Map(0x1234_5000, 0x66, addr.Page4K)
 	var levels []addr.Level
-	full, _, _ := table.Walk(0x1234_5000)
+	full, _, _ := table.WalkAppend(0x1234_5000, nil)
 	for _, r := range full {
 		levels = append(levels, r.Level)
 	}

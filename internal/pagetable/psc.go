@@ -77,9 +77,6 @@ func (p *PSC) InvalidateAll() {
 	}
 }
 
-// Stats returns the hit/miss counters.
-func (p *PSC) Stats() stats.HitMiss { return p.stats }
-
 // NestedTLB caches completed gPA→hPA translations at 4 KB granularity so
 // repeated host-dimension walks of hot guest frames are skipped — the
 // "nested TLB" of Intel's EPT hardware. Fully associative, LRU.
@@ -148,6 +145,3 @@ func (n *NestedTLB) InvalidateAll() {
 		n.entries[i] = nestedEntry{}
 	}
 }
-
-// Stats returns the hit/miss counters.
-func (n *NestedTLB) Stats() stats.HitMiss { return n.stats }

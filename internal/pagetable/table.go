@@ -58,21 +58,6 @@ func New(alloc func() uint64) *Table {
 	return &Table{alloc: alloc}
 }
 
-// RootAddr returns the address of the root node, or 0 if nothing has been
-// mapped yet (the root is allocated by the first Map).
-func (t *Table) RootAddr() uint64 {
-	if t.root == nil {
-		return 0
-	}
-	return t.root.base
-}
-
-// NodeCount returns the number of allocated radix nodes.
-func (t *Table) NodeCount() int { return t.nodes }
-
-// PageCount returns the number of mapped leaf pages.
-func (t *Table) PageCount() int { return t.pages }
-
 // leafLevel returns the radix level a mapping of the given size terminates
 // at: PT for 4 KB, PD for 2 MB, PDPT for 1 GB.
 func leafLevel(size addr.PageSize) addr.Level {
@@ -144,16 +129,11 @@ func (t *Table) Lookup(va uint64) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Walk resolves va and returns every PTE reference the hardware walker
-// would issue: one 8-byte read per visited level, at nodeBase + 8×index.
-// On a translation fault the refs up to and including the faulting entry
-// are still returned with ok = false.
-func (t *Table) Walk(va uint64) (refs []Ref, e Entry, ok bool) {
-	return t.WalkAppend(va, nil)
-}
-
-// WalkAppend is Walk appending into a caller-provided buffer (usually
-// buf[:0] of a reused scratch slice), so steady-state walks allocate
+// WalkAppend resolves va and appends every PTE reference the hardware
+// walker would issue to refs: one 8-byte read per visited level, at
+// nodeBase + 8×index. On a translation fault the refs up to and including
+// the faulting entry are still returned with ok = false. Callers pass
+// buf[:0] of a reused scratch slice, so steady-state walks allocate
 // nothing. A radix-4 walk issues at most 4 references.
 func (t *Table) WalkAppend(va uint64, refs []Ref) ([]Ref, Entry, bool) {
 	n := t.root
@@ -171,15 +151,10 @@ func (t *Table) WalkAppend(va uint64, refs []Ref) ([]Ref, Entry, bool) {
 	return refs, Entry{}, false
 }
 
-// WalkFrom resolves va starting below a known intermediate node, as a
-// walker with a page-structure-cache hit would: startLevel is the level of
-// the provided node (whose base address a PSC supplied), and only levels
-// from startLevel down are referenced.
-func (t *Table) WalkFrom(va uint64, startLevel addr.Level, nodeBase uint64) (refs []Ref, e Entry, ok bool) {
-	return t.WalkFromAppend(va, startLevel, nodeBase, nil)
-}
-
-// WalkFromAppend is WalkFrom appending into a caller-provided buffer.
+// WalkFromAppend is WalkAppend starting below a known intermediate node,
+// as a walker with a page-structure-cache hit would: startLevel is the
+// level of the provided node (whose base address a PSC supplied), and
+// only levels from startLevel down are referenced.
 func (t *Table) WalkFromAppend(va uint64, startLevel addr.Level, nodeBase uint64, refs []Ref) ([]Ref, Entry, bool) {
 	n := t.findNode(va, startLevel)
 	if n == nil || n.base != nodeBase {
@@ -210,16 +185,6 @@ func (t *Table) findNode(va uint64, level addr.Level) *node {
 		n = n.children[addr.Index(addr.VA(va), l)]
 	}
 	return n
-}
-
-// NodeAddr returns the base address of the node serving the given level of
-// va's walk (for PSC fills), or false if the walk doesn't reach that level.
-func (t *Table) NodeAddr(va uint64, level addr.Level) (uint64, bool) {
-	n := t.findNode(va, level)
-	if n == nil {
-		return 0, false
-	}
-	return n.base, true
 }
 
 // Unmap removes the translation for va, returning the removed entry. Radix

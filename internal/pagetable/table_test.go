@@ -28,7 +28,7 @@ func TestNewNilAllocPanics(t *testing.T) {
 
 func TestMapLookup4K(t *testing.T) {
 	tab := New(bump(0x10_0000))
-	if tab.RootAddr() != 0 {
+	if tab.root != nil {
 		t.Error("root should be unallocated before first Map")
 	}
 	created, err := tab.Map(0x7f00_0000_1000, 0x42, addr.Page4K)
@@ -38,8 +38,8 @@ func TestMapLookup4K(t *testing.T) {
 	if len(created) != 4 { // root + 3 intermediate nodes
 		t.Errorf("created %d nodes, want 4", len(created))
 	}
-	if tab.RootAddr() != 0x10_0000 {
-		t.Errorf("root at %#x", tab.RootAddr())
+	if tab.root.base != 0x10_0000 {
+		t.Errorf("root at %#x", tab.root.base)
 	}
 	e, ok := tab.Lookup(0x7f00_0000_1234)
 	if !ok || e.PFN != 0x42 || e.Size != addr.Page4K {
@@ -75,8 +75,8 @@ func TestMapReusesNodes(t *testing.T) {
 	if len(c1) != 4 || len(c2) != 0 {
 		t.Errorf("created %d then %d nodes, want 4 then 0", len(c1), len(c2))
 	}
-	if tab.NodeCount() != 4 || tab.PageCount() != 2 {
-		t.Errorf("nodes=%d pages=%d", tab.NodeCount(), tab.PageCount())
+	if tab.nodes != 4 || tab.pages != 2 {
+		t.Errorf("nodes=%d pages=%d", tab.nodes, tab.pages)
 	}
 }
 
@@ -91,8 +91,8 @@ func TestMapRemapUpdates(t *testing.T) {
 	if e.PFN != 99 {
 		t.Errorf("remap PFN = %d", e.PFN)
 	}
-	if tab.PageCount() != 1 {
-		t.Errorf("PageCount = %d", tab.PageCount())
+	if tab.pages != 1 {
+		t.Errorf("pages = %d", tab.pages)
 	}
 }
 
@@ -118,7 +118,7 @@ func TestMapConflicts(t *testing.T) {
 func TestWalkRefs(t *testing.T) {
 	tab := New(bump(0x1_0000))
 	tab.Map(0x7f00_0000_1000, 0x42, addr.Page4K)
-	refs, e, ok := tab.Walk(0x7f00_0000_1000)
+	refs, e, ok := tab.WalkAppend(0x7f00_0000_1000, nil)
 	if !ok || e.PFN != 0x42 {
 		t.Fatalf("walk = %+v, %v", e, ok)
 	}
@@ -133,7 +133,7 @@ func TestWalkRefs(t *testing.T) {
 			t.Errorf("ref %d addr %#x not 8-aligned", i, r.Addr)
 		}
 	}
-	if refs[0].Addr&^uint64(NodeBytes-1) != tab.RootAddr() {
+	if refs[0].Addr&^uint64(NodeBytes-1) != tab.root.base {
 		t.Error("first ref should be in the root node")
 	}
 }
@@ -141,7 +141,7 @@ func TestWalkRefs(t *testing.T) {
 func TestWalk2MHasThreeRefs(t *testing.T) {
 	tab := New(bump(0))
 	tab.Map(0x4000_0000, 0x9, addr.Page2M)
-	refs, _, ok := tab.Walk(0x4000_0000)
+	refs, _, ok := tab.WalkAppend(0x4000_0000, nil)
 	if !ok || len(refs) != 3 {
 		t.Errorf("2M walk refs = %d (ok=%v), want 3", len(refs), ok)
 	}
@@ -150,7 +150,7 @@ func TestWalk2MHasThreeRefs(t *testing.T) {
 func TestWalkFault(t *testing.T) {
 	tab := New(bump(0))
 	tab.Map(0x1000, 1, addr.Page4K)
-	refs, _, ok := tab.Walk(0x9999_0000_0000)
+	refs, _, ok := tab.WalkAppend(0x9999_0000_0000, nil)
 	if ok {
 		t.Error("walk of unmapped VA should fault")
 	}
@@ -158,7 +158,7 @@ func TestWalkFault(t *testing.T) {
 		t.Errorf("fault refs = %d, want 1", len(refs))
 	}
 	empty := New(bump(0))
-	refs, _, ok = empty.Walk(0x1000)
+	refs, _, ok = empty.WalkAppend(0x1000, nil)
 	if ok || len(refs) != 0 {
 		t.Errorf("empty table walk = %d refs, ok=%v", len(refs), ok)
 	}
@@ -167,9 +167,9 @@ func TestWalkFault(t *testing.T) {
 func TestWalkFrom(t *testing.T) {
 	tab := New(bump(0x1_0000))
 	tab.Map(0x7f00_0000_1000, 0x42, addr.Page4K)
-	full, _, _ := tab.Walk(0x7f00_0000_1000)
+	full, _, _ := tab.WalkAppend(0x7f00_0000_1000, nil)
 	ptNode := full[3].Addr &^ uint64(NodeBytes-1)
-	refs, e, ok := tab.WalkFrom(0x7f00_0000_1000, addr.PT, ptNode)
+	refs, e, ok := tab.WalkFromAppend(0x7f00_0000_1000, addr.PT, ptNode, nil)
 	if !ok || e.PFN != 0x42 {
 		t.Fatalf("WalkFrom = %+v, %v", e, ok)
 	}
@@ -177,7 +177,7 @@ func TestWalkFrom(t *testing.T) {
 		t.Errorf("WalkFrom refs = %+v", refs)
 	}
 	// Stale node base falls back to a full walk.
-	refs, _, ok = tab.WalkFrom(0x7f00_0000_1000, addr.PT, 0xdead000)
+	refs, _, ok = tab.WalkFromAppend(0x7f00_0000_1000, addr.PT, 0xdead000, nil)
 	if !ok || len(refs) != 4 {
 		t.Errorf("stale WalkFrom refs = %d, ok=%v, want full walk", len(refs), ok)
 	}
@@ -186,21 +186,21 @@ func TestWalkFrom(t *testing.T) {
 func TestNodeAddr(t *testing.T) {
 	tab := New(bump(0x1_0000))
 	tab.Map(0x7f00_0000_1000, 0x42, addr.Page4K)
-	full, _, _ := tab.Walk(0x7f00_0000_1000)
+	full, _, _ := tab.WalkAppend(0x7f00_0000_1000, nil)
 	for l := addr.PML4; l <= addr.PT; l++ {
-		got, ok := tab.NodeAddr(0x7f00_0000_1000, l)
-		if !ok || got != full[l].Addr&^uint64(NodeBytes-1) {
-			t.Errorf("NodeAddr(%v) = %#x, ok=%v", l, got, ok)
+		n := tab.findNode(0x7f00_0000_1000, l)
+		if n == nil || n.base != full[l].Addr&^uint64(NodeBytes-1) {
+			t.Errorf("findNode(%v) is not the node the walk reads", l)
 		}
 	}
-	if _, ok := tab.NodeAddr(0x9999_0000_0000, addr.PT); ok {
-		t.Error("NodeAddr of unmapped region should fail")
+	if tab.findNode(0x9999_0000_0000, addr.PT) != nil {
+		t.Error("findNode of unmapped region should fail")
 	}
 	// 2 MB leaf: no PT node exists below it.
 	tab2 := New(bump(0))
 	tab2.Map(0x4000_0000, 1, addr.Page2M)
-	if _, ok := tab2.NodeAddr(0x4000_0000, addr.PT); ok {
-		t.Error("NodeAddr below a 2M leaf should fail")
+	if tab2.findNode(0x4000_0000, addr.PT) != nil {
+		t.Error("findNode below a 2M leaf should fail")
 	}
 }
 
@@ -217,8 +217,8 @@ func TestUnmap(t *testing.T) {
 	if _, ok := tab.Unmap(0x1000); ok {
 		t.Error("double Unmap should fail")
 	}
-	if tab.PageCount() != 0 {
-		t.Errorf("PageCount = %d", tab.PageCount())
+	if tab.pages != 0 {
+		t.Errorf("pages = %d", tab.pages)
 	}
 }
 
@@ -231,7 +231,7 @@ func TestMapLookupProperty(t *testing.T) {
 		if large {
 			size = addr.Page2M
 		}
-		va := uint64(addr.Canonical(raw))
+		va := raw & (1<<48 - 1)
 		if _, err := tab.Map(va, uint64(pfn), size); err != nil {
 			return true // geometry conflict with an earlier iteration: fine
 		}
@@ -251,7 +251,7 @@ func TestWalkLookupAgreeProperty(t *testing.T) {
 	}
 	f := func(raw uint32) bool {
 		va := uint64(raw) & 0xFF_F000
-		_, we, wok := tab.Walk(va)
+		_, we, wok := tab.WalkAppend(va, nil)
 		le, lok := tab.Lookup(va)
 		return wok == lok && we == le
 	}
@@ -273,7 +273,7 @@ func TestMapLookup1G(t *testing.T) {
 	if !ok || e.PFN != 0x7 || e.Size != addr.Page1G {
 		t.Errorf("Lookup = %+v, %v", e, ok)
 	}
-	refs, _, ok := tab.Walk(0x40_0000_0000)
+	refs, _, ok := tab.WalkAppend(0x40_0000_0000, nil)
 	if !ok || len(refs) != 2 {
 		t.Errorf("1G walk refs = %d (ok=%v), want 2", len(refs), ok)
 	}

@@ -146,12 +146,6 @@ func (s *WalkStats) Add(o WalkStats) {
 	s.PSCSkips += o.PSCSkips
 }
 
-// PSCs exposes the three page-structure caches for stats reporting.
-func (w *Walker) PSCs() (pml4, pdp, pde *PSC) { return w.pml4c, w.pdpc, w.pdec }
-
-// Nested exposes the nested TLB for stats reporting.
-func (w *Walker) Nested() *NestedTLB { return w.nested }
-
 // InvalidateAll flushes all acceleration state (full shootdown).
 func (w *Walker) InvalidateAll() {
 	w.pml4c.InvalidateAll()

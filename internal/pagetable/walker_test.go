@@ -242,7 +242,7 @@ func TestPSCBasics(t *testing.T) {
 	if _, ok := p.Lookup(1, 1, 0x10); ok {
 		t.Error("InvalidateAll failed")
 	}
-	if p.Stats().Total() == 0 {
+	if p.stats.Total() == 0 {
 		t.Error("stats should be recorded")
 	}
 }
@@ -302,11 +302,18 @@ func TestNewWalkerNilMemPanics(t *testing.T) {
 	NewWalker(DefaultWalkerConfig(), nil)
 }
 
+// TestWalkerAccessors pins that NewWalker builds each page-structure
+// cache and the nested TLB at the capacity its config gives.
 func TestWalkerAccessors(t *testing.T) {
 	mem, _ := flatMem(1)
-	w := NewWalker(DefaultWalkerConfig(), mem)
-	a, b, c := w.PSCs()
-	if a == nil || b == nil || c == nil || w.Nested() == nil {
-		t.Error("accessors returned nil")
+	cfg := DefaultWalkerConfig()
+	w := NewWalker(cfg, mem)
+	got := []int{len(w.pml4c.entries), len(w.pdpc.entries), len(w.pdec.entries), len(w.nested.entries)}
+	want := []int{cfg.PML4Entries, cfg.PDPEntries, cfg.PDEEntries, cfg.NestedTLB}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("PML4/PDP/PDE/nested capacities = %v, want %v", got, want)
+			break
+		}
 	}
 }

@@ -112,14 +112,6 @@ func CScheme(cIdeal, mTotal uint64, pScheme float64) float64 {
 	return float64(cIdeal) + float64(mTotal)*pScheme
 }
 
-// IPC implements Equation (5).
-func IPC(iTotal uint64, cScheme float64) float64 {
-	if cScheme <= 0 {
-		return 0
-	}
-	return float64(iTotal) / cScheme
-}
-
 // GeomeanImprovementPct aggregates per-workload speedups the way the paper
 // reports its averages: geometric mean of the speedups, expressed as a
 // percentage improvement.

@@ -89,12 +89,6 @@ func TestEquations(t *testing.T) {
 	if CScheme(700, 3, 50) != 850 {
 		t.Error("CScheme")
 	}
-	if IPC(1700, 850) != 2 {
-		t.Error("IPC")
-	}
-	if IPC(1700, 0) != 0 {
-		t.Error("IPC zero cycles")
-	}
 }
 
 func TestEquationsConsistentWithSpeedup(t *testing.T) {

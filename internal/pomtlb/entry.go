@@ -41,7 +41,7 @@ func (e Entry) matches(vm addr.VMID, pid addr.PID, vpn uint64) bool {
 	return e.Valid && e.VM == vm && e.PID == pid && e.VPN == vpn
 }
 
-// Encode packs the entry into its 16-byte memory image:
+// DecodeEntry unpacks an entry's 16-byte memory image:
 //
 //	[0]     flags: bit0 = valid, bit1 = size (1 = 2 MB), bits 2-3 = LRU
 //	[1]     attribute/protection bits
@@ -49,26 +49,6 @@ func (e Entry) matches(vm addr.VMID, pid addr.PID, vpn uint64) bool {
 //	[4:6]   process ID
 //	[6:11]  VPN (40 bits)
 //	[11:16] PPN (40 bits)
-func (e Entry) Encode() [EntryBytes]byte {
-	var b [EntryBytes]byte
-	var flags byte
-	if e.Valid {
-		flags |= 1
-	}
-	if e.Size == addr.Page2M {
-		flags |= 2
-	}
-	flags |= (e.LRU & 3) << 2
-	b[0] = flags
-	b[1] = e.Attr
-	binary.LittleEndian.PutUint16(b[2:4], uint16(e.VM))
-	binary.LittleEndian.PutUint16(b[4:6], uint16(e.PID))
-	put40(b[6:11], e.VPN)
-	put40(b[11:16], e.PFN)
-	return b
-}
-
-// DecodeEntry unpacks a 16-byte memory image.
 func DecodeEntry(b [EntryBytes]byte) Entry {
 	flags := b[0]
 	size := addr.Page4K
@@ -85,16 +65,6 @@ func DecodeEntry(b [EntryBytes]byte) Entry {
 		VPN:   get40(b[6:11]),
 		PFN:   get40(b[11:16]),
 	}
-}
-
-// put40 stores the low 40 bits of v into 5 bytes, little endian.
-func put40(dst []byte, v uint64) {
-	_ = dst[4]
-	dst[0] = byte(v)
-	dst[1] = byte(v >> 8)
-	dst[2] = byte(v >> 16)
-	dst[3] = byte(v >> 24)
-	dst[4] = byte(v >> 32)
 }
 
 // get40 loads 5 little-endian bytes.

@@ -45,12 +45,12 @@ func TestNonDefaultGeometries(t *testing.T) {
 			}
 		}
 		// Partitions tile the range without overlap, in order.
-		if tlb.Large.Base() != tlb.Small.Base()+tlb.Small.SizeBytes() {
+		if tlb.Large.base != tlb.Small.base+tlb.Small.SizeBytes() {
 			t.Errorf("%dMB/%d-way: large partition base %#x, small ends %#x",
-				tc.sizeMB, tc.ways, tlb.Large.Base(), tlb.Small.Base()+tlb.Small.SizeBytes())
+				tc.sizeMB, tc.ways, tlb.Large.base, tlb.Small.base+tlb.Small.SizeBytes())
 		}
 		// Contains matches the carved span exactly at its edges.
-		end := addr.HPA(tlb.Large.Base() + tlb.Large.SizeBytes())
+		end := addr.HPA(tlb.Large.base + tlb.Large.SizeBytes())
 		if !tlb.Contains(addr.HPA(tlb.cfg.BaseAddr)) || !tlb.Contains(end-1) || tlb.Contains(end) {
 			t.Errorf("%dMB/%d-way: Contains edges wrong", tc.sizeMB, tc.ways)
 		}
@@ -68,10 +68,10 @@ func TestSetAddrInRangeNonDefault(t *testing.T) {
 				va := addr.VA(uint64(i) * 0x13579B * p.PageSize.Bytes())
 				vm := addr.VMID(i % 5)
 				a := uint64(p.SetAddr(va, vm))
-				if a < p.Base() || a >= p.Base()+p.SizeBytes() {
-					t.Fatalf("%d-way %s: SetAddr %#x outside [%#x,%#x)", ways, p.PageSize, a, p.Base(), p.Base()+p.SizeBytes())
+				if a < p.base || a >= p.base+p.SizeBytes() {
+					t.Fatalf("%d-way %s: SetAddr %#x outside [%#x,%#x)", ways, p.PageSize, a, p.base, p.base+p.SizeBytes())
 				}
-				if (a-p.Base())%p.setBytes != 0 {
+				if (a-p.base)%p.setBytes != 0 {
 					t.Fatalf("%d-way %s: SetAddr %#x not set-aligned", ways, p.PageSize, a)
 				}
 				if idx := p.SetIndex(va, vm); idx >= p.numSets {
@@ -117,8 +117,8 @@ func TestInsertSearchNonDefaultWays(t *testing.T) {
 		if err := p.CheckInvariants(); err != nil {
 			t.Fatalf("%d-way: %v", ways, err)
 		}
-		if p.Count() > int(p.Entries()) {
-			t.Fatalf("%d-way: %d resident in %d-entry partition", ways, p.Count(), p.Entries())
+		if p.count > int(p.Entries()) {
+			t.Fatalf("%d-way: %d resident in %d-entry partition", ways, p.count, p.Entries())
 		}
 		// The most recent insert is always findable (it was just touched).
 		if _, ok := p.Search(1, 2, addr.VA((n-1)*7*addr.Bytes4K)); !ok {

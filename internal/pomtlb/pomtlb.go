@@ -40,11 +40,22 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxSizeBytes bounds SizeBytes. New allocates every entry up front, at
+// two bytes of host memory per simulated byte (a 32 B Entry per 16 B
+// slot), so an unchecked size from a config file or an HTTP request
+// would exhaust host memory before anything could reject it. 256 MiB
+// costs 512 MiB of host memory, is 8× the largest POM-TLB the paper
+// evaluates (32 MB, §4.6), and fills exactly the low region of host
+// physical memory that virt.DefaultConfig reserves for the mapped TLB.
+const maxSizeBytes = 256 << 20
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes == 0:
 		return fmt.Errorf("pomtlb: zero size")
+	case c.SizeBytes > maxSizeBytes:
+		return fmt.Errorf("pomtlb: %d MiB exceeds the %d MiB limit", c.SizeBytes>>20, maxSizeBytes>>20)
 	case c.Ways <= 0:
 		return fmt.Errorf("pomtlb: ways must be positive")
 	case c.SmallFraction <= 0 || c.SmallFraction >= 1:
@@ -157,15 +168,6 @@ func (p *Partition) Entries() uint64 { return p.numSets * uint64(p.ways) }
 
 // SizeBytes returns the partition's mapped byte span.
 func (p *Partition) SizeBytes() uint64 { return p.numSets * p.setBytes }
-
-// Base returns the partition's base physical address.
-func (p *Partition) Base() uint64 { return p.base }
-
-// Count returns the number of valid entries.
-func (p *Partition) Count() int { return p.count }
-
-// Reach returns how many bytes of address space a full partition maps.
-func (p *Partition) Reach() uint64 { return p.Entries() * p.PageSize.Bytes() }
 
 // SetIndex implements Equation (1)'s set mapping: the page-aligned virtual
 // address, XORed with the VM ID and shifted by 6, selects the set. The
@@ -357,12 +359,6 @@ func (p *Partition) CheckInvariants() error {
 	return nil
 }
 
-// Stats returns the associative-search hit/miss counters.
-func (p *Partition) Stats() stats.HitMiss { return p.lookups }
-
-// Inserts returns how many fills the partition has taken.
-func (p *Partition) Inserts() uint64 { return p.inserts }
-
 // ResetStats clears the counters; contents are untouched (used to discard
 // warmup statistics while keeping the warmed state).
 func (p *Partition) ResetStats() {
@@ -391,17 +387,6 @@ func (p *Partition) SetView(va addr.VA, vm addr.VMID) []Entry {
 	return p.set(p.SetIndex(va, vm))
 }
 
-// SetImage returns the raw 64 B-per-line memory image of a set — what a
-// cached copy of the set actually holds (Figure 5's layout).
-func (p *Partition) SetImage(setIdx uint64) []byte {
-	img := make([]byte, p.setBytes)
-	for i, e := range p.set(setIdx) {
-		b := e.Encode()
-		copy(img[i*EntryBytes:], b[:])
-	}
-	return img
-}
-
 // TLB is the complete POM-TLB: both partitions plus the dedicated
 // die-stacked DRAM channel that services set fetches.
 type TLB struct {
@@ -425,9 +410,6 @@ func New(cfg Config) *TLB {
 		channel: dram.MustNew(cfg.DRAM),
 	}
 }
-
-// Config returns the TLB's configuration.
-func (t *TLB) Config() Config { return t.cfg }
 
 // Partition returns the partition for a page size.
 func (t *TLB) Partition(size addr.PageSize) *Partition {
@@ -481,17 +463,6 @@ func (t *TLB) ResetStats() {
 	t.Small.ResetStats()
 	t.Large.ResetStats()
 	t.channel.ResetStats()
-}
-
-// Reach returns the total address-space reach in bytes when full.
-func (t *TLB) Reach() uint64 { return t.Small.Reach() + t.Large.Reach() }
-
-// HitRate returns the combined associative-search hit ratio across both
-// partitions (the POM-TLB bar of Figure 9).
-func (t *TLB) HitRate() float64 {
-	hm := t.Small.Stats()
-	hm.Add(t.Large.Stats())
-	return hm.Ratio()
 }
 
 // InvalidatePage shoots a page out of the partition matching its size.

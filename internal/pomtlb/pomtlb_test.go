@@ -1,6 +1,7 @@
 package pomtlb
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,37 @@ import (
 
 func validEntry(vm addr.VMID, pid addr.PID, vpn, pfn uint64, size addr.PageSize) Entry {
 	return Entry{Valid: true, VM: vm, PID: pid, VPN: vpn, PFN: pfn, Size: size}
+}
+
+// Encode packs the entry into the 16-byte memory image DecodeEntry
+// unpacks.
+func (e Entry) Encode() [EntryBytes]byte {
+	var b [EntryBytes]byte
+	var flags byte
+	if e.Valid {
+		flags |= 1
+	}
+	if e.Size == addr.Page2M {
+		flags |= 2
+	}
+	flags |= (e.LRU & 3) << 2
+	b[0] = flags
+	b[1] = e.Attr
+	binary.LittleEndian.PutUint16(b[2:4], uint16(e.VM))
+	binary.LittleEndian.PutUint16(b[4:6], uint16(e.PID))
+	put40(b[6:11], e.VPN)
+	put40(b[11:16], e.PFN)
+	return b
+}
+
+// put40 stores the low 40 bits of v into 5 bytes, little endian.
+func put40(dst []byte, v uint64) {
+	_ = dst[4]
+	dst[0] = byte(v)
+	dst[1] = byte(v >> 8)
+	dst[2] = byte(v >> 16)
+	dst[3] = byte(v >> 24)
+	dst[4] = byte(v >> 32)
 }
 
 func TestEntryEncodeDecodeRoundtrip(t *testing.T) {
@@ -76,15 +108,8 @@ func TestDefaultConfigGeometry(t *testing.T) {
 		t.Errorf("4-way set should be one 64B line, got %d", tl.Small.LinesPerSet())
 	}
 	// Partitions are adjacent and non-overlapping.
-	if tl.Large.Base() != tl.Small.Base()+tl.Small.SizeBytes() {
+	if tl.Large.base != tl.Small.base+tl.Small.SizeBytes() {
 		t.Error("large partition should start right after small")
-	}
-	// Reach: 524288 × 4 KB = 2 GB small + 524288 × 2 MB = 1 TB large.
-	if tl.Small.Reach() != 2<<30 {
-		t.Errorf("small reach = %d", tl.Small.Reach())
-	}
-	if tl.Reach() <= tl.Small.Reach() {
-		t.Error("total reach should include the large partition")
 	}
 }
 
@@ -110,7 +135,7 @@ func TestSetAddrWithinPartition(t *testing.T) {
 	tl := New(DefaultConfig())
 	for _, va := range []addr.VA{0, 0x1000, 0xdead_beef_f000, 1<<48 - 1} {
 		a := tl.Small.SetAddr(va, 1)
-		if uint64(a) < tl.Small.Base() || uint64(a) >= tl.Small.Base()+tl.Small.SizeBytes() {
+		if uint64(a) < tl.Small.base || uint64(a) >= tl.Small.base+tl.Small.SizeBytes() {
 			t.Errorf("small SetAddr(%v) = %#x out of range", va, uint64(a))
 		}
 		if uint64(a)%64 != 0 {
@@ -120,7 +145,7 @@ func TestSetAddrWithinPartition(t *testing.T) {
 			t.Errorf("Contains(%#x) = false", uint64(a))
 		}
 	}
-	if tl.Contains(addr.HPA(tl.Config().SizeBytes)) {
+	if tl.Contains(addr.HPA(tl.cfg.SizeBytes)) {
 		t.Error("address past the TLB should not be contained")
 	}
 }
@@ -145,10 +170,10 @@ func TestSearchInsert(t *testing.T) {
 	if !ok || e.PFN != 0x99 {
 		t.Errorf("search = %+v, %v", e, ok)
 	}
-	if tl.Small.Count() != 1 || tl.Small.Inserts() != 1 {
-		t.Errorf("count=%d inserts=%d", tl.Small.Count(), tl.Small.Inserts())
+	if tl.Small.count != 1 || tl.Small.inserts != 1 {
+		t.Errorf("count=%d inserts=%d", tl.Small.count, tl.Small.inserts)
 	}
-	hm := tl.Small.Stats()
+	hm := tl.Small.lookups
 	if hm.Hits != 1 || hm.Misses != 1 {
 		t.Errorf("stats = %+v", hm)
 	}
@@ -193,8 +218,8 @@ func TestTwoBitLRUReplacement(t *testing.T) {
 	if !evicted || victim.VPN != vpns[3] {
 		t.Errorf("victim = %+v (evicted=%v), want VPN %#x", victim, evicted, vpns[3])
 	}
-	if p.Count() != 4 {
-		t.Errorf("count = %d, want 4 (set stays full)", p.Count())
+	if p.count != 4 {
+		t.Errorf("count = %d, want 4 (set stays full)", p.count)
 	}
 }
 
@@ -211,8 +236,8 @@ func TestInsertRefreshDoesNotGrow(t *testing.T) {
 	if got.PFN != 7 {
 		t.Errorf("refresh did not update PFN: %+v", got)
 	}
-	if tl.Small.Count() != 1 {
-		t.Errorf("count = %d", tl.Small.Count())
+	if tl.Small.count != 1 {
+		t.Errorf("count = %d", tl.Small.count)
 	}
 }
 
@@ -230,28 +255,26 @@ func TestInvalidatePageAndVM(t *testing.T) {
 	if tl.InvalidatePage(1, 1, 10, addr.Page4K) {
 		t.Error("double invalidate should fail")
 	}
-	if tl.Small.Count() != 1 || tl.Large.Count() != 1 {
+	if tl.Small.count != 1 || tl.Large.count != 1 {
 		t.Errorf("counts = %d/%d; VM 1's 2M entry and VM 2's entry should survive",
-			tl.Small.Count(), tl.Large.Count())
+			tl.Small.count, tl.Large.count)
 	}
 }
 
+// TestSetImage pins Figure 5's layout: a 4-way set's 16-byte entry
+// images fill exactly one 64 B line, and the inserted entry's image
+// decodes back to it.
 func TestSetImage(t *testing.T) {
 	tl := New(DefaultConfig())
 	e := validEntry(1, 1, 42, 0x99, addr.Page4K)
 	tl.Small.Insert(e)
-	idx := tl.Small.SetIndex(addr.VA(42<<12), 1)
-	img := tl.Small.SetImage(idx)
-	if len(img) != 64 {
-		t.Fatalf("set image = %d bytes, want 64", len(img))
+	set := tl.Small.SetView(addr.VA(42<<12), 1)
+	if n := len(set) * EntryBytes; n != addr.CacheLineSize {
+		t.Fatalf("set image = %d bytes, want 64", n)
 	}
-	// One of the four 16-byte slots decodes to our entry.
 	found := false
-	for i := 0; i < 4; i++ {
-		var b [16]byte
-		copy(b[:], img[i*16:])
-		d := DecodeEntry(b)
-		if d.Valid && d.VPN == 42 && d.PFN == 0x99 {
+	for _, w := range set {
+		if d := DecodeEntry(w.Encode()); d.Valid && d.VPN == 42 && d.PFN == 0x99 {
 			found = true
 		}
 	}
@@ -297,13 +320,17 @@ func TestAccessDRAMMultiLine(t *testing.T) {
 	}
 }
 
+// TestHitRateCombined pins that each partition counts its own searches,
+// so the two combine into the POM-TLB's hit ratio.
 func TestHitRateCombined(t *testing.T) {
 	tl := New(DefaultConfig())
 	tl.Small.Insert(validEntry(1, 1, 1, 1, addr.Page4K))
 	tl.Small.Search(1, 1, 0x1000) // hit
 	tl.Large.Search(1, 1, 0x1000) // miss
-	if got := tl.HitRate(); got != 0.5 {
-		t.Errorf("HitRate = %f", got)
+	hm := tl.Small.lookups
+	hm.Add(tl.Large.lookups)
+	if got := hm.Ratio(); got != 0.5 {
+		t.Errorf("combined hit ratio = %f", got)
 	}
 }
 
@@ -323,7 +350,7 @@ func TestCapacitySweepGeometry(t *testing.T) {
 func TestSetIndexProperty(t *testing.T) {
 	tl := New(DefaultConfig())
 	f := func(raw uint64, vm uint16) bool {
-		va := addr.Canonical(raw)
+		va := addr.VA(raw & (1<<48 - 1))
 		i := tl.Small.SetIndex(va, addr.VMID(vm))
 		j := tl.Large.SetIndex(va, addr.VMID(vm))
 		return i < tl.Small.Sets() && j < tl.Large.Sets()
@@ -341,7 +368,7 @@ func TestInsertSearchProperty(t *testing.T) {
 		if large {
 			size = addr.Page2M
 		}
-		va := addr.Canonical(raw)
+		va := addr.VA(raw & (1<<48 - 1))
 		p := tl.Partition(size)
 		p.Insert(validEntry(addr.VMID(vm), addr.PID(pid), va.VPN(size), uint64(pfn), size))
 		e, ok := p.Search(addr.VMID(vm), addr.PID(pid), va)
@@ -360,7 +387,7 @@ func TestInvalidateProcess(t *testing.T) {
 	if n := tl.InvalidateProcess(1, 1); n != 2 {
 		t.Errorf("removed %d, want 2", n)
 	}
-	if tl.Small.Count() != 1 || tl.Large.Count() != 0 {
-		t.Errorf("counts after exit: small=%d large=%d", tl.Small.Count(), tl.Large.Count())
+	if tl.Small.count != 1 || tl.Large.count != 0 {
+		t.Errorf("counts after exit: small=%d large=%d", tl.Small.count, tl.Large.count)
 	}
 }

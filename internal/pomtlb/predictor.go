@@ -62,12 +62,6 @@ func (p *Predictor) UpdateBypass(va addr.VA, shouldBypass bool) {
 	p.bypass[i] = shouldBypass
 }
 
-// SizeAccuracy returns the fraction of correct size predictions (Fig 10).
-func (p *Predictor) SizeAccuracy() float64 { return p.sizeAcc.Ratio() }
-
-// BypassAccuracy returns the fraction of correct bypass predictions.
-func (p *Predictor) BypassAccuracy() float64 { return p.bypassAcc.Ratio() }
-
 // SizeStats returns the raw size-prediction counters.
 func (p *Predictor) SizeStats() stats.HitMiss { return p.sizeAcc }
 

@@ -25,7 +25,7 @@ func TestSizePredictorLearns(t *testing.T) {
 		t.Error("predictor should learn 2MB")
 	}
 	p.UpdateSize(va, addr.Page2M) // scored correct
-	if got := p.SizeAccuracy(); got != 0.5 {
+	if got := p.SizeStats().Ratio(); got != 0.5 {
 		t.Errorf("accuracy = %f, want 0.5", got)
 	}
 	p.UpdateSize(va, addr.Page4K) // flips back
@@ -42,7 +42,7 @@ func TestBypassPredictorLearns(t *testing.T) {
 		t.Error("should learn to bypass")
 	}
 	p.UpdateBypass(va, true) // correct
-	if got := p.BypassAccuracy(); got != 0.5 {
+	if got := p.BypassStats().Ratio(); got != 0.5 {
 		t.Errorf("bypass accuracy = %f", got)
 	}
 	if p.BypassStats().Total() != 2 || p.SizeStats().Total() != 0 {
@@ -84,7 +84,7 @@ func TestPredictorReset(t *testing.T) {
 
 func TestPredictorAccuracyEmptyIsZero(t *testing.T) {
 	var p Predictor
-	if p.SizeAccuracy() != 0 || p.BypassAccuracy() != 0 {
+	if p.SizeStats().Ratio() != 0 || p.BypassStats().Ratio() != 0 {
 		t.Error("no updates → zero accuracy")
 	}
 }
@@ -97,7 +97,7 @@ func TestSizeLearnsProperty(t *testing.T) {
 		if large {
 			size = addr.Page2M
 		}
-		va := addr.Canonical(raw)
+		va := addr.VA(raw & (1<<48 - 1))
 		p.UpdateSize(va, size)
 		return p.PredictSize(va) == size
 	}
@@ -117,7 +117,7 @@ func TestStableWorkloadHighAccuracy(t *testing.T) {
 			p.UpdateSize(va, addr.Page2M)
 		}
 	}
-	if acc := p.SizeAccuracy(); acc < 0.85 {
+	if acc := p.SizeStats().Ratio(); acc < 0.85 {
 		t.Errorf("stable-workload accuracy = %f, want high", acc)
 	}
 }

@@ -183,18 +183,13 @@ func (b *Budget) Remaining() int {
 // "this job used its own attempt cap".
 var ErrBudgetExhausted = errors.New("resilience: global retry budget exhausted")
 
-// Retry runs fn until it succeeds, returns a Permanent error, the context
-// is cancelled, or MaxAttempts is exhausted. Panics inside fn are
+// RetryBudget runs fn until it succeeds, returns a Permanent error, the
+// context is cancelled, or MaxAttempts is exhausted. Panics inside fn are
 // recovered into *PanicError and treated as permanent — a panicking job
-// is deterministic, not transient.
-func Retry(ctx context.Context, p Policy, fn func(ctx context.Context) error) error {
-	return RetryBudget(ctx, p, nil, fn)
-}
-
-// RetryBudget is Retry drawing re-attempts from a shared global Budget:
-// before each backoff the loop must win a token, and an exhausted budget
-// ends the loop with the last error wrapped in ErrBudgetExhausted. A nil
-// budget reduces to plain Retry.
+// is deterministic, not transient. Re-attempts draw from a shared global
+// Budget: before each backoff the loop must win a token, and an exhausted
+// budget ends the loop with the last error wrapped in ErrBudgetExhausted.
+// A nil budget never runs dry.
 func RetryBudget(ctx context.Context, p Policy, b *Budget, fn func(ctx context.Context) error) error {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 1

@@ -50,7 +50,7 @@ func TestSafeUnwrapsErrorPanic(t *testing.T) {
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	p := Policy{MaxAttempts: 5, BaseDelay: time.Microsecond, MaxDelay: time.Millisecond}
 	calls := 0
-	err := Retry(context.Background(), p, func(context.Context) error {
+	err := RetryBudget(context.Background(), p, nil, func(context.Context) error {
 		calls++
 		if calls < 3 {
 			return fmt.Errorf("transient %d", calls)
@@ -69,7 +69,7 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 	p := Policy{MaxAttempts: 3, BaseDelay: time.Microsecond}
 	calls := 0
 	sentinel := errors.New("still failing")
-	err := Retry(context.Background(), p, func(context.Context) error {
+	err := RetryBudget(context.Background(), p, nil, func(context.Context) error {
 		calls++
 		return sentinel
 	})
@@ -84,7 +84,7 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 func TestRetryStopsOnPermanent(t *testing.T) {
 	p := Policy{MaxAttempts: 5, BaseDelay: time.Microsecond}
 	calls := 0
-	err := Retry(context.Background(), p, func(context.Context) error {
+	err := RetryBudget(context.Background(), p, nil, func(context.Context) error {
 		calls++
 		return Permanent(errors.New("bad input"))
 	})
@@ -99,7 +99,7 @@ func TestRetryStopsOnPermanent(t *testing.T) {
 func TestRetryStopsOnPanic(t *testing.T) {
 	p := Policy{MaxAttempts: 5, BaseDelay: time.Microsecond}
 	calls := 0
-	err := Retry(context.Background(), p, func(context.Context) error {
+	err := RetryBudget(context.Background(), p, nil, func(context.Context) error {
 		calls++
 		panic("deterministic death")
 	})
@@ -115,7 +115,7 @@ func TestRetryStopsOnPanic(t *testing.T) {
 func TestRetryHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := Retry(ctx, DefaultPolicy(), func(context.Context) error {
+	err := RetryBudget(ctx, DefaultPolicy(), nil, func(context.Context) error {
 		t.Error("fn should not run under a cancelled context")
 		return nil
 	})
@@ -128,7 +128,7 @@ func TestRetryCancelledDuringBackoff(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := Policy{MaxAttempts: 10, BaseDelay: time.Hour} // would sleep forever
 	go func() { time.Sleep(5 * time.Millisecond); cancel() }()
-	err := Retry(ctx, p, func(context.Context) error { return errors.New("transient") })
+	err := RetryBudget(ctx, p, nil, func(context.Context) error { return errors.New("transient") })
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v", err)
 	}

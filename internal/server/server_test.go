@@ -337,25 +337,30 @@ func TestSessionCapAndDelete(t *testing.T) {
 
 // TestCreateRejectsUnbuildableConfig pins that a session config the
 // simulator cannot build is answered 400 with the reason, not a handler
-// panic that drops the connection.
+// panic that drops the connection, and that a 1 TiB table is refused
+// before anything allocates it, so the daemon keeps serving.
 func TestCreateRejectsUnbuildableConfig(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	tc := newTestClient(t, ts.URL)
-	for _, body := range []string{
-		`{"mode":"l4-cache","pom_mb":3}`, // a 3072-set L4
-		`{"mode":"shared-l2","cores":3}`, // a 384-set shared TLB
+	for _, c := range []struct{ body, want string }{
+		{`{"mode":"l4-cache","pom_mb":3}`, "not a power of two"}, // a 3072-set L4
+		{`{"mode":"shared-l2","cores":3}`, "not a power of two"}, // a 384-set shared TLB
+		{`{"mode":"pom-tlb","pom_mb":1048576}`, "exceeds the 256 MiB limit"},
+		{`{"mode":"l4-cache","pom_mb":1048576}`, "exceeds the 1024 MiB limit"},
+		{`{"vms":70000}`, "16-bit VMID limit"},
 	} {
 		var out struct {
 			Error string `json:"error"`
 		}
-		status, _ := tc.do("POST", "/sessions", strings.NewReader(body), &out)
-		if status != http.StatusBadRequest || !strings.Contains(out.Error, "not a power of two") {
-			t.Errorf("POST /sessions %s: status %d (%q), want 400 naming the set count", body, status, out.Error)
+		status, _ := tc.do("POST", "/sessions", strings.NewReader(c.body), &out)
+		if status != http.StatusBadRequest || !strings.Contains(out.Error, c.want) {
+			t.Errorf("POST /sessions %s: status %d (%q), want 400 with %q", c.body, status, out.Error, c.want)
 		}
 	}
+	tc.createSession(CreateRequest{Cores: 2})
 }
 
 // TestDrainRunsSessionsToCompletion pins the graceful-shutdown contract:

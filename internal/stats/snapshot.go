@@ -9,7 +9,7 @@ import "sync/atomic"
 // so concurrent readers must either hold the owner's lock and copy
 // (copy-on-read: HitMiss, Mean and the component Stats structs are pure
 // value types, so `snap := counters` under the lock IS the snapshot), or
-// use the atomic types below, which are safe to update and read from any
+// use the atomic Counter below, which is safe to update and read from any
 // goroutine without coordination.
 
 // Counter is a monotonically increasing counter safe for concurrent use.
@@ -26,32 +26,3 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Snapshot returns the current value (copy-on-read).
 func (c *Counter) Snapshot() uint64 { return c.v.Load() }
-
-// Gauge is a concurrently settable instantaneous value (queue depths,
-// active-session counts). The zero value is ready.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Snapshot returns the current value (copy-on-read).
-func (g *Gauge) Snapshot() int64 { return g.v.Load() }
-
-// Snapshot returns a deep copy of the histogram decoupled from the live
-// one: Histogram is the only stats type with reference semantics (its
-// Counts slice), so a plain struct copy would alias the live buckets.
-// Callers that poll a histogram concurrently with Observe must serialize
-// with the writer (hold the owning structure's lock) around this call.
-func (h *Histogram) Snapshot() *Histogram {
-	cp := &Histogram{
-		Bounds: append([]float64(nil), h.Bounds...),
-		Counts: append([]uint64(nil), h.Counts...),
-		mean:   h.mean,
-	}
-	return cp
-}

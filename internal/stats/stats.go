@@ -1,13 +1,12 @@
 // Package stats provides the light-weight measurement primitives the
-// simulator layers share: hit/miss counters, scalar accumulators, latency
-// histograms, and geometric means for summarising per-workload speedups the
-// way the paper reports them.
+// simulator layers share: hit/miss counters, scalar accumulators, and
+// geometric means for summarising per-workload speedups the way the paper
+// reports them.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -87,81 +86,12 @@ func (m *Mean) Observe(x float64) {
 	m.Count++
 }
 
-// ObserveN adds n identical samples, used when an event covers many cycles.
-func (m *Mean) ObserveN(x float64, n uint64) {
-	m.Sum += x * float64(n)
-	m.Count += n
-}
-
 // Value returns the mean, or 0 when no samples were observed.
 func (m Mean) Value() float64 {
 	if m.Count == 0 {
 		return 0
 	}
 	return m.Sum / float64(m.Count)
-}
-
-// Add merges another accumulator into this one.
-func (m *Mean) Add(o Mean) {
-	m.Sum += o.Sum
-	m.Count += o.Count
-}
-
-// Histogram is a fixed-bucket latency histogram. Buckets are upper bounds
-// in ascending order; samples above the last bound land in an overflow
-// bucket.
-type Histogram struct {
-	Bounds []float64
-	Counts []uint64
-	mean   Mean
-}
-
-// NewHistogram creates a histogram with the given ascending upper bounds.
-func NewHistogram(bounds ...float64) *Histogram {
-	if !sort.Float64sAreSorted(bounds) {
-		panic("stats: histogram bounds must be ascending")
-	}
-	return &Histogram{
-		Bounds: bounds,
-		Counts: make([]uint64, len(bounds)+1),
-	}
-}
-
-// Observe adds a sample.
-func (h *Histogram) Observe(x float64) {
-	i := sort.SearchFloat64s(h.Bounds, x)
-	h.Counts[i]++
-	h.mean.Observe(x)
-}
-
-// Total returns the number of samples.
-func (h *Histogram) Total() uint64 { return h.mean.Count }
-
-// Mean returns the sample mean.
-func (h *Histogram) Mean() float64 { return h.mean.Value() }
-
-// Quantile returns an upper bound on the q-quantile (0 ≤ q ≤ 1) using the
-// bucket boundaries; overflow samples report +Inf.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= target {
-			if i < len(h.Bounds) {
-				return h.Bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
 }
 
 // Geomean returns the geometric mean of xs; zero and negative inputs are
@@ -214,21 +144,6 @@ func (t *Table) AddRow(cells ...string) {
 	row := make([]string, len(t.header))
 	copy(row, cells)
 	t.rows = append(t.rows, row)
-}
-
-// AddRowf appends a row, formatting each value with the verbs given per
-// column ("%s", "%.2f", "%d"...). Values beyond the verbs are stringified
-// with %v.
-func (t *Table) AddRowf(verbs []string, values ...any) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		verb := "%v"
-		if i < len(verbs) {
-			verb = verbs[i]
-		}
-		cells[i] = fmt.Sprintf(verb, v)
-	}
-	t.AddRow(cells...)
 }
 
 // String renders the table.

@@ -320,17 +320,6 @@ func (t *TLB) InvalidateAll() {
 	}
 }
 
-// Count returns the number of valid entries (for occupancy tests).
-func (t *TLB) Count() int {
-	n := 0
-	for i := range t.slots {
-		if t.slots[i].entry.Valid {
-			n++
-		}
-	}
-	return n
-}
-
 // CheckInvariants validates the TLB's internal structural invariants:
 // every valid entry resides in the set its VPN indexes, LRU stamps are
 // unique within a set and never ahead of the TLB clock (the LRU stack
@@ -477,12 +466,4 @@ func (l *SplitL1) InvalidateAll() {
 	l.Small.InvalidateAll()
 	l.Large.InvalidateAll()
 	l.Huge.InvalidateAll()
-}
-
-// MissRatio returns the combined L1 miss ratio (misses are recorded on the
-// small structure's counter once per joint probe).
-func (l *SplitL1) MissRatio() float64 {
-	hm := l.Small.Stats()
-	hm.Add(l.Large.Stats())
-	return hm.MissRatio()
 }

@@ -127,7 +127,7 @@ func TestRecordRoundtripProperty(t *testing.T) {
 		if large {
 			size = addr.Page2M
 		}
-		rec := Record{VA: addr.Canonical(raw), Gap: gap, Write: write, Thread: thread, Size: size}
+		rec := Record{VA: addr.VA(raw & (1<<48 - 1)), Gap: gap, Write: write, Thread: thread, Size: size}
 		var buf bytes.Buffer
 		w, _ := NewWriter(&buf)
 		w.Write(rec)

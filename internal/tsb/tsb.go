@@ -100,12 +100,6 @@ func MustNew(cfg Config) *TSB {
 	return t
 }
 
-// Config returns the TSB's configuration.
-func (t *TSB) Config() Config { return t.cfg }
-
-// Slots returns the number of direct-mapped slots.
-func (t *TSB) Slots() uint64 { return uint64(len(t.slots)) }
-
 // index computes the direct-mapped slot for a VPN.
 func (t *TSB) index(vm addr.VMID, vpn uint64) uint64 {
 	return (vpn ^ uint64(vm)) & t.mask
@@ -165,17 +159,6 @@ func (t *TSB) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
 		e := &t.slots[i]
 		if e.valid && e.vm == vm && e.pid == pid {
 			*e = entry{}
-			n++
-		}
-	}
-	return n
-}
-
-// Count returns the number of live entries.
-func (t *TSB) Count() int {
-	n := 0
-	for _, e := range t.slots {
-		if e.valid {
 			n++
 		}
 	}

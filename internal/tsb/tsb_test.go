@@ -13,8 +13,8 @@ func TestDefaultConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := MustNew(cfg)
-	if b.Slots() != (16<<20)/16 {
-		t.Errorf("slots = %d", b.Slots())
+	if len(b.slots) != (16<<20)/16 {
+		t.Errorf("slots = %d", len(b.slots))
 	}
 }
 
@@ -47,8 +47,8 @@ func TestLookupInsert(t *testing.T) {
 	if !ok || pfn != 0x42 {
 		t.Errorf("lookup = %#x, %v", pfn, ok)
 	}
-	if b.Count() != 1 {
-		t.Errorf("count = %d", b.Count())
+	if count(b) != 1 {
+		t.Errorf("count = %d", count(b))
 	}
 }
 
@@ -66,7 +66,7 @@ func TestIsolation(t *testing.T) {
 
 func TestDirectMappedConflict(t *testing.T) {
 	b := MustNew(DefaultConfig())
-	stride := b.Slots() // same slot
+	stride := uint64(len(b.slots)) // same slot
 	b.Insert(1, 1, 5, 1, addr.Page4K)
 	b.Insert(1, 1, 5+stride, 2, addr.Page4K)
 	if b.Conflicts != 1 {
@@ -85,7 +85,7 @@ func TestEntryAddrInBuffer(t *testing.T) {
 	for _, va := range []addr.VA{0, 0x1000, 0xdead_beef_0000} {
 		for _, s := range []addr.PageSize{addr.Page4K, addr.Page2M} {
 			a := uint64(b.EntryAddr(1, va, s))
-			if a < b.Config().BaseAddr || a >= b.Config().BaseAddr+b.Config().SizeBytes {
+			if a < b.cfg.BaseAddr || a >= b.cfg.BaseAddr+b.cfg.SizeBytes {
 				t.Errorf("EntryAddr(%v, %v) = %#x outside buffer", va, s, a)
 			}
 			if a%EntryBytes != 0 {
@@ -104,8 +104,8 @@ func TestInvalidatePage(t *testing.T) {
 	if b.InvalidatePage(1, 1, 9, addr.Page4K) {
 		t.Error("double invalidate should fail")
 	}
-	if b.Count() != 0 {
-		t.Errorf("count = %d", b.Count())
+	if count(b) != 0 {
+		t.Errorf("count = %d", count(b))
 	}
 }
 
@@ -128,7 +128,7 @@ func TestInsertLookupProperty(t *testing.T) {
 		if large {
 			size = addr.Page2M
 		}
-		va := addr.Canonical(raw)
+		va := addr.VA(raw & (1<<48 - 1))
 		b.Insert(addr.VMID(vm), addr.PID(pid), va.VPN(size), uint64(pfn), size)
 		got, ok := b.Lookup(addr.VMID(vm), addr.PID(pid), va, size)
 		return ok && got == uint64(pfn)
@@ -145,7 +145,18 @@ func TestInvalidateProcess(t *testing.T) {
 	if n := b.InvalidateProcess(1, 1); n != 1 {
 		t.Errorf("removed %d, want 1", n)
 	}
-	if b.Count() != 1 {
-		t.Errorf("count = %d", b.Count())
+	if count(b) != 1 {
+		t.Errorf("count = %d", count(b))
 	}
+}
+
+// count returns the number of live entries in t.
+func count(t *TSB) int {
+	n := 0
+	for _, e := range t.slots {
+		if e.valid {
+			n++
+		}
+	}
+	return n
 }

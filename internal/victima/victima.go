@@ -336,9 +336,6 @@ func (s *Store) InvalidateAll() {
 	}
 }
 
-// Count returns the number of valid entries.
-func (s *Store) Count() int { return s.count }
-
 // Occupied reports whether block si holds at least one entry — the
 // residency cross-check needs to know which blocks must be cache-resident.
 func (s *Store) Occupied(si uint64) bool {

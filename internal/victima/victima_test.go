@@ -78,14 +78,14 @@ func TestInsertAndLookupBothPageSizes(t *testing.T) {
 	if st := s.Stats(); st.Hits != 2 || st.Misses != 2 {
 		t.Errorf("stats = %+v, want 2 hits and 2 misses", st)
 	}
-	if s.Count() != 2 || !s.LookupOnly(1, 3, e2.VPN, addr.Page2M) {
-		t.Errorf("count %d, 2 MB entry present %v", s.Count(), s.LookupOnly(1, 3, e2.VPN, addr.Page2M))
+	if s.count != 2 || !s.LookupOnly(1, 3, e2.VPN, addr.Page2M) {
+		t.Errorf("count %d, 2 MB entry present %v", s.count, s.LookupOnly(1, 3, e2.VPN, addr.Page2M))
 	}
 
 	// Re-inserting a present entry refreshes it in place.
 	e4.PFN = 99
-	if _, _, evicted := s.Insert(e4); evicted || s.Count() != 2 {
-		t.Errorf("refresh evicted %v, count %d", evicted, s.Count())
+	if _, _, evicted := s.Insert(e4); evicted || s.count != 2 {
+		t.Errorf("refresh evicted %v, count %d", evicted, s.count)
 	}
 	if got, _, _ := s.Lookup(1, 3, small); got.PFN != 99 {
 		t.Errorf("refresh kept PFN %d", got.PFN)
@@ -109,7 +109,7 @@ func TestVictimChoiceInAFullSet(t *testing.T) {
 	if !evicted || victim != b {
 		t.Errorf("victim = %+v (evicted %v), want the LRU 4 KB entry %+v", victim, evicted, b)
 	}
-	if s.Count() != 3 || !s.LookupOnly(1, 1, big.VPN, addr.Page2M) {
+	if s.count != 3 || !s.LookupOnly(1, 1, big.VPN, addr.Page2M) {
 		t.Error("the 2 MB entry was evicted while 4 KB entries remained")
 	}
 
@@ -131,10 +131,10 @@ func TestDropLineEmptiesOneBlock(t *testing.T) {
 	if n := s.DropLine(s.Line(1)); n != 2 {
 		t.Errorf("DropLine dropped %d entries, want 2", n)
 	}
-	if s.Count() != 1 || s.Occupied(1) || !s.Occupied(2) {
-		t.Errorf("count %d, block 1 occupied %v, block 2 occupied %v", s.Count(), s.Occupied(1), s.Occupied(2))
+	if s.count != 1 || s.Occupied(1) || !s.Occupied(2) {
+		t.Errorf("count %d, block 1 occupied %v, block 2 occupied %v", s.count, s.Occupied(1), s.Occupied(2))
 	}
-	if n := s.DropLine(s.Line(0) - 1); n != 0 || s.Count() != 1 {
+	if n := s.DropLine(s.Line(0) - 1); n != 0 || s.count != 1 {
 		t.Errorf("a line outside the store dropped %d entries", n)
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -155,8 +155,8 @@ func TestInvalidateCounts(t *testing.T) {
 	if s.InvalidatePage(1, 1, 2, addr.Page2M) || s.InvalidatePage(1, 1, 1, addr.Page2M) {
 		t.Error("absent page reported present")
 	}
-	if s.Count() != 3 {
-		t.Errorf("count %d after one page shootdown, want 3", s.Count())
+	if s.count != 3 {
+		t.Errorf("count %d after one page shootdown, want 3", s.count)
 	}
 	if n := s.InvalidateProcess(1, 1); n != 1 {
 		t.Errorf("InvalidateProcess(1, 1) = %d, want 1", n)
@@ -164,8 +164,8 @@ func TestInvalidateCounts(t *testing.T) {
 	if n := s.InvalidateProcess(1, 9); n != 0 {
 		t.Errorf("InvalidateProcess of an absent process = %d", n)
 	}
-	if s.Count() != 2 || !s.LookupOnly(2, 1, 4, addr.Page4K) || !s.LookupOnly(1, 2, 3, addr.Page4K) {
-		t.Errorf("count %d; the other VM's and process's entries must survive", s.Count())
+	if s.count != 2 || !s.LookupOnly(2, 1, 4, addr.Page4K) || !s.LookupOnly(1, 2, 3, addr.Page4K) {
+		t.Errorf("count %d; the other VM's and process's entries must survive", s.count)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Error(err)

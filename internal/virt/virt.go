@@ -83,9 +83,6 @@ func (f *FrameAlloc) alloc4K() uint64 {
 	return a
 }
 
-// AllocatedBytes returns the total bytes handed out.
-func (f *FrameAlloc) AllocatedBytes() uint64 { return f.allocated }
-
 // Config sizes the hypervisor's host physical layout.
 type Config struct {
 	// HostBase is the first host physical address available for
@@ -151,9 +148,6 @@ func (h *Hypervisor) VM(id addr.VMID) (*VM, bool) {
 	return vm, ok
 }
 
-// VMs returns the number of registered VMs.
-func (h *Hypervisor) VMs() int { return len(h.vms) }
-
 // NativeProcess returns (creating if needed) the bare-metal page table for
 // a host process: a single-dimension table whose nodes live directly in
 // host physical memory. Used for the paper's native-execution comparisons.
@@ -210,9 +204,6 @@ func (vm *VM) GuestTable(pid addr.PID) *pagetable.Table {
 	}
 	return t
 }
-
-// Processes returns the number of processes with page tables.
-func (vm *VM) Processes() int { return len(vm.procs) }
 
 // eptMapNodes EPT-maps freshly created guest page-table node frames at
 // 4 KB granularity.

@@ -29,8 +29,8 @@ func TestFrameAllocBasics(t *testing.T) {
 	if l%addr.Bytes2M != 0 {
 		t.Errorf("large alloc %#x not 2MB aligned", l)
 	}
-	if f.AllocatedBytes() != 2*addr.Bytes4K+addr.Bytes2M {
-		t.Errorf("AllocatedBytes = %d", f.AllocatedBytes())
+	if f.allocated != 2*addr.Bytes4K+addr.Bytes2M {
+		t.Errorf("allocated = %d", f.allocated)
 	}
 	if n := f.AllocNode(); n != 0x3000 {
 		t.Errorf("node alloc = %#x", n)
@@ -76,8 +76,8 @@ func TestNewVMValidation(t *testing.T) {
 	if _, err := h.NewVM(1); err == nil {
 		t.Error("duplicate VMID should be rejected")
 	}
-	if h.VMs() != 1 {
-		t.Errorf("VMs = %d", h.VMs())
+	if len(h.vms) != 1 {
+		t.Errorf("VMs = %d", len(h.vms))
 	}
 	if _, ok := h.VM(1); !ok {
 		t.Error("VM(1) should exist")
@@ -148,7 +148,7 @@ func TestGuestNodesAreEPTMapped(t *testing.T) {
 	// Every guest page-table node must be EPT-mapped or the hardware 2D
 	// walker could not read guest PTEs.
 	gt := vm.GuestTable(1)
-	refs, _, ok := gt.Walk(uint64(va))
+	refs, _, ok := gt.WalkAppend(uint64(va), nil)
 	if !ok || len(refs) != 4 {
 		t.Fatalf("guest walk refs = %d, ok = %v", len(refs), ok)
 	}
@@ -192,8 +192,8 @@ func TestProcessIsolation(t *testing.T) {
 	if h1 == h2 {
 		t.Error("different processes should get different frames")
 	}
-	if vm.Processes() != 2 {
-		t.Errorf("Processes = %d", vm.Processes())
+	if len(vm.procs) != 2 {
+		t.Errorf("processes = %d", len(vm.procs))
 	}
 }
 
@@ -227,7 +227,7 @@ func TestNativeProcess(t *testing.T) {
 	}
 	// Walkable with 4 refs.
 	tab := h.NativeProcess(1)
-	refs, _, ok := tab.Walk(0x1234_5000)
+	refs, _, ok := tab.WalkAppend(0x1234_5000, nil)
 	if !ok || len(refs) != 4 {
 		t.Errorf("native walk refs = %d, ok = %v", len(refs), ok)
 	}
@@ -260,7 +260,7 @@ func TestTouchTranslateProperty(t *testing.T) {
 		if large {
 			size = addr.Page2M
 		}
-		va := addr.Canonical(raw)
+		va := addr.VA(raw & (1<<48 - 1))
 		if _, err := vm.Touch(1, va, size); err != nil {
 			return true // geometry conflict from a prior iteration's size
 		}
