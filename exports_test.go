@@ -21,9 +21,7 @@ var testSeams = map[string]string{
 	"resilience/faultinject.Schedule.CallOn":    "core and experiments tests schedule a panic or error at a call site",
 	"resilience/faultinject.Schedule.CorruptOn": "core and experiments tests schedule a corrupted trace record",
 	"resilience/faultinject.Schedule.Hits":      "core and experiments tests check how often a fault site fired",
-	"pomtlb.Partition.SetEntries":               "core tests preload a POM-TLB partition",
 	"config.Save":                               "cmd/pomsim tests write the config files they load",
-	"pomtlb.DecodeEntry":                        "the codec fuzzer round-trips Entry.Encode through it",
 	"perfmodel.CIdeal":                          "Equation 2, checked against Speedup's closed form",
 	"perfmodel.PAvg":                            "Equation 3, checked against Speedup's closed form",
 	"perfmodel.CScheme":                         "Equation 4, checked against Speedup's closed form",

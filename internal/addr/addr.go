@@ -66,6 +66,11 @@ const (
 
 	// CacheLineShift is log2(CacheLineSize).
 	CacheLineShift = 6
+
+	// VABits is the width of the virtual addresses the four radix levels
+	// translate: the simulated address space is [0, 2^VABits), the lower
+	// canonical half of x86-64's 48-bit space.
+	VABits = 48
 )
 
 // Shift returns the number of page-offset bits for the size.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/addr"
@@ -213,5 +214,57 @@ func TestChurnChangesOutcome(t *testing.T) {
 	}
 	if math.IsNaN(with.AvgPenalty()) {
 		t.Fatal("NaN penalty under churn")
+	}
+}
+
+// scenarioHeapBound caps the live heap of TestScenarioMemory's run,
+// which measures about 134 MiB (Go 1.24, linux/amd64) with page-table
+// nodes at their 4 KB hardware size and POM-TLB slots at 16 B. The
+// bound leaves about 30% headroom and fails a layout that spends more
+// host memory per simulated structure: 13 KB nodes holding a
+// child-pointer array beside their PTEs, with 32 B slots, take the run
+// to about 309 MiB.
+const scenarioHeapBound = 176 << 20
+
+// TestScenarioMemory pins memory at the consolidation extreme: the
+// consol-churn scenario at its 60k-tenant limit on the POM-TLB, run to
+// the end, must leave a live heap under scenarioHeapBound. Every tenant
+// the plan schedules gets its own guest and EPT tables, so page-table
+// nodes dominate the heap.
+func TestScenarioMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs a 60k-tenant scenario")
+	}
+	preset, ok := workloads.ConsolidationByName("consol-churn")
+	if !ok {
+		t.Fatal("consol-churn preset missing")
+	}
+	cfg := core.DefaultConfig()
+	cfg.Mode = core.POMTLB
+	cfg.Cores = 4
+	cfg.WarmupRefs = 500_000
+	cfg.MaxRefs = 500_000
+	scn, err := New(Config{Preset: preset, Cores: cfg.Cores, Seed: 1,
+		TotalRecords: uint64(cfg.WarmupRefs + cfg.MaxRefs), Guests: maxGuests})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.VMs = scn.Guests
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetEvents(scn.Events)
+	if _, err := sys.Run(context.Background(), scn.Gen, scn.Name); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(sys)
+	runtime.KeepAlive(scn)
+	t.Logf("live heap after the run: %.1f MiB (bound %d MiB)", float64(ms.HeapAlloc)/(1<<20), scenarioHeapBound>>20)
+	if ms.HeapAlloc > scenarioHeapBound {
+		t.Errorf("live heap %.1f MiB exceeds the %d MiB bound", float64(ms.HeapAlloc)/(1<<20), scenarioHeapBound>>20)
 	}
 }

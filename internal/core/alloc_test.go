@@ -58,8 +58,8 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestSteadyStateZeroAllocsNeighborPrefetch covers the §6 extension path
-// separately: the prefetch loop reads the POM-TLB set through SetView,
-// which must alias the live set rather than copy it.
+// separately: the prefetch loop decodes the POM-TLB set through
+// AppendSet, which must fill a stack array rather than allocate.
 func TestSteadyStateZeroAllocsNeighborPrefetch(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = POMTLB

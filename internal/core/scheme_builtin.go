@@ -74,7 +74,8 @@ func (pomSchemeBase) Holds(s *System, vmid addr.VMID, pid addr.PID, va addr.VA, 
 		return false
 	}
 	vpn := va.VPN(size)
-	for _, e := range s.pom.Partition(size).SetView(va, vmid) {
+	var buf [8]pomtlb.Entry
+	for _, e := range s.pom.Partition(size).AppendSet(buf[:0], va, vmid) {
 		if e.Valid && e.VM == vmid && e.PID == pid && e.VPN == vpn {
 			return true
 		}

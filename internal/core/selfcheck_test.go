@@ -78,7 +78,7 @@ func TestSelfCheckCatchesInjectedCorruption(t *testing.T) {
 		part.SetShadow(nil)
 		defer part.SetShadow(sc.pomSmall)
 		for vpn := uint64(0); vpn < 1<<16 && corrupted < 8; vpn += 4 {
-			for _, e := range part.SetEntries(addr.VA(vpn<<12), 1) {
+			for _, e := range part.AppendSet(nil, addr.VA(vpn<<12), 1) {
 				if e.Valid {
 					e.PFN ^= 0xFFF
 					part.Insert(e) // refresh path: rewrites the PFN in place

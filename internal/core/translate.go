@@ -134,9 +134,10 @@ func (s *System) pomPath(c *coreState, va addr.VA) tlb.Entry {
 		if s.cfg.NeighborPrefetch {
 			// §6 extension: the burst carried the whole set — install the
 			// neighbouring pages' translations into the L2 TLB for free.
-			// SetView aliases the live set (no copy); entries are only
-			// read within this loop.
-			for _, ne := range s.pom.Partition(actual).SetView(va, c.vmid) {
+			// The set decodes into a stack array with room for the 8
+			// ways the associativity ablation reaches: no allocation.
+			var buf [8]pomtlb.Entry
+			for _, ne := range s.pom.Partition(actual).AppendSet(buf[:0], va, c.vmid) {
 				if ne.Valid && ne.VM == c.vmid && ne.PID == c.pid && ne.VPN != entry.VPN {
 					c.l2tlb.Insert(tlb.Entry{VM: c.vmid, PID: c.pid,
 						VPN: ne.VPN, PFN: ne.PFN, Size: ne.Size, Valid: true})

@@ -1,19 +1,14 @@
 package pagetable
 
-import (
-	"repro/internal/addr"
-	"repro/internal/stats"
-)
+import "repro/internal/addr"
 
 // PSC is one page-structure cache (MMU cache) level: a tiny fully-
 // associative cache from a virtual-address prefix to the address of the
 // radix node that serves the next level of the walk, letting the walker
 // skip the upper levels (Table 1: PML4 2 entries, PDP 4, PDE 32, 2 cycles).
 type PSC struct {
-	name    string
 	entries []pscEntry
 	clock   uint64
-	stats   stats.HitMiss
 }
 
 type pscEntry struct {
@@ -26,11 +21,11 @@ type pscEntry struct {
 }
 
 // NewPSC creates a page-structure cache with the given capacity.
-func NewPSC(name string, capacity int) *PSC {
+func NewPSC(capacity int) *PSC {
 	if capacity <= 0 {
 		panic("pagetable: PSC capacity must be positive")
 	}
-	return &PSC{name: name, entries: make([]pscEntry, capacity)}
+	return &PSC{entries: make([]pscEntry, capacity)}
 }
 
 // Lookup returns the cached node address for the prefix.
@@ -40,11 +35,9 @@ func (p *PSC) Lookup(vm addr.VMID, pid addr.PID, prefix uint64) (uint64, bool) {
 		if e.valid && e.vm == vm && e.pid == pid && e.prefix == prefix {
 			p.clock++
 			e.lru = p.clock
-			p.stats.Hit()
 			return e.node, true
 		}
 	}
-	p.stats.Miss()
 	return 0, false
 }
 
@@ -83,7 +76,6 @@ func (p *PSC) InvalidateAll() {
 type NestedTLB struct {
 	entries []nestedEntry
 	clock   uint64
-	stats   stats.HitMiss
 }
 
 type nestedEntry struct {
@@ -109,11 +101,9 @@ func (n *NestedTLB) Lookup(vm addr.VMID, gpfn uint64) (uint64, bool) {
 		if e.valid && e.vm == vm && e.gpfn == gpfn {
 			n.clock++
 			e.lru = n.clock
-			n.stats.Hit()
 			return e.hbase, true
 		}
 	}
-	n.stats.Miss()
 	return 0, false
 }
 

@@ -33,20 +33,31 @@ type Ref struct {
 // NodeBytes is the size of one radix node (512 × 8-byte entries).
 const NodeBytes = 4096
 
-// node is one radix level's 512-entry table.
-type node struct {
-	base     uint64 // address of this node in the table's address space
-	children [512]*node
-	leaf     [512]Entry
+// node is one radix level's table at its hardware size: 512 8-byte
+// slots, one 4 KB object holding no Go pointers, so the garbage
+// collector never scans it. A slot is 0 when empty, holds a leaf as
+// pfn<<3 | size<<1 | 1, or holds a child as the child's index in
+// Table.nodes shifted left by one (bit 0 clear, and never 0: the root,
+// index 0, is nobody's child). A frame number of a 64-bit address is
+// below 2^52, so pfn<<3 cannot overflow.
+type node [512]uint64
+
+// leafSlot packs a leaf translation into a slot.
+func leafSlot(pfn uint64, size addr.PageSize) uint64 { return pfn<<3 | uint64(size)<<1 | 1 }
+
+// slotEntry unpacks a leaf slot (one with bit 0 set).
+func slotEntry(s uint64) Entry {
+	return Entry{PFN: s >> 3, Size: addr.PageSize(s >> 1 & 3), Valid: true}
 }
 
-// Table is a radix-4 page table rooted at a lazily-allocated node.
+// Table is a radix-4 page table. Its nodes are allocated on demand;
+// nodes[0] is the root, and bases[i] is the address of nodes[i] in the
+// table's address space.
 type Table struct {
-	// Alloc allocates one 4 KB node frame and returns its base address.
+	// alloc allocates one 4 KB node frame and returns its base address.
 	alloc func() uint64
-	root  *node
-	nodes int
-	pages int
+	nodes []*node
+	bases []uint64
 }
 
 // New creates an empty table. alloc provides node frames; it must return
@@ -70,10 +81,12 @@ func leafLevel(size addr.PageSize) addr.Level {
 	return addr.PT
 }
 
-// newNode allocates a radix node.
-func (t *Table) newNode() *node {
-	t.nodes++
-	return &node{base: t.alloc()}
+// newNode allocates a radix node frame and returns its base address.
+func (t *Table) newNode() uint64 {
+	base := t.alloc()
+	t.nodes = append(t.nodes, new(node))
+	t.bases = append(t.bases, base)
+	return base
 }
 
 // Map installs va → pfn at the given page size. It returns the base
@@ -84,47 +97,49 @@ func (t *Table) newNode() *node {
 // node) is an error.
 func (t *Table) Map(va uint64, pfn uint64, size addr.PageSize) ([]uint64, error) {
 	var created []uint64
-	if t.root == nil {
-		t.root = t.newNode()
-		created = append(created, t.root.base)
+	if len(t.nodes) == 0 {
+		created = append(created, t.newNode())
 	}
-	n := t.root
+	n := t.nodes[0]
 	leafAt := leafLevel(size)
 	for l := addr.PML4; l < leafAt; l++ {
 		idx := addr.Index(addr.VA(va), l)
-		if n.leaf[idx].Valid {
+		s := n[idx]
+		if s&1 != 0 {
 			return created, fmt.Errorf("pagetable: %s index %d holds a %s leaf, cannot map %s at %#x",
-				l, idx, n.leaf[idx].Size, size, va)
+				l, idx, slotEntry(s).Size, size, va)
 		}
-		child := n.children[idx]
-		if child == nil {
-			child = t.newNode()
-			n.children[idx] = child
-			created = append(created, child.base)
+		if s == 0 {
+			s = uint64(len(t.nodes)) << 1
+			created = append(created, t.newNode())
+			n[idx] = s
 		}
-		n = child
+		n = t.nodes[s>>1]
 	}
 	idx := addr.Index(addr.VA(va), leafAt)
-	if n.children[idx] != nil {
+	if s := n[idx]; s != 0 && s&1 == 0 {
 		return created, fmt.Errorf("pagetable: %s index %d holds a child table, cannot map %s leaf at %#x",
 			leafAt, idx, size, va)
 	}
-	if !n.leaf[idx].Valid {
-		t.pages++
-	}
-	n.leaf[idx] = Entry{PFN: pfn, Size: size, Valid: true}
+	n[idx] = leafSlot(pfn, size)
 	return created, nil
 }
 
 // Lookup resolves va without producing the walk trace.
 func (t *Table) Lookup(va uint64) (Entry, bool) {
-	n := t.root
-	for l := addr.PML4; l <= addr.PT && n != nil; l++ {
-		idx := addr.Index(addr.VA(va), l)
-		if e := n.leaf[idx]; e.Valid {
-			return e, true
+	if len(t.nodes) == 0 {
+		return Entry{}, false
+	}
+	n := t.nodes[0]
+	for l := addr.PML4; l <= addr.PT; l++ {
+		s := n[addr.Index(addr.VA(va), l)]
+		if s&1 != 0 {
+			return slotEntry(s), true
 		}
-		n = n.children[idx]
+		if s == 0 {
+			break
+		}
+		n = t.nodes[s>>1]
 	}
 	return Entry{}, false
 }
@@ -136,19 +151,10 @@ func (t *Table) Lookup(va uint64) (Entry, bool) {
 // buf[:0] of a reused scratch slice, so steady-state walks allocate
 // nothing. A radix-4 walk issues at most 4 references.
 func (t *Table) WalkAppend(va uint64, refs []Ref) ([]Ref, Entry, bool) {
-	n := t.root
-	for l := addr.PML4; l <= addr.PT; l++ {
-		if n == nil {
-			return refs, Entry{}, false
-		}
-		idx := addr.Index(addr.VA(va), l)
-		refs = append(refs, Ref{Level: l, Addr: n.base + 8*idx})
-		if leaf := n.leaf[idx]; leaf.Valid {
-			return refs, leaf, true
-		}
-		n = n.children[idx]
+	if len(t.nodes) == 0 {
+		return refs, Entry{}, false
 	}
-	return refs, Entry{}, false
+	return t.walkFrom(va, addr.PML4, 0, refs)
 }
 
 // WalkFromAppend is WalkAppend starting below a known intermediate node,
@@ -157,32 +163,43 @@ func (t *Table) WalkAppend(va uint64, refs []Ref) ([]Ref, Entry, bool) {
 // only levels from startLevel down are referenced.
 func (t *Table) WalkFromAppend(va uint64, startLevel addr.Level, nodeBase uint64, refs []Ref) ([]Ref, Entry, bool) {
 	n := t.findNode(va, startLevel)
-	if n == nil || n.base != nodeBase {
+	if n < 0 || t.bases[n] != nodeBase {
 		// Stale PSC entry: fall back to a full walk.
 		return t.WalkAppend(va, refs)
 	}
-	for l := startLevel; l <= addr.PT; l++ {
-		if n == nil {
-			return refs, Entry{}, false
-		}
+	return t.walkFrom(va, startLevel, n, refs)
+}
+
+// walkFrom walks va from node n, which serves level l, down to the leaf.
+func (t *Table) walkFrom(va uint64, l addr.Level, n int, refs []Ref) ([]Ref, Entry, bool) {
+	for ; l <= addr.PT; l++ {
 		idx := addr.Index(addr.VA(va), l)
-		refs = append(refs, Ref{Level: l, Addr: n.base + 8*idx})
-		if leaf := n.leaf[idx]; leaf.Valid {
-			return refs, leaf, true
+		refs = append(refs, Ref{Level: l, Addr: t.bases[n] + 8*idx})
+		s := t.nodes[n][idx]
+		if s&1 != 0 {
+			return refs, slotEntry(s), true
 		}
-		n = n.children[idx]
+		if s == 0 {
+			break
+		}
+		n = int(s >> 1)
 	}
 	return refs, Entry{}, false
 }
 
-// findNode returns the node that serves the given level of va's walk.
-func (t *Table) findNode(va uint64, level addr.Level) *node {
-	n := t.root
-	for l := addr.PML4; l < level && n != nil; l++ {
-		if n.leaf[addr.Index(addr.VA(va), l)].Valid {
-			return nil // walk terminates above the requested level
+// findNode returns the index of the node that serves the given level of
+// va's walk, or -1 when the walk ends above that level.
+func (t *Table) findNode(va uint64, level addr.Level) int {
+	if len(t.nodes) == 0 {
+		return -1
+	}
+	n := 0
+	for l := addr.PML4; l < level; l++ {
+		s := t.nodes[n][addr.Index(addr.VA(va), l)]
+		if s&1 != 0 || s == 0 {
+			return -1
 		}
-		n = n.children[addr.Index(addr.VA(va), l)]
+		n = int(s >> 1)
 	}
 	return n
 }
@@ -190,15 +207,21 @@ func (t *Table) findNode(va uint64, level addr.Level) *node {
 // Unmap removes the translation for va, returning the removed entry. Radix
 // nodes are not reclaimed (real kernels rarely free them either).
 func (t *Table) Unmap(va uint64) (Entry, bool) {
-	n := t.root
-	for l := addr.PML4; l <= addr.PT && n != nil; l++ {
-		idx := addr.Index(addr.VA(va), l)
-		if e := n.leaf[idx]; e.Valid {
-			n.leaf[idx] = Entry{}
-			t.pages--
+	if len(t.nodes) == 0 {
+		return Entry{}, false
+	}
+	n := t.nodes[0]
+	for l := addr.PML4; l <= addr.PT; l++ {
+		s := &n[addr.Index(addr.VA(va), l)]
+		if *s&1 != 0 {
+			e := slotEntry(*s)
+			*s = 0
 			return e, true
 		}
-		n = n.children[idx]
+		if *s == 0 {
+			break
+		}
+		n = t.nodes[*s>>1]
 	}
 	return Entry{}, false
 }

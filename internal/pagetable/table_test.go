@@ -1,8 +1,10 @@
 package pagetable
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/addr"
 )
@@ -28,7 +30,7 @@ func TestNewNilAllocPanics(t *testing.T) {
 
 func TestMapLookup4K(t *testing.T) {
 	tab := New(bump(0x10_0000))
-	if tab.root != nil {
+	if len(tab.nodes) != 0 {
 		t.Error("root should be unallocated before first Map")
 	}
 	created, err := tab.Map(0x7f00_0000_1000, 0x42, addr.Page4K)
@@ -38,8 +40,8 @@ func TestMapLookup4K(t *testing.T) {
 	if len(created) != 4 { // root + 3 intermediate nodes
 		t.Errorf("created %d nodes, want 4", len(created))
 	}
-	if tab.root.base != 0x10_0000 {
-		t.Errorf("root at %#x", tab.root.base)
+	if tab.bases[0] != 0x10_0000 {
+		t.Errorf("root at %#x", tab.bases[0])
 	}
 	e, ok := tab.Lookup(0x7f00_0000_1234)
 	if !ok || e.PFN != 0x42 || e.Size != addr.Page4K {
@@ -75,8 +77,18 @@ func TestMapReusesNodes(t *testing.T) {
 	if len(c1) != 4 || len(c2) != 0 {
 		t.Errorf("created %d then %d nodes, want 4 then 0", len(c1), len(c2))
 	}
-	if tab.nodes != 4 || tab.pages != 2 {
-		t.Errorf("nodes=%d pages=%d", tab.nodes, tab.pages)
+	// A new PT node under the same PD: one node, the allocator's next frame.
+	c3, err := tab.Map(0x20_0000, 3, addr.Page4K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c3) != 1 || c3[0] != 4*NodeBytes {
+		t.Errorf("third map created %#x, want one node at %#x", c3, 4*NodeBytes)
+	}
+	for va, pfn := range map[uint64]uint64{0x1000: 1, 0x2000: 2, 0x20_0000: 3} {
+		if e, ok := tab.Lookup(va); !ok || e.PFN != pfn {
+			t.Errorf("Lookup(%#x) = %+v, %v, want pfn %d", va, e, ok, pfn)
+		}
 	}
 }
 
@@ -91,8 +103,12 @@ func TestMapRemapUpdates(t *testing.T) {
 	if e.PFN != 99 {
 		t.Errorf("remap PFN = %d", e.PFN)
 	}
-	if tab.pages != 1 {
-		t.Errorf("pages = %d", tab.pages)
+	// One mapping, not two: a single Unmap removes it.
+	if _, ok := tab.Unmap(0x1000); !ok {
+		t.Fatal("Unmap of the remapped page failed")
+	}
+	if _, ok := tab.Lookup(0x1000); ok {
+		t.Error("remap left a second translation behind")
 	}
 }
 
@@ -133,7 +149,7 @@ func TestWalkRefs(t *testing.T) {
 			t.Errorf("ref %d addr %#x not 8-aligned", i, r.Addr)
 		}
 	}
-	if refs[0].Addr&^uint64(NodeBytes-1) != tab.root.base {
+	if refs[0].Addr&^uint64(NodeBytes-1) != tab.bases[0] {
 		t.Error("first ref should be in the root node")
 	}
 }
@@ -189,17 +205,17 @@ func TestNodeAddr(t *testing.T) {
 	full, _, _ := tab.WalkAppend(0x7f00_0000_1000, nil)
 	for l := addr.PML4; l <= addr.PT; l++ {
 		n := tab.findNode(0x7f00_0000_1000, l)
-		if n == nil || n.base != full[l].Addr&^uint64(NodeBytes-1) {
+		if n < 0 || tab.bases[n] != full[l].Addr&^uint64(NodeBytes-1) {
 			t.Errorf("findNode(%v) is not the node the walk reads", l)
 		}
 	}
-	if tab.findNode(0x9999_0000_0000, addr.PT) != nil {
+	if tab.findNode(0x9999_0000_0000, addr.PT) >= 0 {
 		t.Error("findNode of unmapped region should fail")
 	}
 	// 2 MB leaf: no PT node exists below it.
 	tab2 := New(bump(0))
 	tab2.Map(0x4000_0000, 1, addr.Page2M)
-	if tab2.findNode(0x4000_0000, addr.PT) != nil {
+	if tab2.findNode(0x4000_0000, addr.PT) >= 0 {
 		t.Error("findNode below a 2M leaf should fail")
 	}
 }
@@ -217,8 +233,9 @@ func TestUnmap(t *testing.T) {
 	if _, ok := tab.Unmap(0x1000); ok {
 		t.Error("double Unmap should fail")
 	}
-	if tab.pages != 0 {
-		t.Errorf("pages = %d", tab.pages)
+	// The radix nodes stay: remapping the page creates none.
+	if created, err := tab.Map(0x1000, 8, addr.Page4K); err != nil || len(created) != 0 {
+		t.Errorf("remap after Unmap created %d nodes (err %v), want 0", len(created), err)
 	}
 }
 
@@ -276,5 +293,31 @@ func TestMapLookup1G(t *testing.T) {
 	refs, _, ok := tab.WalkAppend(0x40_0000_0000, nil)
 	if !ok || len(refs) != 2 {
 		t.Errorf("1G walk refs = %d (ok=%v), want 2", len(refs), ok)
+	}
+}
+
+// TestNodeHardwareSize pins a radix node at Figure 1's hardware size:
+// 512 8-byte PTEs, 4096 B of host memory, and no Go pointers for the
+// garbage collector to scan.
+func TestNodeHardwareSize(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != NodeBytes {
+		t.Errorf("node is %d bytes, want %d", got, NodeBytes)
+	}
+	typ := reflect.TypeOf(node{})
+	if typ.Kind() != reflect.Array || typ.Elem().Kind() != reflect.Uint64 {
+		t.Errorf("node is %v, want an array of uint64 slots", typ)
+	}
+}
+
+// TestLeafSlotRoundTrip pins the leaf encoding for every page size up to
+// the largest 4 KB frame number of a 64-bit address.
+func TestLeafSlotRoundTrip(t *testing.T) {
+	for _, size := range []addr.PageSize{addr.Page4K, addr.Page2M, addr.Page1G} {
+		for _, pfn := range []uint64{0, 1, 1<<(64-addr.Shift4K) - 1} {
+			want := Entry{PFN: pfn, Size: size, Valid: true}
+			if got := slotEntry(leafSlot(pfn, size)); got != want {
+				t.Errorf("slot round trip: %+v -> %+v", want, got)
+			}
+		}
 	}
 }

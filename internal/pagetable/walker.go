@@ -119,9 +119,9 @@ func NewWalker(cfg WalkerConfig, mem MemFunc) *Walker {
 	}
 	return &Walker{
 		cfg:    cfg,
-		pml4c:  NewPSC("PML4", cfg.PML4Entries),
-		pdpc:   NewPSC("PDP", cfg.PDPEntries),
-		pdec:   NewPSC("PDE", cfg.PDEEntries),
+		pml4c:  NewPSC(cfg.PML4Entries),
+		pdpc:   NewPSC(cfg.PDPEntries),
+		pdec:   NewPSC(cfg.PDEEntries),
 		nested: NewNestedTLB(cfg.NestedTLB),
 		mem:    mem,
 		grefs:  make([]Ref, 0, 8),
@@ -132,8 +132,8 @@ func NewWalker(cfg WalkerConfig, mem MemFunc) *Walker {
 // Stats returns a copy of the walker's counters.
 func (w *Walker) Stats() WalkStats { return w.stats }
 
-// ResetStats clears the walk counters; PSC and nested-TLB contents (and
-// their own hit/miss counters) are untouched.
+// ResetStats clears the walk counters; PSC and nested-TLB contents are
+// untouched.
 func (w *Walker) ResetStats() { w.stats = WalkStats{} }
 
 // Add merges another set of walk counters (for multi-core aggregation).

@@ -215,13 +215,19 @@ func TestWalkerStats(t *testing.T) {
 }
 
 func TestPSCBasics(t *testing.T) {
-	p := NewPSC("test", 2)
+	p := NewPSC(2)
 	if _, ok := p.Lookup(1, 1, 0x10); ok {
 		t.Error("cold PSC lookup should miss")
 	}
 	p.Insert(1, 1, 0x10, 0xA000)
 	if node, ok := p.Lookup(1, 1, 0x10); !ok || node != 0xA000 {
 		t.Errorf("PSC lookup = %#x, %v", node, ok)
+	}
+	if _, ok := p.Lookup(2, 1, 0x10); ok {
+		t.Error("other VM should miss")
+	}
+	if _, ok := p.Lookup(1, 2, 0x10); ok {
+		t.Error("other process should miss")
 	}
 	// LRU eviction at capacity 2.
 	p.Insert(1, 1, 0x20, 0xB000)
@@ -242,9 +248,6 @@ func TestPSCBasics(t *testing.T) {
 	if _, ok := p.Lookup(1, 1, 0x10); ok {
 		t.Error("InvalidateAll failed")
 	}
-	if p.stats.Total() == 0 {
-		t.Error("stats should be recorded")
-	}
 }
 
 func TestPSCZeroCapacityPanics(t *testing.T) {
@@ -253,7 +256,7 @@ func TestPSCZeroCapacityPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewPSC("bad", 0)
+	NewPSC(0)
 }
 
 func TestNestedTLBBasics(t *testing.T) {

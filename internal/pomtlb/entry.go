@@ -11,7 +11,6 @@
 package pomtlb
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/addr"
@@ -36,42 +35,88 @@ type Entry struct {
 	Attr uint8
 }
 
-// matches reports whether the entry translates (vm, pid, vpn).
-func (e Entry) matches(vm addr.VMID, pid addr.PID, vpn uint64) bool {
-	return e.Valid && e.VM == vm && e.PID == pid && e.VPN == vpn
+// The 16-byte image of an entry (Figure 5), the form a partition stores:
+//
+//	byte  0     flags: bit0 = valid, bit1 = size (1 = 2 MB), bits 2-3 = LRU
+//	byte  1     attribute/protection bits
+//	bytes 2-3   VM ID
+//	bytes 4-5   process ID
+//	bytes 6-10  VPN (40 bits)
+//	bytes 11-15 PPN (40 bits)
+//
+// held as two little-endian words, bytes 0-7 and 8-15, so the VPN's low
+// 16 bits end word 0 and its high 24 bits start word 1.
+const (
+	validBit  = 1
+	largeBit  = 1 << 1
+	lruShift  = 2
+	lruMask   = 3 << lruShift
+	attrShift = 8
+	attrMask  = 0xFF << attrShift
+	vmShift   = 16
+	pidShift  = 32
+	vpnShift  = 48
+	pfnShift  = 24 // in word 1, above the VPN's high bits
+
+	// vpnLowBits is how many VPN bits word 0 holds.
+	vpnLowBits = 64 - vpnShift
+
+	// fieldBits is the width of the VPN and PPN fields.
+	fieldBits = 40
+	// ownerMask selects word 0's valid bit, VM ID and process ID.
+	ownerMask = validBit | (1<<vpnShift - 1<<vmShift)
+	// keyMask0 and keyMask1 select the bits that identify a translation:
+	// the owner and the VPN.
+	keyMask0 = ownerMask | (1<<64 - 1<<vpnShift)
+	keyMask1 = 1<<(fieldBits-vpnLowBits) - 1
+)
+
+// Encode packs the entry into its 16-byte image, keeping the low 40 bits
+// of VPN and PFN and the low 2 bits of LRU.
+func (e Entry) Encode() [2]uint64 {
+	w0 := uint64(e.LRU&3)<<lruShift | uint64(e.Attr)<<attrShift | owner(e.VM, e.PID) | e.VPN<<vpnShift
+	if !e.Valid {
+		w0 &^= validBit
+	}
+	if e.Size == addr.Page2M {
+		w0 |= largeBit
+	}
+	return [2]uint64{w0, e.VPN>>vpnLowBits&keyMask1 | e.PFN<<pfnShift}
 }
 
-// DecodeEntry unpacks an entry's 16-byte memory image:
-//
-//	[0]     flags: bit0 = valid, bit1 = size (1 = 2 MB), bits 2-3 = LRU
-//	[1]     attribute/protection bits
-//	[2:4]   VM ID (little endian)
-//	[4:6]   process ID
-//	[6:11]  VPN (40 bits)
-//	[11:16] PPN (40 bits)
-func DecodeEntry(b [EntryBytes]byte) Entry {
-	flags := b[0]
+// DecodeEntry unpacks an entry's 16-byte image.
+func DecodeEntry(w [2]uint64) Entry {
 	size := addr.Page4K
-	if flags&2 != 0 {
+	if w[0]&largeBit != 0 {
 		size = addr.Page2M
 	}
 	return Entry{
-		Valid: flags&1 != 0,
+		Valid: w[0]&validBit != 0,
 		Size:  size,
-		LRU:   (flags >> 2) & 3,
-		Attr:  b[1],
-		VM:    addr.VMID(binary.LittleEndian.Uint16(b[2:4])),
-		PID:   addr.PID(binary.LittleEndian.Uint16(b[4:6])),
-		VPN:   get40(b[6:11]),
-		PFN:   get40(b[11:16]),
+		LRU:   uint8(w[0]&lruMask) >> lruShift,
+		Attr:  uint8(w[0] >> attrShift),
+		VM:    addr.VMID(w[0] >> vmShift),
+		PID:   addr.PID(w[0] >> pidShift),
+		VPN:   w[0]>>vpnShift | (w[1]&keyMask1)<<vpnLowBits,
+		PFN:   w[1] >> pfnShift,
 	}
 }
 
-// get40 loads 5 little-endian bytes.
-func get40(src []byte) uint64 {
-	_ = src[4]
-	return uint64(src[0]) | uint64(src[1])<<8 | uint64(src[2])<<16 |
-		uint64(src[3])<<24 | uint64(src[4])<<32
+// owner returns word 0's valid bit, VM ID and process ID for (vm, pid).
+func owner(vm addr.VMID, pid addr.PID) uint64 {
+	return validBit | uint64(vm)<<vmShift | uint64(pid)<<pidShift
+}
+
+// key returns the identifying bits of (vm, pid, vpn)'s valid entry in
+// each image word, as keyMask0 and keyMask1 select them. A VPN wider
+// than 40 bits gets a key no image matches.
+func key(vm addr.VMID, pid addr.PID, vpn uint64) (uint64, uint64) {
+	return owner(vm, pid) | vpn<<vpnShift, vpn >> vpnLowBits
+}
+
+// matches reports whether image w holds the translation keyed k0, k1.
+func matches(w [2]uint64, k0, k1 uint64) bool {
+	return w[0]&keyMask0 == k0 && w[1]&keyMask1 == k1
 }
 
 // String implements fmt.Stringer.

@@ -41,11 +41,11 @@ func DefaultConfig() Config {
 }
 
 // maxSizeBytes bounds SizeBytes. New allocates every entry up front, at
-// two bytes of host memory per simulated byte (a 32 B Entry per 16 B
-// slot), so an unchecked size from a config file or an HTTP request
-// would exhaust host memory before anything could reject it. 256 MiB
-// costs 512 MiB of host memory, is 8× the largest POM-TLB the paper
-// evaluates (32 MB, §4.6), and fills exactly the low region of host
+// one byte of host memory per simulated byte (each 16 B slot is held as
+// its 16 B image), so an unchecked size from a config file or an HTTP
+// request would exhaust host memory before anything could reject it.
+// 256 MiB costs 256 MiB of host memory, is 8× the largest POM-TLB the
+// paper evaluates (32 MB, §4.6), and fills exactly the low region of host
 // physical memory that virt.DefaultConfig reserves for the mapped TLB.
 const maxSizeBytes = 256 << 20
 
@@ -114,16 +114,17 @@ type hook struct{ s Shadow }
 // Partition is one of the two physically-partitioned structures
 // (POM_TLB_Small or POM_TLB_Large): a set-associative array of complete
 // translations, mapped at a contiguous physical address range so its sets
-// can be cached in the data caches. All entries live in one contiguous
-// array; set i occupies entries[i*ways : (i+1)*ways], mirroring the
-// physical layout of Figure 5.
+// can be cached in the data caches. Every entry is held as its 16-byte
+// image in one contiguous array; set i occupies slots[i*ways :
+// (i+1)*ways], mirroring the physical layout of Figure 5, so a partition
+// costs one host byte per simulated byte.
 type Partition struct {
 	PageSize addr.PageSize
 	base     uint64
 	ways     int
 	numSets  uint64
 	setBytes uint64
-	entries  []Entry
+	slots    [][2]uint64
 	lookups  stats.HitMiss
 	inserts  uint64
 	count    int
@@ -150,14 +151,14 @@ func newPartition(size addr.PageSize, base uint64, bytes uint64, ways int) *Part
 		ways:     ways,
 		numSets:  n,
 		setBytes: setBytes,
-		entries:  make([]Entry, n*uint64(ways)),
+		slots:    make([][2]uint64, n*uint64(ways)),
 	}
 }
 
 // set returns the ways of set i.
-func (p *Partition) set(i uint64) []Entry {
+func (p *Partition) set(i uint64) [][2]uint64 {
 	w := i * uint64(p.ways)
-	return p.entries[w : w+uint64(p.ways)]
+	return p.slots[w : w+uint64(p.ways)]
 }
 
 // Sets returns the number of sets.
@@ -205,14 +206,15 @@ func (p *Partition) LinesPerSet() int {
 
 // ageAllExcept implements the 2-bit LRU update: the touched way becomes
 // age 3, every other valid way in the set decays by one (saturating at 0).
-func ageAllExcept(set []Entry, touched int) {
+func ageAllExcept(set [][2]uint64, touched int) {
 	for i := range set {
+		w := &set[i][0]
 		if i == touched {
-			set[i].LRU = 3
+			*w |= lruMask
 			continue
 		}
-		if set[i].Valid && set[i].LRU > 0 {
-			set[i].LRU--
+		if *w&validBit != 0 && *w&lruMask != 0 {
+			*w -= 1 << lruShift
 		}
 	}
 }
@@ -221,16 +223,17 @@ func ageAllExcept(set []Entry, touched int) {
 // on a hit. The DRAM/cache access cost is accounted by the caller; Search
 // is the associative comparison done on the fetched 64 B burst.
 func (p *Partition) Search(vm addr.VMID, pid addr.PID, va addr.VA) (Entry, bool) {
-	vpn := va.VPN(p.PageSize)
+	k0, k1 := key(vm, pid, va.VPN(p.PageSize))
 	set := p.set(p.SetIndex(va, vm))
 	for i := range set {
-		if set[i].matches(vm, pid, vpn) {
+		if matches(set[i], k0, k1) {
 			ageAllExcept(set, i)
 			p.lookups.Hit()
+			e := DecodeEntry(set[i])
 			if p.shadow != nil {
-				p.shadow.s.Search(vm, pid, va, true, set[i])
+				p.shadow.s.Search(vm, pid, va, true, e)
 			}
-			return set[i], true
+			return e, true
 		}
 	}
 	p.lookups.Miss()
@@ -243,38 +246,46 @@ func (p *Partition) Search(vm addr.VMID, pid addr.PID, va addr.VA) (Entry, bool)
 // Insert installs a translation resolved by a page walk, evicting the
 // lowest-LRU way when the set is full. The paper notes the replacement
 // decision needs no extra DRAM access: the LRU bits arrive with the burst.
+// An entry whose VPN or PFN does not fit Figure 5's 40-bit fields is a
+// bug upstream (the trace boundary admits only canonical addresses), and
+// panics rather than alias another page.
 func (p *Partition) Insert(e Entry) (victim Entry, evicted bool) {
 	if !e.Valid || e.Size != p.PageSize {
 		panic(fmt.Sprintf("pomtlb: inserting %v into %s partition", e, p.PageSize))
 	}
+	if e.VPN>>fieldBits != 0 || e.PFN>>fieldBits != 0 {
+		panic(fmt.Sprintf("pomtlb: %v does not fit the 40-bit VPN and PPN fields", e))
+	}
+	k0, k1 := key(e.VM, e.PID, e.VPN)
 	set := p.set(p.SetIndex(addr.VA(e.VPN<<p.PageSize.Shift()), e.VM))
 	vi := -1
 	for i := range set {
-		if set[i].matches(e.VM, e.PID, e.VPN) {
-			set[i].PFN = e.PFN
-			set[i].Attr = e.Attr
+		w := &set[i]
+		if matches(*w, k0, k1) {
+			w[0] = w[0]&^attrMask | uint64(e.Attr)<<attrShift
+			w[1] = w[1]&keyMask1 | e.PFN<<pfnShift
 			ageAllExcept(set, i)
 			if p.shadow != nil {
 				p.shadow.s.Insert(e, Entry{}, false)
 			}
 			return Entry{}, false
 		}
-		if !set[i].Valid {
-			if vi == -1 || set[vi].Valid {
+		if w[0]&validBit == 0 {
+			if vi == -1 || set[vi][0]&validBit != 0 {
 				vi = i
 			}
 			continue
 		}
-		if vi == -1 || (set[vi].Valid && set[i].LRU < set[vi].LRU) {
+		if vi == -1 || (set[vi][0]&validBit != 0 && w[0]&lruMask < set[vi][0]&lruMask) {
 			vi = i
 		}
 	}
-	if set[vi].Valid {
-		victim, evicted = set[vi], true
+	if set[vi][0]&validBit != 0 {
+		victim, evicted = DecodeEntry(set[vi]), true
 	} else {
 		p.count++
 	}
-	set[vi] = e
+	set[vi] = e.Encode()
 	ageAllExcept(set, vi)
 	p.inserts++
 	if p.shadow != nil {
@@ -285,11 +296,12 @@ func (p *Partition) Insert(e Entry) (victim Entry, evicted bool) {
 
 // InvalidatePage removes one translation (shootdown).
 func (p *Partition) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64) bool {
+	k0, k1 := key(vm, pid, vpn)
 	set := p.set(p.setIndexForVPN(vpn, vm))
 	found := false
 	for i := range set {
-		if set[i].matches(vm, pid, vpn) {
-			set[i] = Entry{}
+		if matches(set[i], k0, k1) {
+			set[i] = [2]uint64{}
 			p.count--
 			found = true
 			break
@@ -304,10 +316,11 @@ func (p *Partition) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64) bool 
 // InvalidateProcess removes every entry of (vm, pid), returning the count
 // removed — required before the guest OS recycles a process ID (§2.2).
 func (p *Partition) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
+	own := owner(vm, pid)
 	n := 0
-	for i := range p.entries {
-		if p.entries[i].Valid && p.entries[i].VM == vm && p.entries[i].PID == pid {
-			p.entries[i] = Entry{}
+	for i := range p.slots {
+		if p.slots[i][0]&ownerMask == own {
+			p.slots[i] = [2]uint64{}
 			p.count--
 			n++
 		}
@@ -319,10 +332,10 @@ func (p *Partition) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
 }
 
 // CheckInvariants validates the partition's structural invariants: every
-// valid entry sits in the set its (VPN, VM) index to, carries the
-// partition's page size, has in-range 2-bit LRU state, no (vm, pid, vpn)
-// key appears twice, and the resident count matches a full recount.
-// Returns the first violation found, or nil.
+// valid entry sits in the set its (VPN, VM) index to and carries the
+// partition's page size, no (vm, pid, vpn) key appears twice, and the
+// resident count matches a full recount. Returns the first violation
+// found, or nil.
 func (p *Partition) CheckInvariants() error {
 	type key struct {
 		vm  addr.VMID
@@ -332,16 +345,14 @@ func (p *Partition) CheckInvariants() error {
 	seen := make(map[key]uint64, p.count)
 	n := 0
 	for si := uint64(0); si < p.numSets; si++ {
-		for wi, e := range p.set(si) {
+		for wi, w := range p.set(si) {
+			e := DecodeEntry(w)
 			if !e.Valid {
 				continue
 			}
 			n++
 			if e.Size != p.PageSize {
 				return fmt.Errorf("pomtlb %s set %d way %d: entry size %s", p.PageSize, si, wi, e.Size)
-			}
-			if e.LRU > 3 {
-				return fmt.Errorf("pomtlb %s set %d way %d: LRU %d out of 2-bit range", p.PageSize, si, wi, e.LRU)
 			}
 			if want := p.setIndexForVPN(e.VPN, e.VM); want != uint64(si) {
 				return fmt.Errorf("pomtlb %s set %d way %d: vpn %#x indexes to set %d", p.PageSize, si, wi, e.VPN, want)
@@ -366,25 +377,15 @@ func (p *Partition) ResetStats() {
 	p.inserts = 0
 }
 
-// SetEntries returns a copy of the set va maps to — the four translations
-// that arrive together in one 64 B burst. Callers implementing the §6
-// prefetching extension install the neighbours into the SRAM TLBs for
-// free.
-func (p *Partition) SetEntries(va addr.VA, vm addr.VMID) []Entry {
-	set := p.SetView(va, vm)
-	out := make([]Entry, len(set))
-	copy(out, set)
-	return out
-}
-
-// SetView returns the live ways of the set va maps to — the four
-// translations that arrive together in one 64 B burst — without
-// copying. The returned slice aliases the partition's backing array and
-// must not be mutated or retained across partition mutations; the
-// record-loop caller (neighbour prefetching, §6) reads it immediately,
-// allocation-free.
-func (p *Partition) SetView(va addr.VA, vm addr.VMID) []Entry {
-	return p.set(p.SetIndex(va, vm))
+// AppendSet decodes the set va maps to — the translations that arrive
+// together in one 64 B burst — appending them to dst. With room in dst
+// it allocates nothing, so the record loop's callers (neighbour
+// prefetching, §6) decode into a stack array.
+func (p *Partition) AppendSet(dst []Entry, va addr.VA, vm addr.VMID) []Entry {
+	for _, w := range p.set(p.SetIndex(va, vm)) {
+		dst = append(dst, DecodeEntry(w))
+	}
+	return dst
 }
 
 // TLB is the complete POM-TLB: both partitions plus the dedicated

@@ -4,43 +4,13 @@ import (
 	"encoding/binary"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/addr"
 )
 
 func validEntry(vm addr.VMID, pid addr.PID, vpn, pfn uint64, size addr.PageSize) Entry {
 	return Entry{Valid: true, VM: vm, PID: pid, VPN: vpn, PFN: pfn, Size: size}
-}
-
-// Encode packs the entry into the 16-byte memory image DecodeEntry
-// unpacks.
-func (e Entry) Encode() [EntryBytes]byte {
-	var b [EntryBytes]byte
-	var flags byte
-	if e.Valid {
-		flags |= 1
-	}
-	if e.Size == addr.Page2M {
-		flags |= 2
-	}
-	flags |= (e.LRU & 3) << 2
-	b[0] = flags
-	b[1] = e.Attr
-	binary.LittleEndian.PutUint16(b[2:4], uint16(e.VM))
-	binary.LittleEndian.PutUint16(b[4:6], uint16(e.PID))
-	put40(b[6:11], e.VPN)
-	put40(b[11:16], e.PFN)
-	return b
-}
-
-// put40 stores the low 40 bits of v into 5 bytes, little endian.
-func put40(dst []byte, v uint64) {
-	_ = dst[4]
-	dst[0] = byte(v)
-	dst[1] = byte(v >> 8)
-	dst[2] = byte(v >> 16)
-	dst[3] = byte(v >> 24)
-	dst[4] = byte(v >> 32)
 }
 
 func TestEntryEncodeDecodeRoundtrip(t *testing.T) {
@@ -52,14 +22,21 @@ func TestEntryEncodeDecodeRoundtrip(t *testing.T) {
 	}
 }
 
+// TestEntryEncodeSize pins Figure 5's image: 16 bytes, and written out
+// little endian its fields sit at the documented byte offsets.
 func TestEntryEncodeSize(t *testing.T) {
-	e := validEntry(1, 1, 1, 1, addr.Page4K)
-	b := e.Encode()
-	if len(b) != 16 {
-		t.Errorf("entry is %d bytes, want 16 (Figure 5)", len(b))
+	e := Entry{Valid: true, VM: 0x0201, PID: 0x0403, VPN: 0x09_0807_0605, PFN: 0x0E_0D0C_0B0A,
+		Size: addr.Page2M, LRU: 2, Attr: 0xAB}
+	w := e.Encode()
+	if n := unsafe.Sizeof(w); n != EntryBytes {
+		t.Errorf("entry image is %d bytes, want %d (Figure 5)", n, EntryBytes)
 	}
-	if b[0]&1 != 1 {
-		t.Error("valid bit not set")
+	var b [EntryBytes]byte
+	binary.LittleEndian.PutUint64(b[0:8], w[0])
+	binary.LittleEndian.PutUint64(b[8:16], w[1])
+	want := [EntryBytes]byte{1 | 2 | 2<<2, 0xAB, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0xA, 0xB, 0xC, 0xD, 0xE}
+	if b != want {
+		t.Errorf("image bytes = % x, want % x", b, want)
 	}
 	var inv Entry
 	if DecodeEntry(inv.Encode()).Valid {
@@ -110,6 +87,11 @@ func TestDefaultConfigGeometry(t *testing.T) {
 	// Partitions are adjacent and non-overlapping.
 	if tl.Large.base != tl.Small.base+tl.Small.SizeBytes() {
 		t.Error("large partition should start right after small")
+	}
+	// Each 16 B slot costs 16 host bytes: slot storage is exactly SizeBytes.
+	slots := uint64(cap(tl.Small.slots) + cap(tl.Large.slots))
+	if got := slots * uint64(unsafe.Sizeof(tl.Small.slots[0])); got != DefaultConfig().SizeBytes {
+		t.Errorf("slot storage = %d bytes, want SizeBytes = %d", got, DefaultConfig().SizeBytes)
 	}
 }
 
@@ -189,14 +171,25 @@ func TestInsertWrongPartitionPanics(t *testing.T) {
 	tl.Small.Insert(validEntry(1, 1, 1, 1, addr.Page2M))
 }
 
+// TestInsertInvalidPanics pins that Insert panics on an entry only a bug
+// can produce: an invalid one, or one whose VPN or PFN does not fit
+// Figure 5's 40-bit fields and would alias another page.
 func TestInsertInvalidPanics(t *testing.T) {
 	tl := New(DefaultConfig())
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	tl.Small.Insert(Entry{Size: addr.Page4K})
+	for name, e := range map[string]Entry{
+		"invalid":    {Size: addr.Page4K},
+		"41-bit VPN": validEntry(1, 1, 1<<40, 1, addr.Page4K),
+		"41-bit PFN": validEntry(1, 1, 1, 1<<40, addr.Page4K),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s entry inserted without a panic", name)
+				}
+			}()
+			tl.Small.Insert(e)
+		}()
+	}
 }
 
 func TestTwoBitLRUReplacement(t *testing.T) {
@@ -262,19 +255,19 @@ func TestInvalidatePageAndVM(t *testing.T) {
 }
 
 // TestSetImage pins Figure 5's layout: a 4-way set's 16-byte entry
-// images fill exactly one 64 B line, and the inserted entry's image
-// decodes back to it.
+// images fill exactly one 64 B line, and the inserted entry decodes back
+// from its set.
 func TestSetImage(t *testing.T) {
 	tl := New(DefaultConfig())
 	e := validEntry(1, 1, 42, 0x99, addr.Page4K)
 	tl.Small.Insert(e)
-	set := tl.Small.SetView(addr.VA(42<<12), 1)
-	if n := len(set) * EntryBytes; n != addr.CacheLineSize {
+	set := tl.Small.set(tl.Small.SetIndex(addr.VA(42<<12), 1))
+	if n := len(set) * int(unsafe.Sizeof(set[0])); n != addr.CacheLineSize {
 		t.Fatalf("set image = %d bytes, want 64", n)
 	}
 	found := false
-	for _, w := range set {
-		if d := DecodeEntry(w.Encode()); d.Valid && d.VPN == 42 && d.PFN == 0x99 {
+	for _, d := range tl.Small.AppendSet(nil, addr.VA(42<<12), 1) {
+		if d.Valid && d.VPN == 42 && d.PFN == 0x99 {
 			found = true
 		}
 	}

@@ -2,12 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/trace"
 )
@@ -18,8 +20,8 @@ import (
 //   - the handler never panics, whatever the framing;
 //   - exactly the whole records of a valid prefix are accepted — a tear
 //     mid-record yields no phantom record and loses no complete one;
-//   - the HTTP status matches the codec verdict (400 bad magic, 422
-//     truncation, 202 clean);
+//   - the HTTP status matches the codec verdict (400 bad magic or a
+//     non-canonical VA, 422 truncation, 202 clean);
 //   - the session survives malformed uploads and keeps serving metrics.
 func FuzzIngest(f *testing.F) {
 	valid := fuzzEncode(trace.Collect(parityGen(), 3))
@@ -58,7 +60,7 @@ func FuzzIngest(f *testing.F) {
 			t.Fatalf("ingest of %d bytes: status %d, want %d (body %s)",
 				len(data), rec.Code, wantStatus, rec.Body.Bytes())
 		}
-		if rec.Code != http.StatusBadRequest {
+		if rec.Code != http.StatusBadRequest || wantAccepted > 0 {
 			var out struct {
 				Accepted int `json:"accepted"`
 				Ingested int `json:"ingested"`
@@ -156,9 +158,14 @@ func expectIngest(data []byte) (accepted, status int) {
 	if !bytes.Equal(data[:len(magic)], magic) {
 		return 0, http.StatusBadRequest
 	}
-	payload := len(data) - len(magic)
-	accepted = payload / 16
-	if payload%16 != 0 {
+	payload := data[len(magic):]
+	for i := 0; (i+1)*16 <= len(payload); i++ {
+		if binary.LittleEndian.Uint64(payload[i*16:])>>addr.VABits != 0 {
+			return i, http.StatusBadRequest // non-canonical VA
+		}
+	}
+	accepted = len(payload) / 16
+	if len(payload)%16 != 0 {
 		return accepted, http.StatusUnprocessableEntity
 	}
 	return accepted, http.StatusAccepted

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -299,6 +300,23 @@ func TestIngestErrorMapping(t *testing.T) {
 	status, _ = tc.do("POST", "/sessions/"+id+"/records", strings.NewReader("POM"), nil)
 	if status != http.StatusUnprocessableEntity {
 		t.Errorf("short header: status %d, want 422", status)
+	}
+
+	// A VA of 2^48 or above would alias its canonical twin: the records
+	// before it are accepted, it is refused with 400.
+	wire = encodeTrace(t, trace.Collect(parityGen(), 3))
+	wire = binary.LittleEndian.AppendUint64(wire, 1<<48|0x10_0000_1000)
+	wire = append(wire, make([]byte, 8)...)
+	out.Accepted, out.Error = 0, ""
+	status, _ = tc.do("POST", "/sessions/"+id+"/records", bytes.NewReader(wire), &out)
+	if status != http.StatusBadRequest {
+		t.Errorf("non-canonical VA: status %d, want 400", status)
+	}
+	if out.Accepted != 3 {
+		t.Errorf("non-canonical VA: accepted %d records, want the 3 before it", out.Accepted)
+	}
+	if !strings.Contains(out.Error, "non-canonical") {
+		t.Errorf("non-canonical VA: error %q does not name the cause", out.Error)
 	}
 
 	status, _ = tc.do("GET", "/sessions/nope/metrics", nil, nil)

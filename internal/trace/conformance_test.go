@@ -3,6 +3,7 @@ package trace_test
 import (
 	"testing"
 
+	"repro/internal/addr"
 	"repro/internal/consolidation"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -73,10 +74,11 @@ func firstDiff(a, b []trace.Record) int {
 }
 
 // TestGeneratorConformance is the table-test every generator must pass:
-// seed determinism (two instances with the same seed emit identical
-// streams), Reset ⇒ byte-identical replay (including mid-stream resets at
-// awkward offsets), and seed sensitivity. A new generator gets this
-// coverage by adding a row to generators.
+// canonical addresses (every VA below 2^48, so the trace writer accepts
+// the stream), seed determinism (two instances with the same seed emit
+// identical streams), Reset ⇒ byte-identical replay (including
+// mid-stream resets at awkward offsets), and seed sensitivity. A new
+// generator gets this coverage by adding a row to generators.
 func TestGeneratorConformance(t *testing.T) {
 	for _, f := range generators {
 		f := f
@@ -85,6 +87,11 @@ func TestGeneratorConformance(t *testing.T) {
 			const n = 5000
 			g := f.new(42)
 			first := trace.Collect(g, n)
+			for i, r := range first {
+				if uint64(r.VA)>>addr.VABits != 0 {
+					t.Fatalf("record %d: VA %#x is not below 2^48", i, uint64(r.VA))
+				}
+			}
 
 			if i := firstDiff(first, trace.Collect(f.new(42), n)); i >= 0 {
 				t.Fatalf("two instances with seed 42 diverge at record %d", i)

@@ -32,7 +32,19 @@ var (
 	// ErrTruncated marks a stream that ends mid-header or mid-record: the
 	// trace was valid up to the tear, but bytes are missing.
 	ErrTruncated = errors.New("trace: truncated stream")
+	// ErrNonCanonical marks a record whose virtual address is 2^48 or
+	// above. The page tables translate 48 bits, so such an address would
+	// silently alias its canonical twin.
+	ErrNonCanonical = errors.New("trace: non-canonical virtual address")
 )
+
+// checkVA reports ErrNonCanonical for an address outside [0, 2^48).
+func checkVA(va addr.VA) error {
+	if uint64(va)>>addr.VABits != 0 {
+		return fmt.Errorf("%w %#x", ErrNonCanonical, uint64(va))
+	}
+	return nil
+}
 
 // Record is one memory reference.
 type Record struct {
@@ -73,8 +85,12 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return &Writer{w: bw}, nil
 }
 
-// Write appends one record.
+// Write appends one record; a non-canonical address is refused with
+// ErrNonCanonical and nothing is written.
 func (w *Writer) Write(r Record) error {
+	if err := checkVA(r.VA); err != nil {
+		return err
+	}
 	binary.LittleEndian.PutUint64(w.buf[0:8], uint64(r.VA))
 	binary.LittleEndian.PutUint32(w.buf[8:12], r.Gap)
 	var flags byte
@@ -124,13 +140,18 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br}, nil
 }
 
-// Read returns the next record, io.EOF at a clean end of stream, or an
-// error wrapping ErrTruncated when the stream tears mid-record.
+// Read returns the next record, io.EOF at a clean end of stream, an
+// error wrapping ErrTruncated when the stream tears mid-record, or one
+// wrapping ErrNonCanonical for a record whose address is 2^48 or above.
 func (r *Reader) Read() (Record, error) {
 	if _, err := io.ReadFull(r.r, r.buf[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			err = fmt.Errorf("%w: stream ends mid-record", ErrTruncated)
 		}
+		return Record{}, err
+	}
+	va := addr.VA(binary.LittleEndian.Uint64(r.buf[0:8]))
+	if err := checkVA(va); err != nil {
 		return Record{}, err
 	}
 	flags := r.buf[12]
@@ -139,7 +160,7 @@ func (r *Reader) Read() (Record, error) {
 		size = addr.Page2M
 	}
 	return Record{
-		VA:     addr.VA(binary.LittleEndian.Uint64(r.buf[0:8])),
+		VA:     va,
 		Gap:    binary.LittleEndian.Uint32(r.buf[8:12]),
 		Write:  flags&1 != 0,
 		Thread: r.buf[13],

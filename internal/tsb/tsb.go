@@ -58,19 +58,32 @@ func (c Config) Validate() error {
 	return nil
 }
 
-type entry struct {
-	vm    addr.VMID
-	pid   addr.PID
-	vpn   uint64
-	pfn   uint64
-	size  addr.PageSize
-	valid bool
+// A slot is one TTE: a tag word naming the translation and a data word
+// carrying it, each 8 bytes as in SPARC's TTE.
+//
+//	tag   bits 0-35 VPN, 36-37 page size, 40-55 VM ID, 63 valid
+//	data  bits 0-39 PFN, 40-55 process ID
+const (
+	vpnBits   = 36
+	sizeShift = 36
+	vmShift   = 40
+	validBit  = 1 << 63
+	pfnBits   = 40
+	pidShift  = 40
+	pfnMask   = 1<<pfnBits - 1
+	// ownerMask selects the tag's valid bit and VM ID.
+	ownerMask = validBit | 0xFFFF<<vmShift
+)
+
+// tag returns the tag word of (vm, vpn, size)'s translation.
+func tag(vm addr.VMID, vpn uint64, size addr.PageSize) uint64 {
+	return validBit | uint64(vm)<<vmShift | uint64(size)<<sizeShift | vpn
 }
 
 // TSB is the direct-mapped translation storage buffer.
 type TSB struct {
 	cfg     Config
-	slots   []entry
+	slots   [][2]uint64 // tag and data word per slot
 	mask    uint64
 	lookups stats.HitMiss
 	// Conflicts counts inserts that displaced a live entry — the
@@ -87,7 +100,7 @@ func New(cfg Config) (*TSB, error) {
 	for n&(n-1) != 0 {
 		n &= n - 1
 	}
-	return &TSB{cfg: cfg, slots: make([]entry, n), mask: n - 1}, nil
+	return &TSB{cfg: cfg, slots: make([][2]uint64, n), mask: n - 1}, nil
 }
 
 // MustNew is New but panics on invalid configuration — the historical
@@ -112,12 +125,18 @@ func (t *TSB) EntryAddr(vm addr.VMID, va addr.VA, size addr.PageSize) addr.HPA {
 	return addr.HPA(t.cfg.BaseAddr + t.index(vm, va.VPN(size))*EntryBytes)
 }
 
-// Lookup probes the slot for one page-size interpretation of va.
+// holds reports whether slot s holds (vm, pid, vpn, size)'s translation.
+func holds(s [2]uint64, vm addr.VMID, pid addr.PID, vpn uint64, size addr.PageSize) bool {
+	return s[0] == tag(vm, vpn, size) && s[1]>>pidShift == uint64(pid)
+}
+
+// Lookup probes the slot for one page-size interpretation of va, a
+// canonical (48-bit) address.
 func (t *TSB) Lookup(vm addr.VMID, pid addr.PID, va addr.VA, size addr.PageSize) (pfn uint64, ok bool) {
-	e := t.slots[t.index(vm, va.VPN(size))]
-	if e.valid && e.vm == vm && e.pid == pid && e.size == size && e.vpn == va.VPN(size) {
+	vpn := va.VPN(size)
+	if s := t.slots[t.index(vm, vpn)]; holds(s, vm, pid, vpn, size) {
 		t.lookups.Hit()
-		return e.pfn, true
+		return s[1] & pfnMask, true
 	}
 	t.lookups.Miss()
 	return 0, false
@@ -127,26 +146,30 @@ func (t *TSB) Lookup(vm addr.VMID, pid addr.PID, va addr.VA, size addr.PageSize)
 // touching the lookup statistics — the conformance suite's logical
 // residual probe.
 func (t *TSB) Peek(vm addr.VMID, pid addr.PID, vpn uint64, size addr.PageSize) bool {
-	e := t.slots[t.index(vm, vpn)]
-	return e.valid && e.vm == vm && e.pid == pid && e.size == size && e.vpn == vpn
+	return holds(t.slots[t.index(vm, vpn)], vm, pid, vpn, size)
 }
 
 // Insert stores a resolved translation, displacing whatever lived in the
-// slot (direct-mapped: no choice of victim).
+// slot (direct-mapped: no choice of victim). A VPN or PFN too wide for
+// its TTE field is a bug upstream (the trace boundary admits only
+// canonical addresses), and panics rather than alias another page.
 func (t *TSB) Insert(vm addr.VMID, pid addr.PID, vpn, pfn uint64, size addr.PageSize) {
+	if vpn>>vpnBits != 0 || pfn>>pfnBits != 0 {
+		panic(fmt.Sprintf("tsb: vpn %#x or pfn %#x does not fit the %d-bit VPN and %d-bit PFN fields",
+			vpn, pfn, vpnBits, pfnBits))
+	}
 	i := t.index(vm, vpn)
-	if t.slots[i].valid {
+	if t.slots[i][0]&validBit != 0 {
 		t.Conflicts++
 	}
-	t.slots[i] = entry{vm: vm, pid: pid, vpn: vpn, pfn: pfn, size: size, valid: true}
+	t.slots[i] = [2]uint64{tag(vm, vpn, size), uint64(pid)<<pidShift | pfn}
 }
 
 // InvalidatePage removes one translation (shootdown).
 func (t *TSB) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, size addr.PageSize) bool {
-	i := t.index(vm, vpn)
-	e := &t.slots[i]
-	if e.valid && e.vm == vm && e.pid == pid && e.vpn == vpn && e.size == size {
-		*e = entry{}
+	s := &t.slots[t.index(vm, vpn)]
+	if holds(*s, vm, pid, vpn, size) {
+		*s = [2]uint64{}
 		return true
 	}
 	return false
@@ -154,11 +177,12 @@ func (t *TSB) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, size addr.P
 
 // InvalidateProcess removes every entry of (vm, pid).
 func (t *TSB) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
+	own := validBit | uint64(vm)<<vmShift
 	n := 0
 	for i := range t.slots {
-		e := &t.slots[i]
-		if e.valid && e.vm == vm && e.pid == pid {
-			*e = entry{}
+		s := &t.slots[i]
+		if s[0]&ownerMask == own && s[1]>>pidShift == uint64(pid) {
+			*s = [2]uint64{}
 			n++
 		}
 	}

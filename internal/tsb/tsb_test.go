@@ -3,6 +3,7 @@ package tsb
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/addr"
 )
@@ -12,9 +13,11 @@ func TestDefaultConfig(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// Each 16-byte slot costs 16 host bytes: the buffer's storage is
+	// exactly SizeBytes.
 	b := MustNew(cfg)
-	if len(b.slots) != (16<<20)/16 {
-		t.Errorf("slots = %d", len(b.slots))
+	if got := uint64(cap(b.slots)) * uint64(unsafe.Sizeof(b.slots[0])); got != cfg.SizeBytes {
+		t.Errorf("slot storage = %d bytes, want SizeBytes = %d", got, cfg.SizeBytes)
 	}
 }
 
@@ -61,6 +64,17 @@ func TestIsolation(t *testing.T) {
 	}
 	if _, ok := b.Lookup(1, 1, va, addr.Page2M); ok {
 		t.Error("other size should miss")
+	}
+	// The widest values each TTE field holds stay apart: the highest
+	// canonical page of the highest VM and process, at the widest PFN.
+	const vpn, pfn = 1<<vpnBits - 1, 1<<pfnBits - 1
+	b.Insert(0xFFFF, 0xFFFF, vpn, pfn, addr.Page4K)
+	top := addr.VA(uint64(vpn) << addr.Shift4K)
+	if got, ok := b.Lookup(0xFFFF, 0xFFFF, top, addr.Page4K); !ok || got != pfn {
+		t.Errorf("widest entry lookup = %#x, %v, want %#x", got, ok, uint64(pfn))
+	}
+	if b.Peek(0xFFFF, 0xFFFE, vpn, addr.Page4K) || b.Peek(0xFFFF, 0xFFFF, vpn, addr.Page2M) {
+		t.Error("widest entry matches another process or page size")
 	}
 }
 
@@ -153,10 +167,32 @@ func TestInvalidateProcess(t *testing.T) {
 // count returns the number of live entries in t.
 func count(t *TSB) int {
 	n := 0
-	for _, e := range t.slots {
-		if e.valid {
+	for _, s := range t.slots {
+		if s[0]&validBit != 0 {
 			n++
 		}
 	}
 	return n
+}
+
+// TestInsertRejectsWideFields pins that a VPN or PFN too wide for its
+// TTE field panics instead of aliasing another page.
+func TestInsertRejectsWideFields(t *testing.T) {
+	b := MustNew(DefaultConfig())
+	for name, insert := range map[string]func(){
+		"vpn": func() { b.Insert(1, 1, 1<<vpnBits, 1, addr.Page4K) },
+		"pfn": func() { b.Insert(1, 1, 1, 1<<pfnBits, addr.Page4K) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: too-wide field inserted without a panic", name)
+				}
+			}()
+			insert()
+		}()
+	}
+	if count(b) != 0 {
+		t.Errorf("count = %d after rejected inserts", count(b))
+	}
 }

@@ -27,7 +27,6 @@ type FrameAlloc struct {
 	nextLarge uint64
 	nextHuge  uint64
 	limit     uint64
-	allocated uint64 // bytes handed out
 }
 
 // NewFrameAlloc creates an allocator. base is where small allocations
@@ -61,7 +60,6 @@ func (f *FrameAlloc) Alloc(s addr.PageSize) uint64 {
 			panic("virt: huge-frame region exhausted")
 		}
 		f.nextHuge -= addr.Bytes1G
-		f.allocated += addr.Bytes1G
 		return a
 	}
 	if s == addr.Page2M {
@@ -70,7 +68,6 @@ func (f *FrameAlloc) Alloc(s addr.PageSize) uint64 {
 		if f.nextLarge > f.limit {
 			panic(fmt.Sprintf("virt: large-frame region exhausted at %#x", a))
 		}
-		f.allocated += addr.Bytes2M
 		return a
 	}
 	return f.alloc4K()
@@ -79,7 +76,6 @@ func (f *FrameAlloc) Alloc(s addr.PageSize) uint64 {
 func (f *FrameAlloc) alloc4K() uint64 {
 	a := f.nextSmall
 	f.nextSmall += addr.Bytes4K
-	f.allocated += addr.Bytes4K
 	return a
 }
 

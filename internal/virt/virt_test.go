@@ -25,12 +25,12 @@ func TestFrameAllocBasics(t *testing.T) {
 	if a != 0x1000 || b != 0x2000 {
 		t.Errorf("small allocs = %#x, %#x", a, b)
 	}
-	l := f.Alloc(addr.Page2M)
-	if l%addr.Bytes2M != 0 {
-		t.Errorf("large alloc %#x not 2MB aligned", l)
+	l1, l2 := f.Alloc(addr.Page2M), f.Alloc(addr.Page2M)
+	if l1 != 0x20_0000 || l2 != 0x40_0000 {
+		t.Errorf("large allocs = %#x, %#x, want consecutive 2MB frames from 0x200000", l1, l2)
 	}
-	if f.allocated != 2*addr.Bytes4K+addr.Bytes2M {
-		t.Errorf("allocated = %d", f.allocated)
+	if h := f.Alloc(addr.Page1G); h != 0xC000_0000 {
+		t.Errorf("huge alloc = %#x, want the top 1GB frame below the limit", h)
 	}
 	if n := f.AllocNode(); n != 0x3000 {
 		t.Errorf("node alloc = %#x", n)
