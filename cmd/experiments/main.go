@@ -15,15 +15,14 @@
 //	experiments -all -checkpoint c.journal -resume  # skip journaled cells
 //
 //	experiments -sweep 'schemes=pom-tlb,tsb:pom-mb=4,8,16:pom-ways=2,4' \
-//	    -shards 8 -retry-budget 64 -quarantine-after 3 \
-//	    -sweep-csv sweep.csv -manifest quarantine.json \
+//	    -shards 8 -sweep-csv sweep.csv -manifest quarantine.json \
 //	    -checkpoint sweep.journal [-resume]
 //
-// Sweeps shard the grid over a work-stealing worker pool; every cell runs
-// inside the resilience envelope, and failed cells are quarantined into
-// the -manifest instead of aborting the sweep. In every mode the
-// -checkpoint journal is append-only and fsynced per cell, so even a
-// SIGKILL mid-run resumes with exactly the missing cells.
+// Sweeps run the grid on -shards workers. Every cell gets one attempt
+// inside the resilience envelope; a failed cell is quarantined into the
+// -manifest instead of aborting the sweep, and -resume runs it again. In
+// every mode the -checkpoint journal is append-only and fsynced per cell,
+// so even a SIGKILL mid-run resumes with exactly the missing cells.
 //
 // SIGINT/SIGTERM cancel the in-flight simulations; the command still
 // emits every completed row (and the checkpoint keeps every completed
@@ -84,13 +83,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		timeout   = fs.Duration("timeout", 0, "per-workload simulation deadline (0 = none), e.g. 90s")
 
 		sweepSpec  = fs.String("sweep", "", "run a design-space sweep over this grid, e.g. 'schemes=pom-tlb,tsb:pom-mb=4,8:pom-ways=2,4'")
-		shards     = fs.Int("shards", runtime.GOMAXPROCS(0), "sweep worker shards (work-stealing pool size)")
-		budget     = fs.Int("retry-budget", experiments.DefaultRetryBudget, "global retry budget shared by every sweep cell")
-		quarAfter  = fs.Int("quarantine-after", experiments.DefaultQuarantineAfter, "per-cell attempt cap before a sweep cell is quarantined")
+		shards     = fs.Int("shards", runtime.GOMAXPROCS(0), "sweep worker count")
 		sweepCSV   = fs.String("sweep-csv", "", "stream sweep results to this CSV file (default: stdout)")
 		manifest   = fs.String("manifest", "", "write the sweep quarantine manifest (JSON) to this file")
-		faultRate  = fs.Float64("fault-rate", 0, "chaos testing: per-cell probability of one injected transient failure")
-		faultPanic = fs.Float64("fault-panic-rate", 0, "chaos testing: per-cell probability of an injected panic on every attempt")
+		faultPanic = fs.Float64("fault-panic-rate", 0, "chaos testing: per-cell probability of an injected panic whenever the cell runs")
 		faultSeed  = fs.Uint64("fault-seed", 1, "seed for the deterministic chaos plan")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -124,12 +120,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("-resume requires -checkpoint FILE")
 	case *shards <= 0:
 		return fmt.Errorf("-shards must be positive (got %d)", *shards)
-	case *budget <= 0:
-		return fmt.Errorf("-retry-budget must be positive (got %d)", *budget)
-	case *quarAfter < 1:
-		return fmt.Errorf("-quarantine-after must be at least 1 (got %d)", *quarAfter)
-	case *faultRate < 0 || *faultRate > 1:
-		return fmt.Errorf("-fault-rate must be in [0, 1] (got %g)", *faultRate)
 	case *faultPanic < 0 || *faultPanic > 1:
 		return fmt.Errorf("-fault-panic-rate must be in [0, 1] (got %g)", *faultPanic)
 	case *tenants < 0 || (*tenants > 0 && *tenants < 3):
@@ -138,8 +128,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("-churn must be a positive interval, -1 (off) or 0 (inherit) (got %d)", *churn)
 	case *phases < 0:
 		return fmt.Errorf("-phases must be non-negative (got %d)", *phases)
-	case *sweepSpec == "" && (*faultRate > 0 || *faultPanic > 0):
-		return fmt.Errorf("-fault-rate/-fault-panic-rate require -sweep")
+	case *sweepSpec == "" && *faultPanic > 0:
+		return fmt.Errorf("-fault-panic-rate requires -sweep")
 	case *sweepSpec == "" && (*sweepCSV != "" || *manifest != ""):
 		return fmt.Errorf("-sweep-csv/-manifest require -sweep")
 	}
@@ -198,14 +188,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	if *sweepSpec != "" {
 		return runSweep(ctx, out, opts, spec, journal, sweepFlags{
-			shards:          *shards,
-			retryBudget:     *budget,
-			quarantineAfter: *quarAfter,
-			csvPath:         *sweepCSV,
-			manifestPath:    *manifest,
-			faultRate:       *faultRate,
-			faultPanicRate:  *faultPanic,
-			faultSeed:       *faultSeed,
+			shards:         *shards,
+			csvPath:        *sweepCSV,
+			manifestPath:   *manifest,
+			faultPanicRate: *faultPanic,
+			faultSeed:      *faultSeed,
 		})
 	}
 
@@ -346,42 +333,36 @@ func openJournal(out io.Writer, path string, resume bool, fingerprint string) (*
 
 // sweepFlags carries the validated -sweep command line into runSweep.
 type sweepFlags struct {
-	shards          int
-	retryBudget     int
-	quarantineAfter int
-	csvPath         string
-	manifestPath    string
-	faultRate       float64
-	faultPanicRate  float64
-	faultSeed       uint64
+	shards         int
+	csvPath        string
+	manifestPath   string
+	faultPanicRate float64
+	faultSeed      uint64
 }
 
 // runSweep drives one design-space sweep over the parsed grid: optionally
-// seed the chaos plan, run the sharded engine on the journal, then emit
+// seed the chaos plan, run the engine on the journal, then emit
 // the CSV, the quarantine manifest, and a one-line summary. A sweep with
 // quarantined cells still emits everything and then exits non-zero, so
 // automation notices the degradation without losing the completed grid.
 func runSweep(ctx context.Context, out io.Writer, opts experiments.Options, spec experiments.Spec,
 	journal *experiments.SweepJournal, f sweepFlags) error {
 	cfg := experiments.SweepConfig{
-		Base:            opts,
-		Spec:            spec,
-		Shards:          f.shards,
-		RetryBudget:     f.retryBudget,
-		QuarantineAfter: f.quarantineAfter,
-		Journal:         journal,
+		Base:    opts,
+		Spec:    spec,
+		Shards:  f.shards,
+		Journal: journal,
 	}
 
 	names := opts.Workloads
 	if len(names) == 0 {
 		names = workloads.Names()
 	}
-	if f.faultRate > 0 || f.faultPanicRate > 0 {
+	if f.faultPanicRate > 0 {
 		s := faultinject.NewSchedule()
-		plan := experiments.SeedChaos(s, spec.Cells(names), f.faultPanicRate, f.faultRate, f.faultSeed)
-		cfg.Faults = s
-		fmt.Fprintf(out, "chaos plan (seed %d): %d cell(s) panic, %d flaky\n",
-			f.faultSeed, len(plan.Panicked), len(plan.Flaky))
+		plan := experiments.SeedChaos(s, spec.Cells(names), f.faultPanicRate, f.faultSeed)
+		cfg.Base.Faults = s
+		fmt.Fprintf(out, "chaos plan (seed %d): %d cell(s) panic\n", f.faultSeed, len(plan.Panicked))
 	}
 
 	// The CSV streams to a temp file renamed into place only when the
@@ -426,12 +407,8 @@ func runSweep(ctx context.Context, out io.Writer, opts experiments.Options, spec
 		fmt.Fprintf(out, "wrote %s (%d row(s))\n", f.csvPath, rep.Completed)
 	}
 
-	budgetLeft := "unlimited"
-	if rep.BudgetRemaining >= 0 {
-		budgetLeft = fmt.Sprintf("%d left", rep.BudgetRemaining)
-	}
-	fmt.Fprintf(out, "sweep: %d/%d cell(s) completed (%d from journal, %d retried, %d quarantined, retry budget %s)\n",
-		rep.Completed, rep.Total, rep.FromJournal, rep.Retried, len(rep.Quarantined), budgetLeft)
+	fmt.Fprintf(out, "sweep: %d/%d cell(s) completed (%d from journal, %d quarantined)\n",
+		rep.Completed, rep.Total, rep.FromJournal, len(rep.Quarantined))
 
 	if f.manifestPath != "" {
 		mf, err := os.Create(f.manifestPath)

@@ -60,17 +60,15 @@ func TestSweepFlagValidation(t *testing.T) {
 		"all+report":        {"-quick", "-workloads", "gups", "-all", "-report", filepath.Join(dir, "r.md")},
 		"ablations w/o all": {"-quick", "-fig", "4", "-ablations"},
 
-		"shards":           {"-sweep", "schemes=pom-tlb", "-shards", "0"},
-		"negative shards":  {"-sweep", "schemes=pom-tlb", "-shards", "-4"},
-		"retry budget":     {"-sweep", "schemes=pom-tlb", "-retry-budget", "0"},
-		"quarantine":       {"-sweep", "schemes=pom-tlb", "-quarantine-after", "0"},
-		"fault rate":       {"-sweep", "schemes=pom-tlb", "-fault-rate", "1.5"},
-		"panic rate":       {"-sweep", "schemes=pom-tlb", "-fault-panic-rate", "-0.1"},
-		"sweep+fig":        {"-sweep", "schemes=pom-tlb", "-fig", "8"},
-		"faults w/o sweep": {"-fault-rate", "0.5"},
-		"csv w/o sweep":    {"-sweep-csv", "x.csv"},
-		"bad spec":         {"-sweep", "pom-mb="},
-		"resume w/o ckpt":  {"-sweep", "schemes=pom-tlb", "-resume"},
+		"shards":              {"-sweep", "schemes=pom-tlb", "-shards", "0"},
+		"negative shards":     {"-sweep", "schemes=pom-tlb", "-shards", "-4"},
+		"negative panic rate": {"-sweep", "schemes=pom-tlb", "-fault-panic-rate", "-0.1"},
+		"panic rate above 1":  {"-sweep", "schemes=pom-tlb", "-fault-panic-rate", "1.5"},
+		"sweep+fig":           {"-sweep", "schemes=pom-tlb", "-fig", "8"},
+		"faults w/o sweep":    {"-fault-panic-rate", "0.5"},
+		"csv w/o sweep":       {"-sweep-csv", "x.csv"},
+		"bad spec":            {"-sweep", "pom-mb="},
+		"resume w/o ckpt":     {"-sweep", "schemes=pom-tlb", "-resume"},
 	}
 	for name, args := range cases {
 		var sb strings.Builder

@@ -29,6 +29,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/perfmodel"
+	"repro/internal/pomtlb"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -123,7 +124,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		cfg.Virtualized = !*native
 		cfg.MaxRefs = *refs
 		cfg.WarmupRefs = *warmup
-		cfg.POM.SizeBytes = *pomMB << 20
+		if cfg.POM.SizeBytes, err = pomtlb.MBToBytes(*pomMB); err != nil {
+			return fmt.Errorf("-pom-mb: %w", err)
+		}
 		cfg.Seed = *seed
 		file = config.File{Workload: *workload, Config: cfg}
 	}
@@ -171,14 +174,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 		if *jsonOut {
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			return enc.Encode(res)
+			return writeJSON(out, res)
 		}
 		printConsolidationResult(out, preset, base, res)
 		return nil
 	}
 
+	if *trcPath != "" {
+		return runReplay(ctx, out, file.Config, *trcPath, *jsonOut)
+	}
 	p, ok := workloads.ByName(file.Workload)
 	if !ok {
 		return fmt.Errorf("unknown workload %q (try -list)", file.Workload)
@@ -189,46 +193,72 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *compare {
 		return runComparison(ctx, out, p, file.Config)
 	}
-	sys, err := core.NewSystem(file.Config)
+	sys, err := core.NewSystem(experiments.CalibrateWalks(file.Config, p))
 	if err != nil {
 		return err
 	}
-	var gen trace.Generator = p.Generator(file.Config.Cores, file.Config.Seed)
-	label := p.Name
-	if *trcPath != "" {
-		f, err := os.Open(*trcPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		replay, err := trace.LoadReplay(f)
-		switch {
-		case errors.Is(err, trace.ErrBadMagic):
-			return fmt.Errorf("%s is not a POMTRC01 trace (%v); generate one with cmd/tracegen", *trcPath, err)
-		case errors.Is(err, trace.ErrTruncated):
-			return fmt.Errorf("%s is cut off mid-stream (%v); the recording was interrupted — regenerate it with cmd/tracegen", *trcPath, err)
-		case err != nil:
-			return err
-		}
-		gen = replay
-		label = *trcPath
-	}
-	res, err := sys.Run(ctx, gen, label)
+	res, err := sys.Run(ctx, p.Generator(file.Config.Cores, file.Config.Seed), p.Name)
 	if err != nil {
 		return err
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
+		return writeJSON(out, res)
 	}
-	printResult(out, p, file.Config.Virtualized, res)
+	printResult(out, p.Name, &p, file.Config.Virtualized, res)
 	return nil
 }
 
-func printResult(out io.Writer, p workloads.Profile, virtualized bool, res core.Result) {
-	fmt.Fprintf(out, "workload  %s (%s, %d MB footprint, %.1f%% large pages)\n",
-		p.Name, p.Pattern, p.FootprintBytes>>20, p.LargePagePct)
+// runReplay simulates a POMTRC01 trace file. A replay has no Table 2
+// identity: its walks are simulated, and its report names the file,
+// with no footprint and no modelled improvement over a measured
+// baseline.
+func runReplay(ctx context.Context, out io.Writer, cfg core.Config, path string, jsonOut bool) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	replay, err := trace.LoadReplay(f)
+	switch {
+	case errors.Is(err, trace.ErrBadMagic):
+		return fmt.Errorf("%s is not a POMTRC01 trace (%v); generate one with cmd/tracegen", path, err)
+	case errors.Is(err, trace.ErrTruncated):
+		return fmt.Errorf("%s is cut off mid-stream (%v); the recording was interrupted — regenerate it with cmd/tracegen", path, err)
+	case err != nil:
+		return err
+	}
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		return err
+	}
+	res, err := sys.Run(ctx, replay, path)
+	if err != nil {
+		return err
+	}
+	if jsonOut {
+		return writeJSON(out, res)
+	}
+	printResult(out, path, nil, cfg.Virtualized, res)
+	return nil
+}
+
+// writeJSON emits the full result as indented JSON.
+func writeJSON(out io.Writer, res core.Result) error {
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(res)
+}
+
+// printResult renders one run of the named workload. p is its Table 2
+// profile, which adds the footprint to the workload line and models the
+// improvement over the measured baseline; a trace replay has none.
+func printResult(out io.Writer, name string, p *workloads.Profile, virtualized bool, res core.Result) {
+	if p != nil {
+		fmt.Fprintf(out, "workload  %s (%s, %d MB footprint, %.1f%% large pages)\n",
+			name, p.Pattern, p.FootprintBytes>>20, p.LargePagePct)
+	} else {
+		fmt.Fprintf(out, "workload  %s\n", name)
+	}
 	fmt.Fprintf(out, "scheme    %s\n", res.Mode)
 	fmt.Fprintf(out, "refs      %d  (IPC %.3f)\n\n", res.Records, res.IPC())
 
@@ -267,8 +297,8 @@ func printResult(out io.Writer, p workloads.Profile, virtualized bool, res core.
 	t.AddRow("mean data-access latency", fmt.Sprintf("%.1f cycles", res.DataLat.Value()))
 	fmt.Fprint(out, t.String())
 
-	if res.Mode != core.Baseline && core.CalibratedWalks(res.Mode) {
-		if imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, virtualized, res.AvgPenalty())); err == nil {
+	if p != nil && res.Mode != core.Baseline && core.CalibratedWalks(res.Mode) {
+		if imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(*p, virtualized, res.AvgPenalty())); err == nil {
 			fmt.Fprintf(out, "\nmodelled improvement over measured baseline: %.2f%%\n", imp)
 		}
 	}
@@ -284,15 +314,17 @@ func printResult(out io.Writer, p workloads.Profile, virtualized bool, res core.
 
 // runComparison runs every registered translation scheme on one workload
 // and prints the per-scheme penalties and modelled improvements side by
-// side. The improvement column stays "—" for the baseline itself and for
-// schemes whose benefit lives inside the simulated walk (CalibratedWalks
-// false), where mixing in the measured baseline would misstate the gain.
+// side, with walks charged as the experiments campaign charges them
+// (experiments.CalibrateWalks). The improvement column stays "—" for the
+// baseline itself and for schemes whose benefit lives inside the
+// simulated walk (CalibratedWalks false), where mixing in the measured
+// baseline would misstate the gain.
 func runComparison(ctx context.Context, out io.Writer, p workloads.Profile, base core.Config) error {
 	t := stats.NewTable("scheme", "P_avg", "walk elim", "improvement %")
 	for _, mode := range core.Modes() {
 		cfg := base
 		cfg.Mode = mode
-		sys, err := core.NewSystem(cfg)
+		sys, err := core.NewSystem(experiments.CalibrateWalks(cfg, p))
 		if err != nil {
 			return err
 		}

@@ -3,12 +3,18 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/stats"
+	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 func TestParseMode(t *testing.T) {
@@ -75,6 +81,10 @@ func TestRunErrors(t *testing.T) {
 		"unbuildable L4": {"-mode", "l4-cache", "-pom-mb", "3", "-refs", "10", "-warmup", "0"},
 		// A 1 TiB POM-TLB would exhaust host memory when allocated.
 		"1 TiB POM-TLB": {"-pom-mb", "1048576", "-refs", "10", "-warmup", "0"},
+		// 2^44 + 16 MB and 2^44 MB wrap to 16 MiB and to zero bytes under
+		// a bare shift.
+		"-pom-mb 2^44+16": {"-pom-mb", "17592186044432", "-refs", "10", "-warmup", "0"},
+		"-pom-mb 2^44":    {"-pom-mb", "17592186044416", "-refs", "10", "-warmup", "0"},
 		// -compare and -selfcheck run the synthetic generators, so a
 		// -trace beside them would be silently ignored.
 		"-trace with -compare":   append([]string{"-trace", "/nonexistent.trc", "-compare", "-workload", "gups"}, small...),
@@ -92,6 +102,31 @@ func TestRunErrors(t *testing.T) {
 		var sb strings.Builder
 		if err := run(context.Background(), args, &sb); err == nil {
 			t.Errorf("%s: args %v accepted, want error", name, args)
+		}
+	}
+
+	// A config file may size every structure. Each one the simulator
+	// allocates up front is capped, so a huge size is refused before it
+	// is allocated. Each size is otherwise valid: the L2 TLB keeps its 12
+	// ways and a power-of-two set count.
+	for name, set := range map[string]func(*config.File){
+		"huge TSB":        func(f *config.File) { f.Config.Mode = core.TSB; f.Config.TSBCfg.SizeBytes = 1 << 40 },
+		"huge L2 TLB":     func(f *config.File) { f.Config.L2TLB.Entries = 12 << 28 },
+		"huge PDE cache":  func(f *config.File) { f.Config.Walker.PDEEntries = 1 << 40 },
+		"huge nested TLB": func(f *config.File) { f.Config.Walker.NestedTLB = 1 << 40 },
+	} {
+		f := config.Default()
+		f.Workload = "gups"
+		f.Config.MaxRefs, f.Config.WarmupRefs = 10, 0
+		set(&f)
+		path := filepath.Join(t.TempDir(), "huge.json")
+		if err := config.Save(path, f); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := run(context.Background(), []string{"-config", path}, &sb); err == nil ||
+			!strings.Contains(err.Error(), "limit") {
+			t.Errorf("%s: config accepted or refused for another reason: %v", name, err)
 		}
 	}
 }
@@ -163,6 +198,80 @@ func TestRunCompare(t *testing.T) {
 	for _, want := range []string{"baseline", "pom-tlb", "shared-l2", "tsb", "l4-cache", "walk elim"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("comparison missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRunCompareMatchesCrossScheme pins that -compare charges walks the
+// way the experiments campaign does (experiments.CalibrateWalks): under
+// the same options every scheme's P_avg, walk elimination and modelled
+// improvement read the same as in experiments.CrossScheme. Simulated
+// walks used to credit victima and shared-l2 with +6.80% on ccomponent
+// against Table 2's measured baseline.
+func TestRunCompareMatchesCrossScheme(t *testing.T) {
+	opts := experiments.QuickOptions()
+	opts.Workloads = []string{"ccomponent"}
+	rows, err := experiments.CrossScheme(context.Background(), experiments.NewRunner(opts, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := run(context.Background(), []string{"-workload", "ccomponent", "-compare",
+		"-cores", fmt.Sprint(opts.Cores), "-warmup", fmt.Sprint(opts.WarmupRefs),
+		"-refs", fmt.Sprint(opts.MaxRefs), "-seed", fmt.Sprint(opts.Seed)}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string][]string{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 {
+			got[f[0]] = f
+		}
+	}
+	for _, row := range rows {
+		imp := "—"
+		if row.HasImprovement {
+			imp = fmt.Sprintf("%.2f", row.ImprovementPct)
+		}
+		want := []string{row.Mode.String(), fmt.Sprintf("%.1f", row.Penalty), stats.Pct(row.WalkElim), imp}
+		if g := got[row.Mode.String()]; strings.Join(g, " ") != strings.Join(want, " ") {
+			t.Errorf("-compare row %q, want %q (experiments.CrossScheme)", g, want)
+		}
+	}
+}
+
+// TestRunTraceReplayNamesTheFile pins that a replay reports the trace
+// file as its workload: it has no Table 2 identity, so no profile line
+// and no modelled improvement over another workload's measured baseline.
+func TestRunTraceReplayNamesTheFile(t *testing.T) {
+	p, _ := workloads.ByName("gups")
+	path := filepath.Join(t.TempDir(), "gups.trc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.NewWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteAll(w, p.Generator(2, 1), 20_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var sb strings.Builder
+	if err := run(context.Background(), []string{"-trace", path, "-mode", "victima",
+		"-cores", "2", "-warmup", "10000", "-refs", "10000"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if first, _, _ := strings.Cut(out, "\n"); first != "workload  "+path {
+		t.Errorf("workload line = %q, want the trace path", first)
+	}
+	for _, unwanted := range []string{"mcf", "footprint", "modelled improvement"} {
+		if strings.Contains(out, unwanted) {
+			t.Errorf("replay output mentions %q:\n%s", unwanted, out)
 		}
 	}
 }

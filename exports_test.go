@@ -20,6 +20,7 @@ import (
 var testSeams = map[string]string{
 	"resilience/faultinject.Schedule.CallOn":    "core and experiments tests schedule a panic or error at a call site",
 	"resilience/faultinject.Schedule.CorruptOn": "core and experiments tests schedule a corrupted trace record",
+	"resilience/faultinject.Schedule.ErrorOn":   "experiments tests fail a cell or a DRAM access once with a chosen error",
 	"resilience/faultinject.Schedule.Hits":      "core and experiments tests check how often a fault site fired",
 	"config.Save":                               "cmd/pomsim tests write the config files they load",
 	"perfmodel.CIdeal":                          "Equation 2, checked against Speedup's closed form",

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/consolidation"
 	"repro/internal/core"
-	"repro/internal/resilience"
 	"repro/internal/resilience/faultinject"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -41,12 +40,12 @@ func runConsolidationCell(ctx context.Context, opts Options, preset workloads.Co
 		Phases:       opts.Phases,
 	})
 	if err != nil {
-		return core.Result{}, resilience.Permanent(err)
+		return core.Result{}, err
 	}
 	cfg.VMs = scn.Guests
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
-		return core.Result{}, resilience.Permanent(err)
+		return core.Result{}, err
 	}
 	sys.SetEvents(scn.Events)
 	return sys.Run(ctx, faultinject.Wrap(scn.Gen, opts.Faults), preset.Name)

@@ -140,12 +140,13 @@ func WriteCSVs(ctx context.Context, dir string, r *Runner) ([]string, error) {
 }
 
 // orderedCSV streams rows to an underlying writer in strict index order
-// while accepting them in any order — the bridge between a work-stealing
-// sweep (cells finish whenever their shard gets to them) and a results
-// file whose bytes must be identical run over run. Rows are buffered only
+// while accepting them in any order — the bridge between a concurrent
+// sweep (cells finish whenever their simulations do) and a results file
+// whose bytes must be identical run over run. Rows are buffered only
 // while an earlier index is still outstanding; as soon as the contiguous
-// prefix extends, it is flushed, so a well-mixed sweep holds O(workers)
-// rows in memory instead of the whole grid. Quarantined cells call Skip
+// prefix extends, it is flushed, so a sweep whose workers take cells in
+// index order, and whose cells take similar times, holds O(workers) rows
+// in memory instead of the whole grid. Quarantined cells call Skip
 // so the prefix can advance past indices that will never produce a row.
 // Safe for concurrent use.
 type orderedCSV struct {

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/resilience"
@@ -17,60 +18,47 @@ import (
 	"repro/internal/workloads"
 )
 
-// The design-space sweep engine: it shards a set of cells — the
+// The design-space sweep engine: it runs a set of cells — the
 // workloads × schemes × geometry grid of a sweep, or the workload ×
-// scheme cells a Runner has not memoized yet — over a work-stealing
-// worker pool, runs each inside the resilience envelope (per-cell
-// deadline, capped-backoff retry drawing on a global budget), and
-// degrades gracefully: a cell that exhausts its attempts is quarantined
-// with its captured failure while the others keep going. Completed cells
-// are appended to the SweepJournal, so a SIGKILL mid-shard resumes with
+// scheme cells a Runner has not memoized yet — on a worker pool that
+// takes cells in index order from one shared cursor. Each cell gets one
+// attempt inside the resilience envelope (per-cell deadline, panic
+// recovery), and the engine degrades gracefully: a cell that fails is
+// quarantined with its captured failure while the others keep going,
+// and a resume runs it again. Cells are deterministic, so a second
+// attempt in the same run could only fail the same way. Completed cells
+// are appended to the SweepJournal, so a SIGKILL mid-sweep resumes with
 // exactly the missing cells, and results stream to CSV in deterministic
 // grid order as cells finish.
-
-// DefaultQuarantineAfter is the per-cell attempt cap when SweepConfig
-// leaves it zero.
-const DefaultQuarantineAfter = 3
-
-// DefaultRetryBudget is the global retry pool experiments -sweep gives a
-// sweep unless -retry-budget overrides it.
-const DefaultRetryBudget = 64
 
 // SweepConfig describes one sweep run.
 type SweepConfig struct {
 	// Base supplies the non-swept simulation options (refs, warmup,
 	// virtualization, ...). Base.Workloads restricts the workload axis
-	// (nil = all of Table 2), and Base.WorkloadTimeout bounds each attempt
-	// of a cell (0 = none).
+	// (nil = all of Table 2), Base.WorkloadTimeout bounds each cell
+	// (0 = none), and Base.Faults is the deterministic chaos plan (nil in
+	// production): the engine fires faultinject.SweepCellSite(key) once
+	// per simulated cell, and the cell's simulation fires the deeper
+	// seams.
 	Base Options
 	// Spec is the geometry grid crossed with workloads × schemes.
 	Spec Spec
-	// Shards is the worker count; each worker owns one shard of the grid
-	// and steals from the others when its own drains (0 = GOMAXPROCS).
+	// Shards is the worker count (0 = GOMAXPROCS); workers take cells in
+	// grid order from one shared cursor.
 	Shards int
-	// RetryBudget is the global pool of re-attempts shared by every cell;
-	// once dry, cells fail on their first error. Negative = unlimited.
-	RetryBudget int
-	// QuarantineAfter is the per-cell attempt cap: a cell that has failed
-	// this many times is quarantined (0 = DefaultQuarantineAfter).
-	QuarantineAfter int
 	// Journal, when non-nil, makes the sweep crash-safe: completed cells
 	// are served from it without re-running, and every newly completed
 	// cell is appended to it. Failures are not journaled, so a resume
 	// runs a quarantined cell again.
 	Journal *SweepJournal
-	// Faults is the deterministic chaos plan (nil in production); the
-	// engine fires faultinject.SweepCellSite(key) once per cell attempt
-	// and threads the schedule into each cell's simulation seams.
-	Faults *faultinject.Schedule
 	// CSV, when non-nil, receives the results as a stream of rows in
 	// deterministic grid order (header first).
 	CSV io.Writer
 	// Collect retains every cell's Result in the report — convenient for
 	// small sweeps and tables, unbounded memory for huge ones.
 	Collect bool
-	// Progress, when non-nil, receives one line per completed shard-
-	// stealing event and quarantine — coarse, log-friendly narration.
+	// Progress, when non-nil, receives one line per quarantined cell and
+	// per journaling failure — coarse, log-friendly narration.
 	Progress io.Writer
 }
 
@@ -78,23 +66,20 @@ type SweepConfig struct {
 type CellResult struct {
 	Cell        Cell
 	Res         core.Result
-	Attempts    int
 	FromJournal bool
 }
 
 // QuarantinedCell is one failed cell in the sweep's failure manifest.
 type QuarantinedCell struct {
-	Index           int    `json:"index"`
-	Key             string `json:"key"`
-	Workload        string `json:"workload"`
-	Scheme          string `json:"scheme"`
-	Variant         string `json:"variant"`
-	Attempts        int    `json:"attempts"`
-	Error           string `json:"error"`
-	Stack           string `json:"stack,omitempty"`
-	BudgetExhausted bool   `json:"budget_exhausted,omitempty"`
-	// Err is the final error itself, for errors.Is/As and its panic
-	// stack; Error is its message with the cell's variant tagged on.
+	Index    int    `json:"index"`
+	Key      string `json:"key"`
+	Workload string `json:"workload"`
+	Scheme   string `json:"scheme"`
+	Variant  string `json:"variant"`
+	Error    string `json:"error"`
+	Stack    string `json:"stack,omitempty"`
+	// Err is the error itself, for errors.Is/As and its panic stack;
+	// Error is its message with the cell's variant tagged on.
 	Err error `json:"-"`
 }
 
@@ -105,11 +90,8 @@ type SweepReport struct {
 	Total       int
 	Completed   int
 	FromJournal int
-	Retried     int
 	JournalErrs int
-	// BudgetRemaining is the unused retry allowance (-1 = unlimited).
-	BudgetRemaining int
-	Quarantined     []QuarantinedCell
+	Quarantined []QuarantinedCell
 	// Results is populated only under SweepConfig.Collect, in grid order.
 	Results []CellResult
 }
@@ -126,7 +108,6 @@ type manifest struct {
 	Total       int               `json:"total_cells"`
 	Completed   int               `json:"completed"`
 	FromJournal int               `json:"from_journal"`
-	Retried     int               `json:"retried"`
 	Abandoned   int               `json:"abandoned"`
 	Quarantined []QuarantinedCell `json:"quarantined"`
 }
@@ -137,7 +118,6 @@ func (r *SweepReport) WriteManifest(w io.Writer) error {
 		Total:       r.Total,
 		Completed:   r.Completed,
 		FromJournal: r.FromJournal,
-		Retried:     r.Retried,
 		Abandoned:   r.Abandoned(),
 		Quarantined: r.Quarantined,
 	}
@@ -200,13 +180,13 @@ func csvRow(c Cell, o Options, res core.Result) []string {
 
 // engine is the mutable state of one runCells call.
 type engine struct {
-	cfg    SweepConfig
-	budget *resilience.Budget
-	policy resilience.Policy
-	csv    *orderedCSV
+	cfg   SweepConfig
+	cells []Cell
+	csv   *orderedCSV
+	// cursor is the position in cells of the next cell to hand out.
+	cursor atomic.Int64
 
 	mu      sync.Mutex
-	queues  [][]Cell
 	report  SweepReport
 	results []CellResult
 }
@@ -242,21 +222,12 @@ func RunSweep(ctx context.Context, cfg SweepConfig) (*SweepReport, error) {
 // slice, which orders the CSV) under cfg and ignores cfg.Spec; RunSweep
 // feeds it a grid, Runner the cells it has not memoized.
 func runCells(ctx context.Context, cfg SweepConfig, cells []Cell) (*SweepReport, error) {
-	if cfg.QuarantineAfter <= 0 {
-		cfg.QuarantineAfter = DefaultQuarantineAfter
-	}
 	shards := cfg.Shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
 
-	e := &engine{cfg: cfg, policy: resilience.DefaultPolicy()}
-	e.policy.Seed = cfg.Base.Seed
-	e.policy.MaxAttempts = cfg.QuarantineAfter
-	if cfg.RetryBudget >= 0 {
-		e.budget = resilience.NewBudget(cfg.RetryBudget)
-	}
-
+	e := &engine{cfg: cfg, cells: cells}
 	e.report.Total = len(cells)
 	if len(cells) == 0 {
 		return &e.report, nil
@@ -270,38 +241,24 @@ func runCells(ctx context.Context, cfg SweepConfig, cells []Cell) (*SweepReport,
 		}
 	}
 
-	// Shard the grid round-robin so every worker holds a slice of low
-	// indices — the streaming CSV's contiguous prefix advances from the
-	// first finished cells instead of waiting for one worker's block.
-	e.queues = make([][]Cell, shards)
-	for i, c := range cells {
-		s := i % shards
-		e.queues[s] = append(e.queues[s], c)
-	}
-
+	// Cells start in index order, so the streaming CSV's contiguous
+	// prefix advances as soon as the lowest running cell finishes.
 	var wg sync.WaitGroup
 	for w := 0; w < shards; w++ {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				c, ok := e.next(id)
+			for ctx.Err() == nil {
+				c, ok := e.next()
 				if !ok {
 					return
 				}
 				e.runCell(ctx, c)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
-	e.report.BudgetRemaining = -1
-	if e.budget != nil {
-		e.report.BudgetRemaining = e.budget.Remaining()
-	}
 	// Grid order, so degraded sweeps report reproducibly regardless of
 	// worker scheduling.
 	sort.Slice(e.report.Quarantined, func(i, j int) bool {
@@ -317,32 +274,14 @@ func runCells(ctx context.Context, cfg SweepConfig, cells []Cell) (*SweepReport,
 	return &e.report, nil
 }
 
-// next pops a cell from the worker's own shard, or steals from the
-// fullest other shard when its own has drained. Returns false only when
-// every shard is empty.
-func (e *engine) next(id int) (Cell, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if q := e.queues[id]; len(q) > 0 {
-		c := q[0]
-		e.queues[id] = q[1:]
-		return c, true
-	}
-	// Steal from the back of the longest queue: the cells least likely to
-	// be touched by their owner soon.
-	victim, best := -1, 0
-	for i, q := range e.queues {
-		if len(q) > best {
-			victim, best = i, len(q)
-		}
-	}
-	if victim < 0 {
+// next hands out the lowest cell no worker has taken yet, and false once
+// every cell is taken.
+func (e *engine) next() (Cell, bool) {
+	i := e.cursor.Add(1) - 1
+	if i >= int64(len(e.cells)) {
 		return Cell{}, false
 	}
-	q := e.queues[victim]
-	c := q[len(q)-1]
-	e.queues[victim] = q[:len(q)-1]
-	return c, true
+	return e.cells[i], true
 }
 
 // logf emits one optional progress line.
@@ -352,28 +291,25 @@ func (e *engine) logf(format string, args ...any) {
 	}
 }
 
-// runCell drives one cell through journal lookup, the retry envelope,
-// and result emission.
+// runCell drives one cell through journal lookup, its one attempt, and
+// result emission.
 func (e *engine) runCell(ctx context.Context, c Cell) {
 	key := c.Key()
 	cellOpts := c.Options(e.cfg.Base)
-	cellOpts.Faults = e.cfg.Faults
 
 	if res, ok := e.cfg.Journal.Done(key); ok {
 		e.finish(CellResult{Cell: c, Res: res, FromJournal: true}, cellOpts)
 		return
 	}
 
-	attempts := 0
 	var res core.Result
-	err := resilience.RetryBudget(ctx, e.policy, e.budget, func(ctx context.Context) error {
-		attempts++
-		if err := e.cfg.Faults.Fire(faultinject.SweepCellSite(key)); err != nil {
+	err := resilience.Safe(func() error {
+		if err := cellOpts.Faults.Fire(faultinject.SweepCellSite(key)); err != nil {
 			return err
 		}
-		var serr error
-		res, serr = SimulateCell(ctx, cellOpts, c.Workload, c.Mode)
-		return serr
+		var err error
+		res, err = SimulateCell(ctx, cellOpts, c.Workload, c.Mode)
+		return err
 	})
 	if err != nil {
 		if ctx.Err() != nil {
@@ -381,13 +317,13 @@ func (e *engine) runCell(ctx context.Context, c Cell) {
 			// resume runs it.
 			return
 		}
-		e.quarantine(c, attempts, err)
+		e.quarantine(c, err)
 		return
 	}
 	if jerr := e.cfg.Journal.PutDone(key, res); jerr != nil {
 		e.journalErr(key, jerr)
 	}
-	e.finish(CellResult{Cell: c, Res: res, Attempts: attempts}, cellOpts)
+	e.finish(CellResult{Cell: c, Res: res}, cellOpts)
 }
 
 // tagVariant stamps the cell's geometry onto the error message via the
@@ -403,8 +339,8 @@ func tagVariant(err error, c Cell) string {
 		}
 		return err.Error()
 	}
-	// Seam panics and retry-budget errors arrive without workload
-	// identity; stamp the full cell coordinates on.
+	// Sweep-cell seam faults arrive without workload identity; stamp the
+	// full cell coordinates on.
 	full := &WorkloadError{Workload: c.Workload, Mode: c.Mode, Variant: c.Variant.Label(), Err: err}
 	return full.Error()
 }
@@ -422,9 +358,6 @@ func (e *engine) finish(r CellResult, cellOpts Options) {
 	if r.FromJournal {
 		e.report.FromJournal++
 	}
-	if r.Attempts > 1 {
-		e.report.Retried++
-	}
 	if e.cfg.Collect {
 		e.results = append(e.results, r)
 	}
@@ -432,17 +365,15 @@ func (e *engine) finish(r CellResult, cellOpts Options) {
 
 // quarantine records one failed cell in the manifest and advances the
 // CSV past its row slot.
-func (e *engine) quarantine(c Cell, attempts int, err error) {
+func (e *engine) quarantine(c Cell, err error) {
 	q := QuarantinedCell{
-		Index:           c.Index,
-		Key:             c.Key(),
-		Workload:        c.Workload,
-		Scheme:          c.Mode.String(),
-		Variant:         c.Variant.Label(),
-		Attempts:        attempts,
-		Error:           tagVariant(err, c),
-		BudgetExhausted: errors.Is(err, resilience.ErrBudgetExhausted),
-		Err:             err,
+		Index:    c.Index,
+		Key:      c.Key(),
+		Workload: c.Workload,
+		Scheme:   c.Mode.String(),
+		Variant:  c.Variant.Label(),
+		Error:    tagVariant(err, c),
+		Err:      err,
 	}
 	var pe *resilience.PanicError
 	if errors.As(err, &pe) {
@@ -456,7 +387,7 @@ func (e *engine) quarantine(c Cell, attempts int, err error) {
 	e.mu.Lock()
 	e.report.Quarantined = append(e.report.Quarantined, q)
 	e.mu.Unlock()
-	e.logf("sweep: quarantined %s after %d attempt(s): %s", q.Key, attempts, q.Error)
+	e.logf("sweep: quarantined %s: %s", q.Key, q.Error)
 }
 
 // journalErr counts a journaling/streaming failure without killing the

@@ -1,43 +1,27 @@
 package experiments
 
-import (
-	"errors"
-
-	"repro/internal/resilience/faultinject"
-)
-
-// ErrInjected is the transient failure SeedChaos schedules at flaky
-// cells.
-var ErrInjected = errors.New("sweep: injected chaos fault")
+import "repro/internal/resilience/faultinject"
 
 // ChaosPlan names the cells a SeedChaos call doomed, so tests and CI
 // can assert the quarantine manifest is exactly the injected set.
 type ChaosPlan struct {
-	// Panicked cells panic on every attempt: the resilience layer treats
-	// a panic as permanent, so each lands in quarantine with its stack.
+	// Panicked cells panic the first time the schedule runs them: each
+	// lands in quarantine with its stack, and a resume that re-arms the
+	// plan quarantines them again.
 	Panicked []string
-	// Flaky cells fail their first attempt with ErrInjected and succeed
-	// on retry — they consume retry budget but must NOT be quarantined.
-	Flaky []string
 }
 
-// SeedChaos schedules deterministic faults at the sweep-cell seam: each
+// SeedChaos schedules deterministic panics at the sweep-cell seam: each
 // cell's fate is a pure function of (seed, cell key), independent of
-// shard assignment, worker scheduling, and which run — first, killed, or
-// resumed — executes the cell. panicRate and flakyRate are probabilities
-// in [0, 1]; their sum is clamped to 1 (panic wins ties).
-func SeedChaos(s *faultinject.Schedule, cells []Cell, panicRate, flakyRate float64, seed uint64) ChaosPlan {
+// worker scheduling and of which run — first, killed, or resumed —
+// executes the cell. panicRate is a probability in [0, 1].
+func SeedChaos(s *faultinject.Schedule, cells []Cell, panicRate float64, seed uint64) ChaosPlan {
 	var plan ChaosPlan
 	for _, c := range cells {
 		key := c.Key()
-		u := cellUniform(seed, key)
-		switch {
-		case u < panicRate:
+		if cellUniform(seed, key) < panicRate {
 			s.PanicOn(faultinject.SweepCellSite(key), 1)
 			plan.Panicked = append(plan.Panicked, key)
-		case u < panicRate+flakyRate:
-			s.ErrorOn(faultinject.SweepCellSite(key), ErrInjected, 1)
-			plan.Flaky = append(plan.Flaky, key)
 		}
 	}
 	return plan

@@ -70,16 +70,16 @@ type Options struct {
 	ChurnEvery int
 	Phases     int
 
-	// WorkloadTimeout bounds each (workload, scheme) simulation, and each
-	// attempt of a sweep cell; a cell that exceeds it fails with
-	// context.DeadlineExceeded while the rest of the campaign continues
-	// (0 = no per-job deadline).
+	// WorkloadTimeout bounds each cell's simulation; a cell that exceeds
+	// it fails with context.DeadlineExceeded while the rest of the
+	// campaign continues (0 = no per-job deadline).
 	WorkloadTimeout time.Duration
 	// Faults is the deterministic fault-injection plan (nil in
-	// production). The runner fires faultinject.WorkerSite(workload,
-	// scheme) once per simulation job, wires faultinject.DRAMSite into
-	// both DRAM substrates, and wraps trace generators for
-	// faultinject.TraceSite record corruption.
+	// production). The engine fires faultinject.SweepCellSite(key) once
+	// per simulated cell; SimulateCell fires faultinject.WorkerSite(
+	// workload, scheme), wires faultinject.DRAMSite into both DRAM
+	// substrates, and wraps trace generators for faultinject.TraceSite
+	// record corruption.
 	Faults *faultinject.Schedule
 }
 
@@ -238,13 +238,7 @@ func (r *Runner) run(ctx context.Context, cells []Cell) {
 	}
 	// The error only reports a cancellation, which outcome turns into
 	// each unreached cell's failure.
-	rep, _ := runCells(ctx, SweepConfig{
-		Base:            r.opts,
-		QuarantineAfter: 1,
-		Journal:         r.journal,
-		Faults:          r.opts.Faults,
-		Collect:         true,
-	}, todo)
+	rep, _ := runCells(ctx, SweepConfig{Base: r.opts, Journal: r.journal, Collect: true}, todo)
 	for _, cr := range rep.Results {
 		r.results[cr.Cell.Key()] = cr.Res
 	}
@@ -281,9 +275,9 @@ func (r *Runner) fail(err error, name string, mode core.Mode) *WorkloadError {
 // anywhere in the simulation stack — substrate constructors, trace
 // generation, the core loop — are recovered into the returned
 // *WorkloadError, and a result that breaks the Result accounting
-// identities fails the cell. It performs no memoization, journaling,
-// retry or concurrency limiting: the engine's cell loop (runCells) adds
-// those around it, with per-cell geometry in opts.
+// identities fails the cell. It performs no memoization, journaling or
+// concurrency limiting: the engine's cell loop (runCells) adds those
+// around it, with per-cell geometry in opts.
 func SimulateCell(ctx context.Context, opts Options, name string, mode core.Mode) (core.Result, error) {
 	var res core.Result
 	err := resilience.RunWithTimeout(ctx, opts.WorkloadTimeout, func(ctx context.Context) error {
@@ -299,10 +293,7 @@ func SimulateCell(ctx context.Context, opts Options, name string, mode core.Mode
 		if err != nil {
 			return err
 		}
-		if err := res.CheckAccounting(); err != nil {
-			return resilience.Permanent(err)
-		}
-		return nil
+		return res.CheckAccounting()
 	})
 	if err != nil {
 		return core.Result{}, asWorkloadError(err, name, mode)
@@ -314,25 +305,38 @@ func SimulateCell(ctx context.Context, opts Options, name string, mode core.Mode
 func runProfileCell(ctx context.Context, opts Options, name string, mode core.Mode) (core.Result, error) {
 	p, ok := workloads.ByName(name)
 	if !ok {
-		return core.Result{}, resilience.Permanent(fmt.Errorf("experiments: unknown workload %q", name))
+		return core.Result{}, fmt.Errorf("experiments: unknown workload %q", name)
 	}
 	cfg := opts.config(mode)
-	if mode != core.Baseline && !opts.UncalibratedWalks && core.CalibratedWalks(mode) {
-		// Charge scheme-run walks at the measured baseline cost (§3.3).
-		// Schemes whose benefit lives inside the walk (l4-cache,
-		// dram-cache) opt out via CalibratedWalks and simulate walks.
-		pen := p.CyclesPerMissVirt
-		if !opts.Virtualized {
-			pen = p.CyclesPerMissNative
-		}
-		cfg.WalkPenaltyOverride = uint64(pen)
+	if !opts.UncalibratedWalks {
+		cfg = CalibrateWalks(cfg, p)
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
-		return core.Result{}, resilience.Permanent(err)
+		return core.Result{}, err
 	}
 	gen := faultinject.Wrap(p.Generator(opts.Cores, opts.Seed), opts.Faults)
 	return sys.Run(ctx, gen, name)
+}
+
+// CalibrateWalks returns cfg with its page walks charged at p's measured
+// baseline penalty, from the Table 2 column cfg.Virtualized selects: a
+// scheme run combines hardware measurement with scheme simulation the
+// way the paper does (§3.3). The baseline itself, and schemes whose
+// benefit lives inside the walk (l4-cache and dram-cache, for which
+// core.CalibratedWalks is false), keep simulated walks. Campaign cells
+// and pomsim runs of a Table 2 workload both call it, so one workload
+// under one scheme has one P_avg.
+func CalibrateWalks(cfg core.Config, p workloads.Profile) core.Config {
+	if cfg.Mode == core.Baseline || cfg.Mode == "" || !core.CalibratedWalks(cfg.Mode) {
+		return cfg
+	}
+	pen := p.CyclesPerMissVirt
+	if !cfg.Virtualized {
+		pen = p.CyclesPerMissNative
+	}
+	cfg.WalkPenaltyOverride = uint64(pen)
+	return cfg
 }
 
 // workloads returns the campaign's benchmark profiles (the Options subset,

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/pomtlb"
 )
 
 // Spec is a design-space grid: every axis is a list of values to cross
@@ -104,6 +105,7 @@ func (c Cell) Key() string {
 func (c Cell) Options(base Options) Options {
 	o := base
 	if c.Variant.PomMB != 0 {
+		// Spec.Validate refuses a PomMB whose byte count would wrap.
 		o.POMSizeBytes = c.Variant.PomMB << 20
 	}
 	if c.Variant.PomWays != 0 {
@@ -136,8 +138,9 @@ func (c Cell) Options(base Options) Options {
 // Axes: schemes, pom-mb, pom-ways, cores, seeds, tenants, churn, phases.
 // The last three apply to consolidation workloads only; churn accepts -1
 // to disable storms. Unknown axes, duplicate axes, empty value lists,
-// unparsable numbers and non-positive geometry are rejected up front so a
-// bad sweep fails before any cell runs.
+// unparsable numbers, non-positive geometry and values past the
+// simulator's hard limits (Validate) are rejected up front so a bad sweep
+// fails before any cell runs.
 func ParseSpec(s string) (Spec, error) {
 	var spec Spec
 	if strings.TrimSpace(s) == "" {
@@ -190,7 +193,7 @@ func ParseSpec(s string) (Spec, error) {
 			return spec, err
 		}
 	}
-	return spec, nil
+	return spec, spec.Validate()
 }
 
 func parseModes(list []string) ([]core.Mode, error) {
@@ -305,6 +308,11 @@ func joinInts(vs []int) string {
 
 // Validate rejects specs whose axes conflict with hard simulator limits.
 func (s Spec) Validate() error {
+	for _, mb := range s.PomMB {
+		if _, err := pomtlb.MBToBytes(mb); err != nil {
+			return fmt.Errorf("sweep: pom-mb=%d: %w", mb, err)
+		}
+	}
 	for _, c := range s.Cores {
 		if c > 256 {
 			return fmt.Errorf("sweep: cores=%d exceeds the 256-core trace limit", c)

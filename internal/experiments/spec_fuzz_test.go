@@ -8,9 +8,10 @@ import (
 
 // FuzzParseSpec throws arbitrary grid specs at the parser. The
 // invariants: no input panics; every accepted spec contains only
-// registered schemes and positive geometry; and the canonical rendering
-// re-parses to the same canonical form (the journal's fingerprint
-// depends on that fixed point).
+// registered schemes and positive geometry whose pom-mb byte counts fit
+// in 64 bits; and the canonical rendering re-parses to the same
+// canonical form (the journal's fingerprint depends on that fixed
+// point).
 func FuzzParseSpec(f *testing.F) {
 	f.Add("")
 	f.Add("schemes=pom-tlb,tsb:pom-mb=4,8,16:pom-ways=2,4")
@@ -26,6 +27,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("churn=0")
 	f.Add("churn=-2")
 	f.Add("phases=1")
+	f.Add("schemes=pom-tlb:pom-mb=17592186044432") // 16 MiB under a bare shift
 	f.Fuzz(func(t *testing.T, s string) {
 		sp, err := ParseSpec(s)
 		if err != nil {
@@ -39,6 +41,9 @@ func FuzzParseSpec(f *testing.F) {
 		for _, v := range sp.PomMB {
 			if v == 0 {
 				t.Errorf("ParseSpec(%q) accepted pom-mb=0", s)
+			}
+			if v<<20>>20 != v {
+				t.Errorf("ParseSpec(%q) accepted pom-mb=%d, whose byte count overflows", s, v)
 			}
 		}
 		for _, v := range sp.PomWays {

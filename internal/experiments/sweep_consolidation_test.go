@@ -125,9 +125,10 @@ func TestSweepConsolidationKillResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	chaos := faultinject.NewSchedule()
-	chaos.CallOn(faultinject.SweepCellSite(cells[len(cells)/2].Key()), cancel, 1)
-	repB, err := RunSweep(ctx, SweepConfig{Base: base, Spec: spec, Shards: 2, Journal: j1, Faults: chaos})
+	interrupted := base
+	interrupted.Faults = faultinject.NewSchedule()
+	interrupted.Faults.CallOn(faultinject.SweepCellSite(cells[len(cells)/2].Key()), cancel, 1)
+	repB, err := RunSweep(ctx, SweepConfig{Base: interrupted, Spec: spec, Shards: 2, Journal: j1})
 	j1.Close()
 	if err == nil {
 		t.Fatal("interrupted run must return an error")

@@ -16,12 +16,12 @@ import (
 
 // TestSweepSoakKillResumeByteIdentical is the acceptance soak: a
 // 1,000+ cell sweep with randomly scheduled (but seeded, deterministic)
-// panics and transient errors at the sweep-cell seam is interrupted
-// mid-shard with a hard cancellation, its journal is torn the way a
-// SIGKILL mid-append tears it, and the resumed sweep must produce a
-// results CSV byte-identical to an uninterrupted run of the same seed —
-// with every injected-panic cell quarantined and zero completed cells
-// lost or re-simulated incorrectly.
+// panics at the sweep-cell seam is interrupted mid-sweep with a hard
+// cancellation, its journal is torn the way a SIGKILL mid-append tears
+// it, and the resumed sweep must produce a results CSV byte-identical to
+// an uninterrupted run of the same seed — with exactly the injected-panic
+// cells quarantined and zero completed cells lost or re-simulated
+// incorrectly.
 func TestSweepSoakKillResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
@@ -45,24 +45,23 @@ func TestSweepSoakKillResumeByteIdentical(t *testing.T) {
 		t.Fatalf("soak grid has %d cells, want 1000+", len(cells))
 	}
 
-	const panicRate, flakyRate, chaosSeed = 0.03, 0.05, 1234
-	plan := SeedChaos(faultinject.NewSchedule(), cells, panicRate, flakyRate, chaosSeed)
-	if len(plan.Panicked) == 0 || len(plan.Flaky) == 0 {
-		t.Fatalf("chaos plan degenerate: %d panicked, %d flaky", len(plan.Panicked), len(plan.Flaky))
+	const panicRate, chaosSeed = 0.03, 1234
+	plan := SeedChaos(faultinject.NewSchedule(), cells, panicRate, chaosSeed)
+	if len(plan.Panicked) == 0 {
+		t.Fatal("chaos plan dooms no cell")
 	}
-	budget := len(plan.Flaky) + 32
-	newChaos := func() *faultinject.Schedule {
-		s := faultinject.NewSchedule()
-		SeedChaos(s, cells, panicRate, flakyRate, chaosSeed)
-		return s
+	// withChaos returns base with the chaos plan armed on a fresh
+	// schedule: fault plans are per-process, so each run re-arms it.
+	withChaos := func() Options {
+		o := base
+		o.Faults = faultinject.NewSchedule()
+		SeedChaos(o.Faults, cells, panicRate, chaosSeed)
+		return o
 	}
 
 	// Reference: one uninterrupted run.
 	var csvA bytes.Buffer
-	repA, err := RunSweep(context.Background(), SweepConfig{
-		Base: base, Spec: spec, Shards: 8, RetryBudget: budget,
-		Faults: newChaos(), CSV: &csvA,
-	})
+	repA, err := RunSweep(context.Background(), SweepConfig{Base: withChaos(), Spec: spec, Shards: 8, CSV: &csvA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +82,9 @@ func TestSweepSoakKillResumeByteIdentical(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	chaos := newChaos()
+	interrupted := withChaos()
 	doomed := map[string]bool{}
-	for _, k := range append(append([]string{}, plan.Panicked...), plan.Flaky...) {
+	for _, k := range plan.Panicked {
 		doomed[k] = true
 	}
 	cancelKey := ""
@@ -98,12 +97,9 @@ func TestSweepSoakKillResumeByteIdentical(t *testing.T) {
 	if cancelKey == "" {
 		t.Fatal("no fault-free cell after the midpoint")
 	}
-	chaos.CallOn(faultinject.SweepCellSite(cancelKey), cancel, 1)
+	interrupted.Faults.CallOn(faultinject.SweepCellSite(cancelKey), cancel, 1)
 
-	repB, err := RunSweep(ctx, SweepConfig{
-		Base: base, Spec: spec, Shards: 8, RetryBudget: budget,
-		Journal: j1, Faults: chaos,
-	})
+	repB, err := RunSweep(ctx, SweepConfig{Base: interrupted, Spec: spec, Shards: 8, Journal: j1})
 	if err == nil {
 		t.Fatal("interrupted run must return an error")
 	}
@@ -124,9 +120,8 @@ func TestSweepSoakKillResumeByteIdentical(t *testing.T) {
 	}
 	f.Close()
 
-	// Resume: fresh chaos schedule (fault plans are per-process), same
-	// journal. Must complete the grid and reproduce the reference CSV
-	// byte for byte.
+	// Resume: the chaos plan re-armed, same journal. Must complete the
+	// grid and reproduce the reference CSV byte for byte.
 	j2, err := OpenSweepJournal(path, fp)
 	if err != nil {
 		t.Fatalf("resume failed to open torn journal: %v", err)
@@ -136,10 +131,7 @@ func TestSweepSoakKillResumeByteIdentical(t *testing.T) {
 		t.Errorf("torn tail not detected: TruncatedRecords = %d", j2.TruncatedRecords())
 	}
 	var csvC bytes.Buffer
-	repC, err := RunSweep(context.Background(), SweepConfig{
-		Base: base, Spec: spec, Shards: 8, RetryBudget: budget,
-		Journal: j2, Faults: newChaos(), CSV: &csvC,
-	})
+	repC, err := RunSweep(context.Background(), SweepConfig{Base: withChaos(), Spec: spec, Shards: 8, Journal: j2, CSV: &csvC})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -60,6 +61,12 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 		"schemes=warp-drive", // unknown scheme
 		"pom-mb=1:pom-mb=2",  // duplicate axis
 		"pom-mb=1,,2",        // empty list slot
+		// 2^44 + 16 MB and 2^44 MB wrap to 16 MiB and to zero bytes
+		// under a bare shift.
+		"pom-mb=17592186044432",
+		"pom-mb=17592186044416",
+		"cores=512", // past the 8-bit trace-thread limit
+		"tenants=2", // below the three tenant tiers
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
@@ -115,7 +122,7 @@ func TestSweepCleanRun(t *testing.T) {
 	spec, _ := ParseSpec("schemes=pom-tlb:pom-mb=1,2")
 	var csv bytes.Buffer
 	rep, err := RunSweep(context.Background(), SweepConfig{
-		Base: sweepTiny(), Spec: spec, Shards: 4, RetryBudget: 8, CSV: &csv, Collect: true,
+		Base: sweepTiny(), Spec: spec, Shards: 4, CSV: &csv, Collect: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,47 +147,52 @@ func TestSweepCleanRun(t *testing.T) {
 
 func intoa(i int) string { return string(rune('0' + i)) }
 
+// TestSweepQuarantinesPanickingCell pins that every cell gets one
+// attempt: a cell that panics and a cell that fails once are both
+// quarantined, the panic with its recovered stack, while the other cells
+// complete and stream their rows in grid order.
 func TestSweepQuarantinesPanickingCell(t *testing.T) {
 	spec, _ := ParseSpec("schemes=pom-tlb:pom-mb=1,2")
 	cells := spec.Cells([]string{"gups", "mcf"})
-	faults := faultinject.NewSchedule()
-	// Panic every attempt of one cell; error once (transient) at another.
-	faults.PanicOn(faultinject.SweepCellSite("mcf|pom-tlb|pom-mb=1"), 1, 2, 3)
-	faults.ErrorOn(faultinject.SweepCellSite("gups|pom-tlb|pom-mb=2"), ErrInjected, 1)
+	base := sweepTiny()
+	base.Faults = faultinject.NewSchedule()
+	base.Faults.PanicOn(faultinject.SweepCellSite("mcf|pom-tlb|pom-mb=1"), 1)
+	failOnce := errors.New("injected failure")
+	base.Faults.ErrorOn(faultinject.SweepCellSite("gups|pom-tlb|pom-mb=2"), failOnce, 1)
 
 	var csv bytes.Buffer
-	rep, err := RunSweep(context.Background(), SweepConfig{
-		Base: sweepTiny(), Spec: spec, Shards: 2, RetryBudget: 8, Faults: faults, CSV: &csv,
-	})
+	rep, err := RunSweep(context.Background(), SweepConfig{Base: base, Spec: spec, Shards: 2, CSV: &csv})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Completed != len(cells)-1 {
-		t.Errorf("completed = %d, want %d", rep.Completed, len(cells)-1)
+	if rep.Completed != len(cells)-2 {
+		t.Errorf("completed = %d, want %d", rep.Completed, len(cells)-2)
 	}
-	if len(rep.Quarantined) != 1 {
+	if len(rep.Quarantined) != 2 {
 		t.Fatalf("quarantined = %+v", rep.Quarantined)
 	}
-	q := rep.Quarantined[0]
-	if q.Key != "mcf|pom-tlb|pom-mb=1" || q.Attempts != 1 {
-		t.Errorf("quarantine = %+v", q)
+	failed, panicked := rep.Quarantined[0], rep.Quarantined[1]
+	if failed.Key != "gups|pom-tlb|pom-mb=2" || !errors.Is(failed.Err, failOnce) || failed.Stack != "" {
+		t.Errorf("failed cell's quarantine = %+v", failed)
 	}
-	if q.Stack == "" {
-		t.Error("panic quarantine must carry the recovered stack")
+	if panicked.Key != "mcf|pom-tlb|pom-mb=1" || panicked.Stack == "" {
+		t.Errorf("panic quarantine must carry the recovered stack: %+v", panicked)
 	}
-	if !strings.Contains(q.Error, "[pom-mb=1]") {
-		t.Errorf("quarantine error not tagged with the variant: %s", q.Error)
+	if !strings.Contains(panicked.Error, "[pom-mb=1]") {
+		t.Errorf("quarantine error not tagged with the variant: %s", panicked.Error)
 	}
-	if rep.Retried != 1 {
-		t.Errorf("retried = %d, want 1 (the flaky cell)", rep.Retried)
+	for _, c := range cells {
+		if n := base.Faults.Hits(faultinject.SweepCellSite(c.Key())); n != 1 {
+			t.Errorf("%s attempted %d time(s), want 1", c.Key(), n)
+		}
 	}
-	// The quarantined cell leaves no CSV row; all others stream in order.
+	// The quarantined cells leave no CSV row; all others stream in order.
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if len(lines) != 1+len(cells)-1 {
+	if len(lines) != 1+len(cells)-2 {
 		t.Errorf("csv has %d lines", len(lines))
 	}
 	for _, line := range lines[1:] {
-		if strings.Contains(line, "mcf,pom-tlb,pom-mb=1,") {
+		if strings.Contains(line, "mcf,pom-tlb,pom-mb=1,") || strings.Contains(line, "gups,pom-tlb,pom-mb=2,") {
 			t.Errorf("quarantined cell produced a row: %s", line)
 		}
 	}
@@ -188,9 +200,9 @@ func TestSweepQuarantinesPanickingCell(t *testing.T) {
 
 // TestSweepQuarantinesUnbuildableConfig pins that a cell whose geometry
 // the simulator cannot build (a 24 MB L4 cache has 24576 sets, not a power
-// of two) fails on its first attempt with the configuration error, spends
-// no retry and carries no panic stack, for Table 2 and consolidation
-// workloads alike, while the buildable cells complete.
+// of two) is quarantined after its one attempt with the configuration
+// error and no panic stack, for Table 2 and consolidation workloads
+// alike, while the buildable cells complete.
 func TestSweepQuarantinesUnbuildableConfig(t *testing.T) {
 	spec, err := ParseSpec("schemes=l4-cache:pom-mb=16,24")
 	if err != nil {
@@ -198,7 +210,8 @@ func TestSweepQuarantinesUnbuildableConfig(t *testing.T) {
 	}
 	base := consolBase()
 	base.Workloads = []string{"gups", "consol-smoke"}
-	rep, err := RunSweep(context.Background(), SweepConfig{Base: base, Spec: spec, Shards: 2, RetryBudget: 8})
+	base.Faults = faultinject.NewSchedule() // empty: counts attempts
+	rep, err := RunSweep(context.Background(), SweepConfig{Base: base, Spec: spec, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,51 +220,13 @@ func TestSweepQuarantinesUnbuildableConfig(t *testing.T) {
 			rep.Completed, rep.Quarantined)
 	}
 	for _, q := range rep.Quarantined {
-		if !strings.HasSuffix(q.Key, "|l4-cache|pom-mb=24") || q.Attempts != 1 || q.Stack != "" ||
+		if !strings.HasSuffix(q.Key, "|l4-cache|pom-mb=24") || q.Stack != "" ||
 			!strings.Contains(q.Error, "not a power of two") {
-			t.Errorf("quarantine = %+v, want one attempt ending in the config error", q)
+			t.Errorf("quarantine = %+v, want the config error", q)
 		}
-	}
-	if rep.Retried != 0 || rep.BudgetRemaining != 8 {
-		t.Errorf("retried %d, budget remaining %d; a config error must not be retried", rep.Retried, rep.BudgetRemaining)
-	}
-}
-
-func TestSweepRetryBudgetExhaustion(t *testing.T) {
-	spec, _ := ParseSpec("schemes=pom-tlb:pom-mb=1,2,4")
-	faults := faultinject.NewSchedule()
-	// Every cell fails every attempt with a transient error: with a
-	// budget of 2, exactly 2 retries happen across the whole sweep and
-	// every cell is quarantined, most with BudgetExhausted set.
-	for _, c := range spec.Cells([]string{"gups"}) {
-		site := faultinject.SweepCellSite(c.Key())
-		faults.ErrorOn(site, ErrInjected, 1, 2, 3, 4, 5)
-	}
-	rep, err := RunSweep(context.Background(), SweepConfig{
-		Base: sweepTiny(), Spec: spec, Shards: 1, RetryBudget: 2, QuarantineAfter: 3, Faults: faults,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Quarantined) != 3 {
-		t.Fatalf("quarantined = %d, want 3", len(rep.Quarantined))
-	}
-	totalAttempts, exhausted := 0, 0
-	for _, q := range rep.Quarantined {
-		totalAttempts += q.Attempts
-		if q.BudgetExhausted {
-			exhausted++
+		if n := base.Faults.Hits(faultinject.SweepCellSite(q.Key)); n != 1 {
+			t.Errorf("%s attempted %d time(s), want 1", q.Key, n)
 		}
-	}
-	// 3 first attempts + 2 budgeted retries.
-	if totalAttempts != 5 {
-		t.Errorf("total attempts = %d, want 5", totalAttempts)
-	}
-	if exhausted == 0 {
-		t.Error("no quarantine records the exhausted budget")
-	}
-	if rep.BudgetRemaining != 0 {
-		t.Errorf("budget remaining = %d", rep.BudgetRemaining)
 	}
 }
 
@@ -263,18 +238,20 @@ func TestSweepResumeServesJournal(t *testing.T) {
 	const doomed = "gups|pom-tlb|pom-mb=1"
 	panicking := func() *faultinject.Schedule {
 		faults := faultinject.NewSchedule()
-		faults.PanicOn(faultinject.SweepCellSite(doomed), 1, 2, 3)
+		faults.PanicOn(faultinject.SweepCellSite(doomed), 1)
 		return faults
 	}
 
-	// First run: one cell panics forever and is quarantined.
+	// First run: one cell panics and is quarantined.
 	j1, err := OpenSweepJournal(path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	run1 := base
+	run1.Faults = panicking()
 	var csv1 bytes.Buffer
 	rep1, err := RunSweep(context.Background(), SweepConfig{
-		Base: base, Spec: spec, Shards: 2, RetryBudget: 4, Journal: j1, Faults: panicking(), CSV: &csv1,
+		Base: run1, Spec: spec, Shards: 2, Journal: j1, CSV: &csv1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -293,9 +270,11 @@ func TestSweepResumeServesJournal(t *testing.T) {
 	}
 	defer j2.Close()
 	faults := panicking()
+	run2 := base
+	run2.Faults = faults
 	var csv2 bytes.Buffer
 	rep2, err := RunSweep(context.Background(), SweepConfig{
-		Base: base, Spec: spec, Shards: 2, RetryBudget: 4, Journal: j2, Faults: faults, CSV: &csv2,
+		Base: run2, Spec: spec, Shards: 2, Journal: j2, CSV: &csv2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -320,6 +299,63 @@ func TestSweepResumeServesJournal(t *testing.T) {
 	}
 }
 
+// TestSweepResumeRunsQuarantinedCell pins the one recovery path: a cell
+// that fails once is quarantined by the run that saw the failure, and a
+// second run on the same journal runs it again, completes the grid, and
+// writes the CSV of a clean run.
+func TestSweepResumeRunsQuarantinedCell(t *testing.T) {
+	spec, _ := ParseSpec("schemes=pom-tlb:pom-mb=1,2")
+	base := sweepTiny()
+	var clean bytes.Buffer
+	if _, err := RunSweep(context.Background(), SweepConfig{Base: base, Spec: spec, Shards: 2, CSV: &clean}); err != nil {
+		t.Fatal(err)
+	}
+
+	const flaky = "mcf|pom-tlb|pom-mb=2"
+	site := faultinject.SweepCellSite(flaky)
+	failing := base
+	failing.Faults = faultinject.NewSchedule()
+	failing.Faults.ErrorOn(site, errors.New("injected failure"), 1)
+	fp := SweepFingerprint(base, spec.Canonical())
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+
+	j1, err := OpenSweepJournal(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep1, err := RunSweep(context.Background(), SweepConfig{Base: failing, Spec: spec, Shards: 2, Journal: j1})
+	j1.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep1.Completed != 3 || len(rep1.Quarantined) != 1 || rep1.Quarantined[0].Key != flaky {
+		t.Fatalf("first run = %+v, want %s quarantined and the rest completed", rep1, flaky)
+	}
+	if n := failing.Faults.Hits(site); n != 1 {
+		t.Fatalf("%s attempted %d time(s) in the first run, want 1", flaky, n)
+	}
+
+	// The schedule is not re-armed: its one fault has fired, so the
+	// second run's attempt at the quarantined cell succeeds.
+	j2, err := OpenSweepJournal(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	var resumed bytes.Buffer
+	rep2, err := RunSweep(context.Background(), SweepConfig{Base: failing, Spec: spec, Shards: 2, Journal: j2, CSV: &resumed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep2.Completed != 4 || rep2.FromJournal != 3 || len(rep2.Quarantined) != 0 {
+		t.Errorf("resume = %+v, want 3 cells from the journal and the quarantined one run", rep2)
+	}
+	if resumed.String() != clean.String() {
+		t.Error("resumed CSV differs from a clean run")
+		diffFirstLine(t, clean.String(), resumed.String())
+	}
+}
+
 func TestSweepCancellationLeavesCellsForResume(t *testing.T) {
 	spec, _ := ParseSpec("schemes=pom-tlb:pom-mb=1,2,4:seeds=1,2,3")
 	base := sweepTiny()
@@ -331,13 +367,12 @@ func TestSweepCancellationLeavesCellsForResume(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	faults := faultinject.NewSchedule()
+	cancelling := base
+	cancelling.Faults = faultinject.NewSchedule()
 	// Cancel the sweep the first time any worker reaches this cell.
-	faults.CallOn(faultinject.SweepCellSite("gups|pom-tlb|pom-mb=2|seed=2"), cancel, 1)
+	cancelling.Faults.CallOn(faultinject.SweepCellSite("gups|pom-tlb|pom-mb=2|seed=2"), cancel, 1)
 
-	rep, err := RunSweep(ctx, SweepConfig{
-		Base: base, Spec: spec, Shards: 1, RetryBudget: 4, Journal: j, Faults: faults,
-	})
+	rep, err := RunSweep(ctx, SweepConfig{Base: cancelling, Spec: spec, Shards: 1, Journal: j})
 	if err == nil {
 		t.Fatal("cancelled sweep must return an error")
 	}
@@ -358,9 +393,7 @@ func TestSweepCancellationLeavesCellsForResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	rep2, err := RunSweep(context.Background(), SweepConfig{
-		Base: base, Spec: spec, Shards: 2, RetryBudget: 4, Journal: j2,
-	})
+	rep2, err := RunSweep(context.Background(), SweepConfig{Base: base, Spec: spec, Shards: 2, Journal: j2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,9 +417,7 @@ func TestSweepCellTimeout(t *testing.T) {
 	base.MaxRefs = 2_000_000
 	base.WarmupRefs = 2_000_000
 	base.WorkloadTimeout = time.Millisecond
-	rep, err := RunSweep(context.Background(), SweepConfig{
-		Base: base, Spec: spec, Shards: 1, RetryBudget: 0, QuarantineAfter: 1,
-	})
+	rep, err := RunSweep(context.Background(), SweepConfig{Base: base, Spec: spec, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,17 +432,16 @@ func TestSweepCellTimeout(t *testing.T) {
 func TestSeedChaosDeterministic(t *testing.T) {
 	spec, _ := ParseSpec("schemes=pom-tlb:pom-mb=1,2,4,8:seeds=1,2,3,4")
 	cells := spec.Cells([]string{"gups", "mcf", "astar"})
-	a := SeedChaos(faultinject.NewSchedule(), cells, 0.1, 0.2, 42)
-	b := SeedChaos(faultinject.NewSchedule(), cells, 0.1, 0.2, 42)
-	if strings.Join(a.Panicked, ";") != strings.Join(b.Panicked, ";") ||
-		strings.Join(a.Flaky, ";") != strings.Join(b.Flaky, ";") {
+	a := SeedChaos(faultinject.NewSchedule(), cells, 0.1, 42)
+	b := SeedChaos(faultinject.NewSchedule(), cells, 0.1, 42)
+	if strings.Join(a.Panicked, ";") != strings.Join(b.Panicked, ";") {
 		t.Error("SeedChaos is not deterministic")
 	}
-	if len(a.Panicked) == 0 || len(a.Flaky) == 0 {
-		t.Errorf("chaos plan empty: %d panicked, %d flaky (rates too low for 48 cells?)", len(a.Panicked), len(a.Flaky))
+	if len(a.Panicked) == 0 || len(a.Panicked) == len(cells) {
+		t.Errorf("chaos plan dooms %d of %d cells at rate 0.1", len(a.Panicked), len(cells))
 	}
-	c := SeedChaos(faultinject.NewSchedule(), cells, 0.1, 0.2, 43)
-	if strings.Join(a.Panicked, ";") == strings.Join(c.Panicked, ";") && len(a.Panicked) > 0 {
+	c := SeedChaos(faultinject.NewSchedule(), cells, 0.1, 43)
+	if strings.Join(a.Panicked, ";") == strings.Join(c.Panicked, ";") {
 		t.Error("different seed produced the identical panic set")
 	}
 }

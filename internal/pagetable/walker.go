@@ -36,14 +36,26 @@ func DefaultWalkerConfig() WalkerConfig {
 	}
 }
 
+// maxAssocEntries bounds each page-structure cache and the nested TLB.
+// Both are fully associative: NewWalker allocates every entry up front
+// and every probe scans them all, so an unchecked capacity from a config
+// file would exhaust host memory, or stall every walk, before anything
+// could reject it. 1024 entries is 32× Table 1's 32-entry PDE cache.
+const maxAssocEntries = 1024
+
 // Validate reports configuration errors.
 func (c WalkerConfig) Validate() error {
 	switch {
 	case c.PML4Entries <= 0 || c.PDPEntries <= 0 || c.PDEEntries <= 0:
 		return fmt.Errorf("pagetable: PSC capacities %d/%d/%d (PML4/PDP/PDE) must be positive",
 			c.PML4Entries, c.PDPEntries, c.PDEEntries)
+	case c.PML4Entries > maxAssocEntries || c.PDPEntries > maxAssocEntries || c.PDEEntries > maxAssocEntries:
+		return fmt.Errorf("pagetable: PSC capacities %d/%d/%d (PML4/PDP/PDE) exceed the %d-entry limit",
+			c.PML4Entries, c.PDPEntries, c.PDEEntries, maxAssocEntries)
 	case c.NestedTLB <= 0:
 		return fmt.Errorf("pagetable: nested TLB capacity %d must be positive", c.NestedTLB)
+	case c.NestedTLB > maxAssocEntries:
+		return fmt.Errorf("pagetable: nested TLB capacity %d exceeds the %d-entry limit", c.NestedTLB, maxAssocEntries)
 	}
 	return nil
 }

@@ -320,3 +320,31 @@ func TestWalkerAccessors(t *testing.T) {
 		}
 	}
 }
+
+func TestWalkerConfigValidate(t *testing.T) {
+	if err := DefaultWalkerConfig().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	limit := DefaultWalkerConfig()
+	limit.PML4Entries, limit.PDPEntries, limit.PDEEntries, limit.NestedTLB =
+		maxAssocEntries, maxAssocEntries, maxAssocEntries, maxAssocEntries
+	if err := limit.Validate(); err != nil {
+		t.Errorf("structures at the entry limit: %v", err)
+	}
+	// NewWalker allocates every entry of these fully associative
+	// structures, so a capacity past the limit is refused first.
+	for name, set := range map[string]func(*WalkerConfig){
+		"zero PDE cache":  func(c *WalkerConfig) { c.PDEEntries = 0 },
+		"huge PML4 cache": func(c *WalkerConfig) { c.PML4Entries = 1 << 40 },
+		"huge PDP cache":  func(c *WalkerConfig) { c.PDPEntries = maxAssocEntries + 1 },
+		"huge PDE cache":  func(c *WalkerConfig) { c.PDEEntries = 1 << 30 },
+		"zero nested TLB": func(c *WalkerConfig) { c.NestedTLB = 0 },
+		"huge nested TLB": func(c *WalkerConfig) { c.NestedTLB = 1 << 40 },
+	} {
+		c := DefaultWalkerConfig()
+		set(&c)
+		if c.Validate() == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}

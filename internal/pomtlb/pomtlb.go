@@ -2,6 +2,7 @@ package pomtlb
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/addr"
 	"repro/internal/dram"
@@ -48,6 +49,17 @@ func DefaultConfig() Config {
 // paper evaluates (32 MB, §4.6), and fills exactly the low region of host
 // physical memory that virt.DefaultConfig reserves for the mapped TLB.
 const maxSizeBytes = 256 << 20
+
+// MBToBytes converts a capacity given in MB (MiB), as flags, HTTP
+// requests and sweep specs give it, into SizeBytes. It refuses a value
+// whose byte count does not fit in 64 bits: a bare mb<<20 would wrap it
+// to a small size that passes Validate's limit, or to zero.
+func MBToBytes(mb uint64) (uint64, error) {
+	if mb > math.MaxUint64>>20 {
+		return 0, fmt.Errorf("pomtlb: %d MB overflows a 64-bit byte count", mb)
+	}
+	return mb << 20, nil
+}
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {

@@ -2,6 +2,7 @@ package pomtlb
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -92,6 +93,21 @@ func TestDefaultConfigGeometry(t *testing.T) {
 	slots := uint64(cap(tl.Small.slots) + cap(tl.Large.slots))
 	if got := slots * uint64(unsafe.Sizeof(tl.Small.slots[0])); got != DefaultConfig().SizeBytes {
 		t.Errorf("slot storage = %d bytes, want SizeBytes = %d", got, DefaultConfig().SizeBytes)
+	}
+}
+
+func TestMBToBytes(t *testing.T) {
+	for _, mb := range []uint64{1, 16, math.MaxUint64 >> 20} {
+		if got, err := MBToBytes(mb); err != nil || got != mb<<20 {
+			t.Errorf("MBToBytes(%d) = %d, %v; want %d", mb, got, err, mb<<20)
+		}
+	}
+	// 2^44 MB wraps to 0 bytes and 2^44 + 16 MB to 16 MiB under a bare
+	// shift; both must be refused, not run as a zero or 16 MiB table.
+	for _, mb := range []uint64{1 << 44, 1<<44 + 16, math.MaxUint64} {
+		if got, err := MBToBytes(mb); err == nil {
+			t.Errorf("MBToBytes(%d) = %d, want an overflow error", mb, got)
+		}
 	}
 }
 

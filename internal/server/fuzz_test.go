@@ -89,27 +89,29 @@ func FuzzIngest(f *testing.F) {
 	})
 }
 
-// FuzzCreateSession throws arbitrary scheme names (and a couple of other
+// FuzzCreateSession throws arbitrary scheme names (and a few other
 // knobs) at session creation. The invariants: the handler never panics;
 // a request naming a registered scheme (or none) with sane geometry
 // yields 201 and a session whose mode echoes the registry's name; any
-// unknown scheme name yields 400, never a session.
+// unknown scheme name, and any pom_mb whose byte count overflows, yields
+// 400, never a session.
 func FuzzCreateSession(f *testing.F) {
 	for _, n := range core.ModeNames() {
-		f.Add(n, 1, false)
+		f.Add(n, 1, false, uint64(0))
 	}
-	f.Add("", 2, true)
-	f.Add("bogus", 1, false)
-	f.Add("POM-TLB", 1, false)
-	f.Add("victima", 0, false)
-	f.Add("dram-cache", -3, true)
-	f.Add("shared-l2", 3, false)
-	f.Fuzz(func(t *testing.T, mode string, cores int, native bool) {
+	f.Add("", 2, true, uint64(0))
+	f.Add("bogus", 1, false, uint64(0))
+	f.Add("POM-TLB", 1, false, uint64(0))
+	f.Add("victima", 0, false, uint64(0))
+	f.Add("dram-cache", -3, true, uint64(0))
+	f.Add("shared-l2", 3, false, uint64(0))
+	f.Add("pom-tlb", 1, false, uint64(1<<44+16)) // 16 MiB under a bare shift
+	f.Fuzz(func(t *testing.T, mode string, cores int, native bool, pomMB uint64) {
 		srv := New(Config{})
 		defer srv.Close()
 		mux := srv.Handler()
 
-		req := CreateRequest{Mode: mode, Cores: cores, Native: native}
+		req := CreateRequest{Mode: mode, Cores: cores, Native: native, PomMB: pomMB}
 		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
@@ -123,6 +125,9 @@ func FuzzCreateSession(f *testing.F) {
 		case http.StatusCreated:
 			if !modeOK {
 				t.Fatalf("created a session for unregistered mode %q", mode)
+			}
+			if pomMB<<20>>20 != pomMB {
+				t.Fatalf("created a session for pom_mb=%d, whose byte count overflows", pomMB)
 			}
 			var created struct {
 				ID string `json:"id"`
@@ -139,7 +144,7 @@ func FuzzCreateSession(f *testing.F) {
 			// The shared TLB has 128 sets per core: a power of two only
 			// on a power-of-two core count.
 			sharedOK := mode != string(core.SharedL2) || cores&(cores-1) == 0
-			if modeOK && sharedOK && cores > 0 && cores <= 256 {
+			if modeOK && sharedOK && cores > 0 && cores <= 256 && pomMB == 0 {
 				t.Fatalf("rejected a valid request (mode %q, cores %d): %s", mode, cores, rec.Body.Bytes())
 			}
 		default:

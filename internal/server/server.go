@@ -38,6 +38,7 @@ import (
 	"context"
 
 	"repro/internal/core"
+	"repro/internal/pomtlb"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -203,7 +204,11 @@ func buildConfig(req CreateRequest) (core.Config, error) {
 		cfg.MaxRefs = req.MaxRefs
 	}
 	if req.PomMB != 0 {
-		cfg.POM.SizeBytes = req.PomMB << 20
+		size, err := pomtlb.MBToBytes(req.PomMB)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.POM.SizeBytes = size
 	}
 	return cfg, cfg.Validate()
 }

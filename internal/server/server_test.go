@@ -368,6 +368,8 @@ func TestCreateRejectsUnbuildableConfig(t *testing.T) {
 		{`{"mode":"shared-l2","cores":3}`, "not a power of two"}, // a 384-set shared TLB
 		{`{"mode":"pom-tlb","pom_mb":1048576}`, "exceeds the 256 MiB limit"},
 		{`{"mode":"l4-cache","pom_mb":1048576}`, "exceeds the 1024 MiB limit"},
+		// 2^44 + 16 MB wraps to a 16 MiB table under a bare shift.
+		{`{"mode":"pom-tlb","pom_mb":17592186044432}`, "overflows"},
 		{`{"vms":70000}`, "16-bit VMID limit"},
 	} {
 		var out struct {

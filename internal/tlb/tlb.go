@@ -43,11 +43,21 @@ type Config struct {
 	Latency uint64
 }
 
+// maxEntries bounds Entries. New allocates every way up front, at 40 B
+// of host memory per entry, so an unchecked count from a config file
+// would exhaust host memory before anything could reject it. 1 Mi
+// entries cost 40 MiB, about 680× Table 1's 1536-entry L2 TLB, and hold
+// the largest TLB a scheme builds: the shared L2 TLB of 256 cores
+// (393,216 entries).
+const maxEntries = 1 << 20
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
 	case c.Entries <= 0 || c.Ways <= 0:
 		return fmt.Errorf("tlb %q: entries and ways must be positive", c.Name)
+	case c.Entries > maxEntries:
+		return fmt.Errorf("tlb %q: %d entries exceed the %d-entry limit", c.Name, c.Entries, maxEntries)
 	case c.Entries%c.Ways != 0:
 		return fmt.Errorf("tlb %q: %d entries not divisible by %d ways", c.Name, c.Entries, c.Ways)
 	}

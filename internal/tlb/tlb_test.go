@@ -30,11 +30,16 @@ func TestValidateRejectsBad(t *testing.T) {
 		{Name: "zero"},
 		{Name: "indiv", Entries: 10, Ways: 3},
 		{Name: "npo2", Entries: 12, Ways: 2}, // 6 sets
+		{Name: "huge", Entries: 1 << 40, Ways: 4},
 	}
 	for _, c := range bad {
 		if c.Validate() == nil {
 			t.Errorf("%s should be invalid", c.Name)
 		}
+	}
+	// The entry limit leaves room for the largest TLB a scheme builds.
+	if err := SharedL2(256).Validate(); err != nil {
+		t.Errorf("256-core shared L2 TLB: %v", err)
 	}
 }
 

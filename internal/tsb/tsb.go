@@ -47,11 +47,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxSizeBytes bounds SizeBytes. New allocates every slot up front, at
+// one byte of host memory per simulated byte (each 16 B TTE is held as
+// its 16 B image), so an unchecked size from a config file would exhaust
+// host memory before anything could reject it. 256 MiB is 16× the
+// paper's 16 MB TSB and the POM-TLB's limit, so the two in-memory
+// translation structures can be compared at every size either allows.
+const maxSizeBytes = 256 << 20
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes < EntryBytes:
 		return fmt.Errorf("tsb: size %d too small", c.SizeBytes)
+	case c.SizeBytes > maxSizeBytes:
+		return fmt.Errorf("tsb: %d MiB exceeds the %d MiB limit", c.SizeBytes>>20, maxSizeBytes>>20)
 	case c.BaseAddr%addr.CacheLineSize != 0:
 		return fmt.Errorf("tsb: base address must be line aligned")
 	}

@@ -28,6 +28,14 @@ func TestValidate(t *testing.T) {
 	if (Config{SizeBytes: 1 << 20, BaseAddr: 7}).Validate() == nil {
 		t.Error("unaligned base should be invalid")
 	}
+	// New allocates the whole buffer, so a size past the limit is
+	// refused before anything allocates it.
+	if err := (Config{SizeBytes: maxSizeBytes}).Validate(); err != nil {
+		t.Errorf("TSB at the size limit: %v", err)
+	}
+	if (Config{SizeBytes: 1 << 40}).Validate() == nil {
+		t.Error("1 TiB TSB should be invalid")
+	}
 }
 
 func TestNewPanicsOnInvalid(t *testing.T) {
