@@ -108,17 +108,31 @@ func TestRunErrors(t *testing.T) {
 	// A config file may size every structure. Each one the simulator
 	// allocates up front is capped, so a huge size is refused before it
 	// is allocated. Each size is otherwise valid: the L2 TLB keeps its 12
-	// ways and a power-of-two set count.
+	// ways and a power-of-two set count. A set's recency word also caps
+	// every cache and SRAM TLB at 16 ways.
 	for name, set := range map[string]func(*config.File){
 		"huge TSB":        func(f *config.File) { f.Config.Mode = core.TSB; f.Config.TSBCfg.SizeBytes = 1 << 40 },
 		"huge L2 TLB":     func(f *config.File) { f.Config.L2TLB.Entries = 12 << 28 },
 		"huge PDE cache":  func(f *config.File) { f.Config.Walker.PDEEntries = 1 << 40 },
 		"huge nested TLB": func(f *config.File) { f.Config.Walker.NestedTLB = 1 << 40 },
+		"huge Victima":    func(f *config.File) { f.Config.Mode = core.Victima; f.Config.VictimaCfg.Sets = 1 << 40 },
+		"Victima under a 1 GiB direct-mapped L2": func(f *config.File) {
+			f.Config.Mode, f.Config.L2.SizeBytes, f.Config.L2.Ways = core.Victima, 1<<30, 1
+		},
+		"2^30 DDR channels": func(f *config.File) { f.Config.DDRChannels = 1 << 30 },
+		"2^40 DDR banks":    func(f *config.File) { f.Config.DDR.Banks = 1 << 40 },
+		"17-way L3":         func(f *config.File) { f.Config.L3.SizeBytes, f.Config.L3.Ways = 17*64*8192, 17 },
 	} {
 		f := config.Default()
 		f.Workload = "gups"
 		f.Config.MaxRefs, f.Config.WarmupRefs = 10, 0
 		set(&f)
+		// Run only what Validate refuses: a size it let through would be
+		// allocated, and these would exhaust host memory.
+		if err := f.Config.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the config", name)
+			continue
+		}
 		path := filepath.Join(t.TempDir(), "huge.json")
 		if err := config.Save(path, f); err != nil {
 			t.Fatal(err)

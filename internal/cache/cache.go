@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
+	"repro/internal/lru"
 	"repro/internal/stats"
 )
 
@@ -93,19 +94,24 @@ type Config struct {
 	Priority Priority
 }
 
-// maxSizeBytes bounds SizeBytes. New allocates every way up front, at a
-// quarter byte of host memory per simulated byte (16 B per 64 B line), so
+// maxSizeBytes bounds SizeBytes. New allocates every way up front, at
+// 8 B of host memory per 64 B line plus one 8 B recency word per set, so
 // an unchecked size from a config file or an HTTP request would exhaust
-// host memory before anything could reject it. 1 GiB costs 256 MiB of
-// host memory and is 128× the 8 MB L3; the die-stacked caches of the
-// l4-cache and dram-cache schemes are 16 MB by default.
+// host memory before anything could reject it. 1 GiB costs 136 MiB of
+// host memory at 16 ways, 256 MiB direct-mapped, and is 128× the 8 MB
+// L3; the die-stacked caches of the l4-cache and dram-cache schemes are
+// 16 MB by default.
 const maxSizeBytes = 1 << 30
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Ways is at most lru.MaxWays,
+// since a set's recency order is one word of 4-bit way numbers; the
+// widest Table 1 level, the L3, has 16.
 func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes == 0 || c.Ways <= 0:
 		return fmt.Errorf("cache %q: size and ways must be positive", c.Name)
+	case c.Ways > lru.MaxWays:
+		return fmt.Errorf("cache %q: %d %w", c.Name, c.Ways, lru.ErrTooManyWays)
 	case c.SizeBytes > maxSizeBytes:
 		return fmt.Errorf("cache %q: %d MiB exceeds the %d MiB limit", c.Name, c.SizeBytes>>20, maxSizeBytes>>20)
 	case c.SizeBytes%(uint64(c.Ways)*addr.CacheLineSize) != 0:
@@ -206,15 +212,14 @@ func wordLine(w uint64) uint64 { return w>>wordShift - 1 }
 func wordKind(w uint64) Kind { return Kind(w >> kindShift & 1) }
 
 // Cache is one level of a write-back, write-allocate cache. All sets
-// live in one contiguous array of 2*Ways words per set: set i's Ways
-// packed line words, then the LRU stamps of those ways (higher = more
-// recently used). A probe reads only the words; a hit writes one stamp.
+// live in one contiguous array of Ways+1 words per set: set i's Ways
+// packed line words, then its recency word, an lru.Order of the ways. A
+// probe reads only the line words; a hit rewrites the recency word.
 type Cache struct {
 	cfg     Config
 	sets    []uint64
 	nways   int
 	setMask uint64
-	clock   uint64
 	stats   Stats
 	shadow  *hook
 
@@ -228,13 +233,18 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := cfg.Sets()
-	return &Cache{
+	n, stride := cfg.Sets(), uint64(cfg.Ways)+1
+	c := &Cache{
 		cfg:     cfg,
-		sets:    make([]uint64, n*2*uint64(cfg.Ways)),
+		sets:    make([]uint64, n*stride),
 		nways:   cfg.Ways,
 		setMask: n - 1,
-	}, nil
+	}
+	order := uint64(lru.NewOrder(cfg.Ways))
+	for i := stride - 1; i < uint64(len(c.sets)); i += stride {
+		c.sets[i] = order
+	}
+	return c, nil
 }
 
 // MustNew is New but panics on invalid configuration — the historical
@@ -265,11 +275,16 @@ func (c *Cache) Latency() uint64 { return c.cfg.Latency }
 // setIndex maps a line address to its set.
 func (c *Cache) setIndex(line uint64) uint64 { return line & c.setMask }
 
-// block returns the packed words and LRU stamps of set si.
-func (c *Cache) block(si uint64) (words, stamps []uint64) {
+// block returns the packed line words of set si and its recency word.
+func (c *Cache) block(si uint64) (words []uint64, order *uint64) {
 	n := uint64(c.nways)
-	b := c.sets[si*2*n : (si+1)*2*n]
-	return b[:n:n], b[n:]
+	b := c.sets[si*(n+1) : (si+1)*(n+1)]
+	return b[:n:n], &b[n]
+}
+
+// touch makes way the most recently used of its set.
+func (c *Cache) touch(order *uint64, way int) {
+	*order = uint64(lru.Order(*order).Touch(way, c.nways))
 }
 
 // find returns the way holding line in words, or -1.
@@ -297,10 +312,9 @@ func (c *Cache) Lookup(line uint64) bool {
 // threads a miss down the hierarchy. The line must be below 2^58 (a host
 // physical address >> 6), the limit of the packed encoding.
 func (c *Cache) Access(line uint64, write bool, kind Kind) bool {
-	c.clock++
-	words, stamps := c.block(c.setIndex(line))
+	words, order := c.block(c.setIndex(line))
 	if i := find(words, line); i >= 0 {
-		stamps[i] = c.clock
+		c.touch(order, i)
 		if write {
 			words[i] |= dirtyBit
 		}
@@ -324,8 +338,7 @@ func (c *Cache) Access(line uint64, write bool, kind Kind) bool {
 // non-preferred lines are evicted first. The line must be below 2^58, as
 // for Access.
 func (c *Cache) Fill(line uint64, write bool, kind Kind) Eviction {
-	c.clock++
-	words, stamps := c.block(c.setIndex(line))
+	words, order := c.block(c.setIndex(line))
 	// One pass finds a present copy and the first invalid way. It covers
 	// the whole set: stopping at an invalid way would miss a matching
 	// line beyond it and install a duplicate.
@@ -334,7 +347,7 @@ func (c *Cache) Fill(line uint64, write bool, kind Kind) Eviction {
 	for i, w := range words {
 		if w>>wordShift == key {
 			// Already present (e.g. filled by a racing sibling): refresh.
-			stamps[i] = c.clock
+			c.touch(order, i)
 			if write {
 				words[i] = w | dirtyBit
 			}
@@ -350,7 +363,7 @@ func (c *Cache) Fill(line uint64, write bool, kind Kind) Eviction {
 	var ev Eviction
 	v := free
 	if v < 0 {
-		v = c.victim(words, stamps)
+		v = c.victim(words, lru.Order(*order))
 		w := words[v]
 		ev = Eviction{Valid: true, Line: wordLine(w), Dirty: w&dirtyBit != 0, Kind: wordKind(w)}
 		c.stats.Evictions[ev.Kind]++
@@ -360,7 +373,7 @@ func (c *Cache) Fill(line uint64, write bool, kind Kind) Eviction {
 		c.resident[ev.Kind]--
 	}
 	words[v] = pack(line, write, kind)
-	stamps[v] = c.clock
+	c.touch(order, v)
 	c.resident[kind]++
 	if c.shadow != nil {
 		c.shadow.s.Fill(line, write, kind, ev)
@@ -370,31 +383,22 @@ func (c *Cache) Fill(line uint64, write bool, kind Kind) Eviction {
 
 // victim chooses the way a full set evicts: the least recently used way,
 // or under a priority policy the least recently used non-preferred way
-// when the set holds one. Stamps are unique within a set, so the minimum
-// is unambiguous.
-func (c *Cache) victim(words, stamps []uint64) int {
+// when the set holds one. Every way of a full set was touched when it was
+// filled, so the order ranks exactly the resident lines.
+func (c *Cache) victim(words []uint64, order lru.Order) int {
 	if pref, ok := c.cfg.Priority.preferred(); ok {
-		v := -1
-		for i, w := range words {
-			if wordKind(w) != pref && (v < 0 || stamps[i] < stamps[v]) {
-				v = i
+		for r := range words {
+			if v := order.Way(r); wordKind(words[v]) != pref {
+				return v
 			}
 		}
-		if v >= 0 {
-			return v
-		}
 	}
-	v, min := 0, stamps[0]
-	for i, s := range stamps {
-		if s < min {
-			v, min = i, s
-		}
-	}
-	return v
+	return order.Way(0)
 }
 
 // Invalidate drops a line if present, returning whether it was dirty. Used
-// for TLB shootdowns of cached POM-TLB sets.
+// for TLB shootdowns of cached POM-TLB sets. The set's recency order is
+// left alone: the freed way is refilled by index, and a fill touches it.
 func (c *Cache) Invalidate(line uint64) (present, dirty bool) {
 	words, _ := c.block(c.setIndex(line))
 	if i := find(words, line); i >= 0 {
@@ -431,16 +435,19 @@ func (c *Cache) InvalidateKind(kind Kind) int {
 
 // CheckInvariants validates the cache's internal structural invariants:
 // every non-zero word encodes a line, every valid line resides in the set
-// its address indexes, LRU stamps are unique within a set and never ahead
-// of the clock, no line is duplicated across ways, and the per-kind
+// its address indexes, each recency word ranks every way of its set
+// exactly once, no line is duplicated across ways, and the per-kind
 // residency counters match a recount. It returns the first violation
 // found, or nil.
 func (c *Cache) CheckInvariants() error {
 	var recount [numKinds]uint64
 	seen := make(map[uint64]uint64)
 	for si := uint64(0); si <= c.setMask; si++ {
-		words, stamps := c.block(si)
-		ways := make(map[uint64]int, len(words))
+		words, order := c.block(si)
+		if !lru.Order(*order).Valid(c.nways) {
+			return fmt.Errorf("cache %q: set %d recency word %#x does not rank its %d ways",
+				c.cfg.Name, si, *order, c.nways)
+		}
 		for wi, w := range words {
 			if w == 0 {
 				continue
@@ -455,15 +462,6 @@ func (c *Cache) CheckInvariants() error {
 				return fmt.Errorf("cache %q: line %#x resident in set %d, its address indexes set %d",
 					c.cfg.Name, line, si, want)
 			}
-			if stamps[wi] > c.clock {
-				return fmt.Errorf("cache %q: set %d way %d LRU stamp %d ahead of clock %d",
-					c.cfg.Name, si, wi, stamps[wi], c.clock)
-			}
-			if prev, dup := ways[stamps[wi]]; dup {
-				return fmt.Errorf("cache %q: set %d ways %d and %d share LRU stamp %d",
-					c.cfg.Name, si, prev, wi, stamps[wi])
-			}
-			ways[stamps[wi]] = wi
 			if prev, dup := seen[line]; dup {
 				return fmt.Errorf("cache %q: line %#x duplicated in sets %d and %d",
 					c.cfg.Name, line, prev, si)

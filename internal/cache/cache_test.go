@@ -1,9 +1,12 @@
 package cache
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/lru"
 )
 
 func TestTable1Configs(t *testing.T) {
@@ -289,6 +292,10 @@ func TestCheckInvariantsCatchesCorruptWords(t *testing.T) {
 			words, _ := c.block(2)
 			words[0] = dirtyBit
 		}, "without a line"},
+		{"way ranked twice", func(c *Cache) {
+			_, order := c.block(3)
+			*order = 0 // way 0 at both ranks
+		}, "does not rank its 2 ways"},
 	} {
 		c := MustNew(cfg)
 		c.Fill(1, true, TLBEntry) // set 1
@@ -299,5 +306,29 @@ func TestCheckInvariantsCatchesCorruptWords(t *testing.T) {
 		if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: CheckInvariants = %v, want error containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestSetHostBytes pins the host layout of a set: Ways packed line words
+// and one recency word, (Ways+1)*8 bytes.
+func TestSetHostBytes(t *testing.T) {
+	for _, cfg := range []Config{L1D(), L2(), L3()} {
+		c := MustNew(cfg)
+		if got, want := len(c.sets)*8, int(cfg.Sets())*(cfg.Ways+1)*8; got != want {
+			t.Errorf("%s: %d host bytes, want %d ((Ways+1)*8 per set)", cfg.Name, got, want)
+		}
+	}
+}
+
+// TestValidateRefusesWideSets pins the 16-way limit of the recency word:
+// 16 ways build, 17 are refused with lru.ErrTooManyWays.
+func TestValidateRefusesWideSets(t *testing.T) {
+	ok := Config{Name: "w16", SizeBytes: 16 * 64, Ways: 16}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("16 ways: %v", err)
+	}
+	wide := Config{Name: "w17", SizeBytes: 17 * 64, Ways: 17}
+	if err := wide.Validate(); !errors.Is(err, lru.ErrTooManyWays) {
+		t.Errorf("17 ways: Validate = %v, want lru.ErrTooManyWays", err)
 	}
 }

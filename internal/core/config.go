@@ -9,6 +9,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -212,12 +213,24 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxDDRChannels bounds DDRChannels. NewSystem builds every channel up
+// front, each with its bank records, so an unchecked count from a config
+// file would exhaust host memory before anything could reject it. 64 is
+// 32× the default two channels.
+const maxDDRChannels = 64
+
+// ErrTooManyChannels is the error Validate wraps for more than
+// maxDDRChannels off-chip channels.
+var ErrTooManyChannels = errors.New("DDR channels exceed the 64-channel limit")
+
 // Validate reports configuration errors: the scheme-independent limits
 // here, then the registered scheme's own Validate hook.
 func (c Config) Validate() error {
 	switch {
 	case c.Cores <= 0 || c.Cores > 256:
 		return fmt.Errorf("core: cores %d out of range", c.Cores)
+	case c.DDRChannels > maxDDRChannels:
+		return fmt.Errorf("core: %d %w", c.DDRChannels, ErrTooManyChannels)
 	case c.Virtualized && c.VMs <= 0:
 		return fmt.Errorf("core: virtualized run needs at least one VM")
 	case c.Virtualized && c.VMs > math.MaxUint16:

@@ -42,7 +42,7 @@ func conformanceSystem(t *testing.T, mode Mode) (*System, addr.VA) {
 	}
 	for vpn := uint64(0); vpn <= 1<<20; vpn++ {
 		va := addr.VA(0x10_0000_0000 + vpn<<addr.Shift4K)
-		if hpa, size, ok := sys.vms[0].Translate(1, va); ok && size == addr.Page4K {
+		if hpa, size, ok := sys.vms[0].Translate(sys.vms[0].GuestTable(1), va); ok && size == addr.Page4K {
 			_ = hpa
 			return sys, va
 		}
@@ -114,7 +114,7 @@ func TestConformanceShootdownSymmetry(t *testing.T) {
 			if _, ok := c.l2tlb.Lookup(vmid, c.pid, va); ok {
 				t.Error("L2 TLB holds the page after shootdown")
 			}
-			if _, _, ok := sys.vms[0].Translate(c.pid, va); ok {
+			if _, _, ok := sys.vms[0].Translate(sys.vms[0].GuestTable(c.pid), va); ok {
 				t.Error("guest mapping survived shootdown")
 			}
 			if err := sys.CheckInvariants(); err != nil {
@@ -141,7 +141,7 @@ func TestConformanceProcessExit(t *testing.T) {
 			held := 0
 			for vpn := uint64(0); vpn <= 1<<14 && len(sample) < 64; vpn++ {
 				va := addr.VA(0x10_0000_0000 + vpn<<addr.Shift4K)
-				if _, size, ok := sys.vms[0].Translate(c.pid, va); ok && size == addr.Page4K {
+				if _, size, ok := sys.vms[0].Translate(sys.vms[0].GuestTable(c.pid), va); ok && size == addr.Page4K {
 					sample = append(sample, va)
 					if sch.Holds(sys, vmid, c.pid, va, addr.Page4K) {
 						held++

@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/dram"
+	"repro/internal/lru"
 	"repro/internal/trace"
+	"repro/internal/victima"
 	"repro/internal/workloads"
 )
 
@@ -57,22 +61,38 @@ func TestConfigValidate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		edit func(*Config)
+		is   error // when set, the error Validate must wrap
 	}{
-		{"zero cores", func(c *Config) { c.Cores = 0 }},
-		{"virtualized with zero VMs", func(c *Config) { c.VMs = 0 }},
-		{"zero MaxRefs", func(c *Config) { c.MaxRefs = 0 }},
-		{"L1D with zero ways", func(c *Config) { c.L1D.Ways = 0 }},
-		{"zero PDE cache entries", func(c *Config) { c.Walker.PDEEntries = 0 }},
-		{"zero nested TLB entries", func(c *Config) { c.Walker.NestedTLB = 0 }},
-		{"pom-tlb DRAM without banks", func(c *Config) { c.POM.DRAM.Banks = 0 }},
-		{"pom-tlb too small for one small set", func(c *Config) { c.POM.SizeBytes = 64 }},
+		{"zero cores", func(c *Config) { c.Cores = 0 }, nil},
+		{"virtualized with zero VMs", func(c *Config) { c.VMs = 0 }, nil},
+		{"zero MaxRefs", func(c *Config) { c.MaxRefs = 0 }, nil},
+		{"L1D with zero ways", func(c *Config) { c.L1D.Ways = 0 }, nil},
+		{"zero PDE cache entries", func(c *Config) { c.Walker.PDEEntries = 0 }, nil},
+		{"zero nested TLB entries", func(c *Config) { c.Walker.NestedTLB = 0 }, nil},
+		{"pom-tlb DRAM without banks", func(c *Config) { c.POM.DRAM.Banks = 0 }, nil},
+		{"pom-tlb too small for one small set", func(c *Config) { c.POM.SizeBytes = 64 }, nil},
 		{"pom-tlb too small for one large set", func(c *Config) {
 			c.POM.SizeBytes, c.POM.SmallFraction = 100, 0.99
-		}},
-		{"l4-cache with 3072 sets", func(c *Config) { c.Mode, c.POM.SizeBytes = L4Cache, 3<<20 }},
-		{"l4-cache with 24576 sets", func(c *Config) { c.Mode, c.POM.SizeBytes = L4Cache, 24<<20 }},
-		{"l4-cache DRAM without banks", func(c *Config) { c.Mode, c.POM.DRAM.Banks = L4Cache, 0 }},
-		{"shared-l2 on 3 cores", func(c *Config) { c.Mode, c.Cores = SharedL2, 3 }},
+		}, nil},
+		{"l4-cache with 3072 sets", func(c *Config) { c.Mode, c.POM.SizeBytes = L4Cache, 3<<20 }, nil},
+		{"l4-cache with 24576 sets", func(c *Config) { c.Mode, c.POM.SizeBytes = L4Cache, 24<<20 }, nil},
+		{"l4-cache DRAM without banks", func(c *Config) { c.Mode, c.POM.DRAM.Banks = L4Cache, 0 }, nil},
+		{"shared-l2 on 3 cores", func(c *Config) { c.Mode, c.Cores = SharedL2, 3 }, nil},
+		// A set's recency word ranks at most 16 ways.
+		{"17-way L3", func(c *Config) { c.L3.SizeBytes, c.L3.Ways = 17*64*8192, 17 }, lru.ErrTooManyWays},
+		{"17-way L2 TLB", func(c *Config) { c.L2TLB.Entries, c.L2TLB.Ways = 17*128, 17 }, lru.ErrTooManyWays},
+		{"17-way dram-cache directory", func(c *Config) {
+			c.Mode, c.DCache.SizeBytes, c.DCache.Ways = DRAMCache, 17*64*16384, 17
+		}, lru.ErrTooManyWays},
+		// Sizes NewSystem allocates up front. Each used to pass Validate,
+		// and building it would exhaust host memory, so a row fails on
+		// Validate before NewSystem is reached.
+		{"victima with 2^40 sets", func(c *Config) { c.Mode, c.VictimaCfg.Sets = Victima, 1<<40 }, victima.ErrTooManyEntries},
+		{"victima sets derived from a 1 GiB direct-mapped L2", func(c *Config) {
+			c.Mode, c.L2.SizeBytes, c.L2.Ways = Victima, 1<<30, 1
+		}, victima.ErrTooManyEntries},
+		{"2^30 DDR channels", func(c *Config) { c.DDRChannels = 1 << 30 }, ErrTooManyChannels},
+		{"2^40 DDR banks", func(c *Config) { c.DDR.Banks = 1 << 40 }, dram.ErrTooManyBanks},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -80,6 +100,9 @@ func TestConfigValidate(t *testing.T) {
 			err := cfg.Validate()
 			if err == nil {
 				t.Fatal("Validate accepted the config")
+			}
+			if tc.is != nil && !errors.Is(err, tc.is) {
+				t.Fatalf("Validate = %v, want it to wrap %v", err, tc.is)
 			}
 			if _, nerr := NewSystem(cfg); nerr == nil || nerr.Error() != err.Error() {
 				t.Fatalf("NewSystem error = %v, want %v", nerr, err)

@@ -94,6 +94,7 @@ func (s *System) SetCoreTenant(core int, vmid addr.VMID, pid addr.PID, tier uint
 	}
 	c.vmid = vmid
 	c.pid = pid
+	s.resolveTable(c)
 	c.tier = tier
 	s.tierTrack = true
 	return nil

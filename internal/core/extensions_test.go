@@ -71,7 +71,7 @@ func TestNeighborPrefetchIsCorrect(t *testing.T) {
 	checked := 0
 	for i := 0; i < 2000 && checked < 200; i++ {
 		va := sample.Next().VA
-		want, _, ok := sys.vms[0].Translate(c.pid, va)
+		want, _, ok := sys.vms[0].Translate(sys.vms[0].GuestTable(c.pid), va)
 		if !ok {
 			continue
 		}
@@ -185,14 +185,14 @@ func TestHugePageTranslation(t *testing.T) {
 		}
 		vm := sys.vms[0]
 		va := addr.VA(0x40_0000_0000) // 1 GB aligned
-		if _, err := vm.Touch(1, va, addr.Page1G); err != nil {
+		if _, err := vm.Touch(vm.GuestTable(1), va, addr.Page1G); err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		c := sys.cores[0]
 		if cfg.SteadyState {
 			sys.seed(c, va)
 		}
-		want, size, ok := vm.Translate(1, va+12345)
+		want, size, ok := vm.Translate(vm.GuestTable(1), va+12345)
 		if !ok || size != addr.Page1G {
 			t.Fatalf("%s: logical translate failed (size %v)", mode, size)
 		}

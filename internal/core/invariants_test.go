@@ -65,7 +65,7 @@ func TestTranslationsMatchLogicalAllModes(t *testing.T) {
 		checked := 0
 		for i := 0; i < 1000 && checked < 100; i++ {
 			va := sample.Next().VA
-			want, _, ok := sys.vms[0].Translate(c.pid, va)
+			want, _, ok := sys.vms[0].Translate(sys.vms[0].GuestTable(c.pid), va)
 			if !ok {
 				continue
 			}
@@ -166,15 +166,15 @@ func TestShootdownDuringRunKeepsInvariants(t *testing.T) {
 	shot := 0
 	for vpn := uint64(0); vpn < 1<<14 && shot < 50; vpn++ {
 		va := addr.VA(0x10_0000_0000 + vpn<<addr.Shift4K)
-		if _, _, ok := vm.Translate(c.pid, va); !ok {
+		if _, _, ok := vm.Translate(vm.GuestTable(c.pid), va); !ok {
 			continue
 		}
-		old, _, _ := vm.Translate(c.pid, va)
+		old, _, _ := vm.Translate(vm.GuestTable(c.pid), va)
 		sys.Shootdown(vm.ID(), c.pid, va, addr.Page4K)
-		if _, err := vm.Touch(c.pid, va, addr.Page4K); err != nil {
+		if _, err := vm.Touch(vm.GuestTable(c.pid), va, addr.Page4K); err != nil {
 			t.Fatal(err)
 		}
-		want, _, _ := vm.Translate(c.pid, va)
+		want, _, _ := vm.Translate(vm.GuestTable(c.pid), va)
 		c.now = c.clock
 		got, _ := sys.translate(c, va)
 		if got != want {

@@ -27,17 +27,24 @@ const victimaLineBase = uint64(1) << 52
 type victimaScheme struct{ baseScheme }
 
 func (victimaScheme) Name() Mode                 { return Victima }
-func (victimaScheme) Validate(cfg *Config) error { return cfg.VictimaCfg.Validate() }
+func (victimaScheme) Validate(cfg *Config) error { return victimaConfig(cfg).Validate() }
 
-func (victimaScheme) Build(s *System) {
-	cfg := s.cfg.VictimaCfg
-	if cfg.DonatedWays == 0 {
-		return // degenerate baseline: no store, victimaPath falls through
-	}
-	if cfg.Sets == 0 {
+// victimaConfig resolves the store configuration Build uses, so Validate
+// checks the set count a large L2 derives, not only an explicit one.
+func victimaConfig(cfg *Config) victima.Config {
+	v := cfg.VictimaCfg
+	if v.DonatedWays > 0 && v.Sets == 0 {
 		// One potential block per L2 data-cache set, so the donation is
 		// bounded by DonatedWays ways of every set.
-		cfg.Sets = s.cfg.L2.Sets()
+		v.Sets = cfg.L2.Sets()
+	}
+	return v
+}
+
+func (victimaScheme) Build(s *System) {
+	cfg := victimaConfig(&s.cfg)
+	if cfg.DonatedWays == 0 {
+		return // degenerate baseline: no store, victimaPath falls through
 	}
 	s.vict = make([]*victima.Store, s.cfg.Cores)
 	for i := range s.vict {

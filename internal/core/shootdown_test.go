@@ -29,7 +29,7 @@ func shootSystem(t *testing.T, mode Mode) (*System, addr.VA) {
 	_ = l
 	for vpn := uint64(0); ; vpn++ {
 		va := addr.VA(0x10_0000_0000 + vpn<<addr.Shift4K)
-		if _, _, ok := sys.vms[0].Translate(1, va); ok {
+		if _, _, ok := sys.vms[0].Translate(sys.vms[0].GuestTable(1), va); ok {
 			return sys, va
 		}
 		if vpn > 1<<20 {
@@ -62,7 +62,7 @@ func TestShootdownPOM(t *testing.T) {
 	if _, ok := sys.pom.Small.Search(vmid, 1, va); ok {
 		t.Error("POM-TLB entry survived shootdown")
 	}
-	if _, _, ok := sys.vms[0].Translate(1, va); ok {
+	if _, _, ok := sys.vms[0].Translate(sys.vms[0].GuestTable(1), va); ok {
 		t.Error("guest mapping survived shootdown")
 	}
 	line := sys.pom.Small.SetAddr(va, vmid).Line()
@@ -112,7 +112,7 @@ func TestShootdownThenRemapWorks(t *testing.T) {
 	}
 	c.now = c.clock
 	hpa, _ := sys.translate(c, va)
-	want, _, ok := sys.vms[0].Translate(1, va)
+	want, _, ok := sys.vms[0].Translate(sys.vms[0].GuestTable(1), va)
 	if !ok || hpa != want {
 		t.Errorf("post-remap translation %v != logical %v (ok=%v)", hpa, want, ok)
 	}

@@ -41,6 +41,10 @@ type coreState struct {
 	vm           *virt.VM // nil when running native
 	pid          addr.PID
 	vmid         addr.VMID
+	// table is the current process's page table: vm's guest table of pid,
+	// or the native one. NewSystem and SetCoreTenant resolve it, so no
+	// record pays a map lookup for it.
+	table *pagetable.Table
 	// tier is the scenario tenant tier (indexing TierNames) the core's
 	// current tenant belongs to; set by SetCoreTenant, meaningful only
 	// when a consolidation scenario is attached.
@@ -156,10 +160,20 @@ func NewSystem(cfg Config) (*System, error) {
 			c.vm = s.vms[i%len(s.vms)]
 			c.vmid = c.vm.ID()
 		}
+		s.resolveTable(c)
 		s.cores = append(s.cores, c)
 	}
 	s.res.Mode = cfg.Mode
 	return s, nil
+}
+
+// resolveTable points c.table at the page table of c's current process.
+func (s *System) resolveTable(c *coreState) {
+	if c.vm != nil {
+		c.table = c.vm.GuestTable(c.pid)
+	} else {
+		c.table = s.hyp.NativeProcess(c.pid)
+	}
 }
 
 // walkMemFunc returns the MemFunc routing a core's page-table-entry reads
@@ -354,14 +368,14 @@ func (s *System) mustWalkAt(c *coreState, va addr.VA) tlb.Entry {
 // logicalEntry resolves a translation from the tables without timing.
 func (s *System) logicalEntry(c *coreState, va addr.VA) tlb.Entry {
 	if c.vm != nil {
-		hpa, size, ok := c.vm.Translate(c.pid, va)
+		hpa, size, ok := c.vm.Translate(c.table, va)
 		if !ok {
 			panic(fmt.Sprintf("core: unmapped address %v on core %d", va, c.id))
 		}
 		return tlb.Entry{VM: c.vmid, PID: c.pid, VPN: va.VPN(size),
 			PFN: hpa.PFN(size), Size: size, Valid: true}
 	}
-	e, ok := s.hyp.NativeProcess(c.pid).Lookup(uint64(va))
+	e, ok := c.table.Lookup(uint64(va))
 	if !ok {
 		panic(fmt.Sprintf("core: unmapped native address %v on core %d", va, c.id))
 	}
@@ -378,9 +392,9 @@ func (s *System) touch(c *coreState, va addr.VA, size addr.PageSize) error {
 	var created bool
 	var err error
 	if c.vm != nil {
-		created, err = c.vm.Touch(c.pid, va, size)
+		created, err = c.vm.Touch(c.table, va, size)
 	} else {
-		_, created, err = s.hyp.TouchNative(c.pid, va, size)
+		_, created, err = s.hyp.TouchNative(c.table, va, size)
 	}
 	if err != nil || !created || !s.cfg.SteadyState {
 		return err
@@ -399,9 +413,9 @@ func (s *System) seed(c *coreState, va addr.VA) {
 // walk performs the mode-appropriate page walk for a core.
 func (s *System) walk(c *coreState, va addr.VA) pagetable.WalkResult {
 	if c.vm != nil {
-		return c.walker.Translate2D(c.vm.GuestTable(c.pid), c.vm.EPT(), c.vmid, c.pid, va)
+		return c.walker.Translate2D(c.table, c.vm.EPT(), c.vmid, c.pid, va)
 	}
-	return c.walker.TranslateNative(s.hyp.NativeProcess(c.pid), 0, c.pid, va)
+	return c.walker.TranslateNative(c.table, 0, c.pid, va)
 }
 
 // insertTLBs installs a resolved translation into the core's L1 and L2

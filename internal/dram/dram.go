@@ -17,6 +17,7 @@
 package dram
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/addr"
@@ -111,6 +112,16 @@ func (c Config) BurstCycles() uint64 {
 	return c.cpuCycles(bursts)
 }
 
+// maxBanks bounds Banks. New allocates one bank record per bank up
+// front, so an unchecked count from a config file would exhaust host
+// memory before anything could reject it. 1024 banks is 64× the 16 of
+// each Table 1 channel.
+const maxBanks = 1024
+
+// ErrTooManyBanks is the error Validate wraps for a channel with more
+// than maxBanks banks.
+var ErrTooManyBanks = errors.New("banks exceed the 1024-bank limit")
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
@@ -120,6 +131,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dram %q: bus/row geometry must be nonzero", c.Name)
 	case c.Banks <= 0:
 		return fmt.Errorf("dram %q: need at least one bank", c.Name)
+	case c.Banks > maxBanks:
+		return fmt.Errorf("dram %q: %d %w", c.Name, c.Banks, ErrTooManyBanks)
 	case c.RowBytes%addr.CacheLineSize != 0:
 		return fmt.Errorf("dram %q: row size %d not a multiple of the line size", c.Name, c.RowBytes)
 	}

@@ -205,7 +205,20 @@ func parseModes(list []string) ([]core.Mode, error) {
 		}
 		out = append(out, m)
 	}
-	return out, nil
+	return out, noRepeats("schemes", out)
+}
+
+// noRepeats refuses an axis that lists one parsed value twice ("4,04"):
+// the grid would enumerate the same cell twice under one key.
+func noRepeats[T comparable](axis string, vs []T) error {
+	seen := make(map[T]bool, len(vs))
+	for _, v := range vs {
+		if seen[v] {
+			return fmt.Errorf("sweep: axis %s: value %v given twice", axis, v)
+		}
+		seen[v] = true
+	}
+	return nil
 }
 
 func parseMode(s string) (core.Mode, error) {
@@ -225,7 +238,7 @@ func parseUints(axis string, list []string) ([]uint64, error) {
 		}
 		out = append(out, v)
 	}
-	return out, nil
+	return out, noRepeats(axis, out)
 }
 
 func parseInts(axis string, list []string) ([]int, error) {
@@ -237,7 +250,7 @@ func parseInts(axis string, list []string) ([]int, error) {
 		}
 		out = append(out, v)
 	}
-	return out, nil
+	return out, noRepeats(axis, out)
 }
 
 // parseChurn parses the storm-interval axis: positive record counts, or
@@ -251,7 +264,7 @@ func parseChurn(list []string) ([]int, error) {
 		}
 		out = append(out, v)
 	}
-	return out, nil
+	return out, noRepeats("churn", out)
 }
 
 // Canonical renders the spec in fixed axis order with its original value

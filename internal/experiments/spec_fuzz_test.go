@@ -9,9 +9,9 @@ import (
 // FuzzParseSpec throws arbitrary grid specs at the parser. The
 // invariants: no input panics; every accepted spec contains only
 // registered schemes and positive geometry whose pom-mb byte counts fit
-// in 64 bits; and the canonical rendering re-parses to the same
-// canonical form (the journal's fingerprint depends on that fixed
-// point).
+// in 64 bits; its cells have distinct keys, so no cell runs twice; and
+// the canonical rendering re-parses to the same canonical form (the
+// journal's fingerprint depends on that fixed point).
 func FuzzParseSpec(f *testing.F) {
 	f.Add("")
 	f.Add("schemes=pom-tlb,tsb:pom-mb=4,8,16:pom-ways=2,4")
@@ -28,6 +28,8 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("churn=-2")
 	f.Add("phases=1")
 	f.Add("schemes=pom-tlb:pom-mb=17592186044432") // 16 MiB under a bare shift
+	f.Add("schemes=pom-tlb:pom-mb=4,04")
+	f.Add("seeds=1,1")
 	f.Fuzz(func(t *testing.T, s string) {
 		sp, err := ParseSpec(s)
 		if err != nil {
@@ -69,6 +71,24 @@ func FuzzParseSpec(f *testing.F) {
 		for _, v := range sp.Phases {
 			if v <= 0 {
 				t.Errorf("ParseSpec(%q) accepted phases=%d", s, v)
+			}
+		}
+		// Enumerate small grids only: the product of long lists is large.
+		size := 1
+		for _, n := range []int{len(sp.Schemes), len(sp.PomMB), len(sp.PomWays), len(sp.Cores),
+			len(sp.Seeds), len(sp.Tenants), len(sp.Churn), len(sp.Phases)} {
+			size *= max(n, 1)
+			if size > 1<<12 {
+				break
+			}
+		}
+		if size <= 1<<12 {
+			keys := map[string]bool{}
+			for _, c := range sp.Cells([]string{"gups", "mcf"}) {
+				if keys[c.Key()] {
+					t.Errorf("ParseSpec(%q) accepted a grid with cell %q twice", s, c.Key())
+				}
+				keys[c.Key()] = true
 			}
 		}
 		canon := sp.Canonical()

@@ -67,6 +67,11 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 		"pom-mb=17592186044416",
 		"cores=512", // past the 8-bit trace-thread limit
 		"tenants=2", // below the three tenant tiers
+		// A repeated parsed value would run one cell twice.
+		"schemes=pom-tlb:pom-mb=4,04",
+		"seeds=1,1",
+		"schemes=tsb,pom-tlb,tsb",
+		"churn=-1,5000,-1",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)

@@ -22,7 +22,7 @@ func Example_nestedWalk() {
 	}
 
 	va := addr.VA(0x7f12_3456_7000)
-	if _, err := vm.Touch(1, va, addr.Page4K); err != nil {
+	if _, err := vm.Touch(vm.GuestTable(1), va, addr.Page4K); err != nil {
 		log.Fatal(err)
 	}
 
@@ -51,7 +51,7 @@ func Example_nestedWalk() {
 	fmt.Printf("→ %d reference(s), %d cycles\n\n", res.Refs, res.Latency)
 
 	fmt.Println("for comparison, a cold native (non-virtualized) walk:")
-	if _, _, err := hyp.TouchNative(1, va, addr.Page4K); err != nil {
+	if _, _, err := hyp.TouchNative(hyp.NativeProcess(1), va, addr.Page4K); err != nil {
 		log.Fatal(err)
 	}
 	ref = 0

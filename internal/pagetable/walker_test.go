@@ -311,7 +311,7 @@ func TestWalkerAccessors(t *testing.T) {
 	mem, _ := flatMem(1)
 	cfg := DefaultWalkerConfig()
 	w := NewWalker(cfg, mem)
-	got := []int{len(w.pml4c.entries), len(w.pdpc.entries), len(w.pdec.entries), len(w.nested.entries)}
+	got := []int{len(w.pml4c.keys), len(w.pdpc.keys), len(w.pdec.keys), len(w.nested.keys)}
 	want := []int{cfg.PML4Entries, cfg.PDPEntries, cfg.PDEEntries, cfg.NestedTLB}
 	for i := range want {
 		if got[i] != want[i] {

@@ -70,6 +70,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pomtlb: %d MiB exceeds the %d MiB limit", c.SizeBytes>>20, maxSizeBytes>>20)
 	case c.Ways <= 0:
 		return fmt.Errorf("pomtlb: ways must be positive")
+	case uint64(c.Ways) > c.SizeBytes/EntryBytes:
+		// Also keeps Ways*EntryBytes from wrapping to a small set size.
+		return fmt.Errorf("pomtlb: a %d-way set exceeds the %d-byte TLB", c.Ways, c.SizeBytes)
 	case c.SmallFraction <= 0 || c.SmallFraction >= 1:
 		return fmt.Errorf("pomtlb: SmallFraction must be in (0,1)")
 	case c.BaseAddr%addr.CacheLineSize != 0:

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
+	"repro/internal/lru"
 	"repro/internal/stats"
 )
 
@@ -22,11 +23,6 @@ type Entry struct {
 	PFN   uint64 // host physical frame number at Size granularity
 	Size  addr.PageSize
 	Valid bool
-}
-
-// matches reports whether the entry translates the given page.
-func (e Entry) matches(vm addr.VMID, pid addr.PID, vpn uint64, size addr.PageSize) bool {
-	return e.Valid && e.VM == vm && e.PID == pid && e.VPN == vpn && e.Size == size
 }
 
 // Config describes one SRAM TLB.
@@ -43,19 +39,24 @@ type Config struct {
 	Latency uint64
 }
 
-// maxEntries bounds Entries. New allocates every way up front, at 40 B
-// of host memory per entry, so an unchecked count from a config file
-// would exhaust host memory before anything could reject it. 1 Mi
-// entries cost 40 MiB, about 680× Table 1's 1536-entry L2 TLB, and hold
-// the largest TLB a scheme builds: the shared L2 TLB of 256 cores
-// (393,216 entries).
+// maxEntries bounds Entries. New allocates every way up front, at 16 B
+// of host memory per entry plus one 8 B recency word per set, so an
+// unchecked count from a config file would exhaust host memory before
+// anything could reject it. 1 Mi entries cost 16 MiB plus the recency
+// words (24 MiB at most, direct-mapped), about 680× Table 1's
+// 1536-entry L2 TLB, and hold the largest TLB a scheme builds: the
+// shared L2 TLB of 256 cores (393,216 entries).
 const maxEntries = 1 << 20
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Ways is at most lru.MaxWays,
+// since a set's recency order is one word of 4-bit way numbers; the
+// widest Table 1 TLB, the L2, has 12.
 func (c Config) Validate() error {
 	switch {
 	case c.Entries <= 0 || c.Ways <= 0:
 		return fmt.Errorf("tlb %q: entries and ways must be positive", c.Name)
+	case c.Ways > lru.MaxWays:
+		return fmt.Errorf("tlb %q: %d %w", c.Name, c.Ways, lru.ErrTooManyWays)
 	case c.Entries > maxEntries:
 		return fmt.Errorf("tlb %q: %d entries exceed the %d-entry limit", c.Name, c.Entries, maxEntries)
 	case c.Entries%c.Ways != 0:
@@ -119,10 +120,52 @@ type Shadow interface {
 	InvalidateAll()
 }
 
-// slot is one TLB way.
-type slot struct {
-	entry Entry
-	lru   uint64
+// A way is one TTE, laid out as the TSB lays out its slots: a tag word
+// naming the translation and a data word carrying it. An all-zero tag is
+// an invalid way.
+//
+//	tag   bits 0-35 VPN, 36-37 page size, 40-55 VM ID, 63 valid
+//	data  bits 0-39 PFN, 40-55 process ID
+const (
+	vpnBits   = 36
+	sizeShift = 36
+	vmShift   = 40
+	validBit  = 1 << 63
+	pfnBits   = 40
+	pidShift  = 40
+	vpnMask   = 1<<vpnBits - 1
+	pfnMask   = 1<<pfnBits - 1
+	// ownerMask selects the tag's valid bit and VM ID.
+	ownerMask = validBit | 0xFFFF<<vmShift
+)
+
+// tag returns the tag word of (vm, vpn, size)'s translation.
+func tag(vm addr.VMID, vpn uint64, size addr.PageSize) uint64 {
+	return validBit | uint64(vm)<<vmShift | uint64(size)<<sizeShift | vpn
+}
+
+// decode returns the entry a valid way's tag and data words hold.
+func decode(tag, data uint64) Entry {
+	return Entry{
+		VM: addr.VMID(tag >> vmShift), PID: addr.PID(data >> pidShift),
+		VPN: tag & vpnMask, PFN: data & pfnMask,
+		Size: addr.PageSize(tag >> sizeShift & 3), Valid: true,
+	}
+}
+
+// find returns the way of a set holding (vm, pid, vpn, size)'s
+// translation, or -1. A VPN too wide for the tag field is never resident.
+func find(tags, data []uint64, vm addr.VMID, pid addr.PID, vpn uint64, size addr.PageSize) int {
+	if vpn>>vpnBits != 0 {
+		return -1
+	}
+	want := tag(vm, vpn, size)
+	for i, w := range tags {
+		if w == want && data[i]>>pidShift == uint64(pid) {
+			return i
+		}
+	}
+	return -1
 }
 
 // hook wraps an attached Shadow behind a concrete pointer: the
@@ -134,14 +177,15 @@ type hook struct{ s Shadow }
 // TLB is a set-associative translation lookaside buffer for a single page
 // size class, or for both when used as a unified structure (the page size
 // is part of the tag and the set index is computed at each size). All
-// ways live in one contiguous slot array; set i occupies
-// slots[i*Ways : (i+1)*Ways].
+// sets live in one contiguous array of 2*Ways+1 words per set: set i's
+// Ways tag words, then their Ways data words, then its recency word, an
+// lru.Order of the ways. A probe compares tag words, and the data word's
+// PID only on a tag match.
 type TLB struct {
 	cfg     Config
-	slots   []slot
+	sets    []uint64
 	ways    int
 	setMask uint64
-	clock   uint64
 	stats   stats.HitMiss
 	shadow  *hook
 }
@@ -151,13 +195,18 @@ func New(cfg Config) (*TLB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := cfg.Entries / cfg.Ways
-	return &TLB{
+	n, stride := cfg.Entries/cfg.Ways, 2*cfg.Ways+1
+	t := &TLB{
 		cfg:     cfg,
-		slots:   make([]slot, cfg.Entries),
+		sets:    make([]uint64, n*stride),
 		ways:    cfg.Ways,
 		setMask: uint64(n - 1),
-	}, nil
+	}
+	order := uint64(lru.NewOrder(cfg.Ways))
+	for i := stride - 1; i < len(t.sets); i += stride {
+		t.sets[i] = order
+	}
+	return t, nil
 }
 
 // MustNew is New but panics on invalid configuration — the historical
@@ -185,25 +234,34 @@ func (t *TLB) SetShadow(s Shadow) {
 // Latency returns the lookup latency in cycles.
 func (t *TLB) Latency() uint64 { return t.cfg.Latency }
 
+// block returns the tag words, data words and recency word of set si.
+func (t *TLB) block(si uint64) (tags, data []uint64, order *uint64) {
+	n := uint64(t.ways)
+	b := t.sets[si*(2*n+1) : (si+1)*(2*n+1)]
+	return b[:n:n], b[n : 2*n : 2*n], &b[2*n]
+}
+
 // setFor returns the set for a VPN.
-func (t *TLB) setFor(vpn uint64) []slot {
-	i := (vpn & t.setMask) * uint64(t.ways)
-	return t.slots[i : i+uint64(t.ways)]
+func (t *TLB) setFor(vpn uint64) (tags, data []uint64, order *uint64) {
+	return t.block(vpn & t.setMask)
+}
+
+// touch makes way the most recently used of its set.
+func (t *TLB) touch(order *uint64, way int) {
+	*order = uint64(lru.Order(*order).Touch(way, t.ways))
 }
 
 // lookupSize probes one page-size interpretation of va.
 func (t *TLB) lookupSize(vm addr.VMID, pid addr.PID, va addr.VA, size addr.PageSize) (Entry, bool) {
 	vpn := va.VPN(size)
-	set := t.setFor(vpn)
-	for i := range set {
-		if set[i].entry.matches(vm, pid, vpn, size) {
-			t.clock++
-			set[i].lru = t.clock
-			if t.shadow != nil {
-				t.shadow.s.LookupSize(vm, pid, va, size, true, set[i].entry)
-			}
-			return set[i].entry, true
+	tags, data, order := t.setFor(vpn)
+	if i := find(tags, data, vm, pid, vpn, size); i >= 0 {
+		t.touch(order, i)
+		e := decode(tags[i], data[i])
+		if t.shadow != nil {
+			t.shadow.s.LookupSize(vm, pid, va, size, true, e)
 		}
+		return e, true
 	}
 	if t.shadow != nil {
 		t.shadow.s.LookupSize(vm, pid, va, size, false, Entry{})
@@ -233,53 +291,50 @@ func (t *TLB) Lookup(vm addr.VMID, pid addr.PID, va addr.VA) (Entry, bool) {
 // LookupOnly probes for a specific page size without touching statistics or
 // LRU state; used by consistency checks in tests.
 func (t *TLB) LookupOnly(vm addr.VMID, pid addr.PID, vpn uint64, size addr.PageSize) bool {
-	for _, s := range t.setFor(vpn) {
-		if s.entry.matches(vm, pid, vpn, size) {
-			return true
-		}
-	}
-	return false
+	tags, data, _ := t.setFor(vpn)
+	return find(tags, data, vm, pid, vpn, size) >= 0
 }
 
 // Insert adds a translation, evicting the set's LRU entry when full. The
 // displaced entry (if any) is returned so a caller can maintain a victim
-// path or (for the POM-TLB hierarchy) write it down a level.
+// path or (for the POM-TLB hierarchy) write it down a level. A VPN or PFN
+// too wide for its TTE field is a bug upstream (the trace boundary admits
+// only canonical addresses), and panics rather than alias another page.
 func (t *TLB) Insert(e Entry) (victim Entry, evicted bool) {
 	if !e.Valid {
 		return Entry{}, false
 	}
-	t.clock++
-	set := t.setFor(e.VPN)
+	if e.VPN>>vpnBits != 0 || e.PFN>>pfnBits != 0 {
+		panic(fmt.Sprintf("tlb: %v does not fit the %d-bit VPN and %d-bit PFN fields", e, vpnBits, pfnBits))
+	}
+	tags, data, order := t.setFor(e.VPN)
+	want, word := tag(e.VM, e.VPN, e.Size), uint64(e.PID)<<pidShift|e.PFN
 	// Scan the whole set for a match before choosing a victim: stopping
 	// the search at an invalid way would miss a matching entry beyond it
 	// and install a duplicate.
-	for i := range set {
-		s := &set[i]
-		if s.entry.matches(e.VM, e.PID, e.VPN, e.Size) {
-			s.entry = e // refresh (PFN may have changed after remap)
-			s.lru = t.clock
+	free := -1
+	for i, w := range tags {
+		if w == want && data[i]>>pidShift == uint64(e.PID) {
+			data[i] = word // refresh (PFN may have changed after remap)
+			t.touch(order, i)
 			if t.shadow != nil {
 				t.shadow.s.Insert(e, Entry{}, false)
 			}
 			return Entry{}, false
 		}
-	}
-	vi := 0
-	for i := range set {
-		if !set[i].entry.Valid {
-			vi = i
-			break
-		}
-		if set[i].lru < set[vi].lru {
-			vi = i
+		if w == 0 && free < 0 {
+			free = i
 		}
 	}
-	s := &set[vi]
-	if s.entry.Valid {
-		victim, evicted = s.entry, true
+	v := free
+	if v < 0 {
+		// A full set: every way was touched when it was filled, so the
+		// least recently used rank holds the LRU entry.
+		v = lru.Order(*order).Way(0)
+		victim, evicted = decode(tags[v], data[v]), true
 	}
-	s.entry = e
-	s.lru = t.clock
+	tags[v], data[v] = want, word
+	t.touch(order, v)
 	if t.shadow != nil {
 		t.shadow.s.Insert(e, victim, evicted)
 	}
@@ -287,15 +342,14 @@ func (t *TLB) Insert(e Entry) (victim Entry, evicted bool) {
 }
 
 // InvalidatePage drops one translation (TLB shootdown of a single page).
+// The set's recency order is left alone: the freed way is refilled by
+// index, and a fill touches it.
 func (t *TLB) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, size addr.PageSize) bool {
-	found := false
-	set := t.setFor(vpn)
-	for i := range set {
-		if set[i].entry.matches(vm, pid, vpn, size) {
-			set[i] = slot{}
-			found = true
-			break
-		}
+	tags, data, _ := t.setFor(vpn)
+	i := find(tags, data, vm, pid, vpn, size)
+	found := i >= 0
+	if found {
+		tags[i], data[i] = 0, 0
 	}
 	if t.shadow != nil {
 		t.shadow.s.InvalidatePage(vm, pid, vpn, size, found)
@@ -306,12 +360,15 @@ func (t *TLB) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, size addr.P
 // InvalidateProcess drops every translation of (vm, pid) — the shootdown
 // a process exit requires before its PID can be recycled (§2.2).
 func (t *TLB) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
+	own := validBit | uint64(vm)<<vmShift
 	n := 0
-	for i := range t.slots {
-		e := t.slots[i].entry
-		if e.Valid && e.VM == vm && e.PID == pid {
-			t.slots[i] = slot{}
-			n++
+	for si := uint64(0); si <= t.setMask; si++ {
+		tags, data, _ := t.block(si)
+		for i, w := range tags {
+			if w&ownerMask == own && data[i]>>pidShift == uint64(pid) {
+				tags[i], data[i] = 0, 0
+				n++
+			}
 		}
 	}
 	if t.shadow != nil {
@@ -322,8 +379,10 @@ func (t *TLB) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
 
 // InvalidateAll flushes the TLB.
 func (t *TLB) InvalidateAll() {
-	for i := range t.slots {
-		t.slots[i] = slot{}
+	for si := uint64(0); si <= t.setMask; si++ {
+		tags, data, _ := t.block(si)
+		clear(tags)
+		clear(data)
 	}
 	if t.shadow != nil {
 		t.shadow.s.InvalidateAll()
@@ -331,47 +390,38 @@ func (t *TLB) InvalidateAll() {
 }
 
 // CheckInvariants validates the TLB's internal structural invariants:
-// every valid entry resides in the set its VPN indexes, LRU stamps are
-// unique within a set and never ahead of the TLB clock (the LRU stack
-// property), and no translation is duplicated anywhere in the structure.
-// It returns the first violation found, or nil.
+// every way without a valid tag is all zero, every valid entry resides in
+// the set its VPN indexes, each recency word ranks every way of its set
+// exactly once, and no translation is duplicated anywhere in the
+// structure. It returns the first violation found, or nil.
 func (t *TLB) CheckInvariants() error {
-	type key struct {
-		vm   addr.VMID
-		pid  addr.PID
-		vpn  uint64
-		size addr.PageSize
-	}
-	seen := make(map[key]uint64, t.cfg.Entries)
-	numSets := len(t.slots) / t.ways
-	for si := 0; si < numSets; si++ {
-		set := t.slots[si*t.ways : (si+1)*t.ways]
-		stamps := make(map[uint64]int, len(set))
-		for wi := range set {
-			e := set[wi].entry
-			if !e.Valid {
+	seen := make(map[Entry]uint64, t.cfg.Entries)
+	for si := uint64(0); si <= t.setMask; si++ {
+		tags, data, order := t.block(si)
+		if !lru.Order(*order).Valid(t.ways) {
+			return fmt.Errorf("tlb %q: set %d recency word %#x does not rank its %d ways",
+				t.cfg.Name, si, *order, t.ways)
+		}
+		for wi, w := range tags {
+			if w&validBit == 0 {
+				if w != 0 || data[wi] != 0 {
+					return fmt.Errorf("tlb %q: set %d way %d holds tag %#x and data %#x without its valid bit",
+						t.cfg.Name, si, wi, w, data[wi])
+				}
 				continue
 			}
-			if want := e.VPN & t.setMask; want != uint64(si) {
+			e := decode(w, data[wi])
+			if want := e.VPN & t.setMask; want != si {
 				return fmt.Errorf("tlb %q: entry %v resident in set %d, its VPN indexes set %d",
 					t.cfg.Name, e, si, want)
 			}
-			lru := set[wi].lru
-			if lru > t.clock {
-				return fmt.Errorf("tlb %q: set %d way %d LRU stamp %d ahead of clock %d",
-					t.cfg.Name, si, wi, lru, t.clock)
-			}
-			if prev, dup := stamps[lru]; dup {
-				return fmt.Errorf("tlb %q: set %d ways %d and %d share LRU stamp %d",
-					t.cfg.Name, si, prev, wi, lru)
-			}
-			stamps[lru] = wi
-			k := key{e.VM, e.PID, e.VPN, e.Size}
+			k := e
+			k.PFN = 0 // one translation per (VM, PID, VPN, size), whatever its frame
 			if prev, dup := seen[k]; dup {
 				return fmt.Errorf("tlb %q: %v duplicated in sets %d and %d",
 					t.cfg.Name, e, prev, si)
 			}
-			seen[k] = uint64(si)
+			seen[k] = si
 		}
 	}
 	return nil

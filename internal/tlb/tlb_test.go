@@ -1,10 +1,13 @@
 package tlb
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/addr"
+	"repro/internal/lru"
 )
 
 func entry4K(vm addr.VMID, pid addr.PID, vpn, pfn uint64) Entry {
@@ -312,10 +315,110 @@ func TestUnifiedL2Holds1G(t *testing.T) {
 // count returns the number of valid entries in t.
 func count(t *TLB) int {
 	n := 0
-	for i := range t.slots {
-		if t.slots[i].entry.Valid {
-			n++
+	for si := uint64(0); si <= t.setMask; si++ {
+		tags, _, _ := t.block(si)
+		for _, w := range tags {
+			if w&validBit != 0 {
+				n++
+			}
 		}
 	}
 	return n
+}
+
+// TestSetHostBytes pins the host layout of a set: Ways tag words, Ways
+// data words and one recency word, (2*Ways+1)*8 bytes — 16 B per entry,
+// as the TSB's TTEs.
+func TestSetHostBytes(t *testing.T) {
+	for _, cfg := range []Config{L1Small(), L1Large(), L1Huge(), L2Unified(), SharedL2(8)} {
+		tl := MustNew(cfg)
+		sets := cfg.Entries / cfg.Ways
+		if got, want := len(tl.sets)*8, sets*(2*cfg.Ways+1)*8; got != want {
+			t.Errorf("%s: %d host bytes, want %d ((2*Ways+1)*8 per set)", cfg.Name, got, want)
+		}
+	}
+}
+
+// TestValidateRefusesWideSets pins the 16-way limit of the recency word:
+// 16 ways build, 17 are refused with lru.ErrTooManyWays.
+func TestValidateRefusesWideSets(t *testing.T) {
+	if err := (Config{Name: "w16", Entries: 16, Ways: 16}).Validate(); err != nil {
+		t.Errorf("16 ways: %v", err)
+	}
+	err := Config{Name: "w17", Entries: 17, Ways: 17}.Validate()
+	if !errors.Is(err, lru.ErrTooManyWays) {
+		t.Errorf("17 ways: Validate = %v, want lru.ErrTooManyWays", err)
+	}
+}
+
+// TestInsertPanicsOnWideFields: a VPN or PFN wider than its TTE field
+// would alias another page, so Insert refuses it loudly, as the TSB and
+// the POM-TLB do; a probe for such a VPN misses.
+func TestInsertPanicsOnWideFields(t *testing.T) {
+	for _, e := range []Entry{entry4K(1, 1, 1<<36, 1), entry4K(1, 1, 1, 1<<40)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Insert(%+v) did not panic", e)
+				}
+			}()
+			MustNew(L2Unified()).Insert(e)
+		}()
+	}
+	tl := MustNew(L2Unified())
+	tl.Insert(Entry{VM: 1, PID: 1, VPN: 5, PFN: 9, Size: addr.Page4K, Valid: true})
+	// 1<<40 | 5 would OR into the VM field of the tag (VM 1 -> VM 0 | 1<<40).
+	if tl.LookupOnly(0, 1, 1<<40|5, addr.Page4K) {
+		t.Error("a VPN wider than the tag field hit another VM's entry")
+	}
+}
+
+// TestEntryRoundTripsThroughTTE checks that every field an entry carries
+// comes back from the packed tag and data words at its widest value.
+func TestEntryRoundTripsThroughTTE(t *testing.T) {
+	tl := MustNew(Config{Name: "rt", Entries: 4, Ways: 4})
+	for _, e := range []Entry{
+		{VM: 0xFFFF, PID: 0xFFFF, VPN: 1<<36 - 1, PFN: 1<<40 - 1, Size: addr.Page4K, Valid: true},
+		{VM: 0, PID: 0, VPN: 0, PFN: 0, Size: addr.Page4K, Valid: true},
+		{VM: 7, PID: 0x8000, VPN: 0x1234567, PFN: 0xABCDEF0123, Size: addr.Page2M, Valid: true},
+		{VM: 0x8001, PID: 3, VPN: 0x3FFFF, PFN: 1<<40 - 1, Size: addr.Page1G, Valid: true},
+	} {
+		tl.Insert(e)
+		va := addr.VA(e.VPN << e.Size.Shift())
+		if got, ok := tl.lookupSize(e.VM, e.PID, va, e.Size); !ok || got != e {
+			t.Errorf("round trip of %+v = %+v, %v", e, got, ok)
+		}
+	}
+	if err := tl.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// CheckInvariants must catch a corrupted set: a recency word that ranks
+// a way twice, and a way holding data without a valid tag.
+func TestCheckInvariantsCatchesCorruptSets(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(tl *TLB)
+		want    string
+	}{
+		{"way ranked twice", func(tl *TLB) {
+			_, _, order := tl.block(1)
+			*order = 0
+		}, "does not rank its 2 ways"},
+		{"data without tag", func(tl *TLB) {
+			_, data, _ := tl.block(0)
+			data[1] = 3
+		}, "without its valid bit"},
+	} {
+		tl := MustNew(Config{Name: "tiny", Entries: 4, Ways: 2}) // 2 sets
+		tl.Insert(entry4K(1, 1, 1, 1))                           // set 1
+		if err := tl.CheckInvariants(); err != nil {
+			t.Fatalf("%s: clean TLB: %v", tc.name, err)
+		}
+		tc.corrupt(tl)
+		if err := tl.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants = %v, want error containing %q", tc.name, err, tc.want)
+		}
+	}
 }

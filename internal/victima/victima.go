@@ -16,6 +16,7 @@
 package victima
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/addr"
@@ -43,15 +44,29 @@ func DefaultConfig() Config {
 	return Config{Name: "Victima", DonatedWays: 2}
 }
 
+// maxEntries bounds Sets × DonatedWays. New allocates every entry up
+// front, at 40 B of host memory each, so an unchecked set count from a
+// config file, or one derived from a large L2 (a 1 GiB direct-mapped L2
+// has 16 Mi sets), would exhaust host memory before anything could
+// reject it. 1 Mi entries per core is the SRAM TLBs' limit too, and 512×
+// the default store of 1024 L2 sets × 2 entries.
+const maxEntries = 1 << 20
+
+// ErrTooManyEntries is the error Validate wraps for a store above
+// maxEntries.
+var ErrTooManyEntries = errors.New("entries exceed the 1048576-entry limit")
+
 // Validate reports configuration errors. DonatedWays == 0 is legal (the
 // degenerate baseline); a positive donation needs a power-of-two set
-// count (or 0, derived later).
+// count (or 0, derived later) of at most maxEntries entries.
 func (c Config) Validate() error {
 	switch {
 	case c.DonatedWays < 0:
 		return fmt.Errorf("victima %q: negative donated ways", c.Name)
 	case c.DonatedWays > 8:
 		return fmt.Errorf("victima %q: %d donated ways exceed a 64B block's 8 PTE slots", c.Name, c.DonatedWays)
+	case c.DonatedWays > 0 && c.Sets > maxEntries/uint64(c.DonatedWays):
+		return fmt.Errorf("victima %q: %d sets of %d %w", c.Name, c.Sets, c.DonatedWays, ErrTooManyEntries)
 	case c.Sets != 0 && c.Sets&(c.Sets-1) != 0:
 		return fmt.Errorf("victima %q: %d sets is not a power of two", c.Name, c.Sets)
 	}

@@ -156,10 +156,10 @@ func (h *Hypervisor) NativeProcess(pid addr.PID) *pagetable.Table {
 	return t
 }
 
-// TouchNative ensures a native mapping exists, allocating a host frame on
-// first touch. Returns the leaf entry and whether it was newly created.
-func (h *Hypervisor) TouchNative(pid addr.PID, va addr.VA, size addr.PageSize) (pagetable.Entry, bool, error) {
-	t := h.NativeProcess(pid)
+// TouchNative ensures a native mapping exists in t, a table NativeProcess
+// returned, allocating a host frame on first touch. Returns the leaf entry
+// and whether it was newly created.
+func (h *Hypervisor) TouchNative(t *pagetable.Table, va addr.VA, size addr.PageSize) (pagetable.Entry, bool, error) {
 	aligned := uint64(va.PageBase(size))
 	if e, ok := t.Lookup(aligned); ok {
 		return e, false, nil
@@ -191,7 +191,8 @@ func (vm *VM) EPT() *pagetable.Table { return vm.ept }
 // GuestTable returns (creating if needed) the guest page table of a
 // process. Its nodes live in guest physical space; every node frame is
 // EPT-mapped when created (see Touch), since the hardware walker must be
-// able to host-translate it.
+// able to host-translate it. Creating a table allocates no frame until
+// its first mapping, so a caller may resolve it ahead of use.
 func (vm *VM) GuestTable(pid addr.PID) *pagetable.Table {
 	t, ok := vm.procs[pid]
 	if !ok {
@@ -216,13 +217,13 @@ func (vm *VM) eptMapNodes(nodes []uint64) error {
 	return nil
 }
 
-// Touch ensures va is fully mapped for (pid): guest table maps the page to
-// a fresh guest frame, the EPT maps that frame (and any new guest table
-// nodes) to host frames. size selects 4 KB or THP-style 2 MB backing.
-// Touching an already-mapped page is a cheap no-op. The returned flag is
-// true when a new mapping was created.
-func (vm *VM) Touch(pid addr.PID, va addr.VA, size addr.PageSize) (bool, error) {
-	gt := vm.GuestTable(pid)
+// Touch ensures va is fully mapped in gt, a guest table of this VM that
+// GuestTable returned: gt maps the page to a fresh guest frame, the EPT
+// maps that frame (and any new guest table nodes) to host frames. size
+// selects 4 KB or THP-style 2 MB backing. Touching an already-mapped page
+// is a cheap no-op. The returned flag is true when a new mapping was
+// created.
+func (vm *VM) Touch(gt *pagetable.Table, va addr.VA, size addr.PageSize) (bool, error) {
 	aligned := uint64(va.PageBase(size))
 	if e, ok := gt.Lookup(aligned); ok && e.Size == size {
 		return false, nil
@@ -243,10 +244,10 @@ func (vm *VM) Touch(pid addr.PID, va addr.VA, size addr.PageSize) (bool, error) 
 	return true, nil
 }
 
-// Translate resolves a guest virtual address logically (no timing): the
-// ground truth the timed translation paths must agree with.
-func (vm *VM) Translate(pid addr.PID, va addr.VA) (addr.HPA, addr.PageSize, bool) {
-	gt := vm.GuestTable(pid)
+// Translate resolves a guest virtual address through gt, a guest table of
+// this VM, logically (no timing): the ground truth the timed translation
+// paths must agree with.
+func (vm *VM) Translate(gt *pagetable.Table, va addr.VA) (addr.HPA, addr.PageSize, bool) {
 	ge, ok := gt.Lookup(uint64(va))
 	if !ok {
 		return 0, 0, false

@@ -90,10 +90,10 @@ func TestNewVMValidation(t *testing.T) {
 func TestTouchAndTranslate4K(t *testing.T) {
 	_, vm := newVM(t)
 	va := addr.VA(0x7f00_1234_5000)
-	if _, err := vm.Touch(1, va, addr.Page4K); err != nil {
+	if _, err := vm.Touch(vm.GuestTable(1), va, addr.Page4K); err != nil {
 		t.Fatal(err)
 	}
-	hpa, size, ok := vm.Translate(1, va+0x123)
+	hpa, size, ok := vm.Translate(vm.GuestTable(1), va+0x123)
 	if !ok || size != addr.Page4K {
 		t.Fatalf("Translate = %v, %v, %v", hpa, size, ok)
 	}
@@ -108,10 +108,10 @@ func TestTouchAndTranslate4K(t *testing.T) {
 func TestTouchAndTranslate2M(t *testing.T) {
 	_, vm := newVM(t)
 	va := addr.VA(0x4000_0000)
-	if _, err := vm.Touch(1, va, addr.Page2M); err != nil {
+	if _, err := vm.Touch(vm.GuestTable(1), va, addr.Page2M); err != nil {
 		t.Fatal(err)
 	}
-	hpa, size, ok := vm.Translate(1, va+0x12_3456)
+	hpa, size, ok := vm.Translate(vm.GuestTable(1), va+0x12_3456)
 	if !ok || size != addr.Page2M {
 		t.Fatalf("Translate = %v, %v, %v", hpa, size, ok)
 	}
@@ -123,10 +123,10 @@ func TestTouchAndTranslate2M(t *testing.T) {
 func TestTouchIdempotent(t *testing.T) {
 	_, vm := newVM(t)
 	va := addr.VA(0x1000)
-	vm.Touch(1, va, addr.Page4K)
-	h1, _, _ := vm.Translate(1, va)
-	vm.Touch(1, va, addr.Page4K)
-	h2, _, _ := vm.Translate(1, va)
+	vm.Touch(vm.GuestTable(1), va, addr.Page4K)
+	h1, _, _ := vm.Translate(vm.GuestTable(1), va)
+	vm.Touch(vm.GuestTable(1), va, addr.Page4K)
+	h2, _, _ := vm.Translate(vm.GuestTable(1), va)
 	if h1 != h2 {
 		t.Errorf("re-touch changed mapping: %v vs %v", h1, h2)
 	}
@@ -134,7 +134,7 @@ func TestTouchIdempotent(t *testing.T) {
 
 func TestTranslateUnmapped(t *testing.T) {
 	_, vm := newVM(t)
-	if _, _, ok := vm.Translate(1, 0xdead_0000); ok {
+	if _, _, ok := vm.Translate(vm.GuestTable(1), 0xdead_0000); ok {
 		t.Error("unmapped VA should not translate")
 	}
 }
@@ -142,7 +142,7 @@ func TestTranslateUnmapped(t *testing.T) {
 func TestGuestNodesAreEPTMapped(t *testing.T) {
 	_, vm := newVM(t)
 	va := addr.VA(0x7f00_0000_0000)
-	if _, err := vm.Touch(1, va, addr.Page4K); err != nil {
+	if _, err := vm.Touch(vm.GuestTable(1), va, addr.Page4K); err != nil {
 		t.Fatal(err)
 	}
 	// Every guest page-table node must be EPT-mapped or the hardware 2D
@@ -162,7 +162,7 @@ func TestGuestNodesAreEPTMapped(t *testing.T) {
 func TestFull2DWalkThroughVirtTables(t *testing.T) {
 	_, vm := newVM(t)
 	va := addr.VA(0x7f00_0000_1000)
-	if _, err := vm.Touch(1, va, addr.Page4K); err != nil {
+	if _, err := vm.Touch(vm.GuestTable(1), va, addr.Page4K); err != nil {
 		t.Fatal(err)
 	}
 	w := pagetable.NewWalker(pagetable.DefaultWalkerConfig(),
@@ -171,7 +171,7 @@ func TestFull2DWalkThroughVirtTables(t *testing.T) {
 	if !res.OK {
 		t.Fatal("2D walk through virt tables failed")
 	}
-	want, size, _ := vm.Translate(1, va)
+	want, size, _ := vm.Translate(vm.GuestTable(1), va)
 	if res.HPFN != want.PFN(size) {
 		t.Errorf("walker HPFN %#x != logical %#x", res.HPFN, want.PFN(size))
 	}
@@ -185,10 +185,10 @@ func uint16AsVMID(x uint16) addr.VMID { return addr.VMID(x) }
 func TestProcessIsolation(t *testing.T) {
 	_, vm := newVM(t)
 	va := addr.VA(0x1000)
-	vm.Touch(1, va, addr.Page4K)
-	vm.Touch(2, va, addr.Page4K)
-	h1, _, _ := vm.Translate(1, va)
-	h2, _, _ := vm.Translate(2, va)
+	vm.Touch(vm.GuestTable(1), va, addr.Page4K)
+	vm.Touch(vm.GuestTable(2), va, addr.Page4K)
+	h1, _, _ := vm.Translate(vm.GuestTable(1), va)
+	h2, _, _ := vm.Translate(vm.GuestTable(2), va)
 	if h1 == h2 {
 		t.Error("different processes should get different frames")
 	}
@@ -202,10 +202,10 @@ func TestVMIsolation(t *testing.T) {
 	vm1, _ := h.NewVM(1)
 	vm2, _ := h.NewVM(2)
 	va := addr.VA(0x1000)
-	vm1.Touch(1, va, addr.Page4K)
-	vm2.Touch(1, va, addr.Page4K)
-	h1, _, _ := vm1.Translate(1, va)
-	h2, _, _ := vm2.Translate(1, va)
+	vm1.Touch(vm1.GuestTable(1), va, addr.Page4K)
+	vm2.Touch(vm2.GuestTable(1), va, addr.Page4K)
+	h1, _, _ := vm1.Translate(vm1.GuestTable(1), va)
+	h2, _, _ := vm2.Translate(vm2.GuestTable(1), va)
 	if h1 == h2 {
 		t.Error("different VMs should get different host frames")
 	}
@@ -213,7 +213,7 @@ func TestVMIsolation(t *testing.T) {
 
 func TestNativeProcess(t *testing.T) {
 	h := NewHypervisor(DefaultConfig())
-	e, created, err := h.TouchNative(1, 0x1234_5000, addr.Page4K)
+	e, created, err := h.TouchNative(h.NativeProcess(1), 0x1234_5000, addr.Page4K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestNativeProcess(t *testing.T) {
 		t.Fatal("native touch should create a valid entry")
 	}
 	// Idempotent.
-	e2, created2, err := h.TouchNative(1, 0x1234_5000, addr.Page4K)
+	e2, created2, err := h.TouchNative(h.NativeProcess(1), 0x1234_5000, addr.Page4K)
 	if err != nil || e2.PFN != e.PFN || created2 {
 		t.Errorf("second TouchNative = %+v, created=%v, %v", e2, created2, err)
 	}
@@ -236,11 +236,11 @@ func TestNativeProcess(t *testing.T) {
 func TestUnmap(t *testing.T) {
 	_, vm := newVM(t)
 	va := addr.VA(0x1000)
-	vm.Touch(1, va, addr.Page4K)
+	vm.Touch(vm.GuestTable(1), va, addr.Page4K)
 	if !vm.Unmap(1, va, addr.Page4K) {
 		t.Error("Unmap should succeed")
 	}
-	if _, _, ok := vm.Translate(1, va); ok {
+	if _, _, ok := vm.Translate(vm.GuestTable(1), va); ok {
 		t.Error("mapping survived Unmap")
 	}
 	if vm.Unmap(1, va, addr.Page4K) {
@@ -261,10 +261,10 @@ func TestTouchTranslateProperty(t *testing.T) {
 			size = addr.Page2M
 		}
 		va := addr.VA(raw & (1<<48 - 1))
-		if _, err := vm.Touch(1, va, size); err != nil {
+		if _, err := vm.Touch(vm.GuestTable(1), va, size); err != nil {
 			return true // geometry conflict from a prior iteration's size
 		}
-		hpa, gotSize, ok := vm.Translate(1, va)
+		hpa, gotSize, ok := vm.Translate(vm.GuestTable(1), va)
 		if !ok || uint64(hpa)&(gotSize.Bytes()-1) != va.Offset(gotSize) {
 			return false
 		}
