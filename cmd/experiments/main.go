@@ -5,7 +5,7 @@
 //
 //	experiments -all                      # every figure and table
 //	experiments -all -ablations           # ... plus the §4.6 ablations
-//	experiments -fig 8                    # one figure
+//	experiments -fig 8                    # one figure's report section
 //	experiments -table 2                  # one table
 //	experiments -report EXPERIMENTS.md    # write the full markdown report
 //	experiments -quick -fig 8             # short traces, 2 cores
@@ -39,12 +39,12 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 
 	"repro/internal/experiments"
 	"repro/internal/resilience/faultinject"
-	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
@@ -57,14 +57,11 @@ func main() {
 	}
 }
 
-// validFigs are the figure numbers this command can regenerate.
-var validFigs = map[int]bool{2: true, 3: true, 4: true, 8: true, 9: true, 10: true, 11: true, 12: true}
-
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
 		all       = fs.Bool("all", false, "run every figure and table (with -ablations, the §4.6 ablations too)")
-		fig       = fs.Int("fig", 0, "figure number to regenerate (2,3,4,8,9,10,11,12)")
+		fig       = fs.Int("fig", 0, fmt.Sprintf("print the report's section for this figure, one of %v", experiments.Figures))
 		table     = fs.Int("table", 0, "table number to print (1,2)")
 		report    = fs.String("report", "", "write the full markdown report to this file")
 		quick     = fs.Bool("quick", false, "short traces and 2 cores (smoke test); -cores, -refs and -warmup still override")
@@ -112,8 +109,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("-warmup must be non-negative (got %d)", *warmup)
 	case *timeout < 0:
 		return fmt.Errorf("-timeout must be non-negative (got %v)", *timeout)
-	case *fig != 0 && !validFigs[*fig]:
-		return fmt.Errorf("-fig %d: valid figures are 2, 3, 4, 8, 9, 10, 11, 12", *fig)
+	case *fig != 0 && !slices.Contains(experiments.Figures, *fig):
+		return fmt.Errorf("-fig %d: valid figures are %v", *fig, experiments.Figures)
 	case *table != 0 && *table != 1 && *table != 2:
 		return fmt.Errorf("-table %d: valid tables are 1 and 2", *table)
 	case *resume && *ckptPath == "":
@@ -224,82 +221,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return describeDegraded(out, experiments.Report(ctx, out, r, *ablations))
 	}
 
-	switch {
-	case *table == 1:
+	switch *table {
+	case 1:
 		fmt.Fprint(out, experiments.Table1())
-	case *table == 2:
+	case 2:
 		fmt.Fprint(out, experiments.Table2())
-	case *fig == 2:
-		rows, err := experiments.Figure2(ctx, r)
-		names, vals := make([]string, len(rows)), make([]float64, len(rows))
-		for i, row := range rows {
-			names[i], vals[i] = row.Name, row.SimCyc
-		}
-		fmt.Fprint(out, experiments.RenderBars("Figure 2 — simulated baseline cycles per L2 TLB miss", names, vals, "cyc"))
-		return describeDegraded(out, err)
-	case *fig == 3:
-		rows, err := experiments.Figure3(ctx, r)
-		names, vals := make([]string, len(rows)), make([]float64, len(rows))
-		for i, row := range rows {
-			names[i], vals[i] = row.Name, row.SimRatio
-		}
-		fmt.Fprint(out, experiments.RenderBars("Figure 3 — virtualized / native translation cost", names, vals, "x"))
-		return describeDegraded(out, err)
-	case *fig == 4:
-		t := stats.NewTable("capacity", "normalized latency")
-		for _, pt := range experiments.Figure4() {
-			t.AddRow(fmt.Sprintf("%dKB", pt.CapacityBytes>>10), fmt.Sprintf("%.2f", pt.Normalized))
-		}
-		fmt.Fprint(out, t.String())
-	case *fig == 8:
-		rows, sum, err := experiments.Figure8(ctx, r)
-		t := stats.NewTable("benchmark", "POM-TLB %", "Shared_L2 %", "TSB %")
-		for _, row := range rows {
-			t.AddRow(row.Name, fmt.Sprintf("%.2f", row.POM),
-				fmt.Sprintf("%.2f", row.Shared), fmt.Sprintf("%.2f", row.TSB))
-		}
-		if len(rows) > 0 {
-			t.AddRow("GEOMEAN", fmt.Sprintf("%.2f", sum.POMGeomeanPct),
-				fmt.Sprintf("%.2f", sum.SharedGeomeanPct), fmt.Sprintf("%.2f", sum.TSBGeomeanPct))
-		}
-		fmt.Fprint(out, t.String())
-		return describeDegraded(out, err)
-	case *fig == 9:
-		rows, err := experiments.Figure9(ctx, r)
-		t := stats.NewTable("benchmark", "L2D$", "L3D$", "POM-TLB", "walk elim")
-		for _, row := range rows {
-			t.AddRow(row.Name, stats.Pct(row.L2D), stats.Pct(row.L3D),
-				stats.Pct(row.POM), stats.Pct(row.WalkEl))
-		}
-		fmt.Fprint(out, t.String())
-		return describeDegraded(out, err)
-	case *fig == 10:
-		rows, err := experiments.Figure10(ctx, r)
-		t := stats.NewTable("benchmark", "size acc", "bypass acc")
-		for _, row := range rows {
-			t.AddRow(row.Name, stats.Pct(row.SizeAcc), stats.Pct(row.BypassAcc))
-		}
-		fmt.Fprint(out, t.String())
-		return describeDegraded(out, err)
-	case *fig == 11:
-		rows, err := experiments.Figure11(ctx, r)
-		names, vals := make([]string, len(rows)), make([]float64, len(rows))
-		for i, row := range rows {
-			names[i], vals[i] = row.Name, 100*row.RBH
-		}
-		fmt.Fprint(out, experiments.RenderBars("Figure 11 — POM-TLB row-buffer hit rate", names, vals, "%"))
-		return describeDegraded(out, err)
-	case *fig == 12:
-		rows, withAvg, noAvg, err := experiments.Figure12(ctx, r)
-		t := stats.NewTable("benchmark", "with caching %", "without %")
-		for _, row := range rows {
-			t.AddRow(row.Name, fmt.Sprintf("%.2f", row.WithCache), fmt.Sprintf("%.2f", row.NoCache))
-		}
-		if len(rows) > 0 {
-			t.AddRow("GEOMEAN", fmt.Sprintf("%.2f", withAvg), fmt.Sprintf("%.2f", noAvg))
-		}
-		fmt.Fprint(out, t.String())
-		return describeDegraded(out, err)
+	default:
+		return describeDegraded(out, experiments.WriteFigure(ctx, out, r, *fig))
 	}
 	return nil
 }

@@ -31,14 +31,29 @@ func TestTables(t *testing.T) {
 	}
 }
 
+// TestFigures pins that -fig N prints exactly figure N's section of the
+// -all report: its heading, the paper's numbers and the table. The
+// figures resume from the -all run's journal, so only Figure 3's native
+// cells, which are never journaled, run again.
 func TestFigures(t *testing.T) {
-	for _, fig := range []string{"4", "8", "9", "10", "11", "12"} {
+	journal := filepath.Join(t.TempDir(), "campaign.journal")
+	var all strings.Builder
+	if err := run(context.Background(), quickArgs("-all", "-checkpoint", journal), &all); err != nil {
+		t.Fatalf("-all: %v\n%s", err, all.String())
+	}
+	for _, fig := range []string{"2", "3", "4", "8", "9", "10", "11", "12"} {
 		var sb strings.Builder
-		if err := run(context.Background(), quickArgs("-fig", fig), &sb); err != nil {
+		if err := run(context.Background(), quickArgs("-fig", fig, "-checkpoint", journal, "-resume"), &sb); err != nil {
 			t.Fatalf("fig %s: %v", fig, err)
 		}
-		if len(sb.String()) == 0 {
-			t.Errorf("fig %s produced no output", fig)
+		notes, got, _ := strings.Cut(sb.String(), "\n")
+		if !strings.HasPrefix(notes, "resuming: ") {
+			t.Fatalf("fig %s did not resume from the journal:\n%s", fig, sb.String())
+		}
+		_, want, _ := strings.Cut(all.String(), "## Figure "+fig+" ")
+		want, _, _ = strings.Cut(want, "\n## ")
+		if want = "## Figure " + fig + " " + want + "\n"; got != want {
+			t.Errorf("-fig %s printed:\n%s\nwant the -all section:\n%s", fig, got, want)
 		}
 	}
 }

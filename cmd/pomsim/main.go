@@ -1,8 +1,13 @@
 // Command pomsim runs one POM-TLB simulation and prints its statistics.
+// A Table 2 or scenario run is the experiments campaign's own cell
+// (experiments.SimulateCell), and -compare prints the campaign's
+// cross-scheme table, or a scenario's per-tier table, over every
+// registered scheme.
 //
 // Usage:
 //
 //	pomsim -workload mcf -mode pom-tlb -cores 8 -refs 500000
+//	pomsim -workload mcf -compare                       # every scheme
 //	pomsim -workload consol-zipf -compare               # consolidation scenario
 //	pomsim -workload consol-churn -tenants 200 -churn 5000
 //	pomsim -config experiment.json
@@ -59,7 +64,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		cfgPath  = fs.String("config", "", "JSON config file (overrides other flags)")
 		trcPath  = fs.String("trace", "", "replay a binary trace file instead of the synthetic generator")
 		jsonOut  = fs.Bool("json", false, "emit the full result as JSON instead of the summary table")
-		compare  = fs.Bool("compare", false, "run every scheme on the workload and print a comparison")
+		compare  = fs.Bool("compare", false, "run every scheme on the workload and print the cross-scheme table (a scenario's: per tier)")
 		selfchk  = fs.Bool("selfcheck", false, "run the differential-verification matrix (workloads × schemes under lockstep reference models) and exit non-zero on any divergence")
 		list     = fs.Bool("list", false, "list workloads and exit")
 		tenants  = fs.Int("tenants", 0, "consolidation: override the preset's guest count (0 = preset)")
@@ -105,106 +110,87 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return nil
 	}
 
-	var file config.File
+	// One set of campaign options carries the machine, from the -config
+	// file or the flags (whose defaults are DefaultOptions'), to every
+	// path below.
+	opts := experiments.DefaultOptions()
+	name := *workload
 	if *cfgPath != "" {
-		var err error
-		file, err = config.Load(*cfgPath)
+		file, err := config.Load(*cfgPath)
 		if err != nil {
 			return err
 		}
+		opts.Config, name = file.Config, file.Workload
 	} else {
 		m, err := core.ParseMode(*mode)
 		if err != nil {
 			return err
 		}
-		cfg := core.DefaultConfig()
-		cfg.Mode = m
-		cfg.Cores = *cores
-		cfg.VMs = *vms
-		cfg.Virtualized = !*native
-		cfg.MaxRefs = *refs
-		cfg.WarmupRefs = *warmup
-		if cfg.POM.SizeBytes, err = pomtlb.MBToBytes(*pomMB); err != nil {
+		opts.Mode, opts.Cores, opts.VMs, opts.Virtualized = m, *cores, *vms, !*native
+		opts.MaxRefs, opts.WarmupRefs, opts.Seed = *refs, *warmup, *seed
+		if opts.POM.SizeBytes, err = pomtlb.MBToBytes(*pomMB); err != nil {
 			return fmt.Errorf("-pom-mb: %w", err)
 		}
-		cfg.Seed = *seed
-		file = config.File{Workload: *workload, Config: cfg}
 	}
+	opts.Workloads = []string{name}
+	opts.Tenants, opts.ChurnEvery, opts.Phases = *tenants, *churn, *phases
 
-	cfg := file.Config
-	base := experiments.Options{
-		Cores:        cfg.Cores,
-		VMs:          cfg.VMs,
-		WarmupRefs:   cfg.WarmupRefs,
-		MaxRefs:      cfg.MaxRefs,
-		Seed:         cfg.Seed,
-		Virtualized:  cfg.Virtualized,
-		POMSizeBytes: cfg.POM.SizeBytes,
-		Tenants:      *tenants,
-		ChurnEvery:   *churn,
-		Phases:       *phases,
-		Workloads:    []string{file.Workload},
-	}
-
-	preset, isConsol := workloads.ConsolidationByName(file.Workload)
+	preset, isConsol := workloads.ConsolidationByName(name)
 	if !isConsol && (set["tenants"] || set["churn"] || set["phases"]) {
-		return fmt.Errorf("-tenants/-churn/-phases apply only to consolidation scenarios, not %q", file.Workload)
+		return fmt.Errorf("-tenants/-churn/-phases apply only to consolidation scenarios, not %q", name)
 	}
 	if isConsol {
 		// The scenario builds its own machine: virtualized, one VM per
-		// guest, from the flags copied into base above.
+		// guest.
 		switch {
 		case *cfgPath != "":
-			return fmt.Errorf("%s names consolidation scenario %q; config files name Table 2 benchmarks", *cfgPath, file.Workload)
+			return fmt.Errorf("%s names consolidation scenario %q; config files name Table 2 benchmarks", *cfgPath, name)
 		case *native:
-			return fmt.Errorf("-native does not apply to consolidation scenario %q, which virtualizes every guest", file.Workload)
+			return fmt.Errorf("-native does not apply to consolidation scenario %q, which virtualizes every guest", name)
 		case set["vms"]:
-			return fmt.Errorf("-vms does not apply to consolidation scenario %q, which runs one VM per guest (see -tenants)", file.Workload)
+			return fmt.Errorf("-vms does not apply to consolidation scenario %q, which runs one VM per guest (see -tenants)", name)
 		case *trcPath != "":
-			return fmt.Errorf("-trace replay cannot drive consolidation scenario %q", file.Workload)
+			return fmt.Errorf("-trace replay cannot drive consolidation scenario %q", name)
 		}
-		switch {
-		case *selfchk:
-			return runSelfCheck(ctx, out, cfg)
-		case *compare:
-			return runConsolidationComparison(ctx, out, preset, base)
-		}
-		res, err := experiments.SimulateCell(ctx, base, preset.Name, cfg.Mode)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			return writeJSON(out, res)
-		}
-		printConsolidationResult(out, preset, base, res)
-		return nil
+	} else if *trcPath != "" {
+		return runReplay(ctx, out, opts.Config, *trcPath, *jsonOut)
+	}
+	p, isProfile := workloads.ByName(name)
+	if !isConsol && !isProfile {
+		return fmt.Errorf("unknown workload %q (try -list)", name)
 	}
 
-	if *trcPath != "" {
-		return runReplay(ctx, out, file.Config, *trcPath, *jsonOut)
-	}
-	p, ok := workloads.ByName(file.Workload)
-	if !ok {
-		return fmt.Errorf("unknown workload %q (try -list)", file.Workload)
-	}
-	if *selfchk {
-		return runSelfCheck(ctx, out, file.Config)
-	}
-	if *compare {
-		return runComparison(ctx, out, p, file.Config)
-	}
-	sys, err := core.NewSystem(experiments.CalibrateWalks(file.Config, p))
-	if err != nil {
+	switch {
+	case *selfchk:
+		return runSelfCheck(ctx, out, opts.Config)
+	case *compare && isConsol:
+		fmt.Fprintf(out, "scenario %s — all schemes, identical tenant plan\n\n", name)
+		rows, err := experiments.ConsolidationTiers(ctx, experiments.NewRunner(opts, nil), name, core.Modes())
+		experiments.WriteConsolidationTiers(out, rows)
+		return err
+	case *compare:
+		fmt.Fprintf(out, "workload %s — all schemes, identical trace\n\n", name)
+		rows, err := experiments.CrossScheme(ctx, experiments.NewRunner(opts, nil))
+		experiments.WriteCrossScheme(out, rows)
 		return err
 	}
-	res, err := sys.Run(ctx, p.Generator(file.Config.Cores, file.Config.Seed), p.Name)
+	res, err := experiments.SimulateCell(ctx, opts, name, opts.Mode)
 	if err != nil {
 		return err
 	}
 	if *jsonOut {
 		return writeJSON(out, res)
 	}
-	printResult(out, p.Name, &p, file.Config.Virtualized, res)
+	if isConsol {
+		guests := preset.Guests
+		if opts.Tenants > 0 {
+			guests = opts.Tenants
+		}
+		printResult(out, fmt.Sprintf("%s (%d guests) — %s", name, guests, preset.Description), nil, false, res)
+	} else {
+		printResult(out, fmt.Sprintf("%s (%s, %d MB footprint, %.1f%% large pages)",
+			name, p.Pattern, p.FootprintBytes>>20, p.LargePagePct), &p, opts.Virtualized, res)
+	}
 	return nil
 }
 
@@ -226,6 +212,14 @@ func runReplay(ctx context.Context, out io.Writer, cfg core.Config, path string,
 		return fmt.Errorf("%s is cut off mid-stream (%v); the recording was interrupted — regenerate it with cmd/tracegen", path, err)
 	case err != nil:
 		return err
+	}
+	var threads core.Threads
+	for i := 0; i < replay.Len(); i++ {
+		threads.Add(replay.Next().Thread)
+	}
+	replay.Reset()
+	if err := threads.CheckCores(cfg.Cores); err != nil {
+		return fmt.Errorf("%s on %d cores: %w; pass a -cores that gives every core one of the trace's threads", path, cfg.Cores, err)
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
@@ -249,16 +243,12 @@ func writeJSON(out io.Writer, res core.Result) error {
 	return enc.Encode(res)
 }
 
-// printResult renders one run of the named workload. p is its Table 2
-// profile, which adds the footprint to the workload line and models the
-// improvement over the measured baseline; a trace replay has none.
-func printResult(out io.Writer, name string, p *workloads.Profile, virtualized bool, res core.Result) {
-	if p != nil {
-		fmt.Fprintf(out, "workload  %s (%s, %d MB footprint, %.1f%% large pages)\n",
-			name, p.Pattern, p.FootprintBytes>>20, p.LargePagePct)
-	} else {
-		fmt.Fprintf(out, "workload  %s\n", name)
-	}
+// printResult renders one run: the workload line, the scheme's metrics,
+// a consolidation scenario's per-tenant-tier table, and, for a Table 2
+// profile p, the improvement modelled over its measured baseline. A trace
+// replay and a scenario pass no profile.
+func printResult(out io.Writer, workload string, p *workloads.Profile, virtualized bool, res core.Result) {
+	fmt.Fprintf(out, "workload  %s\n", workload)
 	fmt.Fprintf(out, "scheme    %s\n", res.Mode)
 	fmt.Fprintf(out, "refs      %d  (IPC %.3f)\n\n", res.Records, res.IPC())
 
@@ -297,6 +287,19 @@ func printResult(out io.Writer, name string, p *workloads.Profile, virtualized b
 	t.AddRow("mean data-access latency", fmt.Sprintf("%.1f cycles", res.DataLat.Value()))
 	fmt.Fprint(out, t.String())
 
+	if res.HasTiers() {
+		fmt.Fprintln(out)
+		tt := stats.NewTable("tier", "ref share", "SRAM TLB hit", "walk elim", "P_avg")
+		for tier := 0; tier < core.NumTiers; tier++ {
+			tt.AddRow(core.TierNames[tier],
+				stats.Pct(res.TierShare(tier)),
+				stats.Pct(res.TierSRAMHitRatio(tier)),
+				stats.Pct(res.TierWalkElim(tier)),
+				fmt.Sprintf("%.1f", res.TierAvgPenalty(tier)))
+		}
+		fmt.Fprint(out, tt.String())
+	}
+
 	if p != nil && res.Mode != core.Baseline && core.CalibratedWalks(res.Mode) {
 		if imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(*p, virtualized, res.AvgPenalty())); err == nil {
 			fmt.Fprintf(out, "\nmodelled improvement over measured baseline: %.2f%%\n", imp)
@@ -310,39 +313,6 @@ func printResult(out io.Writer, name string, p *workloads.Profile, virtualized b
 		}
 	}
 	fmt.Fprintln(out)
-}
-
-// runComparison runs every registered translation scheme on one workload
-// and prints the per-scheme penalties and modelled improvements side by
-// side, with walks charged as the experiments campaign charges them
-// (experiments.CalibrateWalks). The improvement column stays "—" for the
-// baseline itself and for schemes whose benefit lives inside the
-// simulated walk (CalibratedWalks false), where mixing in the measured
-// baseline would misstate the gain.
-func runComparison(ctx context.Context, out io.Writer, p workloads.Profile, base core.Config) error {
-	t := stats.NewTable("scheme", "P_avg", "walk elim", "improvement %")
-	for _, mode := range core.Modes() {
-		cfg := base
-		cfg.Mode = mode
-		sys, err := core.NewSystem(experiments.CalibrateWalks(cfg, p))
-		if err != nil {
-			return err
-		}
-		res, err := sys.Run(ctx, p.Generator(cfg.Cores, cfg.Seed), p.Name)
-		if err != nil {
-			return err
-		}
-		imp := "—"
-		if mode != core.Baseline && core.CalibratedWalks(mode) {
-			if v, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, base.Virtualized, res.AvgPenalty())); err == nil {
-				imp = fmt.Sprintf("%.2f", v)
-			}
-		}
-		t.AddRow(mode.String(), fmt.Sprintf("%.1f", res.AvgPenalty()),
-			stats.Pct(res.WalkEliminationRate()), imp)
-	}
-	fmt.Fprintf(out, "workload %s — all schemes, identical trace\n\n%s", p.Name, t.String())
-	return nil
 }
 
 // selfCheckWorkloads span the access-pattern space: uniformly random
@@ -395,62 +365,5 @@ func runSelfCheck(ctx context.Context, out io.Writer, base core.Config) error {
 		return fmt.Errorf("self-check found divergences")
 	}
 	fmt.Fprintln(out, "\nself-check clean: production models agree with reference models")
-	return nil
-}
-
-// printConsolidationResult renders one consolidation run: the scenario
-// shape, the headline metrics, and the per-tenant-tier breakdown.
-func printConsolidationResult(out io.Writer, preset workloads.Consolidation, opts experiments.Options, res core.Result) {
-	guests := preset.Guests
-	if opts.Tenants > 0 {
-		guests = opts.Tenants
-	}
-	fmt.Fprintf(out, "scenario  %s — %s\n", preset.Name, preset.Description)
-	fmt.Fprintf(out, "guests    %d (Zipf tenant popularity, hot/warm/cold tiers)\n", guests)
-	fmt.Fprintf(out, "scheme    %s\n", res.Mode)
-	fmt.Fprintf(out, "refs      %d  (IPC %.3f)\n\n", res.Records, res.IPC())
-
-	t := stats.NewTable("metric", "value")
-	t.AddRow("L1 TLB hit", stats.Pct(res.L1TLB.Ratio()))
-	t.AddRow("L2 TLB hit", stats.Pct(res.L2TLB.Ratio()))
-	t.AddRow("P_avg (cycles per L2 TLB miss)", fmt.Sprintf("%.1f", res.AvgPenalty()))
-	t.AddRow("page walks eliminated", stats.Pct(res.WalkEliminationRate()))
-	if res.POMDRAM.Total() > 0 {
-		t.AddRow("POM-TLB (DRAM) hit", stats.Pct(res.POMDRAM.Ratio()))
-	}
-	fmt.Fprint(out, t.String())
-
-	if res.HasTiers() {
-		fmt.Fprintln(out)
-		tt := stats.NewTable("tier", "ref share", "SRAM TLB hit", "walk elim", "P_avg")
-		for tier := 0; tier < core.NumTiers; tier++ {
-			tt.AddRow(core.TierNames[tier],
-				stats.Pct(res.TierShare(tier)),
-				stats.Pct(res.TierSRAMHitRatio(tier)),
-				stats.Pct(res.TierWalkElim(tier)),
-				fmt.Sprintf("%.1f", res.TierAvgPenalty(tier)))
-		}
-		fmt.Fprint(out, tt.String())
-	}
-}
-
-// runConsolidationComparison runs the scenario under every registered
-// scheme on the identical tenant plan and prints headline plus hot/cold
-// tier penalties side by side. Improvement columns are omitted: no
-// measured baseline exists for a synthetic tenant mix.
-func runConsolidationComparison(ctx context.Context, out io.Writer, preset workloads.Consolidation, base experiments.Options) error {
-	t := stats.NewTable("scheme", "P_avg", "walk elim", "hot elim", "cold elim", "cold P_avg")
-	for _, mode := range core.Modes() {
-		res, err := experiments.SimulateCell(ctx, base, preset.Name, mode)
-		if err != nil {
-			return err
-		}
-		t.AddRow(mode.String(), fmt.Sprintf("%.1f", res.AvgPenalty()),
-			stats.Pct(res.WalkEliminationRate()),
-			stats.Pct(res.TierWalkElim(0)),
-			stats.Pct(res.TierWalkElim(2)),
-			fmt.Sprintf("%.1f", res.TierAvgPenalty(2)))
-	}
-	fmt.Fprintf(out, "scenario %s — all schemes, identical tenant plan\n\n%s", preset.Name, t.String())
 	return nil
 }

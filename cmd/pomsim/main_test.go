@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,7 +14,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -72,11 +73,23 @@ func TestRunErrors(t *testing.T) {
 	if err := config.Save(consolPath, consolCfg); err != nil {
 		t.Fatal(err)
 	}
+	gups, _ := workloads.ByName("gups")
+	oneThread := writeTrace(t, gups.Generator(1, 1), 2000)
+	typo := filepath.Join(t.TempDir(), "typo.json")
+	if err := os.WriteFile(typo, []byte(`{"workload":"gups","config":{"Cores":2,"MaxRef":100,"Warmup":5}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	small := []string{"-cores", "2", "-refs", "2000", "-warmup", "2000"}
 	cases := map[string][]string{
-		"unknown workload": {"-workload", "nope", "-refs", "10", "-warmup", "0"},
-		"unknown mode":     {"-mode", "nope"},
-		"missing config":   {"-config", "/does/not/exist.json"},
+		// A misspelt field would otherwise run the default 1,000,000
+		// measured and 200,000 warmup references.
+		"unknown config field": {"-config", typo},
+		// Every record of a 1-thread trace maps to core 0, so core 1
+		// never gets one.
+		"1-thread trace on 2 cores": {"-trace", oneThread, "-cores", "2", "-warmup", "100", "-refs", "100"},
+		"unknown workload":          {"-workload", "nope", "-refs", "10", "-warmup", "0"},
+		"unknown mode":              {"-mode", "nope"},
+		"missing config":            {"-config", "/does/not/exist.json"},
 		// 3 MB of 16-way L4 is 3072 sets, not a power of two.
 		"unbuildable L4": {"-mode", "l4-cache", "-pom-mb", "3", "-refs", "10", "-warmup", "0"},
 		// A 1 TiB POM-TLB would exhaust host memory when allocated.
@@ -103,6 +116,11 @@ func TestRunErrors(t *testing.T) {
 		if err := run(context.Background(), args, &sb); err == nil {
 			t.Errorf("%s: args %v accepted, want error", name, args)
 		}
+	}
+	var sb strings.Builder
+	if err := run(context.Background(), cases["1-thread trace on 2 cores"], &sb); !errors.Is(err, core.ErrIdleCore) ||
+		!strings.Contains(err.Error(), "-cores") {
+		t.Errorf("1-thread trace on 2 cores: %v, want ErrIdleCore suggesting -cores", err)
 	}
 
 	// A config file may size every structure. Each one the simulator
@@ -181,24 +199,29 @@ func TestRunNativeModelsNativeColumns(t *testing.T) {
 	}
 }
 
+// TestRunJSON pins that -json prints the Result experiments.SimulateCell
+// returns for the same cell, for a Table 2 workload and for a scenario.
 func TestRunJSON(t *testing.T) {
-	var sb strings.Builder
-	err := run(context.Background(), []string{"-workload", "gups", "-cores", "2",
-		"-refs", "5000", "-warmup", "5000", "-json"}, &sb)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"gups", "consol-smoke"} {
+		opts := experiments.QuickOptions()
+		opts.WarmupRefs, opts.MaxRefs = 5000, 5000
+		res, err := experiments.SimulateCell(context.Background(), opts, name, core.POMTLB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := run(context.Background(), []string{"-workload", name, "-cores", "2",
+			"-refs", "5000", "-warmup", "5000", "-json"}, &sb); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.TrimSuffix(sb.String(), "\n"); got != string(want) {
+			t.Errorf("%s: -json differs from SimulateCell's Result:\n%s\nwant\n%s", name, got, want)
+		}
 	}
-	var decoded map[string]any
-	if err := jsonUnmarshal(sb.String(), &decoded); err != nil {
-		t.Fatalf("output is not JSON: %v", err)
-	}
-	if _, ok := decoded["L2TLB"]; !ok {
-		t.Error("JSON missing L2TLB field")
-	}
-}
-
-func jsonUnmarshal(s string, v any) error {
-	return json.Unmarshal([]byte(s), v)
 }
 
 func TestRunCompare(t *testing.T) {
@@ -209,47 +232,54 @@ func TestRunCompare(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"baseline", "pom-tlb", "shared-l2", "tsb", "l4-cache", "walk elim"} {
+	for _, want := range []string{"baseline", "pom-tlb", "shared-l2", "tsb", "l4-cache", "WalkElim"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("comparison missing %q:\n%s", want, out)
 		}
 	}
 }
 
-// TestRunCompareMatchesCrossScheme pins that -compare charges walks the
-// way the experiments campaign does (experiments.CalibrateWalks): under
-// the same options every scheme's P_avg, walk elimination and modelled
-// improvement read the same as in experiments.CrossScheme. Simulated
-// walks used to credit victima and shared-l2 with +6.80% on ccomponent
-// against Table 2's measured baseline.
+// TestRunCompareMatchesCrossScheme pins that -compare is the campaign's
+// own table: on a Table 2 workload its output ends with the
+// WriteCrossScheme rendering of experiments.CrossScheme under the same
+// options, and on a scenario with the WriteConsolidationTiers rendering
+// of experiments.ConsolidationTiers over every registered scheme. A
+// private copy of the comparison once credited victima and shared-l2
+// with +6.80% on ccomponent against Table 2's measured baseline.
 func TestRunCompareMatchesCrossScheme(t *testing.T) {
+	ctx := context.Background()
 	opts := experiments.QuickOptions()
 	opts.Workloads = []string{"ccomponent"}
-	rows, err := experiments.CrossScheme(context.Background(), experiments.NewRunner(opts, nil))
+	rows, err := experiments.CrossScheme(ctx, experiments.NewRunner(opts, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var want strings.Builder
+	experiments.WriteCrossScheme(&want, rows)
 	var sb strings.Builder
-	if err := run(context.Background(), []string{"-workload", "ccomponent", "-compare",
+	if err := run(ctx, []string{"-workload", "ccomponent", "-compare",
 		"-cores", fmt.Sprint(opts.Cores), "-warmup", fmt.Sprint(opts.WarmupRefs),
 		"-refs", fmt.Sprint(opts.MaxRefs), "-seed", fmt.Sprint(opts.Seed)}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	got := map[string][]string{}
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if f := strings.Fields(line); len(f) == 4 {
-			got[f[0]] = f
-		}
+	if !strings.HasSuffix(sb.String(), want.String()) {
+		t.Errorf("-compare output:\n%s\ndoes not end with experiments.CrossScheme's table:\n%s", sb.String(), want.String())
 	}
-	for _, row := range rows {
-		imp := "—"
-		if row.HasImprovement {
-			imp = fmt.Sprintf("%.2f", row.ImprovementPct)
-		}
-		want := []string{row.Mode.String(), fmt.Sprintf("%.1f", row.Penalty), stats.Pct(row.WalkElim), imp}
-		if g := got[row.Mode.String()]; strings.Join(g, " ") != strings.Join(want, " ") {
-			t.Errorf("-compare row %q, want %q (experiments.CrossScheme)", g, want)
-		}
+
+	opts.WarmupRefs, opts.MaxRefs = 3000, 3000
+	tiers, err := experiments.ConsolidationTiers(ctx, experiments.NewRunner(opts, nil), "consol-smoke", core.Modes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Reset()
+	experiments.WriteConsolidationTiers(&want, tiers)
+	sb.Reset()
+	if err := run(ctx, []string{"-workload", "consol-smoke", "-compare",
+		"-cores", fmt.Sprint(opts.Cores), "-warmup", "3000", "-refs", "3000"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(sb.String(), want.String()) {
+		t.Errorf("scenario -compare output:\n%s\ndoes not end with experiments.ConsolidationTiers' table:\n%s", sb.String(), want.String())
 	}
 }
 
@@ -258,21 +288,7 @@ func TestRunCompareMatchesCrossScheme(t *testing.T) {
 // and no modelled improvement over another workload's measured baseline.
 func TestRunTraceReplayNamesTheFile(t *testing.T) {
 	p, _ := workloads.ByName("gups")
-	path := filepath.Join(t.TempDir(), "gups.trc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteAll(w, p.Generator(2, 1), 20_000); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := writeTrace(t, p.Generator(2, 1), 20_000)
 
 	var sb strings.Builder
 	if err := run(context.Background(), []string{"-trace", path, "-mode", "victima",
@@ -288,4 +304,23 @@ func TestRunTraceReplayNamesTheFile(t *testing.T) {
 			t.Errorf("replay output mentions %q:\n%s", unwanted, out)
 		}
 	}
+}
+
+// writeTrace records n records of g into a POMTRC01 file and returns its
+// path.
+func writeTrace(t testing.TB, g trace.Generator, n int) string {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteAll(w, g, n); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.trc")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }

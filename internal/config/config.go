@@ -4,8 +4,10 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -34,11 +36,19 @@ func Load(path string) (File, error) {
 	return Parse(data)
 }
 
-// Parse decodes and validates configuration JSON.
+// Parse decodes and validates configuration JSON. A field name the File
+// does not have is an error, not ignored: a misspelt "MaxRef" would
+// otherwise run the default reference count. Names still match without
+// regard to case, as encoding/json matches them.
 func Parse(data []byte) (File, error) {
 	f := Default() // unspecified fields keep their defaults
-	if err := json.Unmarshal(data, &f); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&f); err != nil {
 		return File{}, fmt.Errorf("config: parsing: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return File{}, fmt.Errorf("config: parsing: data after the top-level object")
 	}
 	if err := f.Config.Validate(); err != nil {
 		return File{}, fmt.Errorf("config: %w", err)

@@ -2,6 +2,7 @@ package config
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -52,6 +53,32 @@ func TestParseErrors(t *testing.T) {
 	}
 	if _, err := Parse([]byte(`{"workload":"mcf","config":{"Cores":0}}`)); err == nil {
 		t.Error("invalid config accepted")
+	}
+	if _, err := Parse([]byte(`{"workload":"mcf"} {}`)); err == nil {
+		t.Error("data after the object accepted")
+	}
+}
+
+// TestParseRefusesUnknownFields pins that a misspelt field is an error
+// naming it, where encoding/json's default would drop it and run the
+// default: here 1,000,000 measured and 200,000 warmup references.
+func TestParseRefusesUnknownFields(t *testing.T) {
+	for field, js := range map[string]string{
+		"MaxRef":   `{"workload":"gups","config":{"Cores":2,"MaxRef":100,"Warmup":5}}`,
+		"worklod":  `{"worklod":"gups"}`,
+		"Sizebyte": `{"config":{"POM":{"Sizebyte":1048576}}}`,
+	} {
+		if _, err := Parse([]byte(js)); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: err = %v, want one naming %q", js, err, field)
+		}
+	}
+	// Known names still match without regard to case.
+	got, err := Parse([]byte(`{"WORKLOAD":"gups","config":{"cores":2,"maxrefs":100}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Workload != "gups" || got.Config.Cores != 2 || got.Config.MaxRefs != 100 {
+		t.Errorf("case-insensitive names lost: %+v", got)
 	}
 }
 

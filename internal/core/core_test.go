@@ -418,3 +418,32 @@ func TestSystemString(t *testing.T) {
 		t.Errorf("String() = %q", sys.String())
 	}
 }
+
+func TestThreadsCheckCores(t *testing.T) {
+	var s Threads
+	for _, th := range []uint8{0, 1, 2, 3} {
+		s.Add(th)
+	}
+	for _, cores := range []int{1, 2, 4} {
+		if err := s.CheckCores(cores); err != nil {
+			t.Errorf("threads 0-3 on %d cores: %v", cores, err)
+		}
+	}
+	// Cores 4-7 get no thread under t % 8.
+	if err := s.CheckCores(8); !errors.Is(err, ErrIdleCore) || !strings.Contains(err.Error(), "core 4 of 8") {
+		t.Errorf("threads 0-3 on 8 cores: %v, want core 4 idle", err)
+	}
+	// Thread 255 maps to core 1 of 2 and core 3 of 4, the last word's top bit.
+	var hi Threads
+	hi.Add(0)
+	hi.Add(255)
+	if err := hi.CheckCores(2); err != nil {
+		t.Errorf("threads 0 and 255 on 2 cores: %v", err)
+	}
+	if err := hi.CheckCores(4); !errors.Is(err, ErrIdleCore) || !strings.Contains(err.Error(), "core 1 of 4") {
+		t.Errorf("threads 0 and 255 on 4 cores: %v, want core 1 idle", err)
+	}
+	if err := (Threads{}).CheckCores(1); !errors.Is(err, ErrIdleCore) {
+		t.Errorf("no threads: %v, want ErrIdleCore", err)
+	}
+}

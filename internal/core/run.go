@@ -248,6 +248,36 @@ func (sc *scheduler) next(core int) trace.Record {
 	}
 }
 
+// ErrIdleCore marks a trace that names no thread for some core. The
+// scheduler gives core c only the records whose Thread % Cores == c, and
+// it always advances the core whose clock is furthest behind, so a core
+// no thread maps to would make it buffer every other core's records
+// forever, through each wrap of a replay.
+var ErrIdleCore = errors.New("no trace thread maps to the core")
+
+// Threads is the set of trace thread IDs a record stream names: bit t%64
+// of word t/64 stands for thread t.
+type Threads [4]uint64
+
+// Add puts thread t in the set.
+func (s *Threads) Add(t uint8) { s[t/64] |= 1 << (t % 64) }
+
+// CheckCores returns an error wrapping ErrIdleCore that names the first
+// of cores cores no thread in the set maps to, or nil when every core
+// gets records.
+func (s Threads) CheckCores(cores int) error {
+	for c := 0; c < cores; c++ {
+		idle := true
+		for t := c; t < 256 && idle; t += cores {
+			idle = s[t/64]&(1<<(t%64)) == 0
+		}
+		if idle {
+			return fmt.Errorf("core: core %d of %d: %w (thread t runs on core t %% %d)", c, cores, ErrIdleCore, cores)
+		}
+	}
+	return nil
+}
+
 // minClockCore returns the core with the smallest committed clock.
 func (s *System) minClockCore() *coreState {
 	min := s.cores[0]

@@ -301,20 +301,25 @@ func (ch *Channel) Access(now uint64, a addr.HPA, write bool) Result {
 
 	// Retire any refresh windows that elapsed before this access: rows
 	// close and the rank is unavailable for TRFC after each interval.
+	// Only the last window's busy period can outlast the others, so every
+	// elapsed window retires in one step, however long the gap since the
+	// previous access (a trace record's Gap reaches 2^32 - 1 cycles).
 	if ch.cfg.TREFI > 0 {
 		if ch.nextRefresh == 0 {
 			ch.nextRefresh = ch.cfg.TREFI
 		}
-		for now >= ch.nextRefresh {
+		if now >= ch.nextRefresh {
+			n := (now-ch.nextRefresh)/ch.cfg.TREFI + 1
+			last := ch.nextRefresh + (n-1)*ch.cfg.TREFI
 			for i := range ch.banks {
 				ch.banks[i].hasOpen = false
-				if end := ch.nextRefresh + ch.cfg.TRFC; ch.banks[i].busyUntil < end {
+				if end := last + ch.cfg.TRFC; ch.banks[i].busyUntil < end {
 					ch.banks[i].busyUntil = end
 				}
 			}
-			ch.nextRefresh += ch.cfg.TREFI
-			ch.stats.Refreshes++
-			ch.refreshEpochs++
+			ch.nextRefresh = last + ch.cfg.TREFI
+			ch.stats.Refreshes += n
+			ch.refreshEpochs += n
 		}
 	}
 

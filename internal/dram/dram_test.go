@@ -234,6 +234,28 @@ func TestRefreshClosesRows(t *testing.T) {
 	}
 }
 
+// TestRefreshCatchUpIsOneStep pins that a long gap between accesses
+// retires all its refresh windows, leaving the bank as the last window
+// left it: an access 50 cycles into the millionth refresh waits exactly
+// as one 50 cycles into the first does. The windows retire in one step;
+// a trace of 2^32-cycle gaps used to cost 128k loop steps per bank per
+// access.
+func TestRefreshCatchUpIsOneStep(t *testing.T) {
+	cfg := DieStacked()
+	cfg.TREFI, cfg.TRFC = 1000, 400
+	short, long := MustNew(cfg), MustNew(cfg)
+	short.Access(0, 0, false)
+	long.Access(0, 0, false)
+	a := short.Access(1_350, 64, false)
+	b := long.Access(1_000_000_350, 64, false)
+	if a != b || b.RowBufferHit || b.Latency <= 50 {
+		t.Errorf("after the millionth refresh %+v, after the first %+v; want equal, with a closed row and a wait", b, a)
+	}
+	if n := long.Stats().Refreshes; n != 1_000_000 {
+		t.Errorf("refreshes = %d, want 1000000", n)
+	}
+}
+
 func TestRefreshDisabled(t *testing.T) {
 	cfg := DieStacked()
 	cfg.TREFI = 0

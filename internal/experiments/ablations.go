@@ -76,7 +76,7 @@ func sweep(ctx context.Context, base Options, labels []string, variant func(Opti
 func AblationCapacity(ctx context.Context, base Options) ([]AblationPoint, error) {
 	sizes := []uint64{8 << 20, 16 << 20, 32 << 20}
 	return sweep(ctx, base, []string{"8MB", "16MB", "32MB"}, func(o Options, i int) Options {
-		o.POMSizeBytes = sizes[i]
+		o.POM.SizeBytes = sizes[i]
 		return o
 	})
 }
@@ -96,7 +96,7 @@ func AblationCores(ctx context.Context, base Options) ([]AblationPoint, error) {
 func AblationAssociativity(ctx context.Context, base Options) ([]AblationPoint, error) {
 	ways := []int{1, 2, 4, 8}
 	return sweep(ctx, base, []string{"1-way", "2-way", "4-way", "8-way"}, func(o Options, i int) Options {
-		o.POMWays = ways[i]
+		o.POM.Ways = ways[i]
 		return o
 	})
 }
@@ -105,7 +105,7 @@ func AblationAssociativity(ctx context.Context, base Options) ([]AblationPoint, 
 // access through the cache probes.
 func AblationBypass(ctx context.Context, base Options) ([]AblationPoint, error) {
 	return sweep(ctx, base, []string{"predictor", "never-bypass"}, func(o Options, i int) Options {
-		o.DisableBypass = i == 1
+		o.DisableBypassPredictor = i == 1
 		return o
 	})
 }

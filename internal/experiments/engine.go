@@ -141,14 +141,6 @@ func csvHeader() []string {
 // a resumed sweep reproduces an uninterrupted run byte for byte.
 func csvRow(c Cell, o Options, res core.Result) []string {
 	ff := func(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
-	pomMB := o.POMSizeBytes >> 20
-	if pomMB == 0 {
-		pomMB = 16 // the paper's default capacity
-	}
-	ways := o.POMWays
-	if ways == 0 {
-		ways = 4 // the paper's default associativity
-	}
 	tier := func(t int) string {
 		if !res.HasTiers() {
 			return ""
@@ -160,8 +152,8 @@ func csvRow(c Cell, o Options, res core.Result) []string {
 		c.Workload,
 		c.Mode.String(),
 		c.Variant.Label(),
-		strconv.FormatUint(pomMB, 10),
-		strconv.Itoa(ways),
+		strconv.FormatUint(o.POM.SizeBytes>>20, 10),
+		strconv.Itoa(o.POM.Ways),
 		strconv.Itoa(o.Cores),
 		strconv.FormatUint(o.Seed, 10),
 		strconv.Itoa(o.Tenants),

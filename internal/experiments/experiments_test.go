@@ -319,13 +319,6 @@ func TestReportQuick(t *testing.T) {
 	}
 }
 
-func TestRenderBars(t *testing.T) {
-	out := RenderBars("title", []string{"a", "b"}, []float64{1, 2}, "%")
-	if !strings.Contains(out, "title") || !strings.Contains(out, "##") {
-		t.Errorf("RenderBars output:\n%s", out)
-	}
-}
-
 func TestAblationTLBAwareCaching(t *testing.T) {
 	pts, err := AblationTLBAwareCaching(context.Background(), quick())
 	if err != nil {

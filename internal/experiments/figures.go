@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/cacti"
 	"repro/internal/core"
@@ -355,20 +354,4 @@ func Table2() string {
 			fmt.Sprintf("%dMB", p.FootprintBytes>>20))
 	}
 	return t.String()
-}
-
-// RenderBars renders a one-column bar chart used by cmd/experiments.
-func RenderBars(title string, names []string, values []float64, unit string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	max := 0.0
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	for i, n := range names {
-		fmt.Fprintf(&b, "  %-14s %8.2f%s |%s\n", n, values[i], unit, stats.Bar(values[i], max, 40))
-	}
-	return b.String()
 }

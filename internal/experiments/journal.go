@@ -9,7 +9,6 @@ import (
 	"os"
 	"sync"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 )
 
@@ -30,37 +29,26 @@ import (
 // exactly that cell. Corruption anywhere *before* the tail cannot be
 // explained by a crash and fails the load.
 
-// Fingerprint identifies the simulation-relevant options of a campaign.
-// A journal written under one fingerprint refuses to resume under
-// another: mixing cells from different machine configurations would
-// silently corrupt every figure. The workload subset, timeout and
-// fault-injection settings are deliberately excluded — they change which
-// cells run, not what any cell computes.
+// Fingerprint identifies the simulation-relevant options of a campaign:
+// the simulated machine (without the Mode each cell names for itself) and
+// the campaign settings that change what a cell computes. A journal
+// written under one fingerprint refuses to resume under another: mixing
+// cells from different machine configurations would silently corrupt
+// every figure. The workload subset, timeout and fault-injection
+// settings are deliberately excluded — they change which cells run, not
+// what any cell computes (the DRAM fault hooks marshal to nothing).
 func Fingerprint(o Options) string {
+	cfg := o.Config
+	cfg.Mode = ""
 	key := struct {
-		Cores             int
-		VMs               int
-		WarmupRefs        int
-		MaxRefs           int
-		Seed              uint64
-		POMSizeBytes      uint64
-		POMWays           int
-		DisableBypass     bool
-		Virtualized       bool
-		CachePriority     cache.Priority
-		NeighborPrefetch  bool
+		Config            core.Config
 		UncalibratedWalks bool
 		Tenants           int
 		ChurnEvery        int
 		Phases            int
-	}{
-		o.Cores, o.VMs, o.WarmupRefs, o.MaxRefs, o.Seed, o.POMSizeBytes,
-		o.POMWays, o.DisableBypass, o.Virtualized, o.CachePriority,
-		o.NeighborPrefetch, o.UncalibratedWalks,
-		o.Tenants, o.ChurnEvery, o.Phases,
-	}
+	}{cfg, o.UncalibratedWalks, o.Tenants, o.ChurnEvery, o.Phases}
 	b, err := json.Marshal(key)
-	if err != nil { // a struct of scalars cannot fail to marshal
+	if err != nil { // a config of plain values cannot fail to marshal
 		panic(err)
 	}
 	return fmt.Sprintf("%x", sha256.Sum256(b))

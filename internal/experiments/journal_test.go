@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -28,6 +29,19 @@ func TestFingerprintSensitivity(t *testing.T) {
 	c.Workloads = []string{"gups"}
 	if Fingerprint(a) != Fingerprint(c) {
 		t.Error("workload subset must not change the fingerprint")
+	}
+	// Every field of the simulated machine counts, not only those a
+	// campaign flag sets; the scheme each cell names for itself does not.
+	d := quick()
+	d.L2.SizeBytes *= 2
+	if Fingerprint(a) == Fingerprint(d) {
+		t.Error("changing the L2 size must change the fingerprint")
+	}
+	e := quick()
+	e.Mode = core.TSB
+	e.WorkloadTimeout = time.Minute
+	if Fingerprint(a) != Fingerprint(e) {
+		t.Error("the embedded Mode and the timeout must not change the fingerprint")
 	}
 }
 

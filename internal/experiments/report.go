@@ -19,7 +19,7 @@ func Report(ctx context.Context, w io.Writer, r *Runner, ablations bool) error {
 	var fs failureSet
 	fmt.Fprintf(w, "# EXPERIMENTS — POM-TLB reproduction\n\n")
 	fmt.Fprintf(w, "Campaign: %d cores, %d VMs, %d warmup + %d measured references per run, seed %d.\n\n",
-		opts.Cores, max(opts.VMs, 1), opts.WarmupRefs, opts.MaxRefs, opts.Seed)
+		opts.Cores, opts.VMs, opts.WarmupRefs, opts.MaxRefs, opts.Seed)
 	fmt.Fprintf(w, "Paper numbers come from the published figures/tables; measured numbers from\n")
 	fmt.Fprintf(w, "this repository's simulator. The fidelity target is shape (who wins, by\n")
 	fmt.Fprintf(w, "roughly what factor), not absolute cycles — see DESIGN.md §2.\n\n")
@@ -27,109 +27,9 @@ func Report(ctx context.Context, w io.Writer, r *Runner, ablations bool) error {
 	fmt.Fprintf(w, "## Table 1 — system parameters\n\n```\n%s```\n\n", Table1())
 	fmt.Fprintf(w, "## Table 2 — workloads\n\n```\n%s```\n\n", Table2())
 
-	// Figure 2.
-	f2, err := Figure2(ctx, r)
-	fs.absorb(err)
-	fmt.Fprintf(w, "## Figure 2 — translation cycles per L2 TLB miss (virtualized)\n\n")
-	t := stats.NewTable("Benchmark", "Paper (meas.)", "Simulated baseline", "L2TLB missR")
-	for _, row := range f2 {
-		t.AddRow(row.Name, fmt.Sprintf("%.0f", row.PaperCyc),
-			fmt.Sprintf("%.1f", row.SimCyc), fmt.Sprintf("%.3f", row.MissRatio))
+	for _, n := range Figures {
+		fs.absorb(WriteFigure(ctx, w, r, n))
 	}
-	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
-
-	// Figure 3.
-	f3, err := Figure3(ctx, r)
-	fs.absorb(err)
-	fmt.Fprintf(w, "## Figure 3 — virtualized / native translation cost ratio\n\n")
-	t = stats.NewTable("Benchmark", "Paper ratio", "Simulated ratio")
-	for _, row := range f3 {
-		t.AddRow(row.Name, fmt.Sprintf("%.2f", row.PaperRatio), fmt.Sprintf("%.2f", row.SimRatio))
-	}
-	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
-
-	// Figure 4.
-	fmt.Fprintf(w, "## Figure 4 — SRAM latency vs capacity (normalized to 16 KB)\n\n")
-	t = stats.NewTable("Capacity", "Normalized latency")
-	for _, pt := range Figure4() {
-		label := fmt.Sprintf("%dKB", pt.CapacityBytes>>10)
-		if pt.CapacityBytes >= 1<<20 {
-			label = fmt.Sprintf("%dMB", pt.CapacityBytes>>20)
-		}
-		t.AddRow(label, fmt.Sprintf("%.2f", pt.Normalized))
-	}
-	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
-
-	// Figure 8.
-	f8, sum, err := Figure8(ctx, r)
-	fs.absorb(err)
-	fmt.Fprintf(w, "## Figure 8 — performance improvement (%d core)\n\n", opts.Cores)
-	fmt.Fprintf(w, "Paper averages: POM-TLB 9.57%%, Shared_L2 6.10%%, TSB 4.27%%.\n")
-	fmt.Fprintf(w, "Measured averages: POM-TLB %.2f%%, Shared_L2 %.2f%%, TSB %.2f%%.\n\n",
-		sum.POMGeomeanPct, sum.SharedGeomeanPct, sum.TSBGeomeanPct)
-	t = stats.NewTable("Benchmark", "POM-TLB %", "Shared_L2 %", "TSB %", "P_pom", "P_shared", "P_tsb", "P_base")
-	for _, row := range f8 {
-		t.AddRow(row.Name,
-			fmt.Sprintf("%.2f", row.POM), fmt.Sprintf("%.2f", row.Shared), fmt.Sprintf("%.2f", row.TSB),
-			fmt.Sprintf("%.0f", row.POMPen), fmt.Sprintf("%.0f", row.ShPen),
-			fmt.Sprintf("%.0f", row.TSBPen), fmt.Sprintf("%.0f", row.BasePen))
-	}
-	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
-
-	// Figure 9.
-	f9, err := Figure9(ctx, r)
-	fs.absorb(err)
-	fmt.Fprintf(w, "## Figure 9 — POM-TLB entry hit ratios per level\n\n")
-	fmt.Fprintf(w, "Paper averages: L2D$ ≈ 89.7%%, POM-TLB ≈ 88%%.\n\n")
-	t = stats.NewTable("Benchmark", "L2D$", "L3D$", "POM-TLB", "WalkElim")
-	var l2s, poms []float64
-	for _, row := range f9 {
-		l2s = append(l2s, row.L2D)
-		poms = append(poms, row.POM)
-		t.AddRow(row.Name, stats.Pct(row.L2D), stats.Pct(row.L3D), stats.Pct(row.POM), stats.Pct(row.WalkEl))
-	}
-	t.AddRow("MEAN", stats.Pct(stats.ArithMean(l2s)), "", stats.Pct(stats.ArithMean(poms)), "")
-	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
-
-	// Figure 10.
-	f10, err := Figure10(ctx, r)
-	fs.absorb(err)
-	fmt.Fprintf(w, "## Figure 10 — predictor accuracy\n\n")
-	fmt.Fprintf(w, "Paper averages: size ≈ 95%%, bypass ≈ 45.8%%.\n\n")
-	t = stats.NewTable("Benchmark", "Size acc", "Bypass acc")
-	var sz, by []float64
-	for _, row := range f10 {
-		sz = append(sz, row.SizeAcc)
-		by = append(by, row.BypassAcc)
-		t.AddRow(row.Name, stats.Pct(row.SizeAcc), stats.Pct(row.BypassAcc))
-	}
-	t.AddRow("MEAN", stats.Pct(stats.ArithMean(sz)), stats.Pct(stats.ArithMean(by)))
-	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
-
-	// Figure 11.
-	f11, err := Figure11(ctx, r)
-	fs.absorb(err)
-	fmt.Fprintf(w, "## Figure 11 — POM-TLB row-buffer hit rate\n\n")
-	fmt.Fprintf(w, "Paper average: ≈ 71%% (spatially local workloads high, gups low).\n\n")
-	t = stats.NewTable("Benchmark", "RBH", "DRAM accesses")
-	var rbhs []float64
-	for _, row := range f11 {
-		rbhs = append(rbhs, row.RBH)
-		t.AddRow(row.Name, stats.Pct(row.RBH), fmt.Sprintf("%d", row.Accesses))
-	}
-	t.AddRow("MEAN", stats.Pct(stats.ArithMean(rbhs)), "")
-	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
-
-	// Figure 12.
-	f12, withAvg, noAvg, err := Figure12(ctx, r)
-	fs.absorb(err)
-	fmt.Fprintf(w, "## Figure 12 — with vs without data caching of TLB entries\n\n")
-	fmt.Fprintf(w, "Paper: caching adds ≈ 5%% on average. Measured: %.2f%% vs %.2f%%.\n\n", withAvg, noAvg)
-	t = stats.NewTable("Benchmark", "With caching %", "Without %")
-	for _, row := range f12 {
-		t.AddRow(row.Name, fmt.Sprintf("%.2f", row.WithCache), fmt.Sprintf("%.2f", row.NoCache))
-	}
-	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
 
 	// Cross-scheme comparison over the full registry.
 	xs, err := CrossScheme(ctx, r)
@@ -221,6 +121,114 @@ func Report(ctx context.Context, w io.Writer, r *Runner, ablations bool) error {
 		return err
 	}
 	return nil
+}
+
+// Figures are the paper's figures the report regenerates, in its order.
+var Figures = []int{2, 3, 4, 8, 9, 10, 11, 12}
+
+// WriteFigure writes figure n's section of the report: its heading, the
+// paper's numbers and the measured table, byte for byte as Report writes
+// it. A failed cell drops only its rows, and the figure's *CampaignError
+// is returned (nil when every cell completed).
+func WriteFigure(ctx context.Context, w io.Writer, r *Runner, n int) error {
+	var err error
+	var t *stats.Table
+	switch n {
+	case 2:
+		var rows []Fig2Row
+		rows, err = Figure2(ctx, r)
+		fmt.Fprintf(w, "## Figure 2 — translation cycles per L2 TLB miss (virtualized)\n\n")
+		t = stats.NewTable("Benchmark", "Paper (meas.)", "Simulated baseline", "L2TLB missR")
+		for _, row := range rows {
+			t.AddRow(row.Name, fmt.Sprintf("%.0f", row.PaperCyc),
+				fmt.Sprintf("%.1f", row.SimCyc), fmt.Sprintf("%.3f", row.MissRatio))
+		}
+	case 3:
+		var rows []Fig3Row
+		rows, err = Figure3(ctx, r)
+		fmt.Fprintf(w, "## Figure 3 — virtualized / native translation cost ratio\n\n")
+		t = stats.NewTable("Benchmark", "Paper ratio", "Simulated ratio")
+		for _, row := range rows {
+			t.AddRow(row.Name, fmt.Sprintf("%.2f", row.PaperRatio), fmt.Sprintf("%.2f", row.SimRatio))
+		}
+	case 4:
+		fmt.Fprintf(w, "## Figure 4 — SRAM latency vs capacity (normalized to 16 KB)\n\n")
+		t = stats.NewTable("Capacity", "Normalized latency")
+		for _, pt := range Figure4() {
+			label := fmt.Sprintf("%dKB", pt.CapacityBytes>>10)
+			if pt.CapacityBytes >= 1<<20 {
+				label = fmt.Sprintf("%dMB", pt.CapacityBytes>>20)
+			}
+			t.AddRow(label, fmt.Sprintf("%.2f", pt.Normalized))
+		}
+	case 8:
+		var rows []Fig8Row
+		var sum Fig8Summary
+		rows, sum, err = Figure8(ctx, r)
+		fmt.Fprintf(w, "## Figure 8 — performance improvement (%d core)\n\n", r.Options().Cores)
+		fmt.Fprintf(w, "Paper averages: POM-TLB 9.57%%, Shared_L2 6.10%%, TSB 4.27%%.\n")
+		fmt.Fprintf(w, "Measured averages: POM-TLB %.2f%%, Shared_L2 %.2f%%, TSB %.2f%%.\n\n",
+			sum.POMGeomeanPct, sum.SharedGeomeanPct, sum.TSBGeomeanPct)
+		t = stats.NewTable("Benchmark", "POM-TLB %", "Shared_L2 %", "TSB %", "P_pom", "P_shared", "P_tsb", "P_base")
+		for _, row := range rows {
+			t.AddRow(row.Name,
+				fmt.Sprintf("%.2f", row.POM), fmt.Sprintf("%.2f", row.Shared), fmt.Sprintf("%.2f", row.TSB),
+				fmt.Sprintf("%.0f", row.POMPen), fmt.Sprintf("%.0f", row.ShPen),
+				fmt.Sprintf("%.0f", row.TSBPen), fmt.Sprintf("%.0f", row.BasePen))
+		}
+	case 9:
+		var rows []Fig9Row
+		rows, err = Figure9(ctx, r)
+		fmt.Fprintf(w, "## Figure 9 — POM-TLB entry hit ratios per level\n\n")
+		fmt.Fprintf(w, "Paper averages: L2D$ ≈ 89.7%%, POM-TLB ≈ 88%%.\n\n")
+		t = stats.NewTable("Benchmark", "L2D$", "L3D$", "POM-TLB", "WalkElim")
+		var l2s, poms []float64
+		for _, row := range rows {
+			l2s = append(l2s, row.L2D)
+			poms = append(poms, row.POM)
+			t.AddRow(row.Name, stats.Pct(row.L2D), stats.Pct(row.L3D), stats.Pct(row.POM), stats.Pct(row.WalkEl))
+		}
+		t.AddRow("MEAN", stats.Pct(stats.ArithMean(l2s)), "", stats.Pct(stats.ArithMean(poms)), "")
+	case 10:
+		var rows []Fig10Row
+		rows, err = Figure10(ctx, r)
+		fmt.Fprintf(w, "## Figure 10 — predictor accuracy\n\n")
+		fmt.Fprintf(w, "Paper averages: size ≈ 95%%, bypass ≈ 45.8%%.\n\n")
+		t = stats.NewTable("Benchmark", "Size acc", "Bypass acc")
+		var sz, by []float64
+		for _, row := range rows {
+			sz = append(sz, row.SizeAcc)
+			by = append(by, row.BypassAcc)
+			t.AddRow(row.Name, stats.Pct(row.SizeAcc), stats.Pct(row.BypassAcc))
+		}
+		t.AddRow("MEAN", stats.Pct(stats.ArithMean(sz)), stats.Pct(stats.ArithMean(by)))
+	case 11:
+		var rows []Fig11Row
+		rows, err = Figure11(ctx, r)
+		fmt.Fprintf(w, "## Figure 11 — POM-TLB row-buffer hit rate\n\n")
+		fmt.Fprintf(w, "Paper average: ≈ 71%% (spatially local workloads high, gups low).\n\n")
+		t = stats.NewTable("Benchmark", "RBH", "DRAM accesses")
+		var rbhs []float64
+		for _, row := range rows {
+			rbhs = append(rbhs, row.RBH)
+			t.AddRow(row.Name, stats.Pct(row.RBH), fmt.Sprintf("%d", row.Accesses))
+		}
+		t.AddRow("MEAN", stats.Pct(stats.ArithMean(rbhs)), "")
+	case 12:
+		var rows []Fig12Row
+		var withAvg, noAvg float64
+		rows, withAvg, noAvg, err = Figure12(ctx, r)
+		fmt.Fprintf(w, "## Figure 12 — with vs without data caching of TLB entries\n\n")
+		fmt.Fprintf(w, "Paper: caching adds ≈ 5%% on average. Measured: %.2f%% vs %.2f%%.\n\n", withAvg, noAvg)
+		t = stats.NewTable("Benchmark", "With caching %", "Without %")
+		for _, row := range rows {
+			t.AddRow(row.Name, fmt.Sprintf("%.2f", row.WithCache), fmt.Sprintf("%.2f", row.NoCache))
+		}
+	default:
+		return fmt.Errorf("experiments: no figure %d (the report has figures %v)", n, Figures)
+	}
+	fmt.Fprintf(w, "```\n%s```\n\n", t.String())
+	return err
 }
 
 // fidelityNotes documents where and why the reproduction deviates from the

@@ -20,41 +20,21 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/resilience"
 	"repro/internal/resilience/faultinject"
 	"repro/internal/workloads"
 )
 
-// Options controls an evaluation campaign.
+// Options controls an evaluation campaign: the simulated machine every
+// cell runs on, plus the few settings only a campaign decides. Each cell
+// names its own scheme, so the embedded Config's Mode is ignored.
 type Options struct {
-	// Cores is the simulated core count (the paper's headline runs use 8).
-	Cores int
-	// VMs is the virtual machine count (1 except for the §5.2 study).
-	VMs int
-	// WarmupRefs/MaxRefs size each simulation. Warmup must be large
-	// enough to touch the workload footprints (Table 2 footprints reach
-	// 384 MB ≈ 100k pages).
-	WarmupRefs int
-	MaxRefs    int
-	// Seed feeds the trace generators.
-	Seed uint64
-	// POMSizeBytes overrides the POM-TLB capacity (0 = paper's 16 MB).
-	POMSizeBytes uint64
-	// POMWays overrides the associativity (0 = paper's 4).
-	POMWays int
-	// DisableBypass forces the cache-probe path (bypass ablation).
-	DisableBypass bool
-	// Virtualized is true for the paper's main configuration.
-	Virtualized bool
+	core.Config
+
 	// Workloads restricts the campaign to a subset of Table 2 benchmark
 	// names (nil = all 15).
 	Workloads []string
-	// CachePriority enables the §5.1 TLB-aware replacement policy.
-	CachePriority cache.Priority
-	// NeighborPrefetch enables the §6 burst-neighbour prefetch extension.
-	NeighborPrefetch bool
 	// UncalibratedWalks simulates every page walk reference-by-reference
 	// even in scheme runs. By default scheme runs charge walks at the
 	// workload's measured baseline penalty (Table 2), the way the paper
@@ -83,53 +63,26 @@ type Options struct {
 	Faults *faultinject.Schedule
 }
 
-// DefaultOptions returns the paper's 8-core virtualized campaign at a
-// laptop-friendly trace length.
+// DefaultOptions returns the paper's 8-core virtualized campaign (Table 1)
+// at a laptop-friendly trace length.
 func DefaultOptions() Options {
-	return Options{
-		Cores:       8,
-		VMs:         1,
-		WarmupRefs:  500_000,
-		MaxRefs:     500_000,
-		Seed:        1,
-		Virtualized: true,
-	}
+	o := Options{Config: core.DefaultConfig()}
+	o.WarmupRefs, o.MaxRefs = 500_000, 500_000
+	return o
 }
 
 // QuickOptions returns a much shorter campaign for tests and smoke runs.
 func QuickOptions() Options {
-	return Options{
-		Cores:       2,
-		VMs:         1,
-		WarmupRefs:  120_000,
-		MaxRefs:     60_000,
-		Seed:        1,
-		Virtualized: true,
-	}
+	o := Options{Config: core.DefaultConfig()}
+	o.Cores, o.WarmupRefs, o.MaxRefs = 2, 120_000, 60_000
+	return o
 }
 
-// config materializes a core.Config for one scheme under these options.
+// config returns the simulated machine for one scheme under these
+// options, with the fault plan's DRAM hook wired into both substrates.
 func (o Options) config(mode core.Mode) core.Config {
-	cfg := core.DefaultConfig()
+	cfg := o.Config
 	cfg.Mode = mode
-	cfg.Cores = o.Cores
-	cfg.VMs = o.VMs
-	if cfg.VMs <= 0 {
-		cfg.VMs = 1
-	}
-	cfg.Virtualized = o.Virtualized
-	cfg.WarmupRefs = o.WarmupRefs
-	cfg.MaxRefs = o.MaxRefs
-	cfg.Seed = o.Seed
-	if o.POMSizeBytes != 0 {
-		cfg.POM.SizeBytes = o.POMSizeBytes
-	}
-	if o.POMWays != 0 {
-		cfg.POM.Ways = o.POMWays
-	}
-	cfg.DisableBypassPredictor = o.DisableBypass
-	cfg.CachePriority = o.CachePriority
-	cfg.NeighborPrefetch = o.NeighborPrefetch
 	if o.Faults != nil {
 		hook := o.Faults.Hook(faultinject.DRAMSite)
 		cfg.DDR.FaultHook = hook
@@ -309,7 +262,7 @@ func runProfileCell(ctx context.Context, opts Options, name string, mode core.Mo
 	}
 	cfg := opts.config(mode)
 	if !opts.UncalibratedWalks {
-		cfg = CalibrateWalks(cfg, p)
+		cfg = calibrateWalks(cfg, p)
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
@@ -319,15 +272,13 @@ func runProfileCell(ctx context.Context, opts Options, name string, mode core.Mo
 	return sys.Run(ctx, gen, name)
 }
 
-// CalibrateWalks returns cfg with its page walks charged at p's measured
+// calibrateWalks returns cfg with its page walks charged at p's measured
 // baseline penalty, from the Table 2 column cfg.Virtualized selects: a
 // scheme run combines hardware measurement with scheme simulation the
 // way the paper does (§3.3). The baseline itself, and schemes whose
 // benefit lives inside the walk (l4-cache and dram-cache, for which
-// core.CalibratedWalks is false), keep simulated walks. Campaign cells
-// and pomsim runs of a Table 2 workload both call it, so one workload
-// under one scheme has one P_avg.
-func CalibrateWalks(cfg core.Config, p workloads.Profile) core.Config {
+// core.CalibratedWalks is false), keep simulated walks.
+func calibrateWalks(cfg core.Config, p workloads.Profile) core.Config {
 	if cfg.Mode == core.Baseline || cfg.Mode == "" || !core.CalibratedWalks(cfg.Mode) {
 		return cfg
 	}

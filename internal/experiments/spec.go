@@ -106,10 +106,10 @@ func (c Cell) Options(base Options) Options {
 	o := base
 	if c.Variant.PomMB != 0 {
 		// Spec.Validate refuses a PomMB whose byte count would wrap.
-		o.POMSizeBytes = c.Variant.PomMB << 20
+		o.POM.SizeBytes = c.Variant.PomMB << 20
 	}
 	if c.Variant.PomWays != 0 {
-		o.POMWays = c.Variant.PomWays
+		o.POM.Ways = c.Variant.PomWays
 	}
 	if c.Variant.Cores != 0 {
 		o.Cores = c.Variant.Cores

@@ -13,14 +13,9 @@ import (
 // consolBase is a short consolidation campaign: small traces, but real
 // multi-VM scenarios with storms and phase changes in every cell.
 func consolBase() Options {
-	return Options{
-		Cores:       2,
-		VMs:         1,
-		WarmupRefs:  3_000,
-		MaxRefs:     3_000,
-		Seed:        1,
-		Virtualized: true,
-	}
+	o := QuickOptions()
+	o.WarmupRefs, o.MaxRefs = 3_000, 3_000
+	return o
 }
 
 // TestSweepConsolidationAxes drives the tenants=/churn=/phases= axes end

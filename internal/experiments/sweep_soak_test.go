@@ -28,14 +28,8 @@ func TestSweepSoakKillResumeByteIdentical(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 
-	base := Options{
-		Cores:       1,
-		VMs:         1,
-		WarmupRefs:  400,
-		MaxRefs:     250,
-		Seed:        1,
-		Virtualized: true,
-	}
+	base := QuickOptions()
+	base.Cores, base.WarmupRefs, base.MaxRefs = 1, 400, 250
 	spec, err := ParseSpec("schemes=pom-tlb,shared-l2:pom-mb=1,2:pom-ways=2,4:seeds=1,2,3,4,5,6,7,8,9")
 	if err != nil {
 		t.Fatal(err)

@@ -16,15 +16,10 @@ import (
 // sweepTiny returns base options small enough to run hundreds of cells in a
 // test.
 func sweepTiny() Options {
-	return Options{
-		Cores:       1,
-		VMs:         1,
-		WarmupRefs:  1500,
-		MaxRefs:     800,
-		Seed:        1,
-		Virtualized: true,
-		Workloads:   []string{"gups", "mcf"},
-	}
+	o := QuickOptions()
+	o.Cores, o.WarmupRefs, o.MaxRefs = 1, 1500, 800
+	o.Workloads = []string{"gups", "mcf"}
+	return o
 }
 
 func TestParseSpec(t *testing.T) {
@@ -113,12 +108,12 @@ func TestCellsEnumerationDeterministic(t *testing.T) {
 func TestCellOptionsAppliesGeometry(t *testing.T) {
 	c := Cell{Variant: Variant{PomMB: 4, PomWays: 2, Cores: 3, Seed: 9}}
 	o := c.Options(sweepTiny())
-	if o.POMSizeBytes != 4<<20 || o.POMWays != 2 || o.Cores != 3 || o.Seed != 9 {
+	if o.POM.SizeBytes != 4<<20 || o.POM.Ways != 2 || o.Cores != 3 || o.Seed != 9 {
 		t.Errorf("options = %+v", o)
 	}
 	// Inherit when zero.
 	o = Cell{}.Options(sweepTiny())
-	if o.POMSizeBytes != 0 || o.Cores != 1 || o.Seed != 1 {
+	if o.POM.SizeBytes != 16<<20 || o.POM.Ways != 4 || o.Cores != 1 || o.Seed != 1 {
 		t.Errorf("inherit options = %+v", o)
 	}
 }

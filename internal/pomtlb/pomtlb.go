@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/dram"
-	"repro/internal/stats"
 )
 
 // Config sizes the POM-TLB.
@@ -140,8 +139,6 @@ type Partition struct {
 	numSets  uint64
 	setBytes uint64
 	slots    [][2]uint64
-	lookups  stats.HitMiss
-	inserts  uint64
 	count    int
 	shadow   *hook
 }
@@ -243,7 +240,6 @@ func (p *Partition) Search(vm addr.VMID, pid addr.PID, va addr.VA) (Entry, bool)
 	for i := range set {
 		if matches(set[i], k0, k1) {
 			ageAllExcept(set, i)
-			p.lookups.Hit()
 			e := DecodeEntry(set[i])
 			if p.shadow != nil {
 				p.shadow.s.Search(vm, pid, va, true, e)
@@ -251,7 +247,6 @@ func (p *Partition) Search(vm addr.VMID, pid addr.PID, va addr.VA) (Entry, bool)
 			return e, true
 		}
 	}
-	p.lookups.Miss()
 	if p.shadow != nil {
 		p.shadow.s.Search(vm, pid, va, false, Entry{})
 	}
@@ -302,7 +297,6 @@ func (p *Partition) Insert(e Entry) (victim Entry, evicted bool) {
 	}
 	set[vi] = e.Encode()
 	ageAllExcept(set, vi)
-	p.inserts++
 	if p.shadow != nil {
 		p.shadow.s.Insert(e, victim, evicted)
 	}
@@ -383,13 +377,6 @@ func (p *Partition) CheckInvariants() error {
 		return fmt.Errorf("pomtlb %s: resident count %d but recount %d", p.PageSize, p.count, n)
 	}
 	return nil
-}
-
-// ResetStats clears the counters; contents are untouched (used to discard
-// warmup statistics while keeping the warmed state).
-func (p *Partition) ResetStats() {
-	p.lookups = stats.HitMiss{}
-	p.inserts = 0
 }
 
 // AppendSet decodes the set va maps to — the translations that arrive
@@ -473,11 +460,9 @@ func (t *TLB) CheckInvariants() error {
 	return t.channel.CheckInvariants()
 }
 
-// ResetStats clears partition and channel counters; contents and bank
-// state are untouched.
+// ResetStats clears the channel counters; contents and bank state are
+// untouched.
 func (t *TLB) ResetStats() {
-	t.Small.ResetStats()
-	t.Large.ResetStats()
 	t.channel.ResetStats()
 }
 

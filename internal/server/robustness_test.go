@@ -93,11 +93,11 @@ func TestStreamGenBackpressure(t *testing.T) {
 	g := newStreamGen(4)
 	recs := trace.Collect(parityGen(), 8)
 
-	if err := g.append(recs[:4], time.Now().Add(time.Second)); err != nil {
+	if err := g.append(recs[:4], batchThreads(recs[:4]), time.Now().Add(time.Second)); err != nil {
 		t.Fatalf("append within cap: %v", err)
 	}
 	start := time.Now()
-	if err := g.append(recs[4:6], time.Now().Add(20*time.Millisecond)); !errors.Is(err, ErrQueueFull) {
+	if err := g.append(recs[4:6], batchThreads(recs[4:6]), time.Now().Add(20*time.Millisecond)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("append over cap = %v, want ErrQueueFull", err)
 	} else if waited := time.Since(start); waited < 15*time.Millisecond {
 		t.Errorf("append gave up after %v, before its deadline", waited)
@@ -109,12 +109,12 @@ func TestStreamGenBackpressure(t *testing.T) {
 	// Two pulls make room for the two-record batch.
 	g.Next()
 	g.Next()
-	if err := g.append(recs[4:6], time.Now().Add(time.Second)); err != nil {
+	if err := g.append(recs[4:6], batchThreads(recs[4:6]), time.Now().Add(time.Second)); err != nil {
 		t.Fatalf("append after pulls: %v", err)
 	}
 
-	g.finish()
-	if err := g.append(recs[6:], time.Now().Add(time.Second)); !errors.Is(err, ErrSessionFinished) {
+	g.finish(1)
+	if err := g.append(recs[6:], batchThreads(recs[6:]), time.Now().Add(time.Second)); !errors.Is(err, ErrSessionFinished) {
 		t.Fatalf("append after finish = %v, want ErrSessionFinished", err)
 	}
 	// Finished stream wraps like trace.Replay.
@@ -148,7 +148,8 @@ func TestStreamGenAbortUnwindsNext(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("blocked Next never unwound after abort")
 	}
-	if err := g.append(trace.Collect(parityGen(), 1), time.Now().Add(time.Second)); !errors.Is(err, ErrSessionClosed) {
+	recs := trace.Collect(parityGen(), 1)
+	if err := g.append(recs, batchThreads(recs), time.Now().Add(time.Second)); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("append after abort = %v, want ErrSessionClosed", err)
 	}
 }

@@ -216,7 +216,9 @@ func buildConfig(req CreateRequest) (core.Config, error) {
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
 	if r.Body != nil && r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields() // a misspelt knob must not run the default
+		if err := dec.Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding session config: %v", err))
 			return
 		}
@@ -368,7 +370,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				return http.StatusRequestTimeout, "client went away during throttle"
 			}
 		}
-		if err := sess.gen.append(batch, s.cfg.now().Add(s.cfg.EnqueueWait)); err != nil {
+		if err := sess.gen.append(batch, batchThreads(batch), s.cfg.now().Add(s.cfg.EnqueueWait)); err != nil {
 			switch {
 			case errors.Is(err, ErrQueueFull):
 				s.rejectedQueue.Inc()
@@ -423,6 +425,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.ingestReply(w, sess, http.StatusAccepted, "", accepted)
 }
 
+// batchThreads returns the threads an ingest batch names. The handler
+// builds the set before it takes the stream mutex, which then only merges
+// four words per batch.
+func batchThreads(batch []trace.Record) core.Threads {
+	var s core.Threads
+	for _, rec := range batch {
+		s.Add(rec.Thread)
+	}
+	return s
+}
+
 // ingestReply reports how far an upload got alongside the session's
 // current stream position, so clients can resume precisely.
 func (s *Server) ingestReply(w http.ResponseWriter, sess *session, status int, msg string, accepted int) {
@@ -445,8 +458,12 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	sess.gen.finish()
+	err := sess.gen.finish(sess.cfg.Cores)
 	sess.touch(s.cfg.now())
+	if err != nil {
+		httpError(w, http.StatusUnprocessableEntity, err.Error())
+		return
+	}
 	writeJSON(w, http.StatusAccepted, map[string]any{
 		"id":     sess.id,
 		"state":  sess.getState().String(),
@@ -568,7 +585,7 @@ func (s *Server) Drain(ctx context.Context) error {
 			sess.close()
 			continue
 		}
-		sess.gen.finish()
+		sess.gen.finish(sess.cfg.Cores) // an idle-core error fails the session
 	}
 
 	workers := make(chan struct{})

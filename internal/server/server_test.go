@@ -10,10 +10,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/trace"
 )
@@ -371,6 +373,10 @@ func TestCreateRejectsUnbuildableConfig(t *testing.T) {
 		// 2^44 + 16 MB wraps to a 16 MiB table under a bare shift.
 		{`{"mode":"pom-tlb","pom_mb":17592186044432}`, "overflows"},
 		{`{"vms":70000}`, "16-bit VMID limit"},
+		// Misspelt knobs used to be dropped: this made an 8-core session
+		// with a 16 MB POM-TLB.
+		{`{"mode":"pom-tlb","pom-mb":4,"corez":2}`, `unknown field "pom-mb"`},
+		{`{"mode":"pom-tlb","corez":2}`, `unknown field "corez"`},
 	} {
 		var out struct {
 			Error string `json:"error"`
@@ -418,6 +424,60 @@ func TestDrainRunsSessionsToCompletion(t *testing.T) {
 	wire := encodeTrace(t, recs[:16])
 	if status, _ := tc.do("POST", "/sessions/"+id+"/records", bytes.NewReader(wire), nil); status != http.StatusServiceUnavailable {
 		t.Errorf("ingest during drain: status %d, want 503", status)
+	}
+}
+
+// TestFinishRefusesIdleCore pins that a stream naming no thread for some
+// core fails when it is finished, by POST /finish (422) or by Drain,
+// instead of wrapping while the scheduler buffers records for the idle
+// core until the daemon runs out of memory. Every goroutine the server
+// started is gone afterwards.
+func TestFinishRefusesIdleCore(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	tc := newTestClient(t, ts.URL)
+
+	recs := make([]trace.Record, 10) // all on thread 0, so core 1 of 2 gets none
+	for i := range recs {
+		recs[i] = trace.Record{VA: addr.VA(i) << 12, Gap: 3, Size: addr.Page4K}
+	}
+	req := CreateRequest{Cores: 2, WarmupRefs: 10, MaxRefs: 50}
+	finished, drained := tc.createSession(req), tc.createSession(req)
+	tc.upload(finished, recs, len(recs))
+	tc.upload(drained, recs, len(recs))
+
+	var out struct {
+		Error string `json:"error"`
+	}
+	if status, _ := tc.do("POST", "/sessions/"+finished+"/finish", nil, &out); status != http.StatusUnprocessableEntity ||
+		!strings.Contains(out.Error, "core 1 of 2") {
+		t.Fatalf("finish: status %d (%q), want 422 naming core 1 of 2", status, out.Error)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for _, id := range []string{finished, drained} {
+		if m := tc.await(id, time.Second); m.State != "failed" || !strings.Contains(m.Error, "core 1 of 2") ||
+			!strings.Contains(m.Error, core.ErrIdleCore.Error()) {
+			t.Errorf("session %s: state %s (%q), want failed naming the idle core", id, m.State, m.Error)
+		}
+	}
+
+	ts.Close()
+	tc.c.CloseIdleConnections()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before+3 {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutine leak: %d now vs %d before\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

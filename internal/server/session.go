@@ -107,6 +107,9 @@ func (s *session) run(ctx context.Context, committedTotal *stats.Counter) {
 	case errors.Is(err, errStreamEmpty):
 		s.setState(stateFailed)
 		s.emsg = "stream finished with no records"
+	case errors.Is(err, core.ErrIdleCore):
+		s.setState(stateFailed)
+		s.emsg = errors.Unwrap(err).Error() // the stream's error, not the panic that carried it
 	default:
 		s.setState(stateFailed)
 		s.emsg = err.Error()

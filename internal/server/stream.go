@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -62,9 +63,13 @@ type streamGen struct {
 	i        int // next index Next serves
 	loops    int // wrap count after finish
 	queueCap int
+	threads  core.Threads // every thread the upload names
 
 	finished bool
 	aborted  bool
+	// err fails a finished stream whose upload names no thread for some
+	// core: Next panics it instead of wrapping.
+	err error
 }
 
 func newStreamGen(queueCap int) *streamGen {
@@ -83,6 +88,9 @@ func (g *streamGen) Next() trace.Record {
 	}
 	if g.aborted {
 		panic(errStreamAborted)
+	}
+	if g.err != nil {
+		panic(g.err)
 	}
 	if g.i >= len(g.recs) {
 		if len(g.recs) == 0 {
@@ -106,10 +114,10 @@ func (g *streamGen) Reset() {
 	g.loops = 0
 }
 
-// append enqueues a batch, blocking while the un-pulled backlog would
-// exceed queueCap, until the deadline passes. The whole batch is accepted
-// or none of it is.
-func (g *streamGen) append(batch []trace.Record, deadline time.Time) error {
+// append enqueues a batch that names threads, blocking while the
+// un-pulled backlog would exceed queueCap, until the deadline passes. The
+// whole batch is accepted or none of it is.
+func (g *streamGen) append(batch []trace.Record, threads core.Threads, deadline time.Time) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for {
@@ -120,6 +128,9 @@ func (g *streamGen) append(batch []trace.Record, deadline time.Time) error {
 			return ErrSessionFinished
 		case len(g.recs)-g.i+len(batch) <= g.queueCap:
 			g.recs = append(g.recs, batch...)
+			for i, w := range threads {
+				g.threads[i] |= w
+			}
 			g.more.Broadcast()
 			return nil
 		}
@@ -139,13 +150,20 @@ func (g *streamGen) append(batch []trace.Record, deadline time.Time) error {
 	}
 }
 
-// finish marks the end of the upload: Next switches to replay-wrap.
-func (g *streamGen) finish() {
+// finish marks the end of the upload: Next switches to replay-wrap. An
+// upload that names no thread for one of cores cores fails the stream
+// instead, since wrapping it would buffer records for that core forever;
+// finish returns that error, on every call.
+func (g *streamGen) finish(cores int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if !g.finished && len(g.recs) > 0 {
+		g.err = g.threads.CheckCores(cores)
+	}
 	g.finished = true
 	g.more.Broadcast()
 	g.room.Broadcast()
+	return g.err
 }
 
 // abort tears the stream down: blocked consumers unwind via panic, blocked

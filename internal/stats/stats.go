@@ -182,18 +182,5 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Bar renders a simple horizontal ASCII bar of value scaled against max
-// into width characters, used by cmd/experiments to sketch the figures.
-func Bar(value, max float64, width int) string {
-	if max <= 0 || value < 0 {
-		return ""
-	}
-	n := int(math.Round(value / max * float64(width)))
-	if n > width {
-		n = width
-	}
-	return strings.Repeat("#", n)
-}
-
 // Pct formats a fraction as a percentage with two decimals.
 func Pct(x float64) string { return fmt.Sprintf("%.2f%%", 100*x) }

@@ -107,18 +107,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestBar(t *testing.T) {
-	if got := Bar(5, 10, 10); got != "#####" {
-		t.Errorf("Bar = %q", got)
-	}
-	if got := Bar(20, 10, 10); got != "##########" {
-		t.Errorf("Bar clamp = %q", got)
-	}
-	if Bar(1, 0, 10) != "" || Bar(-1, 10, 10) != "" {
-		t.Error("degenerate bars should be empty")
-	}
-}
-
 func TestPct(t *testing.T) {
 	if got := Pct(0.123); got != "12.30%" {
 		t.Errorf("Pct = %q", got)
