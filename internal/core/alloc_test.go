@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/addr"
@@ -166,5 +167,33 @@ func TestShadowObservesAfterDevirtualization(t *testing.T) {
 					got, res.Records)
 			}
 		})
+	}
+}
+
+// TestNewSystemHeap pins that building a default system costs what its
+// structures hold, not their simulated capacity: the POM-TLB and TSB
+// allocate their 16 MiB of slots chunk by chunk as inserts reach them, so
+// a fresh system of every registered scheme leaves under 5 MiB of live
+// heap.
+func TestNewSystemHeap(t *testing.T) {
+	const bound = 5 << 20
+	for _, mode := range Modes() {
+		cfg := DefaultConfig()
+		cfg.Mode = mode
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(sys)
+		live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		t.Logf("%s: %.2f MiB", mode, float64(live)/(1<<20))
+		if live > bound {
+			t.Errorf("%s: NewSystem leaves %.2f MiB of live heap, want under %d MiB", mode, float64(live)/(1<<20), bound>>20)
+		}
 	}
 }

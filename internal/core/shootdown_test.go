@@ -103,10 +103,14 @@ func TestShootdownShared(t *testing.T) {
 func TestShootdownThenRemapWorks(t *testing.T) {
 	sys, va := shootSystem(t, POMTLB)
 	vmid := sys.vms[0].ID()
+	// Core 0's touch memo holds the page when the shootdown unmaps it.
+	c := sys.cores[0]
+	if err := sys.touch(c, va, addr.Page4K); err != nil {
+		t.Fatal(err)
+	}
 	sys.Shootdown(vmid, 1, va, addr.Page4K)
 
 	// Remap and translate again: must succeed with a fresh frame.
-	c := sys.cores[0]
 	if err := sys.touch(c, va, addr.Page4K); err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +119,33 @@ func TestShootdownThenRemapWorks(t *testing.T) {
 	want, _, ok := sys.vms[0].Translate(sys.vms[0].GuestTable(1), va)
 	if !ok || hpa != want {
 		t.Errorf("post-remap translation %v != logical %v (ok=%v)", hpa, want, ok)
+	}
+}
+
+// TestSetCoreTenantRemapsOnNextReference pins that a core moved to a
+// tenant whose table lacks its last page maps the page on its next
+// reference: the switch forgets the page the core's touch memo holds.
+func TestSetCoreTenantRemapsOnNextReference(t *testing.T) {
+	sys, err := NewSystem(smallConfig(POMTLB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.cores[0]
+	va := addr.VA(0x10_0000_0000 + 0x5000)
+	if err := sys.touch(c, va, addr.Page4K); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetCoreTenant(0, c.vmid, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := c.vm.Translate(c.table, va); ok {
+		t.Fatal("process 2's table maps the page before any reference")
+	}
+	if err := sys.touch(c, va, addr.Page4K); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := c.vm.Translate(c.table, va); !ok {
+		t.Error("process 2's table lacks the page after the core referenced it")
 	}
 }
 

@@ -45,6 +45,10 @@ type coreState struct {
 	// or the native one. NewSystem and SetCoreTenant resolve it, so no
 	// record pays a map lookup for it.
 	table *pagetable.Table
+	// touched is the page the last successful touch covered, its base
+	// ORed with its size+1 (0 for none), so a reference repeating it
+	// skips the table lookup. resolveTable and Shootdown clear it.
+	touched uint64
 	// tier is the scenario tenant tier (indexing TierNames) the core's
 	// current tenant belongs to; set by SetCoreTenant, meaningful only
 	// when a consolidation scenario is attached.
@@ -174,6 +178,7 @@ func (s *System) resolveTable(c *coreState) {
 	} else {
 		c.table = s.hyp.NativeProcess(c.pid)
 	}
+	c.touched = 0
 }
 
 // walkMemFunc returns the MemFunc routing a core's page-table-entry reads
@@ -388,7 +393,16 @@ func (s *System) logicalEntry(c *coreState, va addr.VA) tlb.Entry {
 // Under SteadyState, a newly created mapping also seeds the scheme's
 // large translation structure, emulating the fully-amortized steady state
 // of the paper's 20-billion-instruction traces.
+//
+// A reference to the page and size the core's previous touch covered
+// returns at once: the table only loses a mapping in Shootdown, which
+// clears the memo, and Map refuses a size conflict, so the lookup would
+// find the page mapped and create (and seed) nothing.
 func (s *System) touch(c *coreState, va addr.VA, size addr.PageSize) error {
+	page := uint64(va.PageBase(size)) | (uint64(size) + 1)
+	if page == c.touched {
+		return nil
+	}
 	var created bool
 	var err error
 	if c.vm != nil {
@@ -396,10 +410,13 @@ func (s *System) touch(c *coreState, va addr.VA, size addr.PageSize) error {
 	} else {
 		_, created, err = s.hyp.TouchNative(c.table, va, size)
 	}
-	if err != nil || !created || !s.cfg.SteadyState {
+	if err != nil {
 		return err
 	}
-	s.seed(c, va)
+	c.touched = page
+	if created && s.cfg.SteadyState {
+		s.seed(c, va)
+	}
 	return nil
 }
 
@@ -455,6 +472,8 @@ func (s *System) Shootdown(vmid addr.VMID, pid addr.PID, va addr.VA, size addr.P
 		c.l2tlb.InvalidatePage(vmid, pid, vpn, size)
 		// PSCs and the nested TLB may cache stale structure pointers.
 		c.walker.InvalidateAll()
+		// The page may be the one the core's touch memo holds.
+		c.touched = 0
 	}
 	s.scheme.Shootdown(s, vmid, pid, va, vpn, size)
 	return unmapped

@@ -19,6 +19,7 @@ package dram
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/addr"
 )
@@ -204,10 +205,18 @@ type Channel struct {
 	// nextRefresh is the CPU-cycle time of the next refresh command; a
 	// refresh closes every row and occupies the rank for TRFC.
 	nextRefresh uint64
-	colBits     uint // log2(lines per row)
-	bankMask    uint64
-	stats       Stats
-	shadow      *hook
+	// The fixed timings, in CPU cycles, that New derives from cfg once:
+	// the bank latency of a row hit, a closed-bank miss and a row
+	// conflict, one burst, and how far the bank and bus queues can push
+	// an access back (Requestors conflict accesses or bursts).
+	hitLat, missLat, conflLat uint64
+	burst                     uint64
+	bankQueueCap, busQueueCap uint64
+	colBits                   uint // log2(lines per row)
+	rowShift                  uint // colBits plus the bank-index bits
+	bankMask                  uint64
+	stats                     Stats
+	shadow                    *hook
 	// refreshEpochs counts retired refresh windows like stats.Refreshes
 	// but survives ResetStats, so the shadow's row-closure mirroring stays
 	// aligned with bank state (which resets never touch).
@@ -219,16 +228,26 @@ func New(cfg Config) (*Channel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	linesPerRow := cfg.RowBytes / addr.CacheLineSize
-	colBits := uint(0)
-	for 1<<colBits < linesPerRow {
-		colBits++
+	colBits := uint(bits.Len64(cfg.RowBytes/addr.CacheLineSize - 1))
+	bankMask := uint64(cfg.Banks - 1)
+	req := uint64(cfg.Requestors)
+	if req == 0 {
+		req = 8
 	}
+	conflLat := cfg.cpuCycles(cfg.TRP + cfg.TRCD + cfg.TCAS)
+	burst := cfg.BurstCycles()
 	return &Channel{
-		cfg:      cfg,
-		banks:    make([]bank, cfg.Banks),
-		colBits:  colBits,
-		bankMask: uint64(cfg.Banks - 1),
+		cfg:          cfg,
+		banks:        make([]bank, cfg.Banks),
+		hitLat:       cfg.cpuCycles(cfg.TCAS),
+		missLat:      cfg.cpuCycles(cfg.TRCD + cfg.TCAS),
+		conflLat:     conflLat,
+		burst:        burst,
+		bankQueueCap: req * conflLat,
+		busQueueCap:  req * burst,
+		colBits:      colBits,
+		rowShift:     colBits + uint(bits.Len64(bankMask)),
+		bankMask:     bankMask,
 	}, nil
 }
 
@@ -261,22 +280,7 @@ func (ch *Channel) SetShadow(s Shadow) {
 // hit rates reported in Figure 11.
 func (ch *Channel) decompose(a addr.HPA) (bankIdx int, row uint64) {
 	line := a.Line()
-	col := line & ((1 << ch.colBits) - 1)
-	_ = col
-	upper := line >> ch.colBits
-	bankIdx = int(upper & ch.bankMask)
-	row = upper >> uint(popcountMask(ch.bankMask))
-	return bankIdx, row
-}
-
-// popcountMask returns the number of bits in a mask of form 2^k - 1.
-func popcountMask(m uint64) int {
-	n := 0
-	for m != 0 {
-		n++
-		m >>= 1
-	}
-	return n
+	return int(line >> ch.colBits & ch.bankMask), line >> ch.rowShift
 }
 
 // Access performs one 64 B access at CPU-cycle time now and returns its
@@ -293,11 +297,6 @@ func (ch *Channel) Access(now uint64, a addr.HPA, write bool) Result {
 	}
 	bi, row := ch.decompose(a)
 	b := &ch.banks[bi]
-
-	req := uint64(ch.cfg.Requestors)
-	if req == 0 {
-		req = 8
-	}
 
 	// Retire any refresh windows that elapsed before this access: rows
 	// close and the rank is unavailable for TRFC after each interval.
@@ -324,13 +323,12 @@ func (ch *Channel) Access(now uint64, a addr.HPA, write bool) Result {
 	}
 
 	// The bank accepts the command once it has finished its previous one;
-	// at most `req` full accesses can be queued ahead.
+	// at most Requestors full accesses can be queued ahead.
 	bankStart := now
 	if b.busyUntil > bankStart {
 		bankStart = b.busyUntil
 	}
-	bankCap := now + req*ch.cfg.cpuCycles(ch.cfg.TRP+ch.cfg.TRCD+ch.cfg.TCAS)
-	if bankStart > bankCap {
+	if bankCap := now + ch.bankQueueCap; bankStart > bankCap {
 		bankStart = bankCap
 	}
 
@@ -339,28 +337,27 @@ func (ch *Channel) Access(now uint64, a addr.HPA, write bool) Result {
 	switch {
 	case b.hasOpen && b.openRow == row:
 		hit = true
-		coreLat = ch.cfg.cpuCycles(ch.cfg.TCAS)
+		coreLat = ch.hitLat
 		ch.stats.RowHits++
 	case !b.hasOpen:
-		coreLat = ch.cfg.cpuCycles(ch.cfg.TRCD + ch.cfg.TCAS)
+		coreLat = ch.missLat
 		ch.stats.RowMisses++
 	default:
-		coreLat = ch.cfg.cpuCycles(ch.cfg.TRP + ch.cfg.TRCD + ch.cfg.TCAS)
+		coreLat = ch.conflLat
 		ch.stats.RowConfl++
 	}
-	burst := ch.cfg.BurstCycles()
 
 	// Data is ready at the bank after coreLat; it then needs a bus slot
-	// (at most `req` bursts can be queued ahead on the bus).
+	// (at most Requestors bursts can be queued ahead on the bus).
 	dataReady := bankStart + coreLat
 	busStart := dataReady
 	if ch.busBusy > busStart {
 		busStart = ch.busBusy
 	}
-	if busCap := dataReady + req*burst; busStart > busCap {
+	if busCap := dataReady + ch.busQueueCap; busStart > busCap {
 		busStart = busCap
 	}
-	done := busStart + burst
+	done := busStart + ch.burst
 	total := done - now + ch.cfg.CtrlOverhead
 	wait := (bankStart - now) + (busStart - dataReady)
 

@@ -234,39 +234,97 @@ func TestRefDRAMAgreement(t *testing.T) {
 	}
 }
 
+// TestRefPOMAgreement replays random operations on production POM-TLBs
+// against the reference: a 1 MiB TLB small enough that sets fill and
+// evict; the default 16 MiB TLB, whose inserts land in three narrow VA
+// ranges so most of its 4 KiB slot chunks stay unwritten while every
+// other operation also reaches anywhere, unwritten chunks included; and a
+// 3-way TLB, whose 64-set chunks are not 4 KiB. Process flushes are
+// rare (1 in 10,000 operations): each empties a sixth of the TLB, and
+// any more often would keep every set from filling.
 func TestRefPOMAgreement(t *testing.T) {
-	h := NewHarness()
-	cfg := pomtlb.DefaultConfig()
-	cfg.SizeBytes = 1 << 20 // small enough that sets fill and evict
-	prod := pomtlb.New(cfg)
-	NewRefPOM(h, prod.Small)
-	NewRefPOM(h, prod.Large)
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 300_000; i++ {
-		vm := addr.VMID(rng.Intn(2))
-		pid := addr.PID(rng.Intn(3))
-		size := randSize(rng)
-		part := prod.Partition(size)
-		va := addr.VA(uint64(rng.Intn(1<<17)) << size.Shift())
-		switch op := rng.Intn(100); {
-		case op < 50:
-			part.Search(vm, pid, va)
-		case op < 92:
-			part.Insert(pomtlb.Entry{
-				Valid: true, VM: vm, PID: pid, VPN: va.VPN(size),
-				PFN: uint64(rng.Int63n(1 << 30)), Size: size,
-			})
-		case op < 97:
-			part.InvalidatePage(vm, pid, va.VPN(size))
-		default:
-			part.InvalidateProcess(vm, pid)
+	wide := func(rng *rand.Rand, size addr.PageSize) addr.VA {
+		return addr.VA(uint64(rng.Intn(1<<17)) << size.Shift())
+	}
+	narrow := func(rng *rand.Rand, size addr.PageSize) addr.VA {
+		bases := [...]uint64{0x100, 0x3_4000, 0x7_f000_0000}
+		return addr.VA((bases[rng.Intn(len(bases))] + uint64(rng.Intn(1024))) << size.Shift())
+	}
+	narrowOrAnywhere := func(rng *rand.Rand, size addr.PageSize) addr.VA {
+		if rng.Intn(4) == 0 {
+			return addr.VA(uint64(rng.Int63n(1<<(48-size.Shift()))) << size.Shift())
 		}
+		return narrow(rng, size)
 	}
-	if err := h.Err(); err != nil {
-		t.Fatalf("reference diverged from production POM-TLB: %v", err)
-	}
-	if err := prod.CheckInvariants(); err != nil {
-		t.Fatalf("production POM-TLB invariants: %v", err)
+	for _, tc := range []struct {
+		name      string
+		sizeBytes uint64
+		ways      int
+		ops       int
+		va        func(*rand.Rand, addr.PageSize) addr.VA
+		// insertVA, when set, redraws an insert's VA.
+		insertVA func(*rand.Rand, addr.PageSize) addr.VA
+	}{
+		{"1MiB", 1 << 20, 4, 300_000, wide, nil},
+		{"16MiB-narrow", 16 << 20, 4, 100_000, narrowOrAnywhere, narrow},
+		{"1MiB-3way", 1 << 20, 3, 100_000, wide, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := NewHarness()
+			cfg := pomtlb.DefaultConfig()
+			cfg.SizeBytes = tc.sizeBytes
+			cfg.Ways = tc.ways
+			prod := pomtlb.New(cfg)
+			NewRefPOM(h, prod.Small)
+			NewRefPOM(h, prod.Large)
+			// chunks records the 64-set chunks inserts reached.
+			chunks := map[[2]uint64]bool{}
+			hits, evictions := 0, 0
+			rng := rand.New(rand.NewSource(4))
+			for i := 0; i < tc.ops; i++ {
+				vm := addr.VMID(rng.Intn(2))
+				pid := addr.PID(rng.Intn(3))
+				size := randSize(rng)
+				part := prod.Partition(size)
+				va := tc.va(rng, size)
+				switch op := rng.Intn(10_000); {
+				case op < 5000:
+					if _, ok := part.Search(vm, pid, va); ok {
+						hits++
+					}
+				case op < 9200:
+					if tc.insertVA != nil {
+						va = tc.insertVA(rng, size)
+					}
+					if _, evicted := part.Insert(pomtlb.Entry{
+						Valid: true, VM: vm, PID: pid, VPN: va.VPN(size),
+						PFN: uint64(rng.Int63n(1 << 30)), Size: size,
+					}); evicted {
+						evictions++
+					}
+					chunks[[2]uint64{uint64(size), part.SetIndex(va, vm) / 64}] = true
+				case op < 9999:
+					part.InvalidatePage(vm, pid, va.VPN(size))
+				default:
+					part.InvalidateProcess(vm, pid)
+				}
+			}
+			if err := h.Err(); err != nil {
+				t.Fatalf("reference diverged from production POM-TLB: %v", err)
+			}
+			if err := prod.CheckInvariants(); err != nil {
+				t.Fatalf("production POM-TLB invariants: %v", err)
+			}
+			if hits == 0 || evictions == 0 {
+				t.Errorf("%d search hits and %d evictions: the input misses a path", hits, evictions)
+			}
+			if tc.sizeBytes == 16<<20 {
+				total := (prod.Small.Sets() + prod.Large.Sets()) / 64
+				if n := uint64(len(chunks)); n*2 > total {
+					t.Errorf("inserts reached %d of %d chunks; the narrow ranges should leave most unwritten", n, total)
+				}
+			}
+		})
 	}
 }
 

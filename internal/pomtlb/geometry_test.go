@@ -130,6 +130,39 @@ func TestInsertSearchNonDefaultWays(t *testing.T) {
 	}
 }
 
+// TestChunkGeometry pins the slot chunks at awkward geometries: a chunk
+// holds 64 sets whatever the associativity (3 KiB at 3 ways), and a
+// partition of fewer than 64 sets has one chunk of its own size. Every
+// set of such a partition takes its inserts in that one chunk.
+func TestChunkGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		sizeBytes uint64
+		ways      int
+		chunks    int
+		chunkLen  int
+	}{
+		{4 << 20, 3, 512, 64 * 3},
+		{4 << 20, 8, 256, 64 * 8},
+		{2048, 4, 1, 16 * 4}, // 16 sets a partition
+	} {
+		p := New(geometryConfig(tc.sizeBytes, tc.ways)).Small
+		if len(p.chunks) != tc.chunks {
+			t.Errorf("%d B/%d-way: %d chunks, want %d", tc.sizeBytes, tc.ways, len(p.chunks), tc.chunks)
+		}
+		for vpn := uint64(0); vpn < 4*p.Sets(); vpn += 4 {
+			p.Insert(Entry{Valid: true, VM: 0, PID: 1, VPN: vpn, PFN: vpn, Size: addr.Page4K})
+		}
+		for i, c := range p.chunks {
+			if len(c) != tc.chunkLen {
+				t.Errorf("%d B/%d-way: chunk %d holds %d slots, want %d", tc.sizeBytes, tc.ways, i, len(c), tc.chunkLen)
+			}
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Errorf("%d B/%d-way: %v", tc.sizeBytes, tc.ways, err)
+		}
+	}
+}
+
 // TestDieStackedChannelIndependent pins that each New call gets its own
 // DRAM channel — shared bank state across systems would break campaign
 // determinism.

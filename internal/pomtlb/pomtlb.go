@@ -40,13 +40,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// maxSizeBytes bounds SizeBytes. New allocates every entry up front, at
-// one byte of host memory per simulated byte (each 16 B slot is held as
-// its 16 B image), so an unchecked size from a config file or an HTTP
-// request would exhaust host memory before anything could reject it.
-// 256 MiB costs 256 MiB of host memory, is 8× the largest POM-TLB the
-// paper evaluates (32 MB, §4.6), and fills exactly the low region of host
-// physical memory that virt.DefaultConfig reserves for the mapped TLB.
+// maxSizeBytes bounds SizeBytes. A partition allocates its 4 KiB slot
+// chunks only as inserts reach them, but a workload can still write every
+// chunk, so the worst case is one host byte per simulated byte (each 16 B
+// slot is held as its 16 B image) plus 24 B of chunk directory per chunk
+// (96 KiB for 16 MiB); an unchecked size from a config file or an HTTP
+// request could exhaust host memory. 256 MiB is 8× the largest POM-TLB
+// the paper evaluates (32 MB, §4.6), and fills exactly the low region of
+// host physical memory that virt.DefaultConfig reserves for the mapped TLB.
 const maxSizeBytes = 256 << 20
 
 // MBToBytes converts a capacity given in MB (MiB), as flags, HTTP
@@ -125,22 +126,30 @@ type Shadow interface {
 // branch the CPU predicts never-taken when no oracle is attached.
 type hook struct{ s Shadow }
 
+// chunkSets is how many consecutive sets one storage chunk holds: 4 KiB
+// of slot images at the paper's 4 ways.
+const chunkSets = 64
+
 // Partition is one of the two physically-partitioned structures
 // (POM_TLB_Small or POM_TLB_Large): a set-associative array of complete
 // translations, mapped at a contiguous physical address range so its sets
 // can be cached in the data caches. Every entry is held as its 16-byte
-// image in one contiguous array; set i occupies slots[i*ways :
-// (i+1)*ways], mirroring the physical layout of Figure 5, so a partition
-// costs one host byte per simulated byte.
+// image, set by set in the physical layout of Figure 5, in chunks of
+// chunkSets sets (a partition of fewer sets has one chunk of its own
+// size). A chunk is allocated when the first Insert lands in it and reads
+// as all-invalid until then, so host memory follows the translations the
+// partition holds, not its simulated capacity.
 type Partition struct {
 	PageSize addr.PageSize
 	base     uint64
 	ways     int
 	numSets  uint64
 	setBytes uint64
-	slots    [][2]uint64
-	count    int
-	shadow   *hook
+	// chunks[i/chunkSets] holds set i's ways at offset
+	// i%chunkSets*ways; nil until written.
+	chunks [][][2]uint64
+	count  int
+	shadow *hook
 }
 
 // SetShadow attaches (or, with nil, detaches) a lockstep observer.
@@ -163,14 +172,29 @@ func newPartition(size addr.PageSize, base uint64, bytes uint64, ways int) *Part
 		ways:     ways,
 		numSets:  n,
 		setBytes: setBytes,
-		slots:    make([][2]uint64, n*uint64(ways)),
+		chunks:   make([][][2]uint64, (n+chunkSets-1)/chunkSets),
 	}
 }
 
-// set returns the ways of set i.
+// set returns the ways of set i, or nil while its chunk is unwritten.
 func (p *Partition) set(i uint64) [][2]uint64 {
-	w := i * uint64(p.ways)
-	return p.slots[w : w+uint64(p.ways)]
+	c := p.chunks[i/chunkSets]
+	if c == nil {
+		return nil
+	}
+	w := i % chunkSets * uint64(p.ways)
+	return c[w : w+uint64(p.ways)]
+}
+
+// writableSet returns the ways of set i, allocating its chunk on the
+// first write.
+func (p *Partition) writableSet(i uint64) [][2]uint64 {
+	c := &p.chunks[i/chunkSets]
+	if *c == nil {
+		*c = make([][2]uint64, min(chunkSets, p.numSets)*uint64(p.ways))
+	}
+	w := i % chunkSets * uint64(p.ways)
+	return (*c)[w : w+uint64(p.ways)]
 }
 
 // Sets returns the number of sets.
@@ -267,7 +291,7 @@ func (p *Partition) Insert(e Entry) (victim Entry, evicted bool) {
 		panic(fmt.Sprintf("pomtlb: %v does not fit the 40-bit VPN and PPN fields", e))
 	}
 	k0, k1 := key(e.VM, e.PID, e.VPN)
-	set := p.set(p.SetIndex(addr.VA(e.VPN<<p.PageSize.Shift()), e.VM))
+	set := p.writableSet(p.setIndexForVPN(e.VPN, e.VM))
 	vi := -1
 	for i := range set {
 		w := &set[i]
@@ -327,11 +351,13 @@ func (p *Partition) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64) bool 
 func (p *Partition) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
 	own := owner(vm, pid)
 	n := 0
-	for i := range p.slots {
-		if p.slots[i][0]&ownerMask == own {
-			p.slots[i] = [2]uint64{}
-			p.count--
-			n++
+	for _, c := range p.chunks {
+		for i := range c {
+			if c[i][0]&ownerMask == own {
+				c[i] = [2]uint64{}
+				p.count--
+				n++
+			}
 		}
 	}
 	if p.shadow != nil {
@@ -353,24 +379,26 @@ func (p *Partition) CheckInvariants() error {
 	}
 	seen := make(map[key]uint64, p.count)
 	n := 0
-	for si := uint64(0); si < p.numSets; si++ {
-		for wi, w := range p.set(si) {
+	ways := uint64(p.ways)
+	for ci, c := range p.chunks {
+		for j, w := range c {
 			e := DecodeEntry(w)
 			if !e.Valid {
 				continue
 			}
 			n++
+			si, wi := uint64(ci)*chunkSets+uint64(j)/ways, uint64(j)%ways
 			if e.Size != p.PageSize {
 				return fmt.Errorf("pomtlb %s set %d way %d: entry size %s", p.PageSize, si, wi, e.Size)
 			}
-			if want := p.setIndexForVPN(e.VPN, e.VM); want != uint64(si) {
+			if want := p.setIndexForVPN(e.VPN, e.VM); want != si {
 				return fmt.Errorf("pomtlb %s set %d way %d: vpn %#x indexes to set %d", p.PageSize, si, wi, e.VPN, want)
 			}
 			k := key{e.VM, e.PID, e.VPN}
 			if prev, dup := seen[k]; dup {
 				return fmt.Errorf("pomtlb %s set %d: duplicate key %+v (also in set %d)", p.PageSize, si, k, prev)
 			}
-			seen[k] = uint64(si)
+			seen[k] = si
 		}
 	}
 	if n != p.count {
@@ -382,9 +410,17 @@ func (p *Partition) CheckInvariants() error {
 // AppendSet decodes the set va maps to — the translations that arrive
 // together in one 64 B burst — appending them to dst. With room in dst
 // it allocates nothing, so the record loop's callers (neighbour
-// prefetching, §6) decode into a stack array.
+// prefetching, §6) decode into a stack array. An unwritten set decodes
+// as ways invalid entries.
 func (p *Partition) AppendSet(dst []Entry, va addr.VA, vm addr.VMID) []Entry {
-	for _, w := range p.set(p.SetIndex(va, vm)) {
+	set := p.set(p.SetIndex(va, vm))
+	if set == nil {
+		for range p.ways {
+			dst = append(dst, DecodeEntry([2]uint64{}))
+		}
+		return dst
+	}
+	for _, w := range set {
 		dst = append(dst, DecodeEntry(w))
 	}
 	return dst

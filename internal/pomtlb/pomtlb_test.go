@@ -89,10 +89,64 @@ func TestDefaultConfigGeometry(t *testing.T) {
 	if tl.Large.base != tl.Small.base+tl.Small.SizeBytes() {
 		t.Error("large partition should start right after small")
 	}
-	// Each 16 B slot costs 16 host bytes: slot storage is exactly SizeBytes.
-	slots := uint64(cap(tl.Small.slots) + cap(tl.Large.slots))
-	if got := slots * uint64(unsafe.Sizeof(tl.Small.slots[0])); got != DefaultConfig().SizeBytes {
-		t.Errorf("slot storage = %d bytes, want SizeBytes = %d", got, DefaultConfig().SizeBytes)
+	// Slot storage follows what is written: a fresh TLB holds no chunk,
+	// and one insert allocates one 4 KiB chunk of 64 four-way sets.
+	if n := chunkBytes(tl.Small) + chunkBytes(tl.Large); n != 0 {
+		t.Errorf("fresh TLB holds %d bytes of slot chunks, want 0", n)
+	}
+	tl.Small.Insert(validEntry(1, 1, 42, 7, addr.Page4K))
+	if n := chunkBytes(tl.Small) + chunkBytes(tl.Large); n != 4096 {
+		t.Errorf("one insert allocated %d bytes of slot chunks, want 4096", n)
+	}
+}
+
+// chunkBytes returns the host bytes p's written slot chunks hold.
+func chunkBytes(p *Partition) uint64 {
+	n := uint64(0)
+	for _, c := range p.chunks {
+		n += uint64(len(c)) * uint64(unsafe.Sizeof(c[0]))
+	}
+	return n
+}
+
+// TestUnwrittenSetsReadWithoutAllocating pins that only Insert writes a
+// chunk: searching, invalidating and decoding a set no insert reached
+// miss, allocate nothing and leave the partition without a chunk, and
+// the set decodes as Ways invalid entries, as a written empty set does.
+func TestUnwrittenSetsReadWithoutAllocating(t *testing.T) {
+	tl := New(DefaultConfig())
+	p := tl.Small
+	va := addr.VA(0x7f00_1234_5000)
+	var buf [8]Entry
+	var set []Entry
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := p.Search(1, 1, va); ok {
+			t.Error("search of an unwritten set hit")
+		}
+		if p.InvalidatePage(1, 1, va.VPN(addr.Page4K)) || tl.InvalidateProcess(1, 1) != 0 {
+			t.Error("invalidation of an unwritten set found an entry")
+		}
+		set = p.AppendSet(buf[:0], va, 1)
+	})
+	if allocs != 0 {
+		t.Errorf("reads of unwritten sets allocated %.1f times per run, want 0", allocs)
+	}
+	if n := chunkBytes(tl.Small) + chunkBytes(tl.Large); n != 0 {
+		t.Errorf("reads wrote %d bytes of slot chunks, want 0", n)
+	}
+	if len(set) != 4 {
+		t.Fatalf("unwritten set decodes to %d entries, want 4", len(set))
+	}
+	// A neighbour set in the same, now written, chunk decodes the same.
+	p.Insert(validEntry(1, 1, va.VPN(addr.Page4K)+4, 7, addr.Page4K))
+	written := p.AppendSet(nil, va, 1)
+	for i := range set {
+		if set[i] != written[i] || set[i].Valid {
+			t.Errorf("way %d: unwritten set decodes %+v, written empty set %+v", i, set[i], written[i])
+		}
+	}
+	if err := tl.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 

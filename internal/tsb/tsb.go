@@ -47,12 +47,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// maxSizeBytes bounds SizeBytes. New allocates every slot up front, at
-// one byte of host memory per simulated byte (each 16 B TTE is held as
-// its 16 B image), so an unchecked size from a config file would exhaust
-// host memory before anything could reject it. 256 MiB is 16× the
-// paper's 16 MB TSB and the POM-TLB's limit, so the two in-memory
-// translation structures can be compared at every size either allows.
+// maxSizeBytes bounds SizeBytes. The buffer allocates its 4 KiB slot
+// chunks only as inserts reach them, but a workload can still write every
+// chunk, so the worst case is one host byte per simulated byte (each 16 B
+// TTE is held as its 16 B image) plus 24 B of chunk directory per chunk
+// (96 KiB for 16 MiB); an unchecked size from a config file could exhaust
+// host memory. 256 MiB is 16× the paper's 16 MB TSB and the POM-TLB's
+// limit, so the two in-memory translation structures can be compared at
+// every size either allows.
 const maxSizeBytes = 256 << 20
 
 // Validate reports configuration errors.
@@ -90,10 +92,20 @@ func tag(vm addr.VMID, vpn uint64, size addr.PageSize) uint64 {
 	return validBit | uint64(vm)<<vmShift | uint64(size)<<sizeShift | vpn
 }
 
-// TSB is the direct-mapped translation storage buffer.
+// chunkSlots is how many consecutive slots one storage chunk holds
+// (4 KiB).
+const chunkSlots = 256
+
+// TSB is the direct-mapped translation storage buffer. Its slots are held
+// in chunks of chunkSlots (a buffer of fewer slots has one chunk of its
+// own size), each allocated when the first Insert lands in it; a slot of
+// an unwritten chunk reads as zero, an invalid TTE, so host memory follows
+// the translations the buffer holds, not its simulated capacity.
 type TSB struct {
-	cfg     Config
-	slots   [][2]uint64 // tag and data word per slot
+	cfg Config
+	// chunks[i/chunkSlots][i%chunkSlots] is slot i's tag and data word;
+	// nil until written.
+	chunks  [][][2]uint64
 	mask    uint64
 	lookups stats.HitMiss
 	// Conflicts counts inserts that displaced a live entry — the
@@ -110,7 +122,7 @@ func New(cfg Config) (*TSB, error) {
 	for n&(n-1) != 0 {
 		n &= n - 1
 	}
-	return &TSB{cfg: cfg, slots: make([][2]uint64, n), mask: n - 1}, nil
+	return &TSB{cfg: cfg, chunks: make([][][2]uint64, (n+chunkSlots-1)/chunkSlots), mask: n - 1}, nil
 }
 
 // MustNew is New but panics on invalid configuration — the historical
@@ -126,6 +138,14 @@ func MustNew(cfg Config) *TSB {
 // index computes the direct-mapped slot for a VPN.
 func (t *TSB) index(vm addr.VMID, vpn uint64) uint64 {
 	return (vpn ^ uint64(vm)) & t.mask
+}
+
+// slot returns slot i, or zero while its chunk is unwritten.
+func (t *TSB) slot(i uint64) [2]uint64 {
+	if c := t.chunks[i/chunkSlots]; c != nil {
+		return c[i%chunkSlots]
+	}
+	return [2]uint64{}
 }
 
 // EntryAddr returns the physical address of the slot a page size
@@ -144,7 +164,7 @@ func holds(s [2]uint64, vm addr.VMID, pid addr.PID, vpn uint64, size addr.PageSi
 // canonical (48-bit) address.
 func (t *TSB) Lookup(vm addr.VMID, pid addr.PID, va addr.VA, size addr.PageSize) (pfn uint64, ok bool) {
 	vpn := va.VPN(size)
-	if s := t.slots[t.index(vm, vpn)]; holds(s, vm, pid, vpn, size) {
+	if s := t.slot(t.index(vm, vpn)); holds(s, vm, pid, vpn, size) {
 		t.lookups.Hit()
 		return s[1] & pfnMask, true
 	}
@@ -156,7 +176,7 @@ func (t *TSB) Lookup(vm addr.VMID, pid addr.PID, va addr.VA, size addr.PageSize)
 // touching the lookup statistics — the conformance suite's logical
 // residual probe.
 func (t *TSB) Peek(vm addr.VMID, pid addr.PID, vpn uint64, size addr.PageSize) bool {
-	return holds(t.slots[t.index(vm, vpn)], vm, pid, vpn, size)
+	return holds(t.slot(t.index(vm, vpn)), vm, pid, vpn, size)
 }
 
 // Insert stores a resolved translation, displacing whatever lived in the
@@ -169,31 +189,37 @@ func (t *TSB) Insert(vm addr.VMID, pid addr.PID, vpn, pfn uint64, size addr.Page
 			vpn, pfn, vpnBits, pfnBits))
 	}
 	i := t.index(vm, vpn)
-	if t.slots[i][0]&validBit != 0 {
+	c := &t.chunks[i/chunkSlots]
+	if *c == nil {
+		*c = make([][2]uint64, min(chunkSlots, t.mask+1))
+	}
+	s := &(*c)[i%chunkSlots]
+	if s[0]&validBit != 0 {
 		t.Conflicts++
 	}
-	t.slots[i] = [2]uint64{tag(vm, vpn, size), uint64(pid)<<pidShift | pfn}
+	*s = [2]uint64{tag(vm, vpn, size), uint64(pid)<<pidShift | pfn}
 }
 
 // InvalidatePage removes one translation (shootdown).
 func (t *TSB) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, size addr.PageSize) bool {
-	s := &t.slots[t.index(vm, vpn)]
-	if holds(*s, vm, pid, vpn, size) {
-		*s = [2]uint64{}
-		return true
+	i := t.index(vm, vpn)
+	if !holds(t.slot(i), vm, pid, vpn, size) {
+		return false
 	}
-	return false
+	t.chunks[i/chunkSlots][i%chunkSlots] = [2]uint64{}
+	return true
 }
 
 // InvalidateProcess removes every entry of (vm, pid).
 func (t *TSB) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
 	own := validBit | uint64(vm)<<vmShift
 	n := 0
-	for i := range t.slots {
-		s := &t.slots[i]
-		if s[0]&ownerMask == own && s[1]>>pidShift == uint64(pid) {
-			*s = [2]uint64{}
-			n++
+	for _, c := range t.chunks {
+		for i := range c {
+			if s := &c[i]; s[0]&ownerMask == own && s[1]>>pidShift == uint64(pid) {
+				*s = [2]uint64{}
+				n++
+			}
 		}
 	}
 	return n
