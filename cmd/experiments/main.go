@@ -44,7 +44,6 @@ import (
 	"syscall"
 
 	"repro/internal/experiments"
-	"repro/internal/resilience/faultinject"
 	"repro/internal/workloads"
 )
 
@@ -287,9 +286,8 @@ func runSweep(ctx context.Context, out io.Writer, opts experiments.Options, spec
 		names = workloads.Names()
 	}
 	if f.faultPanicRate > 0 {
-		s := faultinject.NewSchedule()
-		plan := experiments.SeedChaos(s, spec.Cells(names), f.faultPanicRate, f.faultSeed)
-		cfg.Base.Faults = s
+		var plan experiments.ChaosPlan
+		cfg.Base.Faults, plan = experiments.SeedChaos(spec.Cells(names), f.faultPanicRate, f.faultSeed)
 		fmt.Fprintf(out, "chaos plan (seed %d): %d cell(s) panic\n", f.faultSeed, len(plan.Panicked))
 	}
 

@@ -174,7 +174,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		experiments.WriteCrossScheme(out, rows)
 		return err
 	}
-	res, err := experiments.SimulateCell(ctx, opts, name, opts.Mode)
+	res, err := experiments.SimulateCell(ctx, opts, experiments.Cell{Workload: name, Mode: opts.Mode})
 	if err != nil {
 		return err
 	}
@@ -301,9 +301,8 @@ func printResult(out io.Writer, workload string, p *workloads.Profile, virtualiz
 	}
 
 	if p != nil && res.Mode != core.Baseline && core.CalibratedWalks(res.Mode) {
-		if imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(*p, virtualized, res.AvgPenalty())); err == nil {
-			fmt.Fprintf(out, "\nmodelled improvement over measured baseline: %.2f%%\n", imp)
-		}
+		imp := perfmodel.ImprovementPct(perfmodel.FromProfile(*p, virtualized, res.AvgPenalty()))
+		fmt.Fprintf(out, "\nmodelled improvement over measured baseline: %.2f%%\n", imp)
 	}
 
 	fmt.Fprintf(out, "\nresolved at: ")

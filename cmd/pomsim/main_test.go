@@ -205,7 +205,7 @@ func TestRunJSON(t *testing.T) {
 	for _, name := range []string{"gups", "consol-smoke"} {
 		opts := experiments.QuickOptions()
 		opts.WarmupRefs, opts.MaxRefs = 5000, 5000
-		res, err := experiments.SimulateCell(context.Background(), opts, name, core.POMTLB)
+		res, err := experiments.SimulateCell(context.Background(), opts, experiments.Cell{Workload: name, Mode: core.POMTLB})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,19 +18,15 @@ import (
 // reach, kept on purpose. Each key is the package path below internal/,
 // then the name; each value says why the identifier stays.
 var testSeams = map[string]string{
-	"resilience/faultinject.Schedule.CallOn":    "core and experiments tests schedule a panic or error at a call site",
-	"resilience/faultinject.Schedule.CorruptOn": "core and experiments tests schedule a corrupted trace record",
-	"resilience/faultinject.Schedule.ErrorOn":   "experiments tests fail a cell or a DRAM access once with a chosen error",
-	"resilience/faultinject.Schedule.Hits":      "core and experiments tests check how often a fault site fired",
-	"config.Save":                               "cmd/pomsim tests write the config files they load",
-	"perfmodel.CIdeal":                          "Equation 2, checked against Speedup's closed form",
-	"perfmodel.PAvg":                            "Equation 3, checked against Speedup's closed form",
-	"perfmodel.CScheme":                         "Equation 4, checked against Speedup's closed form",
-	"oracle.NewScheduler":                       "FR-FCFS reference model the DRAM channel is tested against",
-	"oracle.Scheduler.Run":                      "FR-FCFS reference model the DRAM channel is tested against",
-	"oracle.RowBufferHitRate":                   "FR-FCFS reference model the DRAM channel is tested against",
-	"oracle.AvgServiceLatency":                  "FR-FCFS reference model the DRAM channel is tested against",
-	"trace.Collect":                             "server, workloads, faultinject and core tests drain a generator",
+	"config.Save":              "cmd/pomsim tests write the config files they load",
+	"perfmodel.CIdeal":         "Equation 2, checked against Speedup's closed form",
+	"perfmodel.PAvg":           "Equation 3, checked against Speedup's closed form",
+	"perfmodel.CScheme":        "Equation 4, checked against Speedup's closed form",
+	"oracle.NewScheduler":      "FR-FCFS reference model the DRAM channel is tested against",
+	"oracle.Scheduler.Run":     "FR-FCFS reference model the DRAM channel is tested against",
+	"oracle.RowBufferHitRate":  "FR-FCFS reference model the DRAM channel is tested against",
+	"oracle.AvgServiceLatency": "FR-FCFS reference model the DRAM channel is tested against",
+	"trace.Collect":            "server, workloads and core tests drain a generator",
 }
 
 // TestNoTestOnlyExports fails for every exported function, method, type,

@@ -23,9 +23,10 @@ const (
 
 // FuzzParseConfig throws arbitrary bytes at the config-file parser. No
 // input may panic; an accepted file keeps every cache and SRAM TLB within
-// 16 ways and every size the simulator allocates up front within its
-// cap; and it round-trips through Marshal and Parse unchanged. No system
-// is built, so an accepted size costs nothing here.
+// 16 ways, every size the simulator allocates up front within its cap
+// and the DDR bank count a power of two; and it round-trips through
+// Marshal and Parse unchanged. No system is built, so an accepted size
+// costs nothing here.
 func FuzzParseConfig(f *testing.F) {
 	def, err := Marshal(Default())
 	if err != nil {
@@ -57,6 +58,7 @@ func FuzzParseConfig(f *testing.F) {
 	}
 	f.Add([]byte(`{"config":{"POM":{"Ways":1152921504606846976}}}`))
 	f.Add([]byte(`{"config":{"L1D":{"Ways":288230376151711744}}}`))
+	f.Add([]byte(`{"config":{"DDR":{"Banks":12}}}`))
 	f.Add([]byte(`{"workload":"","config":{}}`))
 	f.Add([]byte(`not json`))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -88,7 +90,7 @@ func FuzzParseConfig(f *testing.F) {
 		if w.PML4Entries > maxAssocEntries || w.PDPEntries > maxAssocEntries || w.PDEEntries > maxAssocEntries || w.NestedTLB > maxAssocEntries {
 			t.Errorf("accepted walker caches %+v above %d entries", w, maxAssocEntries)
 		}
-		if c.DDRChannels > maxDDRChannels || c.DDR.Banks > maxBanks {
+		if c.DDRChannels > maxDDRChannels || c.DDR.Banks > maxBanks || c.DDR.Banks&(c.DDR.Banks-1) != 0 {
 			t.Errorf("accepted %d DDR channels of %d banks", c.DDRChannels, c.DDR.Banks)
 		}
 		if c.Mode == core.Victima {

@@ -93,6 +93,7 @@ func TestConfigValidate(t *testing.T) {
 		}, victima.ErrTooManyEntries},
 		{"2^30 DDR channels", func(c *Config) { c.DDRChannels = 1 << 30 }, ErrTooManyChannels},
 		{"2^40 DDR banks", func(c *Config) { c.DDR.Banks = 1 << 40 }, dram.ErrTooManyBanks},
+		{"12 DDR banks", func(c *Config) { c.DDR.Banks = 12 }, dram.ErrBanksNotPowerOfTwo},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()

@@ -49,10 +49,7 @@ func Example_quickstart() {
 
 	// The paper's performance model combines the measured baseline
 	// (Table 2) with the simulated POM-TLB penalty.
-	imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, true, pom.AvgPenalty()))
-	if err != nil {
-		log.Fatal(err)
-	}
+	imp := perfmodel.ImprovementPct(perfmodel.FromProfile(p, true, pom.AvgPenalty()))
 	fmt.Printf("\nmodelled speedup over the measured Skylake baseline: +%.2f%%\n", imp)
 	// Output:
 	// workload: mcf — 320 MB footprint, 61% 2MB pages

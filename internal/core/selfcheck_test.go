@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/addr"
-	"repro/internal/resilience/faultinject"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -54,12 +53,25 @@ func TestSelfCheckAllSchemesClean(t *testing.T) {
 	}
 }
 
-// TestSelfCheckCatchesInjectedCorruption wires the fault-injection layer
-// through the differential harness: a faultinject.CallOn callback fires
-// mid-run and mutates production POM-TLB state directly — bypassing the
-// shadow hooks, exactly like memory corruption or a state-update bug
-// would — and the oracle must report the drift as a divergence. This is
-// the negative test proving the watchdog itself works.
+// recordHook wraps a generator and hands every record, numbered from 1,
+// through at on its way to the simulator.
+type recordHook struct {
+	trace.Generator
+	n  uint64
+	at func(n uint64, rec trace.Record) trace.Record
+}
+
+func (g *recordHook) Next() trace.Record {
+	g.n++
+	return g.at(g.n, g.Generator.Next())
+}
+
+// TestSelfCheckCatchesInjectedCorruption wires a fault through the
+// differential harness: a record hook fires mid-run and mutates
+// production POM-TLB state directly — bypassing the shadow hooks,
+// exactly like memory corruption or a state-update bug would — and the
+// oracle must report the drift as a divergence. This is the negative
+// test proving the watchdog itself works.
 func TestSelfCheckCatchesInjectedCorruption(t *testing.T) {
 	cfg := smallConfig(POMTLB)
 	sys, err := NewSystem(cfg)
@@ -67,13 +79,12 @@ func TestSelfCheckCatchesInjectedCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := sys.EnableSelfCheck()
-	sched := faultinject.NewSchedule()
 	corrupted := 0
 	// At the 120,000th trace record (inside warmup, once the POM-TLB is
 	// well-populated), flip the PFNs of several resident translations
 	// behind the shadow's back — the reference keeps the old PFNs, so the
 	// next search hit on any corrupted page must diverge.
-	sched.CallOn(faultinject.TraceSite, func() {
+	corrupt := func() {
 		part := sys.pom.Small
 		part.SetShadow(nil)
 		defer part.SetShadow(sc.pomSmall)
@@ -87,8 +98,13 @@ func TestSelfCheckCatchesInjectedCorruption(t *testing.T) {
 				}
 			}
 		}
-	}, 120_000)
-	g := faultinject.Wrap(trace.NewUniform(gupsParams(cfg.Cores)), sched)
+	}
+	g := &recordHook{Generator: trace.NewUniform(gupsParams(cfg.Cores)), at: func(n uint64, rec trace.Record) trace.Record {
+		if n == 120_000 {
+			corrupt()
+		}
+		return rec
+	}}
 	if _, err := sys.Run(context.Background(), g, "corrupted"); err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +117,10 @@ func TestSelfCheckCatchesInjectedCorruption(t *testing.T) {
 }
 
 // TestSelfCheckRecordCorruptionNoFalsePositives is the complement: a
-// Corrupt fault mutates the trace record *before* it reaches the
-// simulator, so production and reference models see the same (corrupted)
-// stream — the oracle must stay silent. Record corruption changes
-// results, not model agreement.
+// record hook mutates trace records *before* they reach the simulator,
+// so production and reference models see the same (corrupted) stream —
+// the oracle must stay silent. Record corruption changes results, not
+// model agreement.
 func TestSelfCheckRecordCorruptionNoFalsePositives(t *testing.T) {
 	cfg := smallConfig(POMTLB)
 	sys, err := NewSystem(cfg)
@@ -112,18 +128,24 @@ func TestSelfCheckRecordCorruptionNoFalsePositives(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := sys.EnableSelfCheck()
-	sched := faultinject.NewSchedule()
-	for _, n := range []uint64{10_000, 50_000, 170_000} {
-		sched.CorruptOn(faultinject.TraceSite, n)
-	}
-	g := faultinject.Wrap(trace.NewUniform(gupsParams(cfg.Cores)), sched)
+	corrupted := 0
+	g := &recordHook{Generator: trace.NewUniform(gupsParams(cfg.Cores)), at: func(n uint64, rec trace.Record) trace.Record {
+		if n == 10_000 || n == 50_000 || n == 170_000 {
+			// Move the page within the canonical 48-bit range and flip
+			// the access kind.
+			rec.VA ^= addr.VA(n * 0x9E3779B97F4A7C15 & 0x0000_FFFF_FFFF_F000)
+			rec.Write = !rec.Write
+			corrupted++
+		}
+		return rec
+	}}
 	if _, err := sys.Run(context.Background(), g, "record-corrupt"); err != nil {
 		t.Fatal(err)
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatalf("record corruption must not diverge the oracle: %v", err)
 	}
-	if sched.Hits(faultinject.TraceSite) == 0 {
+	if corrupted == 0 {
 		t.Fatal("corruption schedule never fired")
 	}
 }

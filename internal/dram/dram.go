@@ -56,12 +56,6 @@ type Config struct {
 	// rank for tRFC ≈ 350 ns). 0 disables refresh modelling.
 	TREFI uint64
 	TRFC  uint64
-
-	// FaultHook, when non-nil, runs at the start of every Access — the
-	// fault-injection seam (internal/resilience/faultinject) used to fail
-	// the N-th DRAM access deterministically. Never set in production
-	// configurations; excluded from JSON round-trips.
-	FaultHook func() `json:"-"`
 }
 
 // DieStacked returns the Table 1 die-stacked DRAM channel configuration.
@@ -123,6 +117,11 @@ const maxBanks = 1024
 // than maxBanks banks.
 var ErrTooManyBanks = errors.New("banks exceed the 1024-bank limit")
 
+// ErrBanksNotPowerOfTwo is the error Validate wraps for a bank count
+// that is not a power of two: decompose picks the bank with the mask
+// Banks-1, which only reaches every bank of a power-of-two count.
+var ErrBanksNotPowerOfTwo = errors.New("banks not a power of two")
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
@@ -134,6 +133,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dram %q: need at least one bank", c.Name)
 	case c.Banks > maxBanks:
 		return fmt.Errorf("dram %q: %d %w", c.Name, c.Banks, ErrTooManyBanks)
+	case c.Banks&(c.Banks-1) != 0:
+		return fmt.Errorf("dram %q: %d %w", c.Name, c.Banks, ErrBanksNotPowerOfTwo)
 	case c.RowBytes%addr.CacheLineSize != 0:
 		return fmt.Errorf("dram %q: row size %d not a multiple of the line size", c.Name, c.RowBytes)
 	}
@@ -292,9 +293,6 @@ func (ch *Channel) decompose(a addr.HPA) (bankIdx int, row uint64) {
 // Section 2.2 relies on. Channel throughput is therefore bounded by the
 // burst rate, not by the full access latency.
 func (ch *Channel) Access(now uint64, a addr.HPA, write bool) Result {
-	if ch.cfg.FaultHook != nil {
-		ch.cfg.FaultHook()
-	}
 	bi, row := ch.decompose(a)
 	b := &ch.banks[bi]
 

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -29,6 +30,13 @@ func TestConfigValidate(t *testing.T) {
 	bad.RowBytes = 100
 	if bad.Validate() == nil {
 		t.Error("non-line-multiple row should be invalid")
+	}
+	// decompose masks the bank with Banks-1: 12 banks would use only
+	// banks 0-3 and 8-11.
+	bad = DDR4_2133()
+	bad.Banks = 12
+	if err := bad.Validate(); !errors.Is(err, ErrBanksNotPowerOfTwo) {
+		t.Errorf("12 banks: Validate = %v, want %v", err, ErrBanksNotPowerOfTwo)
 	}
 }
 

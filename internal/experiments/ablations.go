@@ -50,11 +50,7 @@ func sweep(ctx context.Context, base Options, labels []string, variant func(Opti
 			pen := res.AvgPenalty()
 			penSum += pen
 			elimSum += res.WalkEliminationRate()
-			imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, true, pen))
-			if err != nil {
-				fs.record(r.fail(err, name, core.POMTLB), name, core.POMTLB)
-				continue
-			}
+			imp := perfmodel.ImprovementPct(perfmodel.FromProfile(p, true, pen))
 			speedups = append(speedups, 1+imp/100)
 			n++
 		}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/consolidation"
 	"repro/internal/core"
-	"repro/internal/resilience/faultinject"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -28,8 +27,8 @@ var ConsolidationModes = []core.Mode{core.Baseline, core.SharedL2, core.TSB, cor
 // exists for a synthetic tenant mix, and simulated walks keep every
 // scheme on one comparable axis (like the UncalibratedWalks path).
 func runConsolidationCell(ctx context.Context, opts Options, preset workloads.Consolidation, mode core.Mode) (core.Result, error) {
-	cfg := opts.config(mode)
-	cfg.Virtualized = true
+	cfg := opts.Config
+	cfg.Mode, cfg.Virtualized = mode, true
 	scn, err := consolidation.New(consolidation.Config{
 		Preset:       preset,
 		Cores:        cfg.Cores,
@@ -48,7 +47,7 @@ func runConsolidationCell(ctx context.Context, opts Options, preset workloads.Co
 		return core.Result{}, err
 	}
 	sys.SetEvents(scn.Events)
-	return sys.Run(ctx, faultinject.Wrap(scn.Gen, opts.Faults), preset.Name)
+	return sys.Run(ctx, scn.Gen, preset.Name)
 }
 
 // TierRow is one (scheme, tier) cell of the consolidation breakdown.

@@ -56,11 +56,8 @@ func CrossScheme(ctx context.Context, r *Runner) ([]CrossRow, error) {
 				WalkElim: res.WalkEliminationRate(),
 			}
 			if mode != core.Baseline && core.CalibratedWalks(mode) {
-				in := perfmodel.FromProfile(p, r.Options().Virtualized, row.Penalty)
-				if imp, err := perfmodel.ImprovementPct(in); err == nil {
-					row.ImprovementPct = imp
-					row.HasImprovement = true
-				}
+				row.ImprovementPct = perfmodel.ImprovementPct(perfmodel.FromProfile(p, r.Options().Virtualized, row.Penalty))
+				row.HasImprovement = true
 			}
 			rows = append(rows, row)
 		}

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/resilience"
-	"repro/internal/resilience/faultinject"
 	"repro/internal/workloads"
 )
 
@@ -37,9 +36,7 @@ type SweepConfig struct {
 	// virtualization, ...). Base.Workloads restricts the workload axis
 	// (nil = all of Table 2), Base.WorkloadTimeout bounds each cell
 	// (0 = none), and Base.Faults is the deterministic chaos plan (nil in
-	// production): the engine fires faultinject.SweepCellSite(key) once
-	// per simulated cell, and the cell's simulation fires the deeper
-	// seams.
+	// production), fired by each cell's SimulateCell.
 	Base Options
 	// Spec is the geometry grid crossed with workloads × schemes.
 	Spec Spec
@@ -294,15 +291,7 @@ func (e *engine) runCell(ctx context.Context, c Cell) {
 		return
 	}
 
-	var res core.Result
-	err := resilience.Safe(func() error {
-		if err := cellOpts.Faults.Fire(faultinject.SweepCellSite(key)); err != nil {
-			return err
-		}
-		var err error
-		res, err = SimulateCell(ctx, cellOpts, c.Workload, c.Mode)
-		return err
-	})
+	res, err := SimulateCell(ctx, e.cfg.Base, c)
 	if err != nil {
 		if ctx.Err() != nil {
 			// Cancelled, not failed: leave the cell un-journaled so a
@@ -316,25 +305,6 @@ func (e *engine) runCell(ctx context.Context, c Cell) {
 		e.journalErr(key, jerr)
 	}
 	e.finish(CellResult{Cell: c, Res: res}, cellOpts)
-}
-
-// tagVariant stamps the cell's geometry onto the error message via the
-// campaign layer's WorkloadError, so quarantine manifests name exact grid
-// coordinates.
-func tagVariant(err error, c Cell) string {
-	var we *WorkloadError
-	if errors.As(err, &we) {
-		if we.Variant == "" {
-			tagged := *we
-			tagged.Variant = c.Variant.Label()
-			return tagged.Error()
-		}
-		return err.Error()
-	}
-	// Sweep-cell seam faults arrive without workload identity; stamp the
-	// full cell coordinates on.
-	full := &WorkloadError{Workload: c.Workload, Mode: c.Mode, Variant: c.Variant.Label(), Err: err}
-	return full.Error()
 }
 
 // finish records one completed cell and streams its row.
@@ -358,13 +328,16 @@ func (e *engine) finish(r CellResult, cellOpts Options) {
 // quarantine records one failed cell in the manifest and advances the
 // CSV past its row slot.
 func (e *engine) quarantine(c Cell, err error) {
+	// The message names the cell's exact grid coordinates.
+	tagged := *asWorkloadError(err, c.Workload, c.Mode)
+	tagged.Variant = c.Variant.Label()
 	q := QuarantinedCell{
 		Index:    c.Index,
 		Key:      c.Key(),
 		Workload: c.Workload,
 		Scheme:   c.Mode.String(),
 		Variant:  c.Variant.Label(),
-		Error:    tagVariant(err, c),
+		Error:    tagged.Error(),
 		Err:      err,
 	}
 	var pe *resilience.PanicError

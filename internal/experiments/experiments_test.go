@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/resilience/faultinject"
 )
 
 // quick returns a fast campaign over a 3-workload subset that spans the
@@ -40,7 +39,7 @@ func TestRunnerMemoizes(t *testing.T) {
 // exactly once.
 func TestRunnerConcurrentCallers(t *testing.T) {
 	opts := sweepTiny()
-	opts.Faults = faultinject.NewSchedule() // empty: counts simulations
+	opts.Faults = newFaultSchedule() // empty: counts simulations
 	r := NewRunner(opts, nil)
 	modes := []core.Mode{core.POMTLB, core.TSB}
 	results := make([]core.Result, 4)
@@ -68,7 +67,7 @@ func TestRunnerConcurrentCallers(t *testing.T) {
 		}
 	}
 	for _, m := range modes {
-		if n := opts.Faults.Hits(faultinject.WorkerSite("gups", m.String())); n != 1 {
+		if n := opts.Faults.hits(Cell{Workload: "gups", Mode: m}.Key()); n != 1 {
 			t.Errorf("gups/%s simulated %d times, want 1", m, n)
 		}
 	}

@@ -1,6 +1,94 @@
 package experiments
 
-import "repro/internal/resilience/faultinject"
+import (
+	"fmt"
+	"sync"
+)
+
+// FaultSchedule is a deterministic fault plan over cells. SimulateCell
+// fires the cell's key (Cell.Key) once per run, first thing inside its
+// resilience envelope, so an injected fault takes the path a real
+// simulation failure takes. Faults are keyed by (cell key, 1-based run
+// number): a panic, an error, or a callback tests use to cancel a context
+// at an exact point of a campaign. A nil *FaultSchedule is inert, so
+// production runs thread one unconditionally.
+type FaultSchedule struct {
+	mu     sync.Mutex
+	runs   map[string]uint64
+	faults map[faultAt]fault
+}
+
+// faultAt is where a fault fires: the n-th run of a cell key.
+type faultAt struct {
+	key string
+	n   uint64
+}
+
+// fault is one scheduled effect: a panic (err and call nil), an error,
+// or a callback.
+type fault struct {
+	err  error
+	call func()
+}
+
+// newFaultSchedule creates an empty fault plan.
+func newFaultSchedule() *FaultSchedule {
+	return &FaultSchedule{runs: map[string]uint64{}, faults: map[faultAt]fault{}}
+}
+
+func (s *FaultSchedule) add(key string, nth []uint64, f fault) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, n := range nth {
+		s.faults[faultAt{key, n}] = f
+	}
+}
+
+// panicOn schedules panics at the given 1-based runs of the cell key.
+func (s *FaultSchedule) panicOn(key string, nth ...uint64) { s.add(key, nth, fault{}) }
+
+// errorOn schedules err to fail the given runs of the cell key.
+func (s *FaultSchedule) errorOn(key string, err error, nth ...uint64) {
+	s.add(key, nth, fault{err: err})
+}
+
+// callOn schedules fn at the given runs of the cell key.
+func (s *FaultSchedule) callOn(key string, fn func(), nth ...uint64) {
+	s.add(key, nth, fault{call: fn})
+}
+
+// hits returns how many times the cell key has fired so far.
+func (s *FaultSchedule) hits(key string) uint64 {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.runs[key]
+}
+
+// fire records one run of the cell key and applies the fault due, if
+// any: a panic panics, an error is returned, a callback runs.
+func (s *FaultSchedule) fire(key string) error {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	s.runs[key]++
+	n := s.runs[key]
+	f, ok := s.faults[faultAt{key, n}]
+	s.mu.Unlock()
+	switch {
+	case !ok:
+		return nil
+	case f.call != nil:
+		f.call()
+		return nil
+	case f.err != nil:
+		return fmt.Errorf("scheduled fault in cell %s (run %d): %w", key, n, f.err)
+	}
+	panic(fmt.Sprintf("scheduled panic in cell %s (run %d)", key, n))
+}
 
 // ChaosPlan names the cells a SeedChaos call doomed, so tests and CI
 // can assert the quarantine manifest is exactly the injected set.
@@ -11,20 +99,21 @@ type ChaosPlan struct {
 	Panicked []string
 }
 
-// SeedChaos schedules deterministic panics at the sweep-cell seam: each
+// SeedChaos arms a fresh schedule with deterministic cell panics: each
 // cell's fate is a pure function of (seed, cell key), independent of
 // worker scheduling and of which run — first, killed, or resumed —
 // executes the cell. panicRate is a probability in [0, 1].
-func SeedChaos(s *faultinject.Schedule, cells []Cell, panicRate float64, seed uint64) ChaosPlan {
+func SeedChaos(cells []Cell, panicRate float64, seed uint64) (*FaultSchedule, ChaosPlan) {
+	s := newFaultSchedule()
 	var plan ChaosPlan
 	for _, c := range cells {
 		key := c.Key()
 		if cellUniform(seed, key) < panicRate {
-			s.PanicOn(faultinject.SweepCellSite(key), 1)
+			s.panicOn(key, 1)
 			plan.Panicked = append(plan.Panicked, key)
 		}
 	}
-	return plan
+	return s, plan
 }
 
 // cellUniform hashes (seed, key) to a uniform value in [0, 1) with the

@@ -140,14 +140,8 @@ func Figure8(ctx context.Context, r *Runner) ([]Fig8Row, Fig8Summary, error) {
 				continue
 			}
 			*sl.pen = res.AvgPenalty()
-			imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, true, *sl.pen))
-			if err != nil {
-				fs.record(err, p.Name, sl.mode)
-				ok = false
-				continue
-			}
-			*sl.imp = imp
-			speedups[i] = 1 + imp/100
+			*sl.imp = perfmodel.ImprovementPct(perfmodel.FromProfile(p, true, *sl.pen))
+			speedups[i] = 1 + *sl.imp/100
 		}
 		if !ok {
 			continue // keep the geomeans consistent with the rendered rows
@@ -289,12 +283,7 @@ func Figure12(ctx context.Context, r *Runner) ([]Fig12Row, float64, float64, err
 				ok = false
 				continue
 			}
-			imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, true, res.AvgPenalty()))
-			if err != nil {
-				fs.record(err, p.Name, m)
-				ok = false
-				continue
-			}
+			imp := perfmodel.ImprovementPct(perfmodel.FromProfile(p, true, res.AvgPenalty()))
 			if m == core.POMTLB {
 				row.WithCache = imp
 			} else {

@@ -34,9 +34,9 @@ import (
 // the campaign settings that change what a cell computes. A journal
 // written under one fingerprint refuses to resume under another: mixing
 // cells from different machine configurations would silently corrupt
-// every figure. The workload subset, timeout and fault-injection
-// settings are deliberately excluded — they change which cells run, not
-// what any cell computes (the DRAM fault hooks marshal to nothing).
+// every figure. The workload subset, timeout and fault plan are
+// deliberately excluded — they change which cells run, not what any cell
+// computes.
 func Fingerprint(o Options) string {
 	cfg := o.Config
 	cfg.Mode = ""
@@ -124,9 +124,8 @@ func parseSweepLine(line []byte) (sweepRecord, error) {
 // anywhere earlier, or a header fingerprint that does not match, fails the
 // open with a descriptive error. A file that starts with '{' is the
 // whole-file JSON checkpoint older versions wrote; it is refused and left
-// untouched rather than recreated as a torn header. The "quarantined"
-// records older versions wrote are skipped, so those cells run again.
-// The caller owns the returned journal and must Close it.
+// untouched rather than recreated as a torn header. The caller owns the
+// returned journal and must Close it.
 func OpenSweepJournal(path, fingerprint string) (*SweepJournal, error) {
 	j := &SweepJournal{
 		path: path,
@@ -267,16 +266,11 @@ func (j *SweepJournal) replay(raw []byte, fingerprint string) (int64, error) {
 			validLen = line.end
 			continue
 		}
-		switch rec.Kind {
-		case "done":
-			if rec.Result != nil {
-				j.done[rec.Key] = *rec.Result
-			}
-		case "quarantined":
-			// An older version's failure record: skipped, so the cell
-			// runs again.
-		default:
+		if rec.Kind != "done" {
 			return 0, fmt.Errorf("journal %s: record %d has unknown kind %q", j.path, i+1, rec.Kind)
+		}
+		if rec.Result != nil {
+			j.done[rec.Key] = *rec.Result
 		}
 		validLen = line.end
 	}

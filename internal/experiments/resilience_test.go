@@ -5,22 +5,23 @@ import (
 	"errors"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/resilience"
-	"repro/internal/resilience/faultinject"
 )
 
 // TestCampaignSurvivesWorkerPanic is the headline acceptance test: a
-// worker that panics mid-campaign must cost exactly its own cell — every
+// cell that panics mid-campaign must cost exactly its own cell — every
 // other workload's row survives, and the error names the failed
-// (workload, scheme) pair with the recovered panic attached.
+// (workload, scheme) pair with the panic SimulateCell's own envelope
+// recovered attached.
 func TestCampaignSurvivesWorkerPanic(t *testing.T) {
 	opts := quick()
-	opts.Faults = faultinject.NewSchedule()
-	opts.Faults.PanicOn(faultinject.WorkerSite("gups", core.POMTLB.String()), 1)
+	opts.Faults = newFaultSchedule()
+	opts.Faults.panicOn("gups|pom-tlb", 1)
 	r := NewRunner(opts, nil)
 
 	rows, err := Figure9(context.Background(), r)
@@ -51,8 +52,8 @@ func TestCampaignSurvivesWorkerPanic(t *testing.T) {
 	if !errors.As(f.Err, &pe) {
 		t.Fatalf("failure cause is %T, want *resilience.PanicError", f.Err)
 	}
-	if len(pe.Stack) == 0 {
-		t.Error("the recovered panic carries no stack")
+	if !strings.Contains(string(pe.Stack), "experiments.SimulateCell") {
+		t.Errorf("the panic was not recovered inside SimulateCell:\n%s", pe.Stack)
 	}
 }
 
@@ -69,8 +70,8 @@ func TestResumeCompletesOnlyMissingCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Faults = faultinject.NewSchedule()
-	opts.Faults.PanicOn(faultinject.WorkerSite("gups", core.POMTLB.String()), 1)
+	opts.Faults = newFaultSchedule()
+	opts.Faults.panicOn("gups|pom-tlb", 1)
 	if _, err := Figure9(context.Background(), NewRunner(opts, j)); err == nil {
 		t.Fatal("first campaign should be degraded")
 	}
@@ -79,16 +80,16 @@ func TestResumeCompletesOnlyMissingCell(t *testing.T) {
 	}
 	j.Close()
 
-	// Resumed campaign: a fresh fault-free schedule counts which workers
-	// actually simulate. Journaled cells are served before the worker
-	// site fires, so only the missing cell may hit it.
+	// Resumed campaign: a fresh fault-free schedule counts which cells
+	// actually simulate. Journaled cells are served without calling
+	// SimulateCell, so only the missing cell may fire its key.
 	j2, err := OpenSweepJournal(path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
 	opts2 := quick()
-	opts2.Faults = faultinject.NewSchedule() // empty: pure hit counting
+	opts2.Faults = newFaultSchedule() // empty: pure hit counting
 	rows, err := Figure9(context.Background(), NewRunner(opts2, j2))
 	if err != nil {
 		t.Fatalf("resumed campaign failed: %v", err)
@@ -97,12 +98,11 @@ func TestResumeCompletesOnlyMissingCell(t *testing.T) {
 		t.Fatalf("resumed campaign produced %d rows, want 3", len(rows))
 	}
 	for _, name := range []string{"streamcluster", "mcf"} {
-		site := faultinject.WorkerSite(name, core.POMTLB.String())
-		if n := opts2.Faults.Hits(site); n != 0 {
+		if n := opts2.Faults.hits(name + "|pom-tlb"); n != 0 {
 			t.Errorf("%s re-simulated %d time(s) despite being journaled", name, n)
 		}
 	}
-	if n := opts2.Faults.Hits(faultinject.WorkerSite("gups", core.POMTLB.String())); n != 1 {
+	if n := opts2.Faults.hits("gups|pom-tlb"); n != 1 {
 		t.Errorf("missing cell gups simulated %d time(s), want exactly 1", n)
 	}
 	if n := j2.Len(); n != 3 {
@@ -172,8 +172,8 @@ func TestMidCampaignCancellation(t *testing.T) {
 // campaign error must list both failures, told apart by their variants.
 func TestAblationFailuresKeepTheirPoints(t *testing.T) {
 	opts := quick()
-	opts.Faults = faultinject.NewSchedule()
-	opts.Faults.PanicOn(faultinject.WorkerSite("gups", core.POMTLB.String()), 1, 2)
+	opts.Faults = newFaultSchedule()
+	opts.Faults.panicOn("gups|pom-tlb", 1, 2)
 	_, err := AblationCapacity(context.Background(), opts)
 	var ce *CampaignError
 	if !errors.As(err, &ce) {
@@ -194,51 +194,6 @@ func TestAblationFailuresKeepTheirPoints(t *testing.T) {
 		if !stacks[want] {
 			t.Errorf("no recovered stack for %s:\n%s", want, ce.Error())
 		}
-	}
-}
-
-// TestDRAMFaultRecovered injects a failure at the DRAM access seam — deep
-// inside the memory substrate, far below the campaign runner — and checks
-// it surfaces as a structured, errors.Is-able workload failure.
-func TestDRAMFaultRecovered(t *testing.T) {
-	sentinel := errors.New("injected DRAM failure")
-	opts := quick()
-	opts.Workloads = []string{"gups"}
-	opts.Faults = faultinject.NewSchedule()
-	opts.Faults.ErrorOn(faultinject.DRAMSite, sentinel, 1)
-	r := NewRunner(opts, nil)
-
-	_, err := r.Result(context.Background(), "gups", core.POMTLB)
-	if err == nil {
-		t.Fatal("injected DRAM fault did not fail the cell")
-	}
-	var we *WorkloadError
-	if !errors.As(err, &we) {
-		t.Fatalf("error is %T, want *WorkloadError", err)
-	}
-	// The hook has no error path, so the fault travels as a panic; the
-	// recovery chain must still expose the original sentinel.
-	if !errors.Is(err, sentinel) {
-		t.Errorf("sentinel lost through the recovery chain: %v", err)
-	}
-}
-
-// TestTraceCorruptionSeamFires proves the trace-record seam is wired into
-// real campaigns: a corruption fault neither crashes nor errors the run,
-// and the hit counter confirms the wrapper saw every generated record.
-func TestTraceCorruptionSeamFires(t *testing.T) {
-	opts := quick()
-	opts.Workloads = []string{"gups"}
-	opts.Faults = faultinject.NewSchedule()
-	opts.Faults.CorruptOn(faultinject.TraceSite, 5)
-	r := NewRunner(opts, nil)
-
-	if _, err := r.Result(context.Background(), "gups", core.POMTLB); err != nil {
-		t.Fatalf("corrupted record must not fail the run: %v", err)
-	}
-	want := uint64(opts.WarmupRefs + opts.MaxRefs)
-	if n := opts.Faults.Hits(faultinject.TraceSite); n < want {
-		t.Errorf("trace seam fired %d times, want at least %d", n, want)
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/resilience"
-	"repro/internal/resilience/faultinject"
 	"repro/internal/workloads"
 )
 
@@ -54,13 +53,9 @@ type Options struct {
 	// it fails with context.DeadlineExceeded while the rest of the
 	// campaign continues (0 = no per-job deadline).
 	WorkloadTimeout time.Duration
-	// Faults is the deterministic fault-injection plan (nil in
-	// production). The engine fires faultinject.SweepCellSite(key) once
-	// per simulated cell; SimulateCell fires faultinject.WorkerSite(
-	// workload, scheme), wires faultinject.DRAMSite into both DRAM
-	// substrates, and wraps trace generators for faultinject.TraceSite
-	// record corruption.
-	Faults *faultinject.Schedule
+	// Faults is the deterministic fault plan (nil in production):
+	// SimulateCell fires each cell's key once per run.
+	Faults *FaultSchedule
 }
 
 // DefaultOptions returns the paper's 8-core virtualized campaign (Table 1)
@@ -76,19 +71,6 @@ func QuickOptions() Options {
 	o := Options{Config: core.DefaultConfig()}
 	o.Cores, o.WarmupRefs, o.MaxRefs = 2, 120_000, 60_000
 	return o
-}
-
-// config returns the simulated machine for one scheme under these
-// options, with the fault plan's DRAM hook wired into both substrates.
-func (o Options) config(mode core.Mode) core.Config {
-	cfg := o.Config
-	cfg.Mode = mode
-	if o.Faults != nil {
-		hook := o.Faults.Hook(faultinject.DRAMSite)
-		cfg.DDR.FaultHook = hook
-		cfg.POM.DRAM.FaultHook = hook
-	}
-	return cfg
 }
 
 // Runner memoizes simulation results across figures so each
@@ -223,25 +205,27 @@ func (r *Runner) fail(err error, name string, mode core.Mode) *WorkloadError {
 	return we
 }
 
-// SimulateCell runs exactly one (workload, scheme) simulation under the
-// resilience envelope: the job runs under opts.WorkloadTimeout, panics
-// anywhere in the simulation stack — substrate constructors, trace
-// generation, the core loop — are recovered into the returned
+// SimulateCell runs exactly one cell, c under base with its variant
+// applied, inside the resilience envelope: the job runs under
+// WorkloadTimeout, fires the cell's fault plan first, panics anywhere in
+// the simulation stack — substrate constructors, trace generation, the
+// core loop, an injected fault — are recovered into the returned
 // *WorkloadError, and a result that breaks the Result accounting
 // identities fails the cell. It performs no memoization, journaling or
 // concurrency limiting: the engine's cell loop (runCells) adds those
-// around it, with per-cell geometry in opts.
-func SimulateCell(ctx context.Context, opts Options, name string, mode core.Mode) (core.Result, error) {
+// around it.
+func SimulateCell(ctx context.Context, base Options, c Cell) (core.Result, error) {
+	opts := c.Options(base)
 	var res core.Result
 	err := resilience.RunWithTimeout(ctx, opts.WorkloadTimeout, func(ctx context.Context) error {
-		if err := opts.Faults.Fire(faultinject.WorkerSite(name, mode.String())); err != nil {
+		if err := opts.Faults.fire(c.Key()); err != nil {
 			return err
 		}
 		var err error
-		if preset, ok := workloads.ConsolidationByName(name); ok {
-			res, err = runConsolidationCell(ctx, opts, preset, mode)
+		if preset, ok := workloads.ConsolidationByName(c.Workload); ok {
+			res, err = runConsolidationCell(ctx, opts, preset, c.Mode)
 		} else {
-			res, err = runProfileCell(ctx, opts, name, mode)
+			res, err = runProfileCell(ctx, opts, c.Workload, c.Mode)
 		}
 		if err != nil {
 			return err
@@ -249,7 +233,7 @@ func SimulateCell(ctx context.Context, opts Options, name string, mode core.Mode
 		return res.CheckAccounting()
 	})
 	if err != nil {
-		return core.Result{}, asWorkloadError(err, name, mode)
+		return core.Result{}, asWorkloadError(err, c.Workload, c.Mode)
 	}
 	return res, nil
 }
@@ -260,7 +244,8 @@ func runProfileCell(ctx context.Context, opts Options, name string, mode core.Mo
 	if !ok {
 		return core.Result{}, fmt.Errorf("experiments: unknown workload %q", name)
 	}
-	cfg := opts.config(mode)
+	cfg := opts.Config
+	cfg.Mode = mode
 	if !opts.UncalibratedWalks {
 		cfg = calibrateWalks(cfg, p)
 	}
@@ -268,8 +253,7 @@ func runProfileCell(ctx context.Context, opts Options, name string, mode core.Mo
 	if err != nil {
 		return core.Result{}, err
 	}
-	gen := faultinject.Wrap(p.Generator(opts.Cores, opts.Seed), opts.Faults)
-	return sys.Run(ctx, gen, name)
+	return sys.Run(ctx, p.Generator(opts.Cores, opts.Seed), name)
 }
 
 // calibrateWalks returns cfg with its page walks charged at p's measured

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/resilience/faultinject"
 )
 
 // consolBase is a short consolidation campaign: small traces, but real
@@ -121,8 +119,8 @@ func TestSweepConsolidationKillResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	interrupted := base
-	interrupted.Faults = faultinject.NewSchedule()
-	interrupted.Faults.CallOn(faultinject.SweepCellSite(cells[len(cells)/2].Key()), cancel, 1)
+	interrupted.Faults = newFaultSchedule()
+	interrupted.Faults.callOn(cells[len(cells)/2].Key(), cancel, 1)
 	repB, err := RunSweep(ctx, SweepConfig{Base: interrupted, Spec: spec, Shards: 2, Journal: j1})
 	j1.Close()
 	if err == nil {

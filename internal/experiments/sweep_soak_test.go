@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/resilience/faultinject"
 	"repro/internal/workloads"
 )
 
@@ -40,7 +39,7 @@ func TestSweepSoakKillResumeByteIdentical(t *testing.T) {
 	}
 
 	const panicRate, chaosSeed = 0.03, 1234
-	plan := SeedChaos(faultinject.NewSchedule(), cells, panicRate, chaosSeed)
+	_, plan := SeedChaos(cells, panicRate, chaosSeed)
 	if len(plan.Panicked) == 0 {
 		t.Fatal("chaos plan dooms no cell")
 	}
@@ -48,8 +47,7 @@ func TestSweepSoakKillResumeByteIdentical(t *testing.T) {
 	// schedule: fault plans are per-process, so each run re-arms it.
 	withChaos := func() Options {
 		o := base
-		o.Faults = faultinject.NewSchedule()
-		SeedChaos(o.Faults, cells, panicRate, chaosSeed)
+		o.Faults, _ = SeedChaos(cells, panicRate, chaosSeed)
 		return o
 	}
 
@@ -91,7 +89,7 @@ func TestSweepSoakKillResumeByteIdentical(t *testing.T) {
 	if cancelKey == "" {
 		t.Fatal("no fault-free cell after the midpoint")
 	}
-	interrupted.Faults.CallOn(faultinject.SweepCellSite(cancelKey), cancel, 1)
+	interrupted.Faults.callOn(cancelKey, cancel, 1)
 
 	repB, err := RunSweep(ctx, SweepConfig{Base: interrupted, Spec: spec, Shards: 8, Journal: j1})
 	if err == nil {

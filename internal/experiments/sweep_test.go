@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/resilience/faultinject"
+	"repro/internal/resilience"
 )
 
 // sweepTiny returns base options small enough to run hundreds of cells in a
@@ -155,10 +155,10 @@ func TestSweepQuarantinesPanickingCell(t *testing.T) {
 	spec, _ := ParseSpec("schemes=pom-tlb:pom-mb=1,2")
 	cells := spec.Cells([]string{"gups", "mcf"})
 	base := sweepTiny()
-	base.Faults = faultinject.NewSchedule()
-	base.Faults.PanicOn(faultinject.SweepCellSite("mcf|pom-tlb|pom-mb=1"), 1)
+	base.Faults = newFaultSchedule()
+	base.Faults.panicOn("mcf|pom-tlb|pom-mb=1", 1)
 	failOnce := errors.New("injected failure")
-	base.Faults.ErrorOn(faultinject.SweepCellSite("gups|pom-tlb|pom-mb=2"), failOnce, 1)
+	base.Faults.errorOn("gups|pom-tlb|pom-mb=2", failOnce, 1)
 
 	var csv bytes.Buffer
 	rep, err := RunSweep(context.Background(), SweepConfig{Base: base, Spec: spec, Shards: 2, CSV: &csv})
@@ -182,7 +182,7 @@ func TestSweepQuarantinesPanickingCell(t *testing.T) {
 		t.Errorf("quarantine error not tagged with the variant: %s", panicked.Error)
 	}
 	for _, c := range cells {
-		if n := base.Faults.Hits(faultinject.SweepCellSite(c.Key())); n != 1 {
+		if n := base.Faults.hits(c.Key()); n != 1 {
 			t.Errorf("%s attempted %d time(s), want 1", c.Key(), n)
 		}
 	}
@@ -210,7 +210,7 @@ func TestSweepQuarantinesUnbuildableConfig(t *testing.T) {
 	}
 	base := consolBase()
 	base.Workloads = []string{"gups", "consol-smoke"}
-	base.Faults = faultinject.NewSchedule() // empty: counts attempts
+	base.Faults = newFaultSchedule() // empty: counts attempts
 	rep, err := RunSweep(context.Background(), SweepConfig{Base: base, Spec: spec, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestSweepQuarantinesUnbuildableConfig(t *testing.T) {
 			!strings.Contains(q.Error, "not a power of two") {
 			t.Errorf("quarantine = %+v, want the config error", q)
 		}
-		if n := base.Faults.Hits(faultinject.SweepCellSite(q.Key)); n != 1 {
+		if n := base.Faults.hits(q.Key); n != 1 {
 			t.Errorf("%s attempted %d time(s), want 1", q.Key, n)
 		}
 	}
@@ -236,9 +236,9 @@ func TestSweepResumeServesJournal(t *testing.T) {
 	fp := SweepFingerprint(base, spec.Canonical())
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	const doomed = "gups|pom-tlb|pom-mb=1"
-	panicking := func() *faultinject.Schedule {
-		faults := faultinject.NewSchedule()
-		faults.PanicOn(faultinject.SweepCellSite(doomed), 1)
+	panicking := func() *FaultSchedule {
+		faults := newFaultSchedule()
+		faults.panicOn(doomed, 1)
 		return faults
 	}
 
@@ -290,7 +290,7 @@ func TestSweepResumeServesJournal(t *testing.T) {
 		if c.Key() == doomed {
 			want = 1
 		}
-		if n := faults.Hits(faultinject.SweepCellSite(c.Key())); n != want {
+		if n := faults.hits(c.Key()); n != want {
 			t.Errorf("%s attempted %d time(s) on resume, want %d", c.Key(), n, want)
 		}
 	}
@@ -312,10 +312,10 @@ func TestSweepResumeRunsQuarantinedCell(t *testing.T) {
 	}
 
 	const flaky = "mcf|pom-tlb|pom-mb=2"
-	site := faultinject.SweepCellSite(flaky)
+	site := flaky
 	failing := base
-	failing.Faults = faultinject.NewSchedule()
-	failing.Faults.ErrorOn(site, errors.New("injected failure"), 1)
+	failing.Faults = newFaultSchedule()
+	failing.Faults.errorOn(site, errors.New("injected failure"), 1)
 	fp := SweepFingerprint(base, spec.Canonical())
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 
@@ -331,7 +331,7 @@ func TestSweepResumeRunsQuarantinedCell(t *testing.T) {
 	if rep1.Completed != 3 || len(rep1.Quarantined) != 1 || rep1.Quarantined[0].Key != flaky {
 		t.Fatalf("first run = %+v, want %s quarantined and the rest completed", rep1, flaky)
 	}
-	if n := failing.Faults.Hits(site); n != 1 {
+	if n := failing.Faults.hits(site); n != 1 {
 		t.Fatalf("%s attempted %d time(s) in the first run, want 1", flaky, n)
 	}
 
@@ -368,9 +368,9 @@ func TestSweepCancellationLeavesCellsForResume(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancelling := base
-	cancelling.Faults = faultinject.NewSchedule()
+	cancelling.Faults = newFaultSchedule()
 	// Cancel the sweep the first time any worker reaches this cell.
-	cancelling.Faults.CallOn(faultinject.SweepCellSite("gups|pom-tlb|pom-mb=2|seed=2"), cancel, 1)
+	cancelling.Faults.callOn("gups|pom-tlb|pom-mb=2|seed=2", cancel, 1)
 
 	rep, err := RunSweep(ctx, SweepConfig{Base: cancelling, Spec: spec, Shards: 1, Journal: j})
 	if err == nil {
@@ -432,16 +432,28 @@ func TestSweepCellTimeout(t *testing.T) {
 func TestSeedChaosDeterministic(t *testing.T) {
 	spec, _ := ParseSpec("schemes=pom-tlb:pom-mb=1,2,4,8:seeds=1,2,3,4")
 	cells := spec.Cells([]string{"gups", "mcf", "astar"})
-	a := SeedChaos(faultinject.NewSchedule(), cells, 0.1, 42)
-	b := SeedChaos(faultinject.NewSchedule(), cells, 0.1, 42)
+	sa, a := SeedChaos(cells, 0.1, 42)
+	_, b := SeedChaos(cells, 0.1, 42)
 	if strings.Join(a.Panicked, ";") != strings.Join(b.Panicked, ";") {
 		t.Error("SeedChaos is not deterministic")
 	}
 	if len(a.Panicked) == 0 || len(a.Panicked) == len(cells) {
 		t.Errorf("chaos plan dooms %d of %d cells at rate 0.1", len(a.Panicked), len(cells))
 	}
-	c := SeedChaos(faultinject.NewSchedule(), cells, 0.1, 43)
+	_, c := SeedChaos(cells, 0.1, 43)
 	if strings.Join(a.Panicked, ";") == strings.Join(c.Panicked, ";") {
 		t.Error("different seed produced the identical panic set")
+	}
+	// The returned schedule is armed with exactly the plan's panics.
+	doomed := map[string]bool{}
+	for _, k := range a.Panicked {
+		doomed[k] = true
+	}
+	for _, cell := range cells {
+		err := resilience.Safe(func() error { return sa.fire(cell.Key()) })
+		var pe *resilience.PanicError
+		if panicked := errors.As(err, &pe); panicked != doomed[cell.Key()] {
+			t.Errorf("%s: first run err = %v, doomed = %v", cell.Key(), err, doomed[cell.Key()])
+		}
 	}
 }

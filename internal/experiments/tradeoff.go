@@ -100,12 +100,7 @@ func NativeStudy(ctx context.Context, base Options) ([]NativeRow, error) {
 		p, _ := workloads.ByName(name)
 		pen := res.AvgPenalty()
 		row := NativeRow{Name: name, Penalty: pen, BasePen: p.CyclesPerMissNative}
-		imp, err := perfmodel.ImprovementPct(perfmodel.FromProfile(p, false, pen))
-		if err != nil {
-			fs.record(r.fail(err, name, core.POMTLB), name, core.POMTLB)
-			continue
-		}
-		row.ImprovementPct = imp
+		row.ImprovementPct = perfmodel.ImprovementPct(perfmodel.FromProfile(p, false, pen))
 		rows = append(rows, row)
 	}
 	return rows, fs.err()

@@ -24,8 +24,6 @@
 package perfmodel
 
 import (
-	"fmt"
-
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -43,36 +41,17 @@ type Input struct {
 	SchemePenalty float64
 }
 
-// Validate reports input errors.
-func (in Input) Validate() error {
-	switch {
-	case in.OverheadFrac < 0 || in.OverheadFrac >= 1:
-		return fmt.Errorf("perfmodel: overhead fraction %f out of [0,1)", in.OverheadFrac)
-	case in.BaselinePenalty <= 0:
-		return fmt.Errorf("perfmodel: baseline penalty must be positive")
-	case in.SchemePenalty < 0:
-		return fmt.Errorf("perfmodel: negative scheme penalty")
-	}
-	return nil
-}
-
-// Speedup returns C_baseline / C_scheme for the input.
-func Speedup(in Input) (float64, error) {
-	if err := in.Validate(); err != nil {
-		return 0, err
-	}
-	denom := (1 - in.OverheadFrac) + in.OverheadFrac*in.SchemePenalty/in.BaselinePenalty
-	return 1 / denom, nil
+// Speedup returns C_baseline / C_scheme for the input. The input must
+// hold OverheadFrac in [0, 1) and a positive BaselinePenalty, as every
+// FromProfile input of a Table 2 row does.
+func Speedup(in Input) float64 {
+	return 1 / ((1 - in.OverheadFrac) + in.OverheadFrac*in.SchemePenalty/in.BaselinePenalty)
 }
 
 // ImprovementPct returns the percentage performance improvement
 // (Figure 8's y-axis): 100 × (speedup − 1).
-func ImprovementPct(in Input) (float64, error) {
-	s, err := Speedup(in)
-	if err != nil {
-		return 0, err
-	}
-	return 100 * (s - 1), nil
+func ImprovementPct(in Input) float64 {
+	return 100 * (Speedup(in) - 1)
 }
 
 // FromProfile builds the model input for a run of a Table 2 workload

@@ -10,10 +10,7 @@ import (
 
 func TestSpeedupIdentity(t *testing.T) {
 	// Scheme penalty equal to baseline penalty → no speedup.
-	s, err := Speedup(Input{OverheadFrac: 0.2, BaselinePenalty: 100, SchemePenalty: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Speedup(Input{OverheadFrac: 0.2, BaselinePenalty: 100, SchemePenalty: 100})
 	if math.Abs(s-1) > 1e-12 {
 		t.Errorf("speedup = %f, want 1", s)
 	}
@@ -21,10 +18,7 @@ func TestSpeedupIdentity(t *testing.T) {
 
 func TestSpeedupEliminatesOverhead(t *testing.T) {
 	// Zero scheme penalty removes the whole overhead fraction.
-	s, err := Speedup(Input{OverheadFrac: 0.19, BaselinePenalty: 169, SchemePenalty: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Speedup(Input{OverheadFrac: 0.19, BaselinePenalty: 169, SchemePenalty: 0})
 	want := 1 / (1 - 0.19)
 	if math.Abs(s-want) > 1e-12 {
 		t.Errorf("speedup = %f, want %f", s, want)
@@ -35,10 +29,7 @@ func TestSpeedupMCFExample(t *testing.T) {
 	// mcf: f = 19.01%, P_base = 169. A simulated POM penalty of ~45
 	// cycles gives the mid-teens improvement Figure 8 shows.
 	p, _ := workloads.ByName("mcf")
-	imp, err := ImprovementPct(FromProfile(p, true, 45))
-	if err != nil {
-		t.Fatal(err)
-	}
+	imp := ImprovementPct(FromProfile(p, true, 45))
 	if imp < 10 || imp > 20 {
 		t.Errorf("mcf improvement = %.1f%%, want mid-teens", imp)
 	}
@@ -47,29 +38,9 @@ func TestSpeedupMCFExample(t *testing.T) {
 func TestStreamclusterHasNoHeadroom(t *testing.T) {
 	// streamcluster: f = 2.11% — even a perfect scheme gains ~2%.
 	p, _ := workloads.ByName("streamcluster")
-	imp, err := ImprovementPct(FromProfile(p, true, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	imp := ImprovementPct(FromProfile(p, true, 0))
 	if imp > 2.5 {
 		t.Errorf("streamcluster improvement = %.1f%% exceeds its overhead", imp)
-	}
-}
-
-func TestValidate(t *testing.T) {
-	bad := []Input{
-		{OverheadFrac: -0.1, BaselinePenalty: 100},
-		{OverheadFrac: 1.0, BaselinePenalty: 100},
-		{OverheadFrac: 0.1, BaselinePenalty: 0},
-		{OverheadFrac: 0.1, BaselinePenalty: 100, SchemePenalty: -1},
-	}
-	for i, in := range bad {
-		if _, err := Speedup(in); err == nil {
-			t.Errorf("input %d should error", i)
-		}
-		if _, err := ImprovementPct(in); err == nil {
-			t.Errorf("input %d should error via ImprovementPct", i)
-		}
 	}
 }
 
@@ -106,10 +77,7 @@ func TestEquationsConsistentWithSpeedup(t *testing.T) {
 		BaselinePenalty: PAvg(pTotal, mTotal),
 		SchemePenalty:   pNew,
 	}
-	fracSpeedup, err := Speedup(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fracSpeedup := Speedup(in)
 	if math.Abs(absSpeedup-fracSpeedup) > 1e-9 {
 		t.Errorf("absolute %f vs fraction %f", absSpeedup, fracSpeedup)
 	}
@@ -129,11 +97,8 @@ func TestSpeedupMonotoneProperty(t *testing.T) {
 		frac := float64(fRaw%90)/100 + 0.01
 		base := float64(pRaw%1000) + 10
 		lo, hi := base-float64(d%10)-1, base+float64(d%10)+1
-		sLo, err1 := Speedup(Input{OverheadFrac: frac, BaselinePenalty: base, SchemePenalty: lo})
-		sHi, err2 := Speedup(Input{OverheadFrac: frac, BaselinePenalty: base, SchemePenalty: hi})
-		if err1 != nil || err2 != nil {
-			return false
-		}
+		sLo := Speedup(Input{OverheadFrac: frac, BaselinePenalty: base, SchemePenalty: lo})
+		sHi := Speedup(Input{OverheadFrac: frac, BaselinePenalty: base, SchemePenalty: hi})
 		return sLo > 1 && sHi < 1 && sLo > sHi
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -148,10 +113,7 @@ func TestSpeedupBoundProperty(t *testing.T) {
 		frac := float64(fRaw%90)/100 + 0.01
 		base := float64(pRaw%1000) + 1
 		scheme := float64(sRaw % 2000)
-		s, err := Speedup(Input{OverheadFrac: frac, BaselinePenalty: base, SchemePenalty: scheme})
-		if err != nil {
-			return false
-		}
+		s := Speedup(Input{OverheadFrac: frac, BaselinePenalty: base, SchemePenalty: scheme})
 		return s <= 1/(1-frac)+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -190,8 +152,8 @@ func TestFromProfileCapsAtBaseline(t *testing.T) {
 		if in.SchemePenalty != tc.wantCap {
 			t.Errorf("virtualized=%v pen=%v: scheme penalty %v, want %v", tc.virtualized, tc.pen, in.SchemePenalty, tc.wantCap)
 		}
-		if imp, err := ImprovementPct(in); err != nil || imp < -1e-9 {
-			t.Errorf("virtualized=%v pen=%v: improvement %v, %v; want no slowdown", tc.virtualized, tc.pen, imp, err)
+		if imp := ImprovementPct(in); imp < -1e-9 {
+			t.Errorf("virtualized=%v pen=%v: improvement %v; want no slowdown", tc.virtualized, tc.pen, imp)
 		}
 	}
 }

@@ -97,10 +97,8 @@ func (s *Server) sessionMetrics(sess *session) SessionMetrics {
 		Error:  emsg,
 	}
 	if p, ok := knownProfile(sess.workload); ok && sess.cfg.Mode != core.Baseline {
-		in := perfmodel.FromProfile(p, sess.cfg.Virtualized, res.AvgPenalty())
-		if imp, err := perfmodel.ImprovementPct(in); err == nil {
-			m.ModelledImprovementPct = &imp
-		}
+		imp := perfmodel.ImprovementPct(perfmodel.FromProfile(p, sess.cfg.Virtualized, res.AvgPenalty()))
+		m.ModelledImprovementPct = &imp
 	}
 	return m
 }

@@ -23,10 +23,18 @@ func TestAllFifteenBenchmarks(t *testing.T) {
 	}
 }
 
+// TestTable2ValuesSane also checks what perfmodel.Speedup needs of every
+// row: both overhead columns in [0, 100) and both penalty columns above 0.
 func TestTable2ValuesSane(t *testing.T) {
 	for _, p := range All() {
-		if p.OverheadVirtPct <= 0 || p.OverheadVirtPct > 100 {
+		if p.OverheadVirtPct <= 0 || p.OverheadVirtPct >= 100 {
 			t.Errorf("%s: OverheadVirtPct = %f", p.Name, p.OverheadVirtPct)
+		}
+		if p.OverheadNativePct < 0 || p.OverheadNativePct >= 100 {
+			t.Errorf("%s: OverheadNativePct = %f", p.Name, p.OverheadNativePct)
+		}
+		if p.CyclesPerMissNative <= 0 {
+			t.Errorf("%s: CyclesPerMissNative = %f", p.Name, p.CyclesPerMissNative)
 		}
 		if p.CyclesPerMissVirt < p.CyclesPerMissNative {
 			t.Errorf("%s: virtualized misses should not be cheaper (%f < %f)",
