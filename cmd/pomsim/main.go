@@ -61,7 +61,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		pomMB    = fs.Uint64("pom-mb", 16, "POM-TLB capacity in MB")
 		native   = fs.Bool("native", false, "bare-metal run (no virtualization)")
 		seed     = fs.Uint64("seed", 1, "trace generator seed")
-		cfgPath  = fs.String("config", "", "JSON config file (overrides other flags)")
+		cfgPath  = fs.String("config", "", "JSON config file naming the whole machine and workload (excludes the flags that set them)")
 		trcPath  = fs.String("trace", "", "replay a binary trace file instead of the synthetic generator")
 		jsonOut  = fs.Bool("json", false, "emit the full result as JSON instead of the summary table")
 		compare  = fs.Bool("compare", false, "run every scheme on the workload and print the cross-scheme table (a scenario's: per tier)")
@@ -116,6 +116,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	opts := experiments.DefaultOptions()
 	name := *workload
 	if *cfgPath != "" {
+		var machine []string
+		for _, f := range []string{"mode", "cores", "vms", "native", "refs", "warmup", "seed", "pom-mb", "workload"} {
+			if set[f] {
+				machine = append(machine, "-"+f)
+			}
+		}
+		if len(machine) > 0 {
+			return fmt.Errorf("%s cannot be combined with -config, whose file sets the whole machine and workload; put them in %s",
+				strings.Join(machine, ", "), *cfgPath)
+		}
 		file, err := config.Load(*cfgPath)
 		if err != nil {
 			return err
@@ -213,11 +223,11 @@ func runReplay(ctx context.Context, out io.Writer, cfg core.Config, path string,
 	case err != nil:
 		return err
 	}
+	// One full pass wraps the replay back to its first record.
 	var threads core.Threads
 	for i := 0; i < replay.Len(); i++ {
 		threads.Add(replay.Next().Thread)
 	}
-	replay.Reset()
 	if err := threads.CheckCores(cfg.Cores); err != nil {
 		return fmt.Errorf("%s on %d cores: %w; pass a -cores that gives every core one of the trace's threads", path, cfg.Cores, err)
 	}

@@ -123,6 +123,29 @@ func TestRunErrors(t *testing.T) {
 		t.Errorf("1-thread trace on 2 cores: %v, want ErrIdleCore suggesting -cores", err)
 	}
 
+	// The -config file is the whole machine and workload: a flag that
+	// sets part of either beside it is refused by name, not ignored.
+	gupsCfg := filepath.Join(t.TempDir(), "gups.json")
+	if err := os.WriteFile(gupsCfg, []byte(`{"workload":"gups","config":{"MaxRefs":2000,"WarmupRefs":1000}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-refs", "5000", "-warmup", "7000", "-cores", "4", "-workload", "mcf"},
+		{"-mode", "tsb"}, {"-vms", "2"}, {"-native"}, {"-seed", "3"}, {"-pom-mb", "8"},
+	} {
+		sb.Reset()
+		err := run(context.Background(), append([]string{"-config", gupsCfg}, args...), &sb)
+		if err == nil || !strings.Contains(err.Error(), "-config") {
+			t.Errorf("-config with %v: %v, want an error naming the flags", args, err)
+			continue
+		}
+		for _, a := range args {
+			if strings.HasPrefix(a, "-") && !strings.Contains(err.Error(), a) {
+				t.Errorf("-config with %v: %q does not name %s", args, err, a)
+			}
+		}
+	}
+
 	// A config file may size every structure. Each one the simulator
 	// allocates up front is capped, so a huge size is refused before it
 	// is allocated. Each size is otherwise valid: the L2 TLB keeps its 12

@@ -67,8 +67,9 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	switch {
 	case *maxSessions <= 0:
 		return fmt.Errorf("-max-sessions must be positive (got %d)", *maxSessions)
-	case *queueCap <= 0:
-		return fmt.Errorf("-queue-cap must be positive (got %d)", *queueCap)
+	case *queueCap < server.IngestBatch:
+		return fmt.Errorf("-queue-cap must be at least one ingest batch of %d records, or no full batch is ever accepted (got %d)",
+			server.IngestBatch, *queueCap)
 	case *rate < 0:
 		return fmt.Errorf("-rate must be non-negative (got %g)", *rate)
 	case *burst < 0:

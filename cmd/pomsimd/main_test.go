@@ -11,17 +11,18 @@ import (
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	cases := map[string][]string{
-		"unknown flag":        {"-bogus"},
-		"max-sessions":        {"-max-sessions", "0"},
-		"queue-cap":           {"-queue-cap", "0"},
-		"rate":                {"-rate", "-1"},
-		"burst":               {"-burst", "-1"},
-		"max-ingest-records":  {"-max-ingest-records", "0"},
-		"enqueue-wait":        {"-enqueue-wait", "0s"},
-		"max-throttle":        {"-max-throttle", "-1ms"},
-		"idle-timeout":        {"-idle-timeout", "-1s"},
-		"drain-timeout":       {"-drain-timeout", "0s"},
-		"unparsable duration": {"-drain-timeout", "soon"},
+		"unknown flag":            {"-bogus"},
+		"max-sessions":            {"-max-sessions", "0"},
+		"queue-cap":               {"-queue-cap", "0"},
+		"queue-cap below a batch": {"-queue-cap", "255"},
+		"rate":                    {"-rate", "-1"},
+		"burst":                   {"-burst", "-1"},
+		"max-ingest-records":      {"-max-ingest-records", "0"},
+		"enqueue-wait":            {"-enqueue-wait", "0s"},
+		"max-throttle":            {"-max-throttle", "-1ms"},
+		"idle-timeout":            {"-idle-timeout", "-1s"},
+		"drain-timeout":           {"-drain-timeout", "0s"},
+		"unparsable duration":     {"-drain-timeout", "soon"},
 	}
 	// Under a cancelled context a configuration run accepts drains at
 	// once and returns nil instead of serving.
@@ -31,6 +32,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if err := run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard); err == nil {
 			t.Errorf("%s: args %v accepted, want error", name, args)
 		}
+	}
+	if err := run(ctx, []string{"-addr", "127.0.0.1:0", "-queue-cap", "256"}, io.Discard); err != nil {
+		t.Errorf("-queue-cap 256, one full batch: %v", err)
 	}
 }
 

@@ -27,6 +27,8 @@ var testSeams = map[string]string{
 	"oracle.RowBufferHitRate":  "FR-FCFS reference model the DRAM channel is tested against",
 	"oracle.AvgServiceLatency": "FR-FCFS reference model the DRAM channel is tested against",
 	"trace.Collect":            "server, workloads and core tests drain a generator",
+	"core.Scheme.Holds":        "the conformance suite probes every registered scheme's residency",
+	"core.Scheme.Seeds":        "the conformance suite probes every registered scheme's residency",
 }
 
 // TestNoTestOnlyExports fails for every exported function, method, type,
@@ -35,9 +37,14 @@ var testSeams = map[string]string{
 // when a non-test file refers to it from reached code: package main, an
 // unexported declaration, or the declaration of a reached identifier. So
 // a constructor that returns an unreached type does not keep that type.
-// A method whose name some interface declares counts as reached, since
-// it may be called through that interface. Struct fields are out of
-// scope: they form the JSON output.
+// A method is also reached when its receiver type is live (unexported,
+// or itself reached) and reached code calls a method of that name
+// through an interface value; the standard library calls String, Error,
+// Unwrap, MarshalJSON and the sort and heap methods that way. A seam may
+// name an interface method: it counts as a call of that name, so every
+// live type's method of that name, the interface's implementations among
+// them, is a seam too. Struct fields are out of scope: they form the
+// JSON output.
 func TestNoTestOnlyExports(t *testing.T) {
 	l := &loader{
 		fset:  token.NewFileSet(),
@@ -66,12 +73,14 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 
-	ifaceMethods, err := l.interfaceMethods()
-	if err != nil {
-		t.Fatal(err)
+	g := &callGraph{
+		refs:    map[types.Object][]types.Object{},
+		calls:   map[types.Object][]string{},
+		methods: map[string][]*types.Func{},
+		recv:    map[*types.Func]*types.TypeName{},
 	}
 	candidates := map[types.Object]string{} // exported object under internal/ -> seam key
-	var roots, seams []types.Object
+	ifaceMethods := map[string]string{}     // interface method under internal/ -> its name
 	for _, p := range paths {
 		rel, ok := strings.CutPrefix(p, "repro/internal/")
 		if !ok {
@@ -87,6 +96,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 			if !ok {
 				continue
 			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumExplicitMethods(); i++ {
+					m := it.ExplicitMethod(i)
+					ifaceMethods[rel+"."+name+"."+m.Name()] = m.Name()
+				}
+			}
 			named, ok := tn.Type().(*types.Named)
 			if !ok {
 				continue
@@ -97,17 +112,26 @@ func TestNoTestOnlyExports(t *testing.T) {
 					continue
 				}
 				candidates[m] = rel + "." + name + "." + m.Name()
-				if ifaceMethods[m.Name()] {
-					roots = append(roots, m)
+				g.methods[m.Name()] = append(g.methods[m.Name()], m)
+				if tn.Exported() {
+					g.recv[m] = tn
 				}
 			}
 		}
 	}
+	var seams []types.Object
+	var seamCalls []string
 	found := map[string]bool{}
 	for obj, key := range candidates {
 		found[key] = true
 		if _, ok := testSeams[key]; ok {
 			seams = append(seams, obj)
+		}
+	}
+	for key, name := range ifaceMethods {
+		found[key] = true
+		if _, ok := testSeams[key]; ok {
+			seamCalls = append(seamCalls, name)
 		}
 	}
 	for key := range testSeams {
@@ -116,9 +140,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 
-	// refs[obj] lists the candidates obj's declaration refers to; a
-	// reference from a declaration that declares no candidate is a root.
-	refs := map[types.Object][]types.Object{}
+	// refs[obj] lists the candidates obj's declaration refers to and
+	// calls[obj] the methods it calls through interfaces; a reference or
+	// call from a declaration that declares no candidate is a root.
+	var roots []types.Object
+	rootCalls := append([]string(nil), stdCalls...)
 	scan := func(n ast.Node, names ...*ast.Ident) {
 		var from []types.Object
 		for _, id := range names {
@@ -132,6 +158,15 @@ func TestNoTestOnlyExports(t *testing.T) {
 				return true
 			}
 			obj := origin(l.info.Uses[id])
+			if fn, ok := obj.(*types.Func); ok && isInterfaceMethod(fn) {
+				if len(from) == 0 {
+					rootCalls = append(rootCalls, fn.Name())
+				}
+				for _, o := range from {
+					g.calls[o] = append(g.calls[o], fn.Name())
+				}
+				return true
+			}
 			if _, ok := candidates[obj]; !ok {
 				return true
 			}
@@ -139,7 +174,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 				roots = append(roots, obj)
 			}
 			for _, o := range from {
-				refs[o] = append(refs[o], obj)
+				g.refs[o] = append(g.refs[o], obj)
 			}
 			return true
 		})
@@ -164,14 +199,19 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 
-	production := reach(roots, refs)
+	production, productionCalls := g.reach(roots, rootCalls)
 	for _, obj := range seams {
 		if production[obj] {
 			t.Errorf("testSeams names %s, which production code reaches; drop it from the list", candidates[obj])
 		}
 	}
-	// What a seam refers to stays with it.
-	reached := reach(append(roots, seams...), refs)
+	for key, name := range ifaceMethods {
+		if _, ok := testSeams[key]; ok && productionCalls[name] {
+			t.Errorf("testSeams names %s, which production code calls through an interface; drop it from the list", key)
+		}
+	}
+	// What a seam refers to or calls stays with it.
+	reached, _ := g.reach(append(roots, seams...), append(rootCalls, seamCalls...))
 	var unreached []string
 	for obj, key := range candidates {
 		if reached[obj] {
@@ -188,19 +228,58 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
-// reach returns the closure of roots over refs.
-func reach(roots []types.Object, refs map[types.Object][]types.Object) map[types.Object]bool {
+// callGraph is what the guard knows of the candidates' declarations.
+type callGraph struct {
+	refs    map[types.Object][]types.Object // candidate -> candidates its declaration refers to
+	calls   map[types.Object][]string       // candidate -> methods it calls through interfaces
+	methods map[string][]*types.Func        // name -> exported methods of that name
+	recv    map[*types.Func]*types.TypeName // method -> its exported receiver type
+}
+
+// reach returns what roots and calls reach, and the method names reached
+// code calls through interfaces. Reaching a type or a call can make a
+// method live and so add the references and calls of its declaration;
+// the worklist runs until nothing new is reached.
+func (g *callGraph) reach(roots []types.Object, calls []string) (map[types.Object]bool, map[string]bool) {
 	reached := map[types.Object]bool{}
+	called := map[string]bool{}
 	stack := append([]types.Object(nil), roots...)
+	call := func(name string) {
+		if called[name] {
+			return
+		}
+		called[name] = true
+		for _, m := range g.methods[name] {
+			if tn, ok := g.recv[m]; !ok || reached[tn] {
+				stack = append(stack, m)
+			}
+		}
+	}
+	for _, name := range calls {
+		call(name)
+	}
 	for len(stack) > 0 {
 		obj := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if !reached[obj] {
-			reached[obj] = true
-			stack = append(stack, refs[obj]...)
+		if reached[obj] {
+			continue
+		}
+		reached[obj] = true
+		stack = append(stack, g.refs[obj]...)
+		for _, name := range g.calls[obj] {
+			call(name)
+		}
+		if tn, ok := obj.(*types.TypeName); ok {
+			if named, ok := tn.Type().(*types.Named); ok {
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); called[m.Name()] {
+						stack = append(stack, m)
+					}
+				}
+			}
 		}
 	}
-	return reached
+	return reached, called
 }
 
 // loader parses and type-checks the module's non-test files, importing
@@ -259,40 +338,17 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	return p, nil
 }
 
-// interfaceMethods returns the method names of every interface type the
-// module's non-test files spell out, plus those of error, fmt.Stringer,
-// sort.Interface, heap.Interface and json.Marshaler, and Unwrap, which
-// errors.Is and errors.As call through an interface of their own.
-func (l *loader) interfaceMethods() (map[string]bool, error) {
-	names := map[string]bool{"Unwrap": true}
-	add := func(typ types.Type) {
-		if it, ok := typ.Underlying().(*types.Interface); ok {
-			for i := 0; i < it.NumMethods(); i++ {
-				names[it.Method(i).Name()] = true
-			}
-		}
-	}
-	add(types.Universe.Lookup("error").Type())
-	for _, ref := range []struct{ pkg, name string }{
-		{"fmt", "Stringer"}, {"sort", "Interface"}, {"container/heap", "Interface"}, {"encoding/json", "Marshaler"},
-	} {
-		pkg, err := l.std.Import(ref.pkg)
-		if err != nil {
-			return nil, err
-		}
-		add(pkg.Scope().Lookup(ref.name).Type())
-	}
-	for _, files := range l.files {
-		for _, f := range files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if it, ok := n.(*ast.InterfaceType); ok {
-					add(l.info.TypeOf(it))
-				}
-				return true
-			})
-		}
-	}
-	return names, nil
+// stdCalls are the methods the standard library calls through
+// interfaces of its own: those of error, fmt.Stringer, json.Marshaler,
+// sort.Interface and heap.Interface, and Unwrap, which errors.Is and
+// errors.As call.
+var stdCalls = []string{"Error", "String", "MarshalJSON", "Len", "Less", "Swap", "Push", "Pop", "Unwrap"}
+
+// isInterfaceMethod reports whether fn is declared by an interface, so
+// that a call of it is dispatched at run time.
+func isInterfaceMethod(fn *types.Func) bool {
+	sig := fn.Type().(*types.Signature)
+	return sig.Recv() != nil && types.IsInterface(sig.Recv().Type())
 }
 
 // origin maps an instantiated generic function or method to its

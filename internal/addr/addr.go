@@ -10,19 +10,16 @@
 //	gPA — guest physical address (what the guest OS thinks is physical)
 //	hPA — host physical address (what the hypervisor actually maps)
 //
-// All three are 64-bit values; the distinction is carried in the type system
-// so a guest-physical address cannot silently be used where a host-physical
-// one is required.
+// All three are 64-bit values. The two that cross layers, VA and HPA, are
+// distinct types, so a virtual address cannot silently be used where a
+// host-physical one is required; guest-physical addresses stay inside the
+// nested walk as plain frame numbers.
 package addr
 
 import "fmt"
 
 // VA is a guest virtual address.
 type VA uint64
-
-// GPA is a guest physical address: the output of the guest page table and
-// the input of the host page table.
-type GPA uint64
 
 // HPA is a host physical address: the final output of a 2D translation and
 // the address space the data caches and DRAM are indexed with.
@@ -146,7 +143,6 @@ func Translate(v VA, hpfn uint64, s PageSize) HPA {
 // String implementations give hex forms that make simulator logs readable.
 
 func (v VA) String() string  { return fmt.Sprintf("gVA:%#x", uint64(v)) }
-func (p GPA) String() string { return fmt.Sprintf("gPA:%#x", uint64(p)) }
 func (p HPA) String() string { return fmt.Sprintf("hPA:%#x", uint64(p)) }
 
 // Radix-4 page-table index extraction. x86-64 uses 9 bits per level over a

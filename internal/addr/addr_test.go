@@ -183,9 +183,6 @@ func TestStringForms(t *testing.T) {
 	if VA(0x10).String() != "gVA:0x10" {
 		t.Errorf("VA.String() = %q", VA(0x10).String())
 	}
-	if GPA(0x20).String() != "gPA:0x20" {
-		t.Errorf("GPA.String() = %q", GPA(0x20).String())
-	}
 	if HPA(0x30).String() != "hPA:0x30" {
 		t.Errorf("HPA.String() = %q", HPA(0x30).String())
 	}

@@ -405,15 +405,3 @@ func (g *Gen) Next() trace.Record {
 	g.count++
 	return rec
 }
-
-// Reset implements trace.Generator: rewind every built tenant stream and
-// the plan cursor. Unbuilt tenants need nothing — they are built fresh
-// on first use either way.
-func (g *Gen) Reset() {
-	g.count = 0
-	for _, sub := range g.gens {
-		if sub != nil {
-			sub.Reset()
-		}
-	}
-}

@@ -84,7 +84,7 @@ func (pomSchemeBase) Holds(s *System, vmid addr.VMID, pid addr.PID, va addr.VA, 
 }
 func (pomSchemeBase) AttachSelfCheck(s *System, sc *SelfCheck) {
 	sc.pomSmall = oracle.NewRefPOM(sc.h, s.pom.Small)
-	sc.pomLarge = oracle.NewRefPOM(sc.h, s.pom.Large)
+	oracle.NewRefPOM(sc.h, s.pom.Large)
 	oracle.NewRefDRAM(sc.h, s.pom.DRAMChannel())
 }
 func (pomSchemeBase) CheckInvariants(s *System) error { return s.pom.CheckInvariants() }

@@ -47,10 +47,8 @@ func TestRefTLBAgreement(t *testing.T) {
 			})
 		case op < 96:
 			prod.InvalidatePage(vm, pid, va.VPN(size), size)
-		case op < 99:
-			prod.InvalidateProcess(vm, pid)
 		default:
-			prod.InvalidateAll()
+			prod.InvalidateProcess(vm, pid)
 		}
 	}
 	if err := h.Err(); err != nil {
@@ -350,11 +348,9 @@ func TestRefVictimaAgreement(t *testing.T) {
 			prod.InvalidatePage(vm, pid, va.VPN(size), size)
 		case op < 97:
 			prod.InvalidateProcess(vm, pid)
-		case op < 99:
+		default:
 			// The L2 evicted one of the store's lines out from under it.
 			prod.DropLine(1<<52 + uint64(rng.Intn(64)))
-		default:
-			prod.InvalidateAll()
 		}
 	}
 	if err := h.Err(); err != nil {

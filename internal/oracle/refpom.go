@@ -25,7 +25,6 @@ type RefPOM struct {
 	h       *Harness
 	name    string
 	size    addr.PageSize
-	ways    int
 	numSets uint64
 	sets    [][]refWay
 }
@@ -38,7 +37,6 @@ func NewRefPOM(h *Harness, p *pomtlb.Partition) *RefPOM {
 		h:       h,
 		name:    "pom-" + p.PageSize.String(),
 		size:    p.PageSize,
-		ways:    ways,
 		numSets: p.Sets(),
 		sets:    make([][]refWay, p.Sets()),
 	}

@@ -146,11 +146,3 @@ func (r *RefTLB) InvalidateProcess(vm addr.VMID, pid addr.PID, n int) {
 		r.h.Reportf("tlb %s: process flush dropped %d production entries, %d reference entries", r.name, n, removed)
 	}
 }
-
-// InvalidateAll implements tlb.Shadow.
-func (r *RefTLB) InvalidateAll() {
-	r.h.Decision()
-	for i := range r.sets {
-		r.sets[i] = nil
-	}
-}

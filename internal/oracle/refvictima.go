@@ -175,11 +175,3 @@ func (r *RefVictima) DropLine(si uint64, n int) {
 	}
 	r.sets[si] = nil
 }
-
-// InvalidateAll implements victima.Shadow.
-func (r *RefVictima) InvalidateAll() {
-	r.h.Decision()
-	for i := range r.sets {
-		r.sets[i] = nil
-	}
-}

@@ -68,11 +68,6 @@ func (p *Predictor) SizeStats() stats.HitMiss { return p.sizeAcc }
 // BypassStats returns the raw bypass-prediction counters.
 func (p *Predictor) BypassStats() stats.HitMiss { return p.bypassAcc }
 
-// Reset clears prediction state and counters.
-func (p *Predictor) Reset() {
-	*p = Predictor{}
-}
-
 // ResetStats clears only the accuracy counters, keeping the learned
 // prediction bits (so warmup training survives the measurement reset).
 func (p *Predictor) ResetStats() {

@@ -69,19 +69,6 @@ func TestPredictorIndexUses9BitsAbovePageOffset(t *testing.T) {
 	}
 }
 
-func TestPredictorReset(t *testing.T) {
-	var p Predictor
-	p.UpdateSize(0x1000, addr.Page2M)
-	p.UpdateBypass(0x1000, true)
-	p.Reset()
-	if p.PredictSize(0x1000) != addr.Page4K || p.PredictBypass(0x1000) {
-		t.Error("Reset should clear learned state")
-	}
-	if p.SizeStats().Total() != 0 {
-		t.Error("Reset should clear counters")
-	}
-}
-
 func TestPredictorAccuracyEmptyIsZero(t *testing.T) {
 	var p Predictor
 	if p.SizeStats().Ratio() != 0 || p.BypassStats().Ratio() != 0 {

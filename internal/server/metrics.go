@@ -109,9 +109,9 @@ func (s *Server) sessionMetrics(sess *session) SessionMetrics {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	type row struct {
-		id, tenant, state     string
-		committed             uint64
-		target, backlog, loop int
+		id, tenant, state string
+		committed         uint64
+		backlog           int
 	}
 	rows := make([]row, 0, len(s.sessions))
 	active := 0
@@ -119,11 +119,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if !sess.finished() {
 			active++
 		}
-		_, _, backlog, loops, _ := sess.gen.stat()
+		_, _, backlog, _, _ := sess.gen.stat()
 		rows = append(rows, row{
 			id: sess.id, tenant: sess.tenant, state: sess.getState().String(),
-			committed: sess.committed.Snapshot(),
-			target:    sess.target(), backlog: backlog, loop: loops,
+			committed: sess.committed.Snapshot(), backlog: backlog,
 		})
 	}
 	draining := s.draining

@@ -194,7 +194,7 @@ func TestHTTPRateLimit(t *testing.T) {
 
 // TestHTTPQueueBackpressure pins the queue-side 429: a batch that cannot
 // fit the configured backlog cap blocks to the enqueue deadline and is
-// shed with Retry-After.
+// shed with Retry-After and a message giving the backlog and the cap.
 func TestHTTPQueueBackpressure(t *testing.T) {
 	srv := New(Config{QueueCap: 8, EnqueueWait: 10 * time.Millisecond})
 	defer srv.Close()
@@ -206,10 +206,11 @@ func TestHTTPQueueBackpressure(t *testing.T) {
 
 	// One ingest batch (256 records) can never fit an 8-record cap.
 	var out struct {
-		Accepted int `json:"accepted"`
+		Accepted int    `json:"accepted"`
+		Error    string `json:"error"`
 	}
 	status, hdr := tc.do("POST", "/sessions/"+id+"/records",
-		bytes.NewReader(encodeTrace(t, trace.Collect(parityGen(), ingestBatch))), &out)
+		bytes.NewReader(encodeTrace(t, trace.Collect(parityGen(), IngestBatch))), &out)
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("oversized batch: status %d, want 429", status)
 	}
@@ -218,6 +219,9 @@ func TestHTTPQueueBackpressure(t *testing.T) {
 	}
 	if out.Accepted != 0 {
 		t.Errorf("shed batch accepted %d records, want 0", out.Accepted)
+	}
+	if !strings.Contains(out.Error, "(0 records behind, cap 8)") {
+		t.Errorf("queue 429 says %q, want the empty backlog beside the cap", out.Error)
 	}
 }
 

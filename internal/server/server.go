@@ -50,9 +50,9 @@ type Config struct {
 	// creations get 429. Default 64.
 	MaxSessions int
 	// QueueCap bounds each session's un-simulated ingest backlog in
-	// records before backpressure engages. A cap below one ingest batch
-	// (256 records) sheds every full batch outright, which is useful in
-	// tests and pathological otherwise. Default 65536.
+	// records before backpressure engages. A cap below IngestBatch sheds
+	// every full batch outright, which is useful in tests and
+	// pathological otherwise. Default 65536.
 	QueueCap int
 	// EnqueueWait is how long an ingest batch blocks for queue space
 	// before the server sheds it with 429 + Retry-After. Default 100ms.
@@ -305,10 +305,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ingestBatch is how many records the ingest loop accumulates before
+// IngestBatch is how many records the ingest loop accumulates before
 // pushing through the rate limiter and queue — small enough that both
-// limits act promptly, large enough to amortize their locks.
-const ingestBatch = 256
+// limits act promptly, large enough to amortize their locks. A session
+// queue takes a batch whole, so a QueueCap below it refuses every full
+// batch.
+const IngestBatch = 256
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.lookup(r.PathValue("id"))
@@ -376,9 +378,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				s.rejectedQueue.Inc()
 				sess.rejQueue.Inc()
 				w.Header().Set("Retry-After", retryAfter(s.cfg.EnqueueWait))
+				_, _, backlog, _, _ := sess.gen.stat()
 				return http.StatusTooManyRequests,
-					fmt.Sprintf("session queue full (%d records behind); retry in %s",
-						s.cfg.QueueCap, s.cfg.EnqueueWait)
+					fmt.Sprintf("session queue full (%d records behind, cap %d); retry in %s",
+						backlog, s.cfg.QueueCap, s.cfg.EnqueueWait)
 			case errors.Is(err, ErrSessionFinished):
 				return http.StatusConflict, err.Error()
 			default:
@@ -391,7 +394,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return 0, ""
 	}
 
-	batch := make([]trace.Record, 0, ingestBatch)
+	batch := make([]trace.Record, 0, IngestBatch)
 	var readErr error
 	for {
 		rec, err := tr.Read()
@@ -400,7 +403,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		batch = append(batch, rec)
-		if len(batch) == ingestBatch {
+		if len(batch) == IngestBatch {
 			if status, msg := flush(batch); status != 0 {
 				s.ingestReply(w, sess, status, msg, accepted)
 				return

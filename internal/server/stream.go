@@ -105,15 +105,6 @@ func (g *streamGen) Next() trace.Record {
 	return rec
 }
 
-// Reset implements trace.Generator. Sessions never rewind mid-flight; the
-// method exists only to satisfy the interface.
-func (g *streamGen) Reset() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.i = 0
-	g.loops = 0
-}
-
 // append enqueues a batch that names threads, blocking while the
 // un-pulled backlog would exceed queueCap, until the deadline passes. The
 // whole batch is accepted or none of it is.

@@ -116,8 +116,6 @@ type Shadow interface {
 	// InvalidateProcess reports a process flush and how many entries the
 	// production model dropped.
 	InvalidateProcess(vm addr.VMID, pid addr.PID, n int)
-	// InvalidateAll reports a full flush.
-	InvalidateAll()
 }
 
 // A way is one TTE, laid out as the TSB lays out its slots: a tag word
@@ -377,18 +375,6 @@ func (t *TLB) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
 	return n
 }
 
-// InvalidateAll flushes the TLB.
-func (t *TLB) InvalidateAll() {
-	for si := uint64(0); si <= t.setMask; si++ {
-		tags, data, _ := t.block(si)
-		clear(tags)
-		clear(data)
-	}
-	if t.shadow != nil {
-		t.shadow.s.InvalidateAll()
-	}
-}
-
 // CheckInvariants validates the TLB's internal structural invariants:
 // every way without a valid tag is all zero, every valid entry resides in
 // the set its VPN indexes, each recency word ranks every way of its set
@@ -519,11 +505,4 @@ func (l *SplitL1) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, size ad
 func (l *SplitL1) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
 	return l.Small.InvalidateProcess(vm, pid) + l.Large.InvalidateProcess(vm, pid) +
 		l.Huge.InvalidateProcess(vm, pid)
-}
-
-// InvalidateAll flushes all structures.
-func (l *SplitL1) InvalidateAll() {
-	l.Small.InvalidateAll()
-	l.Large.InvalidateAll()
-	l.Huge.InvalidateAll()
 }

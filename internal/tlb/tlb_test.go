@@ -147,15 +147,6 @@ func TestInvalidatePage(t *testing.T) {
 	}
 }
 
-func TestInvalidateAll(t *testing.T) {
-	tl := MustNew(L2Unified())
-	tl.Insert(entry4K(1, 1, 1, 1))
-	tl.InvalidateAll()
-	if count(tl) != 0 {
-		t.Error("InvalidateAll left entries")
-	}
-}
-
 func TestStats(t *testing.T) {
 	tl := MustNew(L2Unified())
 	tl.Lookup(1, 1, 0x1000) // miss
@@ -193,9 +184,8 @@ func TestSplitL1(t *testing.T) {
 	if !l1.InvalidatePage(1, 1, va2.VPN(addr.Page2M), addr.Page2M) {
 		t.Error("2M shootdown failed")
 	}
-	l1.InvalidateAll()
-	if count(l1.Small) != 0 {
-		t.Error("InvalidateAll failed")
+	if n := l1.InvalidateProcess(1, 1); n != 1 || count(l1.Small) != 0 {
+		t.Errorf("process flush removed %d entries and left %d, want 1 and 0", n, count(l1.Small))
 	}
 	// A joint probe records its miss on the small structure's counter.
 	if l1.Small.Stats().Misses == 0 {

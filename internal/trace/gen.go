@@ -147,19 +147,6 @@ func newBase(p Params) base {
 	}
 }
 
-// reset restores the shared state to its post-newBase value without
-// reallocating. Campaigns and the sweep engine reset generators once per
-// cell; rebuilding what only depends on the immutable params there is
-// pure waste (and, for Zipf, a million-entry CDF per reset).
-func (b *base) reset() {
-	*b.r = rng{s: b.p.Seed ^ 0x9E3779B97F4A7C15}
-	b.thread = 0
-	for i := range b.runLeft {
-		b.runLeft[i] = 0
-		b.runPos[i] = 0
-	}
-}
-
 // emitWithRuns emits either the next line of the current thread's
 // sequential run or a fresh pattern target from pick.
 func (b *base) emitWithRuns(pick func() uint64) Record {
@@ -206,21 +193,12 @@ type Stream struct {
 
 // NewStream builds a streaming generator.
 func NewStream(p Params) *Stream {
-	s := &Stream{base: newBase(p)}
-	s.Reset()
-	return s
-}
-
-// Reset implements Generator.
-func (s *Stream) Reset() {
-	s.base.reset()
-	if s.cursors == nil {
-		s.cursors = make([]uint64, s.p.Threads)
-	}
-	slice := s.l.footprint() / uint64(s.p.Threads)
+	s := &Stream{base: newBase(p), cursors: make([]uint64, p.Threads)}
+	slice := s.l.footprint() / uint64(p.Threads)
 	for t := range s.cursors {
 		s.cursors[t] = uint64(t) * slice
 	}
+	return s
 }
 
 // Next implements Generator.
@@ -240,9 +218,6 @@ func NewUniform(p Params) *Uniform {
 	return &Uniform{base: newBase(p)}
 }
 
-// Reset implements Generator.
-func (u *Uniform) Reset() { u.base.reset() }
-
 // Next implements Generator.
 func (u *Uniform) Next() Record {
 	return u.emitWithRuns(func() uint64 { return u.r.Intn(u.l.footprint()) })
@@ -258,7 +233,6 @@ type Zipf struct {
 	cdf   []float64
 	pages uint64  // full page universe; cdf covers min(pages, maxZipfCDF)
 	tailP float64 // popularity mass of the uniform tail past the CDF
-	perm  uint64  // multiplicative scramble so rank ≠ address order
 }
 
 // maxZipfCDF caps the explicit CDF at 1M ranks (4 GiB of 4 KB pages);
@@ -302,7 +276,6 @@ func (z *Zipf) build() {
 		z.cdf[i] /= total
 	}
 	z.tailP = tail / total
-	z.perm = 0x9E3779B97F4A7C15 | 1
 }
 
 // zipfTailMass approximates Σ_{i=lo+1..hi} i^-s by ∫_lo^hi x^-s dx.
@@ -312,10 +285,6 @@ func zipfTailMass(lo, hi, s float64) float64 {
 	}
 	return (math.Pow(hi, 1-s) - math.Pow(lo, 1-s)) / (1 - s)
 }
-
-// Reset implements Generator. The CDF depends only on the immutable
-// params, so it survives resets; only the RNG/thread/run state rewinds.
-func (z *Zipf) Reset() { z.base.reset() }
 
 // Next implements Generator.
 func (z *Zipf) Next() Record {
@@ -371,14 +340,6 @@ func (g *Chase) init() {
 	}
 }
 
-// Reset implements Generator.
-func (g *Chase) Reset() {
-	g.base.reset()
-	for t := range g.cursors {
-		g.cursors[t] = uint64(t) * (g.lines / uint64(g.p.Threads))
-	}
-}
-
 // Next implements Generator.
 func (g *Chase) Next() Record {
 	t := g.thread
@@ -399,7 +360,6 @@ func (g *Chase) Next() Record {
 type HotCold struct {
 	base
 	pHot     float64
-	hotFrac  float64
 	hotStart uint64
 	hotSize  uint64
 }
@@ -426,12 +386,7 @@ func (g *HotCold) place(hotFrac float64) {
 	if g.hotStart+g.hotSize > g.l.footprint() {
 		g.hotStart = 0
 	}
-	g.hotFrac = hotFrac
 }
-
-// Reset implements Generator. The hot-region placement depends only on
-// the immutable params, so it survives resets.
-func (g *HotCold) Reset() { g.base.reset() }
 
 // Next implements Generator.
 func (g *HotCold) Next() Record {
@@ -446,11 +401,9 @@ func (g *HotCold) Next() Record {
 // Mix interleaves two generators with a fixed probability — e.g. a
 // streaming phase with occasional random lookups (GemsFDTD, canneal).
 type Mix struct {
-	A, B  Generator
-	PA    float64
-	rnd   *rng
-	seed  uint64
-	count uint64
+	A, B Generator
+	PA   float64
+	rnd  *rng
 }
 
 // NewMix builds a probabilistic interleave: pA chance of drawing from a.
@@ -458,20 +411,11 @@ func NewMix(a, b Generator, pA float64, seed uint64) *Mix {
 	if pA < 0 || pA > 1 {
 		panic("trace: mix probability out of range")
 	}
-	return &Mix{A: a, B: b, PA: pA, rnd: newRNG(seed), seed: seed}
-}
-
-// Reset implements Generator.
-func (m *Mix) Reset() {
-	m.A.Reset()
-	m.B.Reset()
-	*m.rnd = rng{s: m.seed ^ 0x9E3779B97F4A7C15}
-	m.count = 0
+	return &Mix{A: a, B: b, PA: pA, rnd: newRNG(seed)}
 }
 
 // Next implements Generator.
 func (m *Mix) Next() Record {
-	m.count++
 	if m.rnd.Float64() < m.PA {
 		return m.A.Next()
 	}

@@ -33,18 +33,9 @@ func NewPhased(phases ...Phase) *Phased {
 	return &Phased{phases: phases, left: phases[0].Records}
 }
 
-// Reset implements Generator.
-func (p *Phased) Reset() {
-	for _, ph := range p.phases {
-		ph.Gen.Reset()
-	}
-	p.idx = 0
-	p.left = p.phases[0].Records
-}
-
 // Next implements Generator. Re-entering a phase after a full cycle
-// continues its generator where it left off — the phase's working set is
-// the same region either way, and not rewinding keeps streams cheap.
+// continues its generator where it left off: the phase's working set is
+// the same region either way.
 func (p *Phased) Next() Record {
 	if p.left == 0 {
 		p.idx = (p.idx + 1) % len(p.phases)

@@ -11,8 +11,6 @@ import (
 type Replay struct {
 	recs []Record
 	i    int
-	// Loops counts how many times the trace has wrapped.
-	Loops int
 }
 
 // NewReplay wraps an in-memory record slice.
@@ -57,13 +55,6 @@ func (r *Replay) Next() Record {
 	r.i++
 	if r.i == len(r.recs) {
 		r.i = 0
-		r.Loops++
 	}
 	return rec
-}
-
-// Reset implements Generator.
-func (r *Replay) Reset() {
-	r.i = 0
-	r.Loops = 0
 }

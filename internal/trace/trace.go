@@ -172,8 +172,6 @@ func (r *Reader) Read() (Record, error) {
 type Generator interface {
 	// Next returns the next record.
 	Next() Record
-	// Reset rewinds the generator to its initial state.
-	Reset()
 }
 
 // Collect drains n records from a generator into a slice.

@@ -218,17 +218,6 @@ func TestGeneratorsDeterministic(t *testing.T) {
 				break
 			}
 		}
-		// Reset reproduces the stream.
-		g := mk()
-		first := Collect(g, 500)
-		g.Reset()
-		second := Collect(g, 500)
-		for i := range first {
-			if first[i] != second[i] {
-				t.Errorf("%s: Reset did not rewind (record %d)", name, i)
-				break
-			}
-		}
 	}
 }
 

@@ -64,29 +64,3 @@ func TestZipfSmallFootprintHasNoTail(t *testing.T) {
 		t.Fatalf("cdf tops out at %v, want exactly 1", got)
 	}
 }
-
-// TestZipfResetKeepsCDF pins the Reset bugfix: Reset must rewind the
-// stream byte-identically without rebuilding (or even reallocating) the
-// CDF.
-func TestZipfResetKeepsCDF(t *testing.T) {
-	p := Params{Seed: 9, FootprintBytes: 64 << 20, Threads: 2, MeanGap: 3, WriteFrac: 0.2, RunLines: 4}
-	z := NewZipf(p, 0.9)
-	const n = 4096
-	first := make([]Record, n)
-	for i := range first {
-		first[i] = z.Next()
-	}
-	cdfPtr := &z.cdf[0]
-	z.Reset()
-	if &z.cdf[0] != cdfPtr {
-		t.Fatal("Reset rebuilt the CDF")
-	}
-	for i := 0; i < n; i++ {
-		if got := z.Next(); got != first[i] {
-			t.Fatalf("record %d after Reset = %+v, want %+v", i, got, first[i])
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, z.Reset); allocs != 0 {
-		t.Errorf("Reset allocates %.1f objects/op, want 0", allocs)
-	}
-}

@@ -91,8 +91,6 @@ type Shadow interface {
 	// DropLine reports a cache-eviction flush of one block and how many
 	// entries it carried.
 	DropLine(si uint64, n int)
-	// InvalidateAll reports a full flush.
-	InvalidateAll()
 }
 
 // hook wraps an attached Shadow behind a concrete pointer so the nil
@@ -338,17 +336,6 @@ func (s *Store) DropLine(line uint64) int {
 		s.shadow.s.DropLine(si, n)
 	}
 	return n
-}
-
-// InvalidateAll empties the store.
-func (s *Store) InvalidateAll() {
-	for i := range s.slots {
-		s.slots[i] = slot{}
-	}
-	s.count = 0
-	if s.shadow != nil {
-		s.shadow.s.InvalidateAll()
-	}
 }
 
 // Occupied reports whether block si holds at least one entry — the
