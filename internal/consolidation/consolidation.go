@@ -54,8 +54,6 @@ type Tenant struct {
 // tier order, so the hot tier really is the popular one.
 type Pool struct {
 	Tenants []Tenant
-	hotN    int
-	warmN   int
 	cdf     []float64
 }
 
@@ -77,25 +75,23 @@ func NewPool(guests int, hotFrac, warmFrac, skew float64) (*Pool, error) {
 	case skew <= 0:
 		return nil, fmt.Errorf("consolidation: tenant skew %f must be positive", skew)
 	}
-	hotN := max(1, int(math.Round(float64(guests)*hotFrac)))
-	warmN := max(1, int(math.Round(float64(guests)*warmFrac)))
-	if hotN+warmN >= guests {
+	hot := max(1, int(math.Round(float64(guests)*hotFrac)))
+	warm := max(1, int(math.Round(float64(guests)*warmFrac)))
+	if hot+warm >= guests {
 		return nil, fmt.Errorf("consolidation: %d hot + %d warm tenants leave no cold tail of %d guests",
-			hotN, warmN, guests)
+			hot, warm, guests)
 	}
 	p := &Pool{
 		Tenants: make([]Tenant, guests),
-		hotN:    hotN,
-		warmN:   warmN,
 		cdf:     make([]float64, guests),
 	}
 	sum := 0.0
 	for i := range p.Tenants {
 		tier := Cold
 		switch {
-		case i < hotN:
+		case i < hot:
 			tier = Hot
-		case i < hotN+warmN:
+		case i < hot+warm:
 			tier = Warm
 		}
 		p.Tenants[i] = Tenant{Index: i, VMID: addr.VMID(i + 1), PID: 1, Tier: tier}
@@ -236,6 +232,10 @@ func New(cfg Config) (*Scenario, error) {
 		build: func(i int) trace.Generator {
 			return tenantGen(cfg, preset, pool.Tenants[i], scn.Phases)
 		},
+		scratch: make([]trace.Record, fillRun),
+		rowQ:    -1,
+		leader:  make([]int, cfg.Cores),
+		cur:     make([]int, cfg.Cores),
 	}
 
 	// Tenant-switch events at every quantum boundary. At counts
@@ -388,20 +388,103 @@ type Gen struct {
 	gens    []trace.Generator
 	build   func(i int) trace.Generator
 	count   uint64
+
+	// Fill's scratch, allocated once: the segment's records grouped by
+	// tenant, the plan row the grouping describes, each slot's leader
+	// (the first slot of its row holding the same tenant) and each
+	// leader's cursor into scratch.
+	scratch []trace.Record
+	rowQ    int
+	leader  []int
+	cur     []int
+}
+
+// fillRun bounds the records Fill handles per segment: one scheduler
+// batch.
+const fillRun = 256
+
+// tenant returns tenant ti's generator, building it on first use.
+func (g *Gen) tenant(ti int) trace.Generator {
+	sub := g.gens[ti]
+	if sub == nil {
+		sub = g.build(ti)
+		g.gens[ti] = sub
+	}
+	return sub
 }
 
 // Next implements trace.Generator.
 func (g *Gen) Next() trace.Record {
 	slot := int(g.count % uint64(g.cores))
 	q := int(g.count/g.quantum) % len(g.plan)
-	ti := g.plan[q][slot]
-	sub := g.gens[ti]
-	if sub == nil {
-		sub = g.build(ti)
-		g.gens[ti] = sub
-	}
-	rec := sub.Next()
+	rec := g.tenant(g.plan[q][slot]).Next()
 	rec.Thread = uint8(slot)
 	g.count++
 	return rec
+}
+
+// Fill implements trace.Generator with Next's stream, one quantum
+// segment at a time: each tenant the plan row schedules fills, in one
+// call, the records of every slot it holds in position order, and the
+// records are then scattered to their positions with Thread set to the
+// slot.
+func (g *Gen) Fill(buf []trace.Record) int {
+	for done := 0; done < len(buf); {
+		q := int(g.count/g.quantum) % len(g.plan)
+		n := min(len(buf)-done, len(g.scratch), int(g.quantum-g.count%g.quantum))
+		g.group(q)
+		first := int(g.count % uint64(g.cores))
+		// Count each leader's records in the segment: slot s holds every
+		// cores-th position from first, and the n%cores slots from first
+		// one more than the rest. Each count then becomes the leader's
+		// offset in scratch, and its cursor while scattering.
+		per, extra := n/g.cores, n%g.cores
+		clear(g.cur)
+		for s, l := range g.leader {
+			g.cur[l] += per
+			if (s-first+g.cores)%g.cores < extra {
+				g.cur[l]++
+			}
+		}
+		off := 0
+		for s, l := range g.leader {
+			if k := g.cur[s]; l == s && k > 0 {
+				g.tenant(g.plan[q][s]).Fill(g.scratch[off : off+k])
+				g.cur[s] = off
+				off += k
+			}
+		}
+		s := first
+		for i := range buf[done : done+n] {
+			l := g.leader[s]
+			rec := &buf[done+i]
+			*rec = g.scratch[g.cur[l]]
+			rec.Thread = uint8(s)
+			g.cur[l]++
+			if s++; s == g.cores {
+				s = 0
+			}
+		}
+		g.count += uint64(n)
+		done += n
+	}
+	return len(buf)
+}
+
+// group points every slot of plan row q at its leader.
+func (g *Gen) group(q int) {
+	if q == g.rowQ {
+		return
+	}
+	g.rowQ = q
+	row := g.plan[q]
+	for s, ti := range row {
+		g.leader[s] = s
+		for l := range s {
+			if row[l] == ti {
+				g.leader[s] = l
+				break
+			}
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/core"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -29,12 +30,15 @@ func TestPoolTiersAndPopularity(t *testing.T) {
 	if got := len(pool.Tenants); got != 120 {
 		t.Fatalf("pool has %d tenants, want 120", got)
 	}
-	if h, w, c := pool.hotN, pool.warmN, len(pool.Tenants)-pool.hotN-pool.warmN; h != 6 || w != 30 || c != 84 {
-		t.Fatalf("tier split %d/%d/%d, want 6/30/84", h, w, c)
+	if n := tierCounts(pool); n != [core.NumTiers]int{6, 30, 84} {
+		t.Fatalf("tier split %d/%d/%d, want 6/30/84", n[Hot], n[Warm], n[Cold])
 	}
 	for i, tn := range pool.Tenants {
 		if tn.VMID != addr.VMID(i+1) || tn.PID != 1 {
 			t.Fatalf("tenant %d has identity %d/%d, want %d/1", i, tn.VMID, tn.PID, i+1)
+		}
+		if i > 0 && tn.Tier < pool.Tenants[i-1].Tier {
+			t.Fatalf("tenant %d is %s after a %s tenant: tiers must follow rank order", i, tn.Tier, pool.Tenants[i-1].Tier)
 		}
 	}
 	// Popularity is Zipf over rank: sampling the CDF uniformly must hit
@@ -50,6 +54,15 @@ func TestPoolTiersAndPopularity(t *testing.T) {
 	if frac := float64(hot) / n; frac < 0.4 {
 		t.Errorf("hot tier drew %.2f of picks, want Zipf-dominant (>0.4)", frac)
 	}
+}
+
+// tierCounts counts the pool's tenants per tier.
+func tierCounts(pool *Pool) [core.NumTiers]int {
+	var n [core.NumTiers]int
+	for _, tn := range pool.Tenants {
+		n[tn.Tier]++
+	}
+	return n
 }
 
 func TestPoolValidation(t *testing.T) {
@@ -86,6 +99,59 @@ func TestScenarioBuild(t *testing.T) {
 	}
 	if scn.Guests != 32 || scn.Phases != 3 || scn.Storms != 0 {
 		t.Fatalf("overrides not applied: %+v", scn)
+	}
+}
+
+// TestGenFillMatchesNext pins Gen.Fill to Gen.Next record for record
+// across several quanta of consol-churn, whose Zipf tenant skew puts one
+// tenant on several slots of a quantum, with and without phase-changing
+// tenants and at batch sizes that split quanta and slot rotations
+// anywhere.
+func TestGenFillMatchesNext(t *testing.T) {
+	preset, ok := workloads.ConsolidationByName("consol-churn")
+	if !ok {
+		t.Fatal("consol-churn preset missing")
+	}
+	const cores, quanta = 4, 6
+	n := quanta*int(preset.QuantumRecords) + 100
+	build := func(phases int) *Gen {
+		scn, err := New(Config{Preset: preset, Cores: cores, Seed: 1, TotalRecords: uint64(n), Phases: phases})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scn.Gen.(*Gen)
+	}
+
+	shared := false
+	for _, row := range build(0).plan[:quanta+1] {
+		seen := map[int]bool{}
+		for _, ti := range row {
+			shared = shared || seen[ti]
+			seen[ti] = true
+		}
+	}
+	if !shared {
+		t.Fatal("no quantum in range has one tenant on two slots: the shared-slot path goes untested")
+	}
+
+	for _, phases := range []int{1, 3} {
+		ref := build(phases)
+		want := make([]trace.Record, n)
+		for i := range want {
+			want[i] = ref.Next()
+		}
+		for _, batch := range []int{1, 7, 256, 1000} {
+			g := build(phases)
+			got := make([]trace.Record, n)
+			for i := 0; i < n; {
+				i += g.Fill(got[i:min(i+batch, n)])
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("phases %d, batches of %d: record %d is %+v, Next gives %+v", phases, batch, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -144,7 +210,7 @@ func TestScenarioEndToEnd(t *testing.T) {
 	// Zipf tenant hotness must show: the 6-ish hot guests out of 120
 	// carry a popularity share far above their cardinality share.
 	hotShare := res.TierShare(0)
-	cardShare := float64(scn.Pool.hotN) / float64(scn.Guests)
+	cardShare := float64(tierCounts(scn.Pool)[Hot]) / float64(scn.Guests)
 	if hotShare < 3*cardShare {
 		t.Errorf("hot tier share %.3f not Zipf-dominant over cardinality share %.3f", hotShare, cardShare)
 	}

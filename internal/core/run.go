@@ -199,14 +199,12 @@ func (r *recordRing) push(rec trace.Record) {
 	r.n++
 }
 
-func (r *recordRing) pop() (trace.Record, bool) {
-	if r.n == 0 {
-		return trace.Record{}, false
-	}
+// pop removes the oldest record; the ring must not be empty.
+func (r *recordRing) pop() trace.Record {
 	rec := r.buf[r.head]
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	return rec, true
+	return rec
 }
 
 func (r *recordRing) grow() {
@@ -217,35 +215,42 @@ func (r *recordRing) grow() {
 	r.buf, r.head = nb, 0
 }
 
+// schedBatch is how many records the scheduler pulls per Generator.Fill:
+// the server's ingest batch, so a live session hands over one upload
+// batch under one lock.
+const schedBatch = 256
+
 // scheduler delivers each core's records in trace order while letting the
 // caller always advance the core whose clock is furthest behind — the
 // Ramulator-like issue-cadence scheduling of Section 3.2. Without it,
 // per-core clocks drift apart and the shared DRAM channels would charge
 // phantom queueing waits against whichever core's clock lags.
 type scheduler struct {
-	g     trace.Generator
-	cores int
-	rings []recordRing
+	g      trace.Generator
+	rings  []recordRing
+	batch  [schedBatch]trace.Record
+	coreOf [256]uint8 // thread t runs on core t % cores
 }
 
 func newScheduler(g trace.Generator, cores int) *scheduler {
-	return &scheduler{g: g, cores: cores, rings: make([]recordRing, cores)}
+	sc := &scheduler{g: g, rings: make([]recordRing, cores)}
+	for t := range sc.coreOf {
+		sc.coreOf[t] = uint8(t % cores)
+	}
+	return sc
 }
 
-// next returns the next record for the given core, buffering other cores'
-// records encountered along the way.
+// next returns the next record for the given core, pulling batches and
+// sorting them onto every core's ring until the core's ring has one.
 func (sc *scheduler) next(core int) trace.Record {
-	if rec, ok := sc.rings[core].pop(); ok {
-		return rec
-	}
-	for {
-		rec := sc.g.Next()
-		c := int(rec.Thread) % sc.cores
-		if c == core {
-			return rec
+	r := &sc.rings[core]
+	for r.n == 0 {
+		n := sc.g.Fill(sc.batch[:])
+		for _, rec := range sc.batch[:n] {
+			sc.rings[sc.coreOf[rec.Thread]].push(rec)
 		}
-		sc.rings[c].push(rec)
 	}
+	return r.pop()
 }
 
 // ErrIdleCore marks a trace that names no thread for some core. The

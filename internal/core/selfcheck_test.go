@@ -66,6 +66,15 @@ func (g *recordHook) Next() trace.Record {
 	return g.at(g.n, g.Generator.Next())
 }
 
+// Fill passes every record through Next, so the hook sees the batches
+// the scheduler pulls too.
+func (g *recordHook) Fill(buf []trace.Record) int {
+	for i := range buf {
+		buf[i] = g.Next()
+	}
+	return len(buf)
+}
+
 // TestSelfCheckCatchesInjectedCorruption wires a fault through the
 // differential harness: a record hook fires mid-run and mutates
 // production POM-TLB state directly — bypassing the shadow hooks,

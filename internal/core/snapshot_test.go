@@ -163,6 +163,14 @@ func (g *cancelAfter) Next() trace.Record {
 	return g.Generator.Next()
 }
 
+// Fill passes every record through Next, so batched pulls count too.
+func (g *cancelAfter) Fill(buf []trace.Record) int {
+	for i := range buf {
+		buf[i] = g.Next()
+	}
+	return len(buf)
+}
+
 // TestRunCancelled pins Run's cancellation contract in both windows: the
 // error wraps context.Canceled and names how far the run got, and the
 // partial Result still satisfies the accounting identities.

@@ -67,7 +67,7 @@ func (s *Server) sessionMetrics(sess *session) SessionMetrics {
 	// Result, never a live snapshot one chunk stale.
 	state := sess.getState()
 	res, emsg := sess.result()
-	ing, _, backlog, loops, fin := sess.gen.stat()
+	ing, backlog, loops, fin := sess.gen.stat()
 	m := SessionMetrics{
 		ID:       sess.id,
 		Tenant:   sess.tenant,
@@ -119,7 +119,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if !sess.finished() {
 			active++
 		}
-		_, _, backlog, _, _ := sess.gen.stat()
+		_, backlog, _, _ := sess.gen.stat()
 		rows = append(rows, row{
 			id: sess.id, tenant: sess.tenant, state: sess.getState().String(),
 			committed: sess.committed.Snapshot(), backlog: backlog,

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -90,7 +91,7 @@ func TestBucket(t *testing.T) {
 // all-or-nothing, blocks only until its deadline, and frees up as the
 // consumer pulls.
 func TestStreamGenBackpressure(t *testing.T) {
-	g := newStreamGen(4)
+	g := newStreamGen(4, 0)
 	recs := trace.Collect(parityGen(), 8)
 
 	if err := g.append(recs[:4], batchThreads(recs[:4]), time.Now().Add(time.Second)); err != nil {
@@ -102,7 +103,7 @@ func TestStreamGenBackpressure(t *testing.T) {
 	} else if waited := time.Since(start); waited < 15*time.Millisecond {
 		t.Errorf("append gave up after %v, before its deadline", waited)
 	}
-	if ing, _, _, _, _ := g.stat(); ing != 4 {
+	if ing, _, _, _ := g.stat(); ing != 4 {
 		t.Fatalf("failed append was not all-or-nothing: ingested %d, want 4", ing)
 	}
 
@@ -121,7 +122,7 @@ func TestStreamGenBackpressure(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		g.Next()
 	}
-	if _, _, _, loops, _ := g.stat(); loops != 1 {
+	if _, _, loops, _ := g.stat(); loops != 1 {
 		t.Errorf("loops = %d after reading past the end, want 1", loops)
 	}
 }
@@ -130,7 +131,7 @@ func TestStreamGenBackpressure(t *testing.T) {
 // stream unwinds via the panic that resilience.Safe converts back into an
 // error — the session-teardown path.
 func TestStreamGenAbortUnwindsNext(t *testing.T) {
-	g := newStreamGen(16)
+	g := newStreamGen(16, 0)
 	unwound := make(chan error, 1)
 	go func() {
 		unwound <- resilience.Safe(func() error {
@@ -151,6 +152,136 @@ func TestStreamGenAbortUnwindsNext(t *testing.T) {
 	recs := trace.Collect(parityGen(), 1)
 	if err := g.append(recs, batchThreads(recs), time.Now().Add(time.Second)); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("append after abort = %v, want ErrSessionClosed", err)
+	}
+}
+
+// TestStreamGenFill pins Fill's contract on a live stream: it returns
+// what has arrived without blocking, blocks only while nothing has,
+// wraps once the stream is finished, and panics errStreamAborted once
+// it is aborted.
+func TestStreamGenFill(t *testing.T) {
+	recs := trace.Collect(parityGen(), 5)
+	g := newStreamGen(64, 0)
+	push := func(batch []trace.Record) {
+		t.Helper()
+		if err := g.append(batch, batchThreads(batch), time.Now().Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	push(recs[:3])
+	buf := make([]trace.Record, 8)
+	if n := g.Fill(buf); n != 3 || !slices.Equal(buf[:n], recs[:3]) {
+		t.Fatalf("Fill after 3 arrivals = %d records %v, want the 3 that arrived", n, buf[:n])
+	}
+
+	filled := make(chan int, 1)
+	go func() { filled <- g.Fill(buf) }()
+	select {
+	case n := <-filled:
+		t.Fatalf("Fill on a drained open stream returned %d records instead of blocking", n)
+	case <-time.After(20 * time.Millisecond):
+	}
+	push(recs[3:])
+	select {
+	case n := <-filled:
+		if n != 2 || !slices.Equal(buf[:n], recs[3:]) {
+			t.Fatalf("blocked Fill woke with %d records %v, want the 2 that arrived", n, buf[:n])
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocked Fill never woke after an append")
+	}
+
+	g.finish(1)
+	if n := g.Fill(buf); n != len(buf) || !slices.Equal(buf, append(recs[:5:5], recs[:3]...)) {
+		t.Fatalf("Fill on a finished stream = %d records %v, want a full buffer wrapping the 5", n, buf[:n])
+	}
+	if _, _, loops, _ := g.stat(); loops != 2 {
+		t.Errorf("loops = %d after wrapping twice, want 2", loops)
+	}
+
+	g.abort()
+	if err := resilience.Safe(func() error { g.Fill(buf); return nil }); !errors.Is(err, errStreamAborted) {
+		t.Fatalf("Fill after abort unwound with %v, want errStreamAborted", err)
+	}
+}
+
+// TestHTTPUploadCap pins the 413 path: a post that would take a session
+// past its upload cap is refused at the batch that crosses it, after
+// the batches before it were accepted.
+func TestHTTPUploadCap(t *testing.T) {
+	srv := New(Config{MaxIngestRecords: 300})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	tc := newTestClient(t, ts.URL)
+	id := tc.createSession(CreateRequest{Cores: 2, WarmupRefs: 1 << 20, MaxRefs: 1 << 20})
+
+	var out struct {
+		Accepted int    `json:"accepted"`
+		Ingested int    `json:"ingested"`
+		Error    string `json:"error"`
+	}
+	status, _ := tc.do("POST", "/sessions/"+id+"/records",
+		bytes.NewReader(encodeTrace(t, trace.Collect(parityGen(), 2*IngestBatch))), &out)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap post: status %d, want 413", status)
+	}
+	if out.Accepted != IngestBatch || out.Ingested != IngestBatch {
+		t.Errorf("over-cap post accepted %d, session ingested %d; want the first batch's %d", out.Accepted, out.Ingested, IngestBatch)
+	}
+	if !strings.Contains(out.Error, "session upload cap is 300 records") {
+		t.Errorf("413 says %q, want the cap", out.Error)
+	}
+}
+
+// TestHTTPUploadCapConcurrent is the regression test for concurrent
+// posts to one session: eight 256-record posts against a 512-record cap
+// all wait in the rate limiter at once. The cap used to be read before
+// that wait and the batch appended after it, so all eight landed and
+// the stream held four times its cap; append now checks the cap under
+// the stream lock.
+func TestHTTPUploadCapConcurrent(t *testing.T) {
+	srv := New(Config{MaxIngestRecords: 512, RatePerSec: 2560, Burst: 256, MaxThrottle: 2 * time.Second})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	tc := newTestClient(t, ts.URL)
+	id := tc.createSession(CreateRequest{Cores: 2, WarmupRefs: 1 << 20, MaxRefs: 1 << 20})
+	body := encodeTrace(t, trace.Collect(parityGen(), IngestBatch))
+
+	const posts = 8
+	statuses := make(chan int, posts)
+	var wg sync.WaitGroup
+	for range posts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/sessions/"+id+"/records", "application/octet-stream", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			statuses <- resp.StatusCode
+		}()
+	}
+	wg.Wait()
+	close(statuses)
+	count := map[int]int{}
+	for st := range statuses {
+		count[st]++
+	}
+	if count[http.StatusAccepted] != 2 || count[http.StatusRequestEntityTooLarge] != posts-2 {
+		t.Errorf("statuses %v, want 2 accepted and %d refused with 413", count, posts-2)
+	}
+	var m SessionMetrics
+	if status, _ := tc.do("GET", "/sessions/"+id+"/metrics", nil, &m); status != http.StatusOK {
+		t.Fatalf("metrics: status %d", status)
+	}
+	if m.Ingested != 512 {
+		t.Errorf("session ingested %d records, want its 512-record cap", m.Ingested)
 	}
 }
 

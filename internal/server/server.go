@@ -49,7 +49,7 @@ type Config struct {
 	// MaxSessions caps concurrently live (unfinished) sessions; further
 	// creations get 429. Default 64.
 	MaxSessions int
-	// QueueCap bounds each session's un-simulated ingest backlog in
+	// QueueCap bounds each session's un-pulled ingest backlog in
 	// records before backpressure engages. A cap below IngestBatch sheds
 	// every full batch outright, which is useful in tests and
 	// pathological otherwise. Default 65536.
@@ -277,7 +277,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		workload: workload,
 		cfg:      cfg,
 		sys:      sys,
-		gen:      newStreamGen(s.cfg.QueueCap),
+		gen:      newStreamGen(s.cfg.QueueCap, s.cfg.MaxIngestRecords),
 		limiter:  lim,
 		created:  s.cfg.now(),
 		cancel:   cancel,
@@ -349,12 +349,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if len(batch) == 0 {
 			return 0, ""
 		}
-		if max := s.cfg.MaxIngestRecords; max > 0 {
-			if ing, _, _, _, _ := sess.gen.stat(); ing+len(batch) > max {
-				return http.StatusRequestEntityTooLarge,
-					fmt.Sprintf("session upload cap is %d records", max)
-			}
-		}
 		delay, ok := sess.limiter.take(s.cfg.now(), float64(len(batch)), s.cfg.MaxThrottle)
 		if !ok {
 			s.rejectedRate.Inc()
@@ -378,10 +372,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				s.rejectedQueue.Inc()
 				sess.rejQueue.Inc()
 				w.Header().Set("Retry-After", retryAfter(s.cfg.EnqueueWait))
-				_, _, backlog, _, _ := sess.gen.stat()
+				_, backlog, _, _ := sess.gen.stat()
 				return http.StatusTooManyRequests,
 					fmt.Sprintf("session queue full (%d records behind, cap %d); retry in %s",
 						backlog, s.cfg.QueueCap, s.cfg.EnqueueWait)
+			case errors.Is(err, ErrUploadCap):
+				return http.StatusRequestEntityTooLarge,
+					fmt.Sprintf("session upload cap is %d records", s.cfg.MaxIngestRecords)
 			case errors.Is(err, ErrSessionFinished):
 				return http.StatusConflict, err.Error()
 			default:
@@ -442,7 +439,7 @@ func batchThreads(batch []trace.Record) core.Threads {
 // ingestReply reports how far an upload got alongside the session's
 // current stream position, so clients can resume precisely.
 func (s *Server) ingestReply(w http.ResponseWriter, sess *session, status int, msg string, accepted int) {
-	ing, _, backlog, _, _ := sess.gen.stat()
+	ing, backlog, _, _ := sess.gen.stat()
 	body := map[string]any{
 		"accepted":    accepted,
 		"ingested":    ing,
@@ -582,7 +579,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	for _, sess := range open {
-		if ing, _, _, _, _ := sess.gen.stat(); ing == 0 {
+		if ing, _, _, _ := sess.gen.stat(); ing == 0 {
 			// Nothing ever arrived: finishing would fail the worker with
 			// an empty stream; abort it instead.
 			sess.close()

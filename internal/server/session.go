@@ -120,7 +120,7 @@ func (s *session) run(ctx context.Context, committedTotal *stats.Counter) {
 // advance drives the System through n records in small chunks, publishing
 // progress and a fresh snapshot after each chunk so metrics see it
 // promptly. The metrics path must never call sys.Snapshot on a running
-// session: a starved stream leaves the worker blocked inside Generator.Next
+// session: a starved stream leaves the worker blocked inside Generator.Fill
 // while it holds the System's stats mutex, so a concurrent Snapshot would
 // block until more records arrived — the cached copy keeps GET
 // /sessions/{id}/metrics non-blocking at the cost of being at most one

@@ -60,6 +60,10 @@ var generators = []struct {
 			trace.Phase{Records: 500, Gen: trace.NewUniform(small)},
 		)
 	}},
+	{"replay", func(seed uint64) trace.Generator {
+		// 300 records, so every batch size meets the wrap mid-batch.
+		return trace.NewReplay(trace.Collect(trace.NewUniform(confParams(seed)), 300))
+	}},
 	{"consolidation", func(seed uint64) trace.Generator { return consolSmoke(seed, 0) }},
 	{"consolidation-phased", func(seed uint64) trace.Generator { return consolSmoke(seed, 3) }},
 }
@@ -73,10 +77,34 @@ func firstDiff(a, b []trace.Record) int {
 	return -1
 }
 
+// nextStream draws n records one Next call at a time: the reference
+// stream Fill must reproduce (Collect itself drains by Fill).
+func nextStream(g trace.Generator, n int) []trace.Record {
+	out := make([]trace.Record, n)
+	for i := range out {
+		out[i] = g.Next()
+	}
+	return out
+}
+
+// fillStream draws n records by Fill calls of at most batch records.
+func fillStream(t *testing.T, g trace.Generator, n, batch int) []trace.Record {
+	out := make([]trace.Record, n)
+	for i := 0; i < n; {
+		k := g.Fill(out[i:min(i+batch, n)])
+		if k == 0 {
+			t.Fatalf("Fill of %d records returned none at record %d", min(batch, n-i), i)
+		}
+		i += k
+	}
+	return out
+}
+
 // TestGeneratorConformance is the table-test every generator must pass:
 // canonical addresses (every VA below 2^48, so the trace writer accepts
 // the stream), seed determinism (two instances with the same seed emit
-// identical streams) and seed sensitivity. A new generator gets this
+// identical streams), seed sensitivity, and batch transparency (Fill in
+// batches of any size emits Next's stream). A new generator gets this
 // coverage by adding a row to generators.
 func TestGeneratorConformance(t *testing.T) {
 	for _, f := range generators {
@@ -97,6 +125,13 @@ func TestGeneratorConformance(t *testing.T) {
 
 			if firstDiff(first, trace.Collect(f.new(43), n)) < 0 {
 				t.Error("seed 43 replays seed 42's stream: seed has no effect")
+			}
+
+			want := nextStream(f.new(42), n)
+			for _, batch := range []int{1, 7, 256} {
+				if i := firstDiff(want, fillStream(t, f.new(42), n, batch)); i >= 0 {
+					t.Errorf("Fill in batches of %d diverges from Next at record %d", batch, i)
+				}
 			}
 		})
 	}

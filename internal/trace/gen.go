@@ -209,6 +209,14 @@ func (s *Stream) Next() Record {
 	return s.emit(off)
 }
 
+// Fill implements Generator.
+func (s *Stream) Fill(buf []Record) int {
+	for i := range buf {
+		buf[i] = s.Next()
+	}
+	return len(buf)
+}
+
 // Uniform generates uniformly random references over the footprint — the
 // gups pattern with essentially no locality at any level.
 type Uniform struct{ base }
@@ -223,6 +231,14 @@ func (u *Uniform) Next() Record {
 	return u.emitWithRuns(func() uint64 { return u.r.Intn(u.l.footprint()) })
 }
 
+// Fill implements Generator.
+func (u *Uniform) Fill(buf []Record) int {
+	for i := range buf {
+		buf[i] = u.Next()
+	}
+	return len(buf)
+}
+
 // Zipf generates page-granular references with a power-law popularity
 // distribution — the graph-workload pattern (pagerank, connected
 // components, graph500) where a few hub pages are hot and a long tail is
@@ -231,8 +247,7 @@ type Zipf struct {
 	base
 	s     float64
 	cdf   []float64
-	pages uint64  // full page universe; cdf covers min(pages, maxZipfCDF)
-	tailP float64 // popularity mass of the uniform tail past the CDF
+	pages uint64 // full page universe; cdf covers min(pages, maxZipfCDF)
 }
 
 // maxZipfCDF caps the explicit CDF at 1M ranks (4 GiB of 4 KB pages);
@@ -275,7 +290,6 @@ func (z *Zipf) build() {
 	for i := range z.cdf {
 		z.cdf[i] /= total
 	}
-	z.tailP = tail / total
 }
 
 // zipfTailMass approximates Σ_{i=lo+1..hi} i^-s by ∫_lo^hi x^-s dx.
@@ -305,6 +319,14 @@ func (z *Zipf) Next() Record {
 		page := (z.l.largeBytes/addr.Bytes4K + rank) % z.pages
 		return page*addr.Bytes4K + z.r.Intn(addr.Bytes4K)
 	})
+}
+
+// Fill implements Generator.
+func (z *Zipf) Fill(buf []Record) int {
+	for i := range buf {
+		buf[i] = z.Next()
+	}
+	return len(buf)
 }
 
 // Chase generates a full-period pseudo-random pointer chase over cache
@@ -346,6 +368,14 @@ func (g *Chase) Next() Record {
 	cur := g.cursors[t]
 	g.cursors[t] = (cur*g.a + g.c) & (g.lines - 1)
 	return g.emit(cur * addr.CacheLineSize)
+}
+
+// Fill implements Generator.
+func (g *Chase) Fill(buf []Record) int {
+	for i := range buf {
+		buf[i] = g.Next()
+	}
+	return len(buf)
 }
 
 // HotCold generates a working-set mixture: with probability pHot the
@@ -398,6 +428,14 @@ func (g *HotCold) Next() Record {
 	})
 }
 
+// Fill implements Generator.
+func (g *HotCold) Fill(buf []Record) int {
+	for i := range buf {
+		buf[i] = g.Next()
+	}
+	return len(buf)
+}
+
 // Mix interleaves two generators with a fixed probability — e.g. a
 // streaming phase with occasional random lookups (GemsFDTD, canneal).
 type Mix struct {
@@ -420,4 +458,12 @@ func (m *Mix) Next() Record {
 		return m.A.Next()
 	}
 	return m.B.Next()
+}
+
+// Fill implements Generator.
+func (m *Mix) Fill(buf []Record) int {
+	for i := range buf {
+		buf[i] = m.Next()
+	}
+	return len(buf)
 }

@@ -44,3 +44,20 @@ func (p *Phased) Next() Record {
 	p.left--
 	return p.phases[p.idx].Gen.Next()
 }
+
+// Fill implements Generator: it fills from the current phase up to the
+// phase boundary, then moves on, so each phase's generator fills a whole
+// run per call.
+func (p *Phased) Fill(buf []Record) int {
+	for done := 0; done < len(buf); {
+		if p.left == 0 {
+			p.idx = (p.idx + 1) % len(p.phases)
+			p.left = p.phases[p.idx].Records
+		}
+		run := buf[done : done+int(min(p.left, uint64(len(buf)-done)))]
+		n := p.phases[p.idx].Gen.Fill(run)
+		p.left -= uint64(n)
+		done += n
+	}
+	return len(buf)
+}

@@ -58,3 +58,15 @@ func (r *Replay) Next() Record {
 	}
 	return rec
 }
+
+// Fill implements Generator, copying runs of the trace across the wrap.
+func (r *Replay) Fill(buf []Record) int {
+	for done := 0; done < len(buf); {
+		n := copy(buf[done:], r.recs[r.i:])
+		done += n
+		if r.i += n; r.i == len(r.recs) {
+			r.i = 0
+		}
+	}
+	return len(buf)
+}

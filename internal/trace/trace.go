@@ -172,13 +172,18 @@ func (r *Reader) Read() (Record, error) {
 type Generator interface {
 	// Next returns the next record.
 	Next() Record
+	// Fill writes the stream's next records to a prefix of buf and
+	// returns its length: all of buf for a synthetic stream or a replay,
+	// at least one record for a live stream, which blocks only while
+	// nothing has arrived. It never returns 0 for a non-empty buf.
+	Fill(buf []Record) int
 }
 
 // Collect drains n records from a generator into a slice.
 func Collect(g Generator, n int) []Record {
 	out := make([]Record, n)
-	for i := range out {
-		out[i] = g.Next()
+	for i := 0; i < n; {
+		i += g.Fill(out[i:])
 	}
 	return out
 }

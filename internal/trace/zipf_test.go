@@ -21,8 +21,10 @@ func TestZipfUniformTailBeyondCDFCap(t *testing.T) {
 	if len(z.cdf) != maxZipfCDF {
 		t.Fatalf("CDF covers %d ranks, want the %d cap", len(z.cdf), maxZipfCDF)
 	}
-	if z.tailP <= 0 {
-		t.Fatalf("tail mass = %v, want positive for a footprint past the cap", z.tailP)
+	// A tail exists exactly when the CDF stops short of 1: the rest of
+	// the mass is the tail's, and Next draws it by u >= cdf[n-1].
+	if top := z.cdf[len(z.cdf)-1]; top >= 1 {
+		t.Fatalf("cdf tops out at %v, want below 1 for a footprint past the cap", top)
 	}
 
 	const n = 100_000
@@ -52,13 +54,13 @@ func TestZipfUniformTailBeyondCDFCap(t *testing.T) {
 }
 
 // TestZipfSmallFootprintHasNoTail pins the other side: at or below the
-// cap the CDF covers every page, the tail mass is zero, and the last CDF
-// entry is exactly 1 so the tail branch is unreachable.
+// cap the CDF covers every page and its last entry is exactly 1, so the
+// tail branch is unreachable.
 func TestZipfSmallFootprintHasNoTail(t *testing.T) {
 	p := Params{Seed: 5, FootprintBytes: 64 << 20, Threads: 2, MeanGap: 3, WriteFrac: 0.2}
 	z := NewZipf(p, 0.9)
-	if z.tailP != 0 {
-		t.Fatalf("tail mass = %v, want 0 below the cap", z.tailP)
+	if n := uint64(len(z.cdf)); n != z.pages {
+		t.Fatalf("CDF covers %d ranks, want all %d pages", n, z.pages)
 	}
 	if got := z.cdf[len(z.cdf)-1]; got != 1.0 {
 		t.Fatalf("cdf tops out at %v, want exactly 1", got)
