@@ -310,7 +310,7 @@ func printResult(out io.Writer, workload string, p *workloads.Profile, virtualiz
 		fmt.Fprint(out, tt.String())
 	}
 
-	if p != nil && res.Mode != core.Baseline && core.CalibratedWalks(res.Mode) {
+	if p != nil && core.CalibratedWalks(res.Mode) {
 		imp := perfmodel.ImprovementPct(perfmodel.FromProfile(*p, virtualized, res.AvgPenalty()))
 		fmt.Fprintf(out, "\nmodelled improvement over measured baseline: %.2f%%\n", imp)
 	}

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -67,9 +68,9 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	switch {
 	case *maxSessions <= 0:
 		return fmt.Errorf("-max-sessions must be positive (got %d)", *maxSessions)
-	case *queueCap < server.IngestBatch:
+	case *queueCap < trace.Batch:
 		return fmt.Errorf("-queue-cap must be at least one ingest batch of %d records, or no full batch is ever accepted (got %d)",
-			server.IngestBatch, *queueCap)
+			trace.Batch, *queueCap)
 	case *rate < 0:
 		return fmt.Errorf("-rate must be non-negative (got %g)", *rate)
 	case *burst < 0:

@@ -135,15 +135,10 @@ type Config struct {
 // generator plus the scheduled storm of scenario events. Attach with
 // core.System.SetEvents and run Gen through core.System.Run.
 type Scenario struct {
-	Name   string
 	Guests int
 	Phases int
-	// ChurnEvery and Storms describe the resolved churn schedule.
-	ChurnEvery uint64
-	Storms     int
-	Pool       *Pool
-	Gen        trace.Generator
-	Events     []core.Event
+	Gen    trace.Generator
+	Events []core.Event
 }
 
 // splitmix is the same deterministic generator the trace package uses,
@@ -218,11 +213,8 @@ func New(cfg Config) (*Scenario, error) {
 	}
 
 	scn := &Scenario{
-		Name:       preset.Name,
-		Guests:     guests,
-		Phases:     max(phases, 1),
-		ChurnEvery: churn,
-		Pool:       pool,
+		Guests: guests,
+		Phases: max(phases, 1),
 	}
 	scn.Gen = &Gen{
 		cores:   cfg.Cores,
@@ -232,7 +224,7 @@ func New(cfg Config) (*Scenario, error) {
 		build: func(i int) trace.Generator {
 			return tenantGen(cfg, preset, pool.Tenants[i], scn.Phases)
 		},
-		scratch: make([]trace.Record, fillRun),
+		scratch: make([]trace.Record, trace.Batch),
 		rowQ:    -1,
 		leader:  make([]int, cfg.Cores),
 		cur:     make([]int, cfg.Cores),
@@ -304,7 +296,6 @@ func New(cfg Config) (*Scenario, error) {
 					s.ProcessExit(migrate.VMID, migrate.PID)
 				}
 			}})
-			scn.Storms++
 		}
 	}
 	return scn, nil
@@ -398,10 +389,6 @@ type Gen struct {
 	leader  []int
 	cur     []int
 }
-
-// fillRun bounds the records Fill handles per segment: one scheduler
-// batch.
-const fillRun = 256
 
 // tenant returns tenant ti's generator, building it on first use.
 func (g *Gen) tenant(ti int) trace.Generator {

@@ -79,25 +79,35 @@ func TestPoolValidation(t *testing.T) {
 }
 
 func TestScenarioBuild(t *testing.T) {
-	scn, err := New(Config{Preset: smokePreset(t), Cores: 2, Seed: 1, TotalRecords: 30_000})
+	preset := smokePreset(t)
+	scn, err := New(Config{Preset: preset, Cores: 2, Seed: 1, TotalRecords: 30_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scn.Guests != 16 || scn.Storms == 0 || scn.ChurnEvery == 0 {
+	if scn.Guests != 16 {
 		t.Fatalf("unexpected scenario shape: %+v", scn)
 	}
-	// One tenant-switch event per quantum boundary plus the storms.
+	// One tenant-switch event per quantum boundary plus one storm per
+	// churn interval: the preset churns every 6,000 records.
 	switches := 30_000/2048 + 1
-	if got := len(scn.Events); got != switches+scn.Storms {
-		t.Fatalf("%d events, want %d switches + %d storms", got, switches, scn.Storms)
+	if got, storms := len(scn.Events), 30_000/int(preset.ChurnEvery); storms == 0 || got != switches+storms {
+		t.Fatalf("%d events, want %d switches + %d storms", got, switches, storms)
+	}
+	// Overrides: churn every 10,000 records makes three storms.
+	scn, err = New(Config{Preset: preset, Cores: 2, Seed: 1, TotalRecords: 30_000, ChurnEvery: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(scn.Events); got != switches+3 {
+		t.Fatalf("churn override: %d events, want %d switches + 3 storms", got, switches)
 	}
 	// Overrides: guests, phases, churn off.
-	scn, err = New(Config{Preset: smokePreset(t), Cores: 2, Seed: 1, TotalRecords: 30_000,
+	scn, err = New(Config{Preset: preset, Cores: 2, Seed: 1, TotalRecords: 30_000,
 		Guests: 32, Phases: 3, ChurnEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scn.Guests != 32 || scn.Phases != 3 || scn.Storms != 0 {
+	if scn.Guests != 32 || scn.Phases != 3 || len(scn.Events) != switches {
 		t.Fatalf("overrides not applied: %+v", scn)
 	}
 }
@@ -187,7 +197,7 @@ func TestScenarioEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.SetEvents(scn.Events)
-	res, err := sys.Run(context.Background(), scn.Gen, scn.Name)
+	res, err := sys.Run(context.Background(), scn.Gen, preset.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +220,11 @@ func TestScenarioEndToEnd(t *testing.T) {
 	// Zipf tenant hotness must show: the 6-ish hot guests out of 120
 	// carry a popularity share far above their cardinality share.
 	hotShare := res.TierShare(0)
-	cardShare := float64(tierCounts(scn.Pool)[Hot]) / float64(scn.Guests)
+	pool, err := NewPool(scn.Guests, preset.HotFrac, preset.WarmFrac, preset.TenantSkew)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cardShare := float64(tierCounts(pool)[Hot]) / float64(scn.Guests)
 	if hotShare < 3*cardShare {
 		t.Errorf("hot tier share %.3f not Zipf-dominant over cardinality share %.3f", hotShare, cardShare)
 	}
@@ -236,7 +250,7 @@ func TestScenarioDeterministicAcrossSystems(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.SetEvents(scn.Events)
-		res, err := sys.Run(context.Background(), scn.Gen, scn.Name)
+		res, err := sys.Run(context.Background(), scn.Gen, "consol-smoke")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +282,7 @@ func TestChurnChangesOutcome(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.SetEvents(scn.Events)
-		res, err := sys.Run(context.Background(), scn.Gen, scn.Name)
+		res, err := sys.Run(context.Background(), scn.Gen, "consol-smoke")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +335,7 @@ func TestScenarioMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.SetEvents(scn.Events)
-	if _, err := sys.Run(context.Background(), scn.Gen, scn.Name); err != nil {
+	if _, err := sys.Run(context.Background(), scn.Gen, preset.Name); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()

@@ -215,11 +215,6 @@ func (r *recordRing) grow() {
 	r.buf, r.head = nb, 0
 }
 
-// schedBatch is how many records the scheduler pulls per Generator.Fill:
-// the server's ingest batch, so a live session hands over one upload
-// batch under one lock.
-const schedBatch = 256
-
 // scheduler delivers each core's records in trace order while letting the
 // caller always advance the core whose clock is furthest behind — the
 // Ramulator-like issue-cadence scheduling of Section 3.2. Without it,
@@ -228,7 +223,7 @@ const schedBatch = 256
 type scheduler struct {
 	g      trace.Generator
 	rings  []recordRing
-	batch  [schedBatch]trace.Record
+	batch  [trace.Batch]trace.Record
 	coreOf [256]uint8 // thread t runs on core t % cores
 }
 

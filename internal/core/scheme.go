@@ -26,7 +26,8 @@ type Scheme interface {
 	// CalibratedWalks reports whether experiment harnesses may charge
 	// this scheme's page walks at the measured baseline cost (§3.3).
 	// Schemes whose benefit lives inside the walk itself (L4Cache,
-	// DRAMCache) must return false so their walks are always simulated.
+	// DRAMCache) must return false so their walks are always simulated,
+	// and so does the baseline, whose walks are what was measured.
 	CalibratedWalks() bool
 	// Build constructs the scheme's large structure(s) during NewSystem
 	// (cores do not exist yet; size them from s.cfg).
@@ -132,8 +133,10 @@ func ModeNames() []string {
 }
 
 // CalibratedWalks reports whether the mode's walks may be charged at the
-// measured baseline cost (false for unknown modes only defensively; the
-// Baseline itself is excluded by callers, not here).
+// measured baseline cost, which is also when a modelled improvement over
+// that baseline means something. It is false for the baseline, for
+// schemes that simulate their walks (l4-cache, dram-cache) and, only
+// defensively, for unknown modes.
 func CalibratedWalks(m Mode) bool {
 	sch, ok := SchemeFor(m)
 	return ok && sch.CalibratedWalks()

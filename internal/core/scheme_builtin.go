@@ -19,6 +19,12 @@ import (
 type baselineScheme struct{ baseScheme }
 
 func (baselineScheme) Name() Mode { return Baseline }
+
+// CalibratedWalks is false: the baseline is the measured machine itself,
+// so its walks are always simulated and it models no improvement over
+// itself.
+func (baselineScheme) CalibratedWalks() bool { return false }
+
 func (baselineScheme) Path(s *System, c *coreState, va addr.VA) tlb.Entry {
 	return s.baselinePath(c, va)
 }
@@ -83,7 +89,7 @@ func (pomSchemeBase) Holds(s *System, vmid addr.VMID, pid addr.PID, va addr.VA, 
 	return false
 }
 func (pomSchemeBase) AttachSelfCheck(s *System, sc *SelfCheck) {
-	sc.pomSmall = oracle.NewRefPOM(sc.h, s.pom.Small)
+	oracle.NewRefPOM(sc.h, s.pom.Small)
 	oracle.NewRefPOM(sc.h, s.pom.Large)
 	oracle.NewRefDRAM(sc.h, s.pom.DRAMChannel())
 }

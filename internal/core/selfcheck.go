@@ -22,9 +22,6 @@ type SelfCheck struct {
 	// sweep so a mid-run violation is not masked by a clean final state.
 	invErr error
 	sweeps uint64
-	// pomSmall keeps the small POM partition's reference reattachable so
-	// tests can corrupt production state behind the shadow's back.
-	pomSmall *oracle.RefPOM
 }
 
 // EnableSelfCheck attaches a reference model to every production

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/oracle"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -88,6 +89,10 @@ func TestSelfCheckCatchesInjectedCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := sys.EnableSelfCheck()
+	// Replace the small partition's reference with one this test holds,
+	// so the corruption can detach it and put it back. Nothing has run
+	// yet, so the new reference starts from the same empty state.
+	ref := oracle.NewRefPOM(sc.Harness(), sys.pom.Small)
 	corrupted := 0
 	// At the 120,000th trace record (inside warmup, once the POM-TLB is
 	// well-populated), flip the PFNs of several resident translations
@@ -96,7 +101,7 @@ func TestSelfCheckCatchesInjectedCorruption(t *testing.T) {
 	corrupt := func() {
 		part := sys.pom.Small
 		part.SetShadow(nil)
-		defer part.SetShadow(sc.pomSmall)
+		defer part.SetShadow(ref)
 		for vpn := uint64(0); vpn < 1<<16 && corrupted < 8; vpn += 4 {
 			for _, e := range part.AppendSet(nil, addr.VA(vpn<<12), 1) {
 				if e.Valid {

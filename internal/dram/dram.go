@@ -277,8 +277,11 @@ func (ch *Channel) SetShadow(s Shadow) {
 
 // decompose maps a physical address onto (bank, row, column). Consecutive
 // cache lines share a row until the row is exhausted, then move to the next
-// bank — the mapping that gives spatially-local streams the high row-buffer
-// hit rates reported in Figure 11.
+// bank. The bank is not hashed, so addresses a multiple of Banks rows apart
+// share a bank: concurrent streams whose thread slices start that far apart
+// (trace.Stream's do) close each other's rows, one of the two reasons
+// Figure 11's streaming workloads see few row-buffer hits; refresh closing
+// the row between visits is the other.
 func (ch *Channel) decompose(a addr.HPA) (bankIdx int, row uint64) {
 	line := a.Line()
 	return int(line >> ch.colBits & ch.bankMask), line >> ch.rowShift

@@ -55,7 +55,7 @@ func CrossScheme(ctx context.Context, r *Runner) ([]CrossRow, error) {
 				Penalty:  res.AvgPenalty(),
 				WalkElim: res.WalkEliminationRate(),
 			}
-			if mode != core.Baseline && core.CalibratedWalks(mode) {
+			if core.CalibratedWalks(mode) {
 				row.ImprovementPct = perfmodel.ImprovementPct(perfmodel.FromProfile(p, r.Options().Virtualized, row.Penalty))
 				row.HasImprovement = true
 			}

@@ -120,7 +120,7 @@ func FuzzOpenSweepJournal(f *testing.F) {
 	fp := Fingerprint(QuickOptions())
 	var valid []byte
 	for _, rec := range []sweepRecord{
-		{Kind: "header", Version: 1, Fingerprint: fp},
+		{Kind: "header", Version: journalVersion, Fingerprint: fp},
 		{Kind: "done", Key: "gups|pom-tlb", Result: &core.Result{Records: 7}},
 	} {
 		line, err := sweepLine(rec)

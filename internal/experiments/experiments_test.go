@@ -135,7 +135,7 @@ func TestFigure9And10And11(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range f10 {
-		if row.SizeTotal == 0 {
+		if res, _ := r.Result(context.Background(), row.Name, core.POMTLB); res.SizePred.Total() == 0 {
 			t.Errorf("%s: size predictor never scored", row.Name)
 		}
 		if row.SizeAcc < 0.5 {
@@ -376,9 +376,29 @@ func TestTradeoffStudy(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	// The speedups compare the three machines' simulated cycle totals
+	// with every walk simulated: rerun mcf's machines and check its row.
+	opts := quick()
+	opts.UncalibratedWalks = true
+	r := NewRunner(opts, nil)
+	var cyc [3]uint64
+	for i, m := range []core.Mode{core.Baseline, core.L4Cache, core.POMTLB} {
+		res, err := r.Result(context.Background(), "mcf", m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cycles == 0 {
+			t.Fatalf("mcf/%s: zero cycles", m)
+		}
+		cyc[i] = res.Cycles
+	}
 	for _, row := range rows {
-		if row.CyclesBase == 0 || row.CyclesL4 == 0 || row.CyclesPOM == 0 {
-			t.Errorf("%s: zero cycles %+v", row.Name, row)
+		if row.Name == "mcf" {
+			l4 := 100 * (float64(cyc[0])/float64(cyc[1]) - 1)
+			pom := 100 * (float64(cyc[0])/float64(cyc[2]) - 1)
+			if row.L4SpeedupPct != l4 || row.POMSpeedupPct != pom {
+				t.Errorf("mcf speedups %+v, want %.4f%% and %.4f%% from cycles %v", row, l4, pom, cyc)
+			}
 		}
 		// Both uses of the capacity should not make things dramatically
 		// worse than the bare baseline.

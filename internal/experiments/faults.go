@@ -47,26 +47,6 @@ func (s *FaultSchedule) add(key string, nth []uint64, f fault) {
 // panicOn schedules panics at the given 1-based runs of the cell key.
 func (s *FaultSchedule) panicOn(key string, nth ...uint64) { s.add(key, nth, fault{}) }
 
-// errorOn schedules err to fail the given runs of the cell key.
-func (s *FaultSchedule) errorOn(key string, err error, nth ...uint64) {
-	s.add(key, nth, fault{err: err})
-}
-
-// callOn schedules fn at the given runs of the cell key.
-func (s *FaultSchedule) callOn(key string, fn func(), nth ...uint64) {
-	s.add(key, nth, fault{call: fn})
-}
-
-// hits returns how many times the cell key has fired so far.
-func (s *FaultSchedule) hits(key string) uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runs[key]
-}
-
 // fire records one run of the cell key and applies the fault due, if
 // any: a panic panics, an error is returned, a callback runs.
 func (s *FaultSchedule) fire(key string) error {

@@ -7,6 +7,26 @@ import (
 	"repro/internal/resilience"
 )
 
+// errorOn schedules err to fail the given runs of the cell key.
+func (s *FaultSchedule) errorOn(key string, err error, nth ...uint64) {
+	s.add(key, nth, fault{err: err})
+}
+
+// callOn schedules fn at the given runs of the cell key.
+func (s *FaultSchedule) callOn(key string, fn func(), nth ...uint64) {
+	s.add(key, nth, fault{call: fn})
+}
+
+// hits returns how many times the cell key has fired so far.
+func (s *FaultSchedule) hits(key string) uint64 {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.runs[key]
+}
+
 func TestFaultsNilScheduleIsInert(t *testing.T) {
 	var s *FaultSchedule
 	if err := s.fire("gups|pom-tlb"); err != nil {

@@ -204,8 +204,6 @@ type Fig10Row struct {
 	Name      string
 	SizeAcc   float64
 	BypassAcc float64
-	SizeTotal uint64
-	BypassTot uint64
 }
 
 // Figure10 regenerates Figure 10.
@@ -223,8 +221,6 @@ func Figure10(ctx context.Context, r *Runner) ([]Fig10Row, error) {
 			Name:      p.Name,
 			SizeAcc:   res.SizePred.Ratio(),
 			BypassAcc: res.BypassPred.Ratio(),
-			SizeTotal: res.SizePred.Total(),
-			BypassTot: res.BypassPred.Total(),
 		})
 	}
 	return rows, fs.err()

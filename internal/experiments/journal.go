@@ -64,6 +64,11 @@ func SweepFingerprint(o Options, grid string) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// journalVersion is the format of the records a journal holds. A journal
+// whose header names another version refuses to resume: its Results may
+// have another shape.
+const journalVersion = 1
+
 // sweepRecord is the on-disk payload of one journal line.
 type sweepRecord struct {
 	Kind        string       `json:"kind"` // "header" or "done"
@@ -121,11 +126,11 @@ func parseSweepLine(line []byte) (sweepRecord, error) {
 // record. A record that fails its integrity hash or lacks its newline is
 // tolerated only at the very end of the file — the torn tail of an
 // interrupted append — and is counted in TruncatedRecords; a bad record
-// anywhere earlier, or a header fingerprint that does not match, fails the
-// open with a descriptive error. A file that starts with '{' is the
-// whole-file JSON checkpoint older versions wrote; it is refused and left
-// untouched rather than recreated as a torn header. The caller owns the
-// returned journal and must Close it.
+// anywhere earlier, or a header whose format version or fingerprint does
+// not match, fails the open with a descriptive error. A file that starts
+// with '{' is the whole-file JSON checkpoint older versions wrote; it is
+// refused and left untouched rather than recreated as a torn header. The
+// caller owns the returned journal and must Close it.
 func OpenSweepJournal(path, fingerprint string) (*SweepJournal, error) {
 	j := &SweepJournal{
 		path: path,
@@ -172,7 +177,7 @@ func (j *SweepJournal) create(fingerprint string) error {
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	line, err := sweepLine(sweepRecord{Kind: "header", Version: 1, Fingerprint: fingerprint})
+	line, err := sweepLine(sweepRecord{Kind: "header", Version: journalVersion, Fingerprint: fingerprint})
 	if err == nil {
 		_, err = f.Write(line)
 	}
@@ -259,6 +264,9 @@ func (j *SweepJournal) replay(raw []byte, fingerprint string) (int64, error) {
 		if i == 0 {
 			if rec.Kind != "header" {
 				return 0, fmt.Errorf("journal %s: first record is %q, want header", j.path, rec.Kind)
+			}
+			if rec.Version != journalVersion {
+				return 0, fmt.Errorf("journal %s was written in journal format %d, not %d; delete it or rerun with the version that wrote it", j.path, rec.Version, journalVersion)
 			}
 			if rec.Fingerprint != fingerprint {
 				return 0, fmt.Errorf("journal %s was written with different options or grid geometry; delete it or rerun with the original flags", j.path)

@@ -217,6 +217,39 @@ func TestSweepJournalFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestSweepJournalRefusesOtherVersion opens a journal whose header has
+// the right fingerprint but another format version: its records may hold
+// Results of another shape, so it must be refused and left as it was.
+func TestSweepJournalRefusesOtherVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	fp := sweepFP(t)
+	var raw []byte
+	for _, rec := range []sweepRecord{
+		{Kind: "header", Version: 2, Fingerprint: fp},
+		{Kind: "done", Key: "a|pom-tlb|", Result: &core.Result{Records: 1}},
+	} {
+		line, err := sweepLine(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = append(raw, line...)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenSweepJournal(path, fp)
+	if err == nil {
+		j.Close()
+		t.Fatal("journal of format version 2 accepted by resume")
+	}
+	if !strings.Contains(err.Error(), "journal format 2") {
+		t.Errorf("unhelpful version error: %v", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, raw) {
+		t.Errorf("refused journal was modified: %q (%v)", after, err)
+	}
+}
+
 // TestSweepJournalVsLegacyCheckpoint opens a whole-file JSON checkpoint,
 // the format older versions wrote, as a journal: it must be refused with
 // a clear error and left byte for byte as it was.

@@ -250,13 +250,20 @@ const fidelityNotes = `## Fidelity notes — where we deviate and why
   except for the paper's ccomponent outlier (26×), which reflects a
   pathology of its real page-table layout that a synthetic trace does not
   recreate.
-* **Figure 11's average RBH is lower than 71%.** Cache-resident POM sets
-  filter the DRAM stream: exactly the workloads whose sets would enjoy
-  row locality resolve in the caches instead, so the residual DRAM
-  traffic is the unlucky tail. Streaming workloads, whose misses reach
-  DRAM in page order, show the paper's ≈90%+ RBH. (The paper's
-  simultaneous 89.7% L2D$ and 71% RBH are in tension for the same
-  reason.)
+* **Figure 11's average RBH is lower than 71%**, and the streaming
+  workloads read lowest (lbm, libquantum and streamcluster under 2%),
+  for two reasons. First, concurrent streams share one bank: a stream's
+  thread slices start a multiple of 16 DRAM rows of POM-TLB sets apart
+  (lbm's 48 MB slices are 96 rows), and the bank comes from the address
+  bits just above the column, unhashed, so all of a workload's threads
+  stream through one bank, each on its own row, and close each other's
+  rows. Second, all-bank refresh closes every row once per tREFI
+  (31,200 cycles), while a stream reaches the stacked DRAM only about
+  once per 4 pages, because its set lines sit in the data caches.
+  Removing either cause alone leaves the three streams under 45%;
+  removing both (a bank hash and no refresh) lifts them to about 96%.
+  The other workloads' sets have little row locality to find, so the
+  mean would still be about half the paper's.
 * **Shared_L2 is modelled additively** (private L2 TLBs retained) and is
   therefore stronger than the paper's replacement design on workloads
   whose hot sets fit its 12 K entries (gcc, canneal). See DESIGN.md §5.6.

@@ -260,10 +260,10 @@ func runProfileCell(ctx context.Context, opts Options, name string, mode core.Mo
 // baseline penalty, from the Table 2 column cfg.Virtualized selects: a
 // scheme run combines hardware measurement with scheme simulation the
 // way the paper does (§3.3). The baseline itself, and schemes whose
-// benefit lives inside the walk (l4-cache and dram-cache, for which
-// core.CalibratedWalks is false), keep simulated walks.
+// benefit lives inside the walk (l4-cache and dram-cache), keep simulated
+// walks: core.CalibratedWalks is false for all three.
 func calibrateWalks(cfg core.Config, p workloads.Profile) core.Config {
-	if cfg.Mode == core.Baseline || cfg.Mode == "" || !core.CalibratedWalks(cfg.Mode) {
+	if !core.CalibratedWalks(cfg.Mode) {
 		return cfg
 	}
 	pen := p.CyclesPerMissVirt

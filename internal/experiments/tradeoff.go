@@ -14,9 +14,8 @@ import (
 // so the three machines are directly comparable).
 type TradeoffRow struct {
 	Name string
-	// CyclesBase/CyclesL4/CyclesPOM are the simulated totals.
-	CyclesBase, CyclesL4, CyclesPOM uint64
-	// L4SpeedupPct / POMSpeedupPct are improvements over the baseline.
+	// L4SpeedupPct / POMSpeedupPct are improvements over the baseline in
+	// simulated total cycles.
 	L4SpeedupPct  float64
 	POMSpeedupPct float64
 }
@@ -53,7 +52,7 @@ func TradeoffStudy(ctx context.Context, base Options) ([]TradeoffRow, error) {
 		if !ok {
 			continue
 		}
-		row := TradeoffRow{Name: name, CyclesBase: cyc[0], CyclesL4: cyc[1], CyclesPOM: cyc[2]}
+		row := TradeoffRow{Name: name}
 		if cyc[1] > 0 {
 			row.L4SpeedupPct = 100 * (float64(cyc[0])/float64(cyc[1]) - 1)
 		}

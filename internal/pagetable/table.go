@@ -18,9 +18,8 @@ import (
 
 // Entry is a leaf translation: frame number at a page size.
 type Entry struct {
-	PFN   uint64
-	Size  addr.PageSize
-	Valid bool
+	PFN  uint64
+	Size addr.PageSize
 }
 
 // Ref records one PTE read performed by a walk: the level being resolved
@@ -47,7 +46,7 @@ func leafSlot(pfn uint64, size addr.PageSize) uint64 { return pfn<<3 | uint64(si
 
 // slotEntry unpacks a leaf slot (one with bit 0 set).
 func slotEntry(s uint64) Entry {
-	return Entry{PFN: s >> 3, Size: addr.PageSize(s >> 1 & 3), Valid: true}
+	return Entry{PFN: s >> 3, Size: addr.PageSize(s >> 1 & 3)}
 }
 
 // Table is a radix-4 page table. Its nodes are allocated on demand;

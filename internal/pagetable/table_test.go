@@ -314,7 +314,7 @@ func TestNodeHardwareSize(t *testing.T) {
 func TestLeafSlotRoundTrip(t *testing.T) {
 	for _, size := range []addr.PageSize{addr.Page4K, addr.Page2M, addr.Page1G} {
 		for _, pfn := range []uint64{0, 1, 1<<(64-addr.Shift4K) - 1} {
-			want := Entry{PFN: pfn, Size: size, Valid: true}
+			want := Entry{PFN: pfn, Size: size}
 			if got := slotEntry(leafSlot(pfn, size)); got != want {
 				t.Errorf("slot round trip: %+v -> %+v", want, got)
 			}

@@ -20,7 +20,8 @@
 //	speedup = C_total / C_scheme = 1 / (1 − f + f × P_scheme/P_base)
 //
 // which is how this package combines Table 2's published numbers with the
-// simulator's per-scheme penalties.
+// simulator's per-scheme penalties. The tests spell Equations 2–4 out over
+// absolute counts and check the closed form against them.
 package perfmodel
 
 import (
@@ -68,27 +69,6 @@ func FromProfile(p workloads.Profile, virtualized bool, schemePenalty float64) I
 	}
 	in.SchemePenalty = min(schemePenalty, in.BaselinePenalty)
 	return in
-}
-
-// CIdeal implements Equation (2) for callers that carry absolute counts.
-func CIdeal(cTotal, pTotal uint64) uint64 {
-	if pTotal > cTotal {
-		return 0
-	}
-	return cTotal - pTotal
-}
-
-// PAvg implements Equation (3).
-func PAvg(pTotal, mTotal uint64) float64 {
-	if mTotal == 0 {
-		return 0
-	}
-	return float64(pTotal) / float64(mTotal)
-}
-
-// CScheme implements Equation (4).
-func CScheme(cIdeal, mTotal uint64, pScheme float64) float64 {
-	return float64(cIdeal) + float64(mTotal)*pScheme
 }
 
 // GeomeanImprovementPct aggregates per-workload speedups the way the paper

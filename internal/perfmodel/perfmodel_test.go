@@ -44,6 +44,28 @@ func TestStreamclusterHasNoHeadroom(t *testing.T) {
 	}
 }
 
+// CIdeal implements Equation (2) over absolute counts. It and the next
+// two spell out the equations Speedup folds into its closed form.
+func CIdeal(cTotal, pTotal uint64) uint64 {
+	if pTotal > cTotal {
+		return 0
+	}
+	return cTotal - pTotal
+}
+
+// PAvg implements Equation (3).
+func PAvg(pTotal, mTotal uint64) float64 {
+	if mTotal == 0 {
+		return 0
+	}
+	return float64(pTotal) / float64(mTotal)
+}
+
+// CScheme implements Equation (4).
+func CScheme(cIdeal, mTotal uint64, pScheme float64) float64 {
+	return float64(cIdeal) + float64(mTotal)*pScheme
+}
+
 func TestEquations(t *testing.T) {
 	if CIdeal(1000, 300) != 700 {
 		t.Error("CIdeal")

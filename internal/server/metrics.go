@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/perfmodel"
+	"repro/internal/workloads"
 )
 
 // SessionMetrics is the GET /sessions/{id}/metrics payload: stream
@@ -45,7 +46,7 @@ type SessionMetrics struct {
 
 	// ModelledImprovementPct is Figure 8's y-axis for this session's
 	// scheme penalty, present when the workload names a Table 2 profile
-	// and the scheme is not the baseline.
+	// and the scheme's walks are calibrated (core.CalibratedWalks).
 	ModelledImprovementPct *float64 `json:"modelled_improvement_pct,omitempty"`
 
 	Result core.Result `json:"result"`
@@ -96,7 +97,7 @@ func (s *Server) sessionMetrics(sess *session) SessionMetrics {
 		Result: res,
 		Error:  emsg,
 	}
-	if p, ok := knownProfile(sess.workload); ok && sess.cfg.Mode != core.Baseline {
+	if p, ok := workloads.ByName(sess.workload); ok && core.CalibratedWalks(sess.cfg.Mode) {
 		imp := perfmodel.ImprovementPct(perfmodel.FromProfile(p, sess.cfg.Virtualized, res.AvgPenalty()))
 		m.ModelledImprovementPct = &imp
 	}

@@ -223,12 +223,12 @@ func TestHTTPUploadCap(t *testing.T) {
 		Error    string `json:"error"`
 	}
 	status, _ := tc.do("POST", "/sessions/"+id+"/records",
-		bytes.NewReader(encodeTrace(t, trace.Collect(parityGen(), 2*IngestBatch))), &out)
+		bytes.NewReader(encodeTrace(t, trace.Collect(parityGen(), 2*trace.Batch))), &out)
 	if status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("over-cap post: status %d, want 413", status)
 	}
-	if out.Accepted != IngestBatch || out.Ingested != IngestBatch {
-		t.Errorf("over-cap post accepted %d, session ingested %d; want the first batch's %d", out.Accepted, out.Ingested, IngestBatch)
+	if out.Accepted != trace.Batch || out.Ingested != trace.Batch {
+		t.Errorf("over-cap post accepted %d, session ingested %d; want the first batch's %d", out.Accepted, out.Ingested, trace.Batch)
 	}
 	if !strings.Contains(out.Error, "session upload cap is 300 records") {
 		t.Errorf("413 says %q, want the cap", out.Error)
@@ -248,7 +248,7 @@ func TestHTTPUploadCapConcurrent(t *testing.T) {
 	defer ts.Close()
 	tc := newTestClient(t, ts.URL)
 	id := tc.createSession(CreateRequest{Cores: 2, WarmupRefs: 1 << 20, MaxRefs: 1 << 20})
-	body := encodeTrace(t, trace.Collect(parityGen(), IngestBatch))
+	body := encodeTrace(t, trace.Collect(parityGen(), trace.Batch))
 
 	const posts = 8
 	statuses := make(chan int, posts)
@@ -341,7 +341,7 @@ func TestHTTPQueueBackpressure(t *testing.T) {
 		Error    string `json:"error"`
 	}
 	status, hdr := tc.do("POST", "/sessions/"+id+"/records",
-		bytes.NewReader(encodeTrace(t, trace.Collect(parityGen(), IngestBatch))), &out)
+		bytes.NewReader(encodeTrace(t, trace.Collect(parityGen(), trace.Batch))), &out)
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("oversized batch: status %d, want 429", status)
 	}

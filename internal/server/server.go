@@ -41,7 +41,6 @@ import (
 	"repro/internal/pomtlb"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 // Config tunes the service. Zero values select the defaults below.
@@ -50,7 +49,7 @@ type Config struct {
 	// creations get 429. Default 64.
 	MaxSessions int
 	// QueueCap bounds each session's un-pulled ingest backlog in
-	// records before backpressure engages. A cap below IngestBatch sheds
+	// records before backpressure engages. A cap below trace.Batch sheds
 	// every full batch outright, which is useful in tests and
 	// pathological otherwise. Default 65536.
 	QueueCap int
@@ -305,13 +304,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// IngestBatch is how many records the ingest loop accumulates before
-// pushing through the rate limiter and queue — small enough that both
-// limits act promptly, large enough to amortize their locks. A session
-// queue takes a batch whole, so a QueueCap below it refuses every full
-// batch.
-const IngestBatch = 256
-
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.lookup(r.PathValue("id"))
 	if !ok {
@@ -391,7 +383,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return 0, ""
 	}
 
-	batch := make([]trace.Record, 0, IngestBatch)
+	// Records take the limiter and the queue a batch at a time: often
+	// enough that both limits act promptly, rarely enough to amortize
+	// their locks. The queue takes a batch whole.
+	batch := make([]trace.Record, 0, trace.Batch)
 	var readErr error
 	for {
 		rec, err := tr.Read()
@@ -400,7 +395,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		batch = append(batch, rec)
-		if len(batch) == IngestBatch {
+		if len(batch) == trace.Batch {
 			if status, msg := flush(batch); status != 0 {
 				s.ingestReply(w, sess, status, msg, accepted)
 				return
@@ -648,10 +643,4 @@ func retryAfter(d time.Duration) string {
 		secs = 1
 	}
 	return strconv.Itoa(secs)
-}
-
-// knownProfile resolves a workload label to its Table 2 profile when it
-// names one.
-func knownProfile(name string) (workloads.Profile, bool) {
-	return workloads.ByName(name)
 }

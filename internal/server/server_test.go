@@ -264,6 +264,37 @@ func TestNativeSessionModelsNativeColumns(t *testing.T) {
 	}
 }
 
+// TestModelledImprovementNeedsCalibratedWalks pins that a session
+// models Figure 8's improvement only for a scheme whose walks are charged
+// at the measured baseline, as pomsim and the cross-scheme table do.
+// l4-cache and dram-cache simulate their walks, so a gain over the
+// measured baseline would mix two cost models.
+func TestModelledImprovementNeedsCalibratedWalks(t *testing.T) {
+	recs := trace.Collect(trace.NewUniform(trace.Params{Seed: 1, FootprintBytes: 64 << 20,
+		Threads: 2, MeanGap: 6}), 8_000)
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	tc := newTestClient(t, ts.URL)
+	for _, tt := range []struct {
+		mode string
+		want bool
+	}{{"l4-cache", false}, {"dram-cache", false}, {"pom-tlb", true}} {
+		id := tc.createSession(CreateRequest{Workload: "mcf", Mode: tt.mode,
+			Cores: 2, WarmupRefs: 4_000, MaxRefs: 4_000})
+		tc.upload(id, recs, 4096)
+		tc.finish(id)
+		m := tc.await(id, 30*time.Second)
+		if m.State != "done" {
+			t.Fatalf("%s: session state = %s (error %q), want done", tt.mode, m.State, m.Error)
+		}
+		if got := m.ModelledImprovementPct != nil; got != tt.want {
+			t.Errorf("%s on mcf: modelled improvement present = %v, want %v", tt.mode, got, tt.want)
+		}
+	}
+}
+
 // TestIngestErrorMapping pins the HTTP status for each trace codec
 // failure: not-a-trace bodies are 400s, torn streams 422s — with every
 // whole record before the tear still accepted.

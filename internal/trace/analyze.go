@@ -21,8 +21,6 @@ type Analysis struct {
 	FootprintBytes uint64
 	// WriteFrac is the store fraction.
 	WriteFrac float64
-	// LargeAccessFrac is the fraction of references to 2 MB pages.
-	LargeAccessFrac float64
 	// MeanGap is the mean non-memory instruction gap.
 	MeanGap float64
 	// SequentialFrac is the fraction of references exactly one line after
@@ -82,7 +80,7 @@ func Analyze(g Generator, n int) Analysis {
 	threads := make(map[uint8]bool)
 	lastLine := make(map[uint8]uint64)
 	reuse := newReuseTracker()
-	var writes, seq, large uint64
+	var writes, seq uint64
 	var gaps float64
 
 	const reuseCap = 1 << 14 // bound the exact-stack cost
@@ -95,7 +93,6 @@ func Analyze(g Generator, n int) Analysis {
 		}
 		gaps += float64(rec.Gap)
 		if rec.Size == addr.Page2M {
-			large++
 			seen2M[rec.VA.VPN(addr.Page2M)] = true
 		} else {
 			seen4K[rec.VA.VPN(addr.Page4K)] = true
@@ -116,7 +113,6 @@ func Analyze(g Generator, n int) Analysis {
 	a.Pages2M = uint64(len(seen2M))
 	a.FootprintBytes = a.Pages4K*addr.Bytes4K + a.Pages2M*addr.Bytes2M
 	a.WriteFrac = float64(writes) / float64(a.Records)
-	a.LargeAccessFrac = float64(large) / float64(a.Records)
 	a.Threads = len(threads)
 	a.MeanGap = gaps / float64(a.Records)
 	a.SequentialFrac = float64(seq) / float64(a.Records)

@@ -7,6 +7,18 @@ import (
 	"repro/internal/addr"
 )
 
+// largeFrac is the fraction of g's first n records that reference 2 MB
+// pages.
+func largeFrac(g Generator, n int) float64 {
+	large := 0
+	for _, rec := range Collect(g, n) {
+		if rec.Size == addr.Page2M {
+			large++
+		}
+	}
+	return float64(large) / float64(n)
+}
+
 func TestAnalyzeEmpty(t *testing.T) {
 	a := Analyze(NewUniform(testParams()), 0)
 	if a.Records != 0 || a.String() == "" {
@@ -25,8 +37,8 @@ func TestAnalyzeStream(t *testing.T) {
 	if a.SequentialFrac < 0.99 {
 		t.Errorf("stream sequential fraction = %f", a.SequentialFrac)
 	}
-	if a.LargeAccessFrac != 0 {
-		t.Errorf("no 2M pages expected, got %f", a.LargeAccessFrac)
+	if a.Pages2M != 0 {
+		t.Errorf("no 2M pages expected, got %d", a.Pages2M)
 	}
 	// 20k sequential lines = 20k×64B = 1.25 MB ≈ 320 pages.
 	if a.Pages4K < 300 || a.Pages4K > 340 {
@@ -40,8 +52,8 @@ func TestAnalyzeUniform(t *testing.T) {
 	if a.SequentialFrac > 0.05 {
 		t.Errorf("uniform sequential fraction = %f", a.SequentialFrac)
 	}
-	if a.LargeAccessFrac < 0.3 || a.LargeAccessFrac > 0.7 {
-		t.Errorf("large access fraction = %f", a.LargeAccessFrac)
+	if f := largeFrac(NewUniform(p), 20_000); f < 0.3 || f > 0.7 {
+		t.Errorf("large access fraction = %f", f)
 	}
 	if a.WriteFrac < 0.2 || a.WriteFrac > 0.4 {
 		t.Errorf("write fraction = %f (param 0.3)", a.WriteFrac)

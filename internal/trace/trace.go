@@ -179,6 +179,13 @@ type Generator interface {
 	Fill(buf []Record) int
 }
 
+// Batch is the unit of record supply: the records the core scheduler
+// pulls per Fill, a consolidation generator fills per segment, and the
+// server's ingest loop gathers before it takes the rate limiter and a
+// session's queue. One size throughout hands a live session's upload
+// batch to the scheduler under one stream lock.
+const Batch = 256
+
 // Collect drains n records from a generator into a slice.
 func Collect(g Generator, n int) []Record {
 	out := make([]Record, n)

@@ -217,8 +217,8 @@ func TestNativeProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.Valid || !created {
-		t.Fatal("native touch should create a valid entry")
+	if !created || e.Size != addr.Page4K {
+		t.Fatalf("native touch = %+v, created=%v; want a new 4 KB entry", e, created)
 	}
 	// Idempotent.
 	e2, created2, err := h.TouchNative(h.NativeProcess(1), 0x1234_5000, addr.Page4K)

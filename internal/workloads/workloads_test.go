@@ -177,9 +177,15 @@ func TestProfilesCalibrated(t *testing.T) {
 		// deliberately live in the 4 KB region, so the access share is at
 		// or below the page share).
 		declared := p.LargePagePct / 100
-		if declared > 0.3 && a.LargeAccessFrac > declared+0.25 {
+		large := 0
+		for _, rec := range trace.Collect(p.Generator(8, 1), 40_000) {
+			if rec.Size == addr.Page2M {
+				large++
+			}
+		}
+		if frac := float64(large) / 40_000; declared > 0.3 && frac > declared+0.25 {
 			t.Errorf("%s: large-access frac %.2f far above declared %.2f",
-				p.Name, a.LargeAccessFrac, declared)
+				p.Name, frac, declared)
 		}
 		// Mean gap ≈ MeanGap parameter.
 		if p.MeanGap > 0 {
