@@ -290,9 +290,15 @@ func printResult(out io.Writer, workload string, p *workloads.Profile, virtualiz
 	if res.Victima.Total() > 0 {
 		t.AddRow("Victima store hit", stats.Pct(res.Victima.Ratio()))
 	}
-	if res.DCache.Access[cache.Data].Total() > 0 {
-		t.AddRow("walk DRAM-cache hit", stats.Pct(res.DCache.Access[cache.Data].Ratio()))
-		t.AddRow("walk DRAM-cache row-buffer hit", stats.Pct(res.DCacheDRAM.RowBufferHitRate()))
+	// The stacked DRAM cache: dram-cache's holds page-walk references,
+	// l4-cache's every reference.
+	stacked, stackedDRAM, label := res.DCache, res.DCacheDRAM, "walk DRAM-cache"
+	if res.L4Cache.Access[cache.Data].Total() > 0 {
+		stacked, stackedDRAM, label = res.L4Cache, res.L4DRAMStats, "L4 DRAM-cache"
+	}
+	if stacked.Access[cache.Data].Total() > 0 {
+		t.AddRow(label+" hit", stats.Pct(stacked.Access[cache.Data].Ratio()))
+		t.AddRow(label+" row-buffer hit", stats.Pct(stackedDRAM.RowBufferHitRate()))
 	}
 	t.AddRow("mean data-access latency", fmt.Sprintf("%.1f cycles", res.DataLat.Value()))
 	fmt.Fprint(out, t.String())

@@ -8,12 +8,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -258,6 +261,43 @@ func TestRunCompare(t *testing.T) {
 	for _, want := range []string{"baseline", "pom-tlb", "shared-l2", "tsb", "l4-cache", "WalkElim"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("comparison missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRunPrintsStackedCache pins the stacked DRAM cache's rows for both
+// schemes that have one: dram-cache's walk cache fills DCache and
+// DCacheDRAM, l4-cache's data cache L4Cache and L4DRAMStats. An l4-cache
+// run once printed no stacked-cache row at all.
+func TestRunPrintsStackedCache(t *testing.T) {
+	ctx := context.Background()
+	for _, mode := range []core.Mode{core.DRAMCache, core.L4Cache} {
+		opts := experiments.DefaultOptions()
+		opts.Cores, opts.WarmupRefs, opts.MaxRefs = 2, 20000, 20000
+		res, err := experiments.SimulateCell(ctx, opts, experiments.Cell{Workload: "mcf", Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label, stacked, dram := "walk DRAM-cache", res.DCache, res.DCacheDRAM
+		if mode == core.L4Cache {
+			label, stacked, dram = "L4 DRAM-cache", res.L4Cache, res.L4DRAMStats
+		}
+		if stacked.Access[cache.Data].Total() == 0 {
+			t.Fatalf("%s: the stacked cache saw no access", mode)
+		}
+		var sb strings.Builder
+		if err := run(ctx, []string{"-workload", "mcf", "-mode", string(mode),
+			"-cores", "2", "-warmup", "20000", "-refs", "20000"}, &sb); err != nil {
+			t.Fatal(err)
+		}
+		for row, val := range map[string]string{
+			label + " hit":            stats.Pct(stacked.Access[cache.Data].Ratio()),
+			label + " row-buffer hit": stats.Pct(dram.RowBufferHitRate()),
+		} {
+			re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(row) + ` +` + regexp.QuoteMeta(val) + ` *$`)
+			if !re.MatchString(sb.String()) {
+				t.Errorf("%s: no row %q reading %s:\n%s", mode, row, val, sb.String())
+			}
 		}
 	}
 }

@@ -35,33 +35,25 @@ func sweep(ctx context.Context, base Options, labels []string, variant func(Opti
 	var fs failureSet
 	var out []AblationPoint
 	for i, label := range labels {
-		r := variantRunner(variant(base, i), label)
-		_ = r.Prefetch(ctx, ablationWorkloads, []core.Mode{core.POMTLB})
-		var speedups []float64
+		grid, err := variantRunner(variant(base, i), label).Grid(ctx, ablationWorkloads, core.POMTLB)
+		fs.absorb(err)
+		// The sums run over the workloads that get a speedup.
 		var penSum, elimSum float64
-		n := 0
-		for _, name := range ablationWorkloads {
-			res, err := r.Result(ctx, name, core.POMTLB)
-			if err != nil {
-				fs.record(err, name, core.POMTLB)
-				continue
-			}
-			p, _ := workloads.ByName(name)
-			pen := res.AvgPenalty()
+		speedups := completeRows(ablationWorkloads, grid, func(p workloads.Profile, res []*core.Result) float64 {
+			pen := res[0].AvgPenalty()
 			penSum += pen
-			elimSum += res.WalkEliminationRate()
-			imp := perfmodel.ImprovementPct(perfmodel.FromProfile(p, true, pen))
-			speedups = append(speedups, 1+imp/100)
-			n++
-		}
-		if n == 0 {
+			elimSum += res[0].WalkEliminationRate()
+			return 1 + virtImprovement(p, pen)/100
+		})
+		if len(speedups) == 0 {
 			continue
 		}
+		n := float64(len(speedups))
 		out = append(out, AblationPoint{
 			Label:              label,
 			MeanImprovementPct: perfmodel.GeomeanImprovementPct(speedups),
-			MeanPenalty:        penSum / float64(n),
-			WalkElimination:    elimSum / float64(n),
+			MeanPenalty:        penSum / n,
+			WalkElimination:    elimSum / n,
 		})
 	}
 	return out, fs.err()

@@ -80,39 +80,31 @@ func (e *CampaignError) Unwrap() []error {
 	return out
 }
 
-// failureSet collects per-cell failures during figure extraction.
+// failureSet merges the errors of several grids or studies into one
+// *CampaignError that names each failed cell once.
 type failureSet struct {
 	fails []*WorkloadError
 	seen  map[string]bool
 }
 
-func (f *failureSet) record(err error, name string, mode core.Mode) {
-	we := asWorkloadError(err, name, mode)
-	key := we.cell()
-	if f.seen == nil {
-		f.seen = map[string]bool{}
-	}
-	if f.seen[key] {
-		return
-	}
-	f.seen[key] = true
-	f.fails = append(f.fails, we)
-}
-
-// absorb folds another campaign stage's error into the set, so a report
-// that runs many figures returns one combined *CampaignError.
+// absorb folds one grid's or study's error into the set.
 func (f *failureSet) absorb(err error) {
 	if err == nil {
 		return
 	}
 	var ce *CampaignError
-	if errors.As(err, &ce) {
-		for _, we := range ce.Failures {
-			f.record(we, we.Workload, we.Mode)
-		}
-		return
+	if !errors.As(err, &ce) {
+		ce = &CampaignError{Failures: []*WorkloadError{asWorkloadError(err, "(campaign)", "")}}
 	}
-	f.record(err, "(campaign)", "")
+	if f.seen == nil {
+		f.seen = map[string]bool{}
+	}
+	for _, we := range ce.Failures {
+		if !f.seen[we.cell()] {
+			f.seen[we.cell()] = true
+			f.fails = append(f.fails, we)
+		}
+	}
 }
 
 // err returns nil for a clean campaign, else a deterministic-order

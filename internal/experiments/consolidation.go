@@ -68,18 +68,15 @@ func ConsolidationTiers(ctx context.Context, r *Runner, preset string, modes []c
 	if len(modes) == 0 {
 		modes = ConsolidationModes
 	}
-	var fs failureSet
-	fs.absorb(r.Prefetch(ctx, []string{preset}, modes))
+	grid, err := r.Grid(ctx, []string{preset}, modes...)
 	var rows []TierRow
-	for _, mode := range modes {
-		res, err := r.Result(ctx, preset, mode)
-		if err != nil {
-			fs.record(err, preset, mode)
+	for j, res := range grid[0] {
+		if res == nil {
 			continue
 		}
 		for tier := 0; tier < core.NumTiers; tier++ {
 			rows = append(rows, TierRow{
-				Mode:     mode,
+				Mode:     modes[j],
 				Tier:     core.TierNames[tier],
 				Share:    res.TierShare(tier),
 				SRAMHit:  res.TierSRAMHitRatio(tier),
@@ -88,7 +85,7 @@ func ConsolidationTiers(ctx context.Context, r *Runner, preset string, modes []c
 			})
 		}
 	}
-	return rows, fs.err()
+	return rows, err
 }
 
 // WriteConsolidationTiers renders the per-tier cross-scheme table.

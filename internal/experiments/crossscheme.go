@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/perfmodel"
 	"repro/internal/stats"
+	"repro/internal/workloads"
 )
 
 // CrossRow is one (workload, scheme) cell of the cross-scheme comparison:
@@ -38,31 +39,29 @@ type CrossRow struct {
 // (workload, scheme) cell in registration order. Failed cells are dropped
 // and reported via the returned *CampaignError.
 func CrossScheme(ctx context.Context, r *Runner) ([]CrossRow, error) {
-	modes := core.Modes()
-	_ = r.Prefetch(ctx, r.names(), modes)
-	var fs failureSet
+	names, modes := r.names(), core.Modes()
+	grid, err := r.Grid(ctx, names, modes...)
 	var rows []CrossRow
-	for _, p := range r.workloads() {
-		for _, mode := range modes {
-			res, err := r.Result(ctx, p.Name, mode)
-			if err != nil {
-				fs.record(err, p.Name, mode)
+	for i, name := range names {
+		p, _ := workloads.ByName(name)
+		for j, res := range grid[i] {
+			if res == nil {
 				continue
 			}
 			row := CrossRow{
-				Workload: p.Name,
-				Mode:     mode,
+				Workload: name,
+				Mode:     modes[j],
 				Penalty:  res.AvgPenalty(),
 				WalkElim: res.WalkEliminationRate(),
 			}
-			if core.CalibratedWalks(mode) {
+			if core.CalibratedWalks(row.Mode) {
 				row.ImprovementPct = perfmodel.ImprovementPct(perfmodel.FromProfile(p, r.Options().Virtualized, row.Penalty))
 				row.HasImprovement = true
 			}
 			rows = append(rows, row)
 		}
 	}
-	return rows, fs.err()
+	return rows, err
 }
 
 // WriteCrossScheme renders the comparison as the report's markdown table.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"math"
 	"os"
 	"strings"
@@ -21,16 +22,46 @@ func quick() Options {
 
 func TestRunnerMemoizes(t *testing.T) {
 	r := NewRunner(quick(), nil)
-	a, err := r.Result(context.Background(), "gups", core.POMTLB)
+	a, err := r.Grid(context.Background(), []string{"gups"}, core.POMTLB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Result(context.Background(), "gups", core.POMTLB)
+	b, err := r.Grid(context.Background(), []string{"gups"}, core.POMTLB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.PenaltyCycles != b.PenaltyCycles || a.Cycles != b.Cycles {
+	if a[0][0].PenaltyCycles != b[0][0].PenaltyCycles || a[0][0].Cycles != b[0][0].Cycles {
 		t.Error("memoized result differs")
+	}
+}
+
+// TestGridIndexesWorkloadByMode pins the grid's shape and order: row i
+// is names[i], column j is modes[j], and a failed cell is nil beside
+// its workload's completed ones.
+func TestGridIndexesWorkloadByMode(t *testing.T) {
+	opts := sweepTiny()
+	opts.Faults = newFaultSchedule()
+	opts.Faults.panicOn("mcf|tsb", 1)
+	names, modes := []string{"gups", "mcf"}, []core.Mode{core.POMTLB, core.TSB}
+	grid, err := NewRunner(opts, nil).Grid(context.Background(), names, modes...)
+	var ce *CampaignError
+	if !errors.As(err, &ce) || len(ce.Failures) != 1 || ce.Failures[0].cell() != "mcf/tsb" {
+		t.Fatalf("err = %v, want exactly mcf/tsb", err)
+	}
+	if len(grid) != len(names) {
+		t.Fatalf("grid has %d rows, want %d", len(grid), len(names))
+	}
+	for i, n := range names {
+		for j, m := range modes {
+			res := grid[i][j]
+			if failed := n == "mcf" && m == core.TSB; failed != (res == nil) {
+				t.Errorf("%s/%s: result %v, failed %v", n, m, res != nil, failed)
+				continue
+			}
+			if res != nil && (res.Workload != n || res.Mode != m) {
+				t.Errorf("grid[%d][%d] holds %s/%s, want %s/%s", i, j, res.Workload, res.Mode, n, m)
+			}
+		}
 	}
 }
 
@@ -48,16 +79,12 @@ func TestRunnerConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if i%2 == 0 {
-				if err := r.Prefetch(context.Background(), []string{"gups"}, modes); err != nil {
-					t.Error(err)
-				}
-			}
-			res, err := r.Result(context.Background(), "gups", core.POMTLB)
+			grid, err := r.Grid(context.Background(), []string{"gups"}, modes[:1+i%2]...)
 			if err != nil {
 				t.Error(err)
+				return
 			}
-			results[i] = res
+			results[i] = *grid[0][0]
 		}()
 	}
 	wg.Wait()
@@ -75,7 +102,8 @@ func TestRunnerConcurrentCallers(t *testing.T) {
 
 func TestRunnerUnknownWorkload(t *testing.T) {
 	r := NewRunner(quick(), nil)
-	if _, err := r.Result(context.Background(), "nope", core.POMTLB); err == nil {
+	grid, err := r.Grid(context.Background(), []string{"nope"}, core.POMTLB)
+	if err == nil || grid[0][0] != nil {
 		t.Error("unknown workload should error")
 	}
 }
@@ -135,7 +163,11 @@ func TestFigure9And10And11(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range f10 {
-		if res, _ := r.Result(context.Background(), row.Name, core.POMTLB); res.SizePred.Total() == 0 {
+		grid, err := r.Grid(context.Background(), []string{row.Name}, core.POMTLB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grid[0][0].SizePred.Total() == 0 {
 			t.Errorf("%s: size predictor never scored", row.Name)
 		}
 		if row.SizeAcc < 0.5 {
@@ -380,15 +412,15 @@ func TestTradeoffStudy(t *testing.T) {
 	// with every walk simulated: rerun mcf's machines and check its row.
 	opts := quick()
 	opts.UncalibratedWalks = true
-	r := NewRunner(opts, nil)
+	modes := []core.Mode{core.Baseline, core.L4Cache, core.POMTLB}
+	grid, err := NewRunner(opts, nil).Grid(context.Background(), []string{"mcf"}, modes...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var cyc [3]uint64
-	for i, m := range []core.Mode{core.Baseline, core.L4Cache, core.POMTLB} {
-		res, err := r.Result(context.Background(), "mcf", m)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, res := range grid[0] {
 		if res.Cycles == 0 {
-			t.Fatalf("mcf/%s: zero cycles", m)
+			t.Fatalf("mcf/%s: zero cycles", modes[i])
 		}
 		cyc[i] = res.Cycles
 	}

@@ -9,9 +9,8 @@ import (
 // fires the cell's key (Cell.Key) once per run, first thing inside its
 // resilience envelope, so an injected fault takes the path a real
 // simulation failure takes. Faults are keyed by (cell key, 1-based run
-// number): a panic, an error, or a callback tests use to cancel a context
-// at an exact point of a campaign. A nil *FaultSchedule is inert, so
-// production runs thread one unconditionally.
+// number). A nil *FaultSchedule is inert, so production runs thread one
+// unconditionally.
 type FaultSchedule struct {
 	mu     sync.Mutex
 	runs   map[string]uint64
@@ -24,12 +23,9 @@ type faultAt struct {
 	n   uint64
 }
 
-// fault is one scheduled effect: a panic (err and call nil), an error,
-// or a callback.
-type fault struct {
-	err  error
-	call func()
-}
+// fault is one scheduled effect, called with the cell key and run
+// number it fires at; its error fails the run.
+type fault func(key string, n uint64) error
 
 // newFaultSchedule creates an empty fault plan.
 func newFaultSchedule() *FaultSchedule {
@@ -45,10 +41,13 @@ func (s *FaultSchedule) add(key string, nth []uint64, f fault) {
 }
 
 // panicOn schedules panics at the given 1-based runs of the cell key.
-func (s *FaultSchedule) panicOn(key string, nth ...uint64) { s.add(key, nth, fault{}) }
+func (s *FaultSchedule) panicOn(key string, nth ...uint64) {
+	s.add(key, nth, func(key string, n uint64) error {
+		panic(fmt.Sprintf("scheduled panic in cell %s (run %d)", key, n))
+	})
+}
 
-// fire records one run of the cell key and applies the fault due, if
-// any: a panic panics, an error is returned, a callback runs.
+// fire records one run of the cell key and applies the fault due, if any.
 func (s *FaultSchedule) fire(key string) error {
 	if s == nil {
 		return nil
@@ -56,18 +55,12 @@ func (s *FaultSchedule) fire(key string) error {
 	s.mu.Lock()
 	s.runs[key]++
 	n := s.runs[key]
-	f, ok := s.faults[faultAt{key, n}]
+	f := s.faults[faultAt{key, n}]
 	s.mu.Unlock()
-	switch {
-	case !ok:
+	if f == nil {
 		return nil
-	case f.call != nil:
-		f.call()
-		return nil
-	case f.err != nil:
-		return fmt.Errorf("scheduled fault in cell %s (run %d): %w", key, n, f.err)
 	}
-	panic(fmt.Sprintf("scheduled panic in cell %s (run %d)", key, n))
+	return f(key, n)
 }
 
 // ChaosPlan names the cells a SeedChaos call doomed, so tests and CI

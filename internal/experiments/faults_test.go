@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/resilience"
@@ -9,12 +10,18 @@ import (
 
 // errorOn schedules err to fail the given runs of the cell key.
 func (s *FaultSchedule) errorOn(key string, err error, nth ...uint64) {
-	s.add(key, nth, fault{err: err})
+	s.add(key, nth, func(key string, n uint64) error {
+		return fmt.Errorf("scheduled fault in cell %s (run %d): %w", key, n, err)
+	})
 }
 
-// callOn schedules fn at the given runs of the cell key.
+// callOn schedules fn at the given runs of the cell key; the runs
+// themselves succeed.
 func (s *FaultSchedule) callOn(key string, fn func(), nth ...uint64) {
-	s.add(key, nth, fault{call: fn})
+	s.add(key, nth, func(string, uint64) error {
+		fn()
+		return nil
+	})
 }
 
 // hits returns how many times the cell key has fired so far.

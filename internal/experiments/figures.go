@@ -30,25 +30,16 @@ type Fig2Row struct {
 
 // Figure2 regenerates Figure 2.
 func Figure2(ctx context.Context, r *Runner) ([]Fig2Row, error) {
-	// Warm the grid concurrently; per-cell failures resurface from
-	// Result below, where they are attributed row by row.
-	_ = r.Prefetch(ctx, r.names(), []core.Mode{core.Baseline})
-	var fs failureSet
-	var rows []Fig2Row
-	for _, p := range r.workloads() {
-		res, err := r.Result(ctx, p.Name, core.Baseline)
-		if err != nil {
-			fs.record(err, p.Name, core.Baseline)
-			continue
-		}
-		rows = append(rows, Fig2Row{
+	names := r.names()
+	grid, err := r.Grid(ctx, names, core.Baseline)
+	return completeRows(names, grid, func(p workloads.Profile, res []*core.Result) Fig2Row {
+		return Fig2Row{
 			Name:      p.Name,
 			PaperCyc:  p.CyclesPerMissVirt,
-			SimCyc:    res.AvgPenalty(),
-			MissRatio: res.L2TLB.MissRatio(),
-		})
-	}
-	return rows, fs.err()
+			SimCyc:    res[0].AvgPenalty(),
+			MissRatio: res[0].L2TLB.MissRatio(),
+		}
+	}), err
 }
 
 // Fig3Row is one bar of Figure 3: the ratio of virtualized to native
@@ -60,33 +51,27 @@ type Fig3Row struct {
 }
 
 // Figure3 regenerates Figure 3. It needs a second, native campaign, which
-// it derives from the runner's options.
+// it derives from the runner's options; a workload needs both cells for
+// its row, and every failed cell of either campaign is reported.
 func Figure3(ctx context.Context, r *Runner) ([]Fig3Row, error) {
 	nativeOpts := r.Options()
 	nativeOpts.Virtualized = false
-	nr := variantRunner(nativeOpts, "native")
-	_ = r.Prefetch(ctx, r.names(), []core.Mode{core.Baseline})
-	_ = nr.Prefetch(ctx, r.names(), []core.Mode{core.Baseline})
+	names := r.names()
 	var fs failureSet
-	var rows []Fig3Row
-	for _, p := range r.workloads() {
-		virt, err := r.Result(ctx, p.Name, core.Baseline)
-		if err != nil {
-			fs.record(err, p.Name, core.Baseline)
-			continue
-		}
-		nat, err := nr.Result(ctx, p.Name, core.Baseline)
-		if err != nil {
-			fs.record(err, p.Name, core.Baseline)
-			continue
-		}
-		row := Fig3Row{Name: p.Name, PaperRatio: p.VirtOverNativeRatio()}
-		if nat.AvgPenalty() > 0 {
-			row.SimRatio = virt.AvgPenalty() / nat.AvgPenalty()
-		}
-		rows = append(rows, row)
+	grid, err := r.Grid(ctx, names, core.Baseline)
+	fs.absorb(err)
+	native, err := variantRunner(nativeOpts, "native").Grid(ctx, names, core.Baseline)
+	fs.absorb(err)
+	for i := range grid {
+		grid[i] = append(grid[i], native[i]...)
 	}
-	return rows, fs.err()
+	return completeRows(names, grid, func(p workloads.Profile, res []*core.Result) Fig3Row {
+		row := Fig3Row{Name: p.Name, PaperRatio: p.VirtOverNativeRatio()}
+		if nat := res[1].AvgPenalty(); nat > 0 {
+			row.SimRatio = res[0].AvgPenalty() / nat
+		}
+		return row
+	}), fs.err()
 }
 
 // Figure4 regenerates Figure 4: normalized SRAM access latency vs
@@ -112,51 +97,34 @@ type Fig8Row struct {
 // cell fails under any of the three schemes is dropped from both the rows
 // and the geomeans, and reported in the error.
 func Figure8(ctx context.Context, r *Runner) ([]Fig8Row, Fig8Summary, error) {
-	modes := []core.Mode{core.POMTLB, core.SharedL2, core.TSB}
-	_ = r.Prefetch(ctx, r.names(), modes)
-	var fs failureSet
-	var rows []Fig8Row
+	names := r.names()
+	grid, err := r.Grid(ctx, names, core.POMTLB, core.SharedL2, core.TSB)
+	rows := completeRows(names, grid, func(p workloads.Profile, res []*core.Result) Fig8Row {
+		row := Fig8Row{Name: p.Name, BasePen: p.CyclesPerMissVirt,
+			POMPen: res[0].AvgPenalty(), ShPen: res[1].AvgPenalty(), TSBPen: res[2].AvgPenalty()}
+		row.POM = virtImprovement(p, row.POMPen)
+		row.Shared = virtImprovement(p, row.ShPen)
+		row.TSB = virtImprovement(p, row.TSBPen)
+		return row
+	})
 	var pomS, shS, tsbS []float64
-	for _, p := range r.workloads() {
-		row := Fig8Row{Name: p.Name, BasePen: p.CyclesPerMissVirt}
-		type slot struct {
-			mode core.Mode
-			imp  *float64
-			pen  *float64
-			sp   *[]float64
-		}
-		slots := []slot{
-			{core.POMTLB, &row.POM, &row.POMPen, &pomS},
-			{core.SharedL2, &row.Shared, &row.ShPen, &shS},
-			{core.TSB, &row.TSB, &row.TSBPen, &tsbS},
-		}
-		speedups := make([]float64, len(slots))
-		ok := true
-		for i, sl := range slots {
-			res, err := r.Result(ctx, p.Name, sl.mode)
-			if err != nil {
-				fs.record(err, p.Name, sl.mode)
-				ok = false
-				continue
-			}
-			*sl.pen = res.AvgPenalty()
-			*sl.imp = perfmodel.ImprovementPct(perfmodel.FromProfile(p, true, *sl.pen))
-			speedups[i] = 1 + *sl.imp/100
-		}
-		if !ok {
-			continue // keep the geomeans consistent with the rendered rows
-		}
-		for i, sl := range slots {
-			*sl.sp = append(*sl.sp, speedups[i])
-		}
-		rows = append(rows, row)
+	for _, row := range rows {
+		pomS = append(pomS, 1+row.POM/100)
+		shS = append(shS, 1+row.Shared/100)
+		tsbS = append(tsbS, 1+row.TSB/100)
 	}
 	sum := Fig8Summary{
 		POMGeomeanPct:    perfmodel.GeomeanImprovementPct(pomS),
 		SharedGeomeanPct: perfmodel.GeomeanImprovementPct(shS),
 		TSBGeomeanPct:    perfmodel.GeomeanImprovementPct(tsbS),
 	}
-	return rows, sum, fs.err()
+	return rows, sum, err
+}
+
+// virtImprovement is the linear model's improvement (%) for workload p on
+// the virtualized platform at simulated penalty pen.
+func virtImprovement(p workloads.Profile, pen float64) float64 {
+	return perfmodel.ImprovementPct(perfmodel.FromProfile(p, true, pen))
 }
 
 // Fig8Summary carries Figure 8's averages (paper: POM 9.57%, Shared_L2
@@ -179,24 +147,17 @@ type Fig9Row struct {
 
 // Figure9 regenerates Figure 9.
 func Figure9(ctx context.Context, r *Runner) ([]Fig9Row, error) {
-	_ = r.Prefetch(ctx, r.names(), []core.Mode{core.POMTLB})
-	var fs failureSet
-	var rows []Fig9Row
-	for _, p := range r.workloads() {
-		res, err := r.Result(ctx, p.Name, core.POMTLB)
-		if err != nil {
-			fs.record(err, p.Name, core.POMTLB)
-			continue
-		}
-		rows = append(rows, Fig9Row{
+	names := r.names()
+	grid, err := r.Grid(ctx, names, core.POMTLB)
+	return completeRows(names, grid, func(p workloads.Profile, res []*core.Result) Fig9Row {
+		return Fig9Row{
 			Name:   p.Name,
-			L2D:    res.L2DProbe.Ratio(),
-			L3D:    res.L3DProbe.Ratio(),
-			POM:    res.POMDRAM.Ratio(),
-			WalkEl: res.WalkEliminationRate(),
-		})
-	}
-	return rows, fs.err()
+			L2D:    res[0].L2DProbe.Ratio(),
+			L3D:    res[0].L3DProbe.Ratio(),
+			POM:    res[0].POMDRAM.Ratio(),
+			WalkEl: res[0].WalkEliminationRate(),
+		}
+	}), err
 }
 
 // Fig10Row is one workload of Figure 10: predictor accuracies.
@@ -208,22 +169,15 @@ type Fig10Row struct {
 
 // Figure10 regenerates Figure 10.
 func Figure10(ctx context.Context, r *Runner) ([]Fig10Row, error) {
-	_ = r.Prefetch(ctx, r.names(), []core.Mode{core.POMTLB})
-	var fs failureSet
-	var rows []Fig10Row
-	for _, p := range r.workloads() {
-		res, err := r.Result(ctx, p.Name, core.POMTLB)
-		if err != nil {
-			fs.record(err, p.Name, core.POMTLB)
-			continue
-		}
-		rows = append(rows, Fig10Row{
+	names := r.names()
+	grid, err := r.Grid(ctx, names, core.POMTLB)
+	return completeRows(names, grid, func(p workloads.Profile, res []*core.Result) Fig10Row {
+		return Fig10Row{
 			Name:      p.Name,
-			SizeAcc:   res.SizePred.Ratio(),
-			BypassAcc: res.BypassPred.Ratio(),
-		})
-	}
-	return rows, fs.err()
+			SizeAcc:   res[0].SizePred.Ratio(),
+			BypassAcc: res[0].BypassPred.Ratio(),
+		}
+	}), err
 }
 
 // Fig11Row is one workload of Figure 11: POM-TLB row-buffer hit rate.
@@ -235,22 +189,15 @@ type Fig11Row struct {
 
 // Figure11 regenerates Figure 11.
 func Figure11(ctx context.Context, r *Runner) ([]Fig11Row, error) {
-	_ = r.Prefetch(ctx, r.names(), []core.Mode{core.POMTLB})
-	var fs failureSet
-	var rows []Fig11Row
-	for _, p := range r.workloads() {
-		res, err := r.Result(ctx, p.Name, core.POMTLB)
-		if err != nil {
-			fs.record(err, p.Name, core.POMTLB)
-			continue
-		}
-		rows = append(rows, Fig11Row{
+	names := r.names()
+	grid, err := r.Grid(ctx, names, core.POMTLB)
+	return completeRows(names, grid, func(p workloads.Profile, res []*core.Result) Fig11Row {
+		return Fig11Row{
 			Name:     p.Name,
-			RBH:      res.POMDRAMStats.RowBufferHitRate(),
-			Accesses: res.POMDRAMStats.Accesses,
-		})
-	}
-	return rows, fs.err()
+			RBH:      res[0].POMDRAMStats.RowBufferHitRate(),
+			Accesses: res[0].POMDRAMStats.Accesses,
+		}
+	}), err
 }
 
 // Fig12Row is one workload of Figure 12: improvement with and without
@@ -263,38 +210,21 @@ type Fig12Row struct {
 
 // Figure12 regenerates Figure 12.
 func Figure12(ctx context.Context, r *Runner) ([]Fig12Row, float64, float64, error) {
-	modes := []core.Mode{core.POMTLB, core.POMTLBNoCache}
-	_ = r.Prefetch(ctx, r.names(), modes)
-	var fs failureSet
-	var rows []Fig12Row
+	names := r.names()
+	grid, err := r.Grid(ctx, names, core.POMTLB, core.POMTLBNoCache)
+	rows := completeRows(names, grid, func(p workloads.Profile, res []*core.Result) Fig12Row {
+		return Fig12Row{
+			Name:      p.Name,
+			WithCache: virtImprovement(p, res[0].AvgPenalty()),
+			NoCache:   virtImprovement(p, res[1].AvgPenalty()),
+		}
+	})
 	var with, without []float64
-	for _, p := range r.workloads() {
-		row := Fig12Row{Name: p.Name}
-		var sp [2]float64
-		ok := true
-		for i, m := range modes {
-			res, err := r.Result(ctx, p.Name, m)
-			if err != nil {
-				fs.record(err, p.Name, m)
-				ok = false
-				continue
-			}
-			imp := perfmodel.ImprovementPct(perfmodel.FromProfile(p, true, res.AvgPenalty()))
-			if m == core.POMTLB {
-				row.WithCache = imp
-			} else {
-				row.NoCache = imp
-			}
-			sp[i] = 1 + imp/100
-		}
-		if !ok {
-			continue
-		}
-		with = append(with, sp[0])
-		without = append(without, sp[1])
-		rows = append(rows, row)
+	for _, row := range rows {
+		with = append(with, 1+row.WithCache/100)
+		without = append(without, 1+row.NoCache/100)
 	}
-	return rows, perfmodel.GeomeanImprovementPct(with), perfmodel.GeomeanImprovementPct(without), fs.err()
+	return rows, perfmodel.GeomeanImprovementPct(with), perfmodel.GeomeanImprovementPct(without), err
 }
 
 // Table1 renders the experimental parameters (Table 1) from the live

@@ -53,13 +53,14 @@ func goldenOptions() Options {
 	return o
 }
 
-// TestReportGolden pins the full markdown report byte-for-byte. It
+// TestReportGolden pins the full markdown report byte-for-byte, the
+// ablation, §5.1, §5.2, §6, trade-off and native sections included. It
 // catches silent drift anywhere in the stack — a model change, a stats
 // accounting change, a formatting change — and forces it to be
 // acknowledged via -update.
 func TestReportGolden(t *testing.T) {
 	var sb strings.Builder
-	if err := Report(context.Background(), &sb, NewRunner(goldenOptions(), nil), false); err != nil {
+	if err := Report(context.Background(), &sb, NewRunner(goldenOptions(), nil), true); err != nil {
 		t.Fatal(err)
 	}
 	goldenCompare(t, "report_quick.golden", []byte(sb.String()))

@@ -58,11 +58,11 @@ func TestRunnerServesCheckpointedCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner(opts, j)
-	got, err := r.Result(context.Background(), "gups", core.POMTLB)
+	grid, err := r.Grid(context.Background(), []string{"gups"}, core.POMTLB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Records != 7 {
+	if got := grid[0][0]; got.Records != 7 {
 		t.Errorf("runner re-simulated a journaled cell: Records=%d", got.Records)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -126,12 +127,15 @@ func TestMidCampaignCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if _, err := r.Result(ctx, "streamcluster", core.POMTLB); err != nil {
+	if _, err := r.Grid(ctx, []string{"streamcluster"}, core.POMTLB); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
 
-	err = r.Prefetch(ctx, []string{"streamcluster", "gups", "mcf"}, []core.Mode{core.POMTLB})
+	grid, err := r.Grid(ctx, []string{"streamcluster", "gups", "mcf"}, core.POMTLB)
+	if grid[0][0] == nil || grid[1][0] != nil || grid[2][0] != nil {
+		t.Errorf("grid after cancellation = %v, want only streamcluster", grid)
+	}
 	var ce *CampaignError
 	if !errors.As(err, &ce) {
 		t.Fatalf("cancelled campaign returned %T, want *CampaignError", err)
@@ -149,14 +153,14 @@ func TestMidCampaignCancellation(t *testing.T) {
 	}
 
 	// The completed cell is still served (memoized) after cancellation.
-	if _, err := r.Result(context.Background(), "streamcluster", core.POMTLB); err != nil {
+	if _, err := r.Grid(context.Background(), []string{"streamcluster"}, core.POMTLB); err != nil {
 		t.Errorf("completed cell lost after cancellation: %v", err)
 	}
 	// The journal holds exactly the finished cell.
 	if _, ok := j.Done("streamcluster|pom-tlb"); !ok || j.Len() != 1 {
 		t.Errorf("journal holds %d cell(s), want exactly streamcluster|pom-tlb", j.Len())
 	}
-	// Prefetch waits for its workers, so the goroutine count must settle
+	// Grid waits for its workers, so the goroutine count must settle
 	// back to the baseline (small grace for runtime bookkeeping).
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -197,6 +201,32 @@ func TestAblationFailuresKeepTheirPoints(t *testing.T) {
 	}
 }
 
+// TestFigure3ReportsEveryFailedCell fails gups's baseline cell in both of
+// Figure 3's campaigns: the virtualized one runs first, the native one
+// second. gups loses its row, and the error names both cells, the
+// native one under its variant.
+func TestFigure3ReportsEveryFailedCell(t *testing.T) {
+	opts := quick()
+	opts.Workloads = []string{"gups", "mcf"}
+	opts.Faults = newFaultSchedule()
+	opts.Faults.panicOn("gups|baseline", 1, 2)
+	rows, err := Figure3(context.Background(), NewRunner(opts, nil))
+	if len(rows) != 1 || rows[0].Name != "mcf" {
+		t.Errorf("rows = %+v, want mcf's alone", rows)
+	}
+	var ce *CampaignError
+	if !errors.As(err, &ce) {
+		t.Fatalf("error is %T, want *CampaignError", err)
+	}
+	var cells []string
+	for _, f := range ce.Failures {
+		cells = append(cells, f.cell())
+	}
+	if want := []string{"gups/baseline", "gups/baseline[native]"}; !slices.Equal(cells, want) {
+		t.Errorf("failed cells = %q, want %q", cells, want)
+	}
+}
+
 // TestWorkloadTimeout enforces the per-job deadline: a cell that exceeds
 // Options.WorkloadTimeout fails with context.DeadlineExceeded while
 // remaining addressable as a structured workload error.
@@ -206,8 +236,8 @@ func TestWorkloadTimeout(t *testing.T) {
 	opts.WorkloadTimeout = time.Nanosecond
 	r := NewRunner(opts, nil)
 
-	_, err := r.Result(context.Background(), "mcf", core.POMTLB)
-	if err == nil {
+	grid, err := r.Grid(context.Background(), []string{"mcf"}, core.POMTLB)
+	if err == nil || grid[0][0] != nil {
 		t.Fatal("1ns deadline did not fail the cell")
 	}
 	var we *WorkloadError

@@ -17,6 +17,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -75,7 +76,7 @@ func QuickOptions() Options {
 
 // Runner memoizes simulation results across figures so each
 // (workload, scheme) pair runs at most once per campaign. It is a memo
-// over the sweep engine: the cells it has no outcome for run through
+// over the sweep engine: Grid passes the cells it has no outcome for to
 // runCells, one attempt each, on the runner's journal.
 type Runner struct {
 	opts    Options
@@ -87,7 +88,7 @@ type Runner struct {
 	// mu serializes engine runs, so concurrent callers never simulate
 	// one cell twice, and guards the memo, keyed by Cell.Key.
 	mu       sync.Mutex
-	results  map[string]core.Result
+	results  map[string]*core.Result
 	failures map[string]*WorkloadError
 }
 
@@ -99,7 +100,7 @@ func NewRunner(opts Options, journal *SweepJournal) *Runner {
 	return &Runner{
 		opts:     opts,
 		journal:  journal,
-		results:  map[string]core.Result{},
+		results:  map[string]*core.Result{},
 		failures: map[string]*WorkloadError{},
 	}
 }
@@ -115,94 +116,83 @@ func variantRunner(opts Options, variant string) *Runner {
 // Options returns the campaign options.
 func (r *Runner) Options() Options { return r.opts }
 
-// Result returns the memoized outcome of one workload under one scheme,
-// running the cell first if it has none. Journaled cells are served
-// without re-simulating; fresh cells run under the per-workload timeout
-// with panic recovery, and failures come back as structured
-// *WorkloadError values.
-func (r *Runner) Result(ctx context.Context, name string, mode core.Mode) (core.Result, error) {
+// Grid returns the outcome of every cell of names × modes, indexed
+// [workload][mode]. In one engine call it runs every cell the runner has
+// no outcome for yet: journaled cells are served without re-simulating,
+// and fresh ones run under the per-workload timeout with panic recovery.
+// A failed cell is nil in the grid, and the *CampaignError names every
+// failed cell (nil when all completed). A cell a cancelled run never
+// reached fails with ctx's error and stays unrun.
+func (r *Runner) Grid(ctx context.Context, names []string, modes ...core.Mode) ([][]*core.Result, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := Cell{Workload: name, Mode: mode}
-	r.run(ctx, []Cell{c})
-	return r.outcome(ctx, c)
-}
-
-// Prefetch runs the given (workload × mode) grid under ctx so later
-// figure extraction is instant, waiting for every cell. Unlike a
-// fail-fast errgroup, it always drains the whole grid — one failed cell
-// must not abandon the others' in-flight work — and aggregates every
-// failure into a *CampaignError (nil when clean).
-func (r *Runner) Prefetch(ctx context.Context, names []string, modes []core.Mode) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var cells []Cell
+	// Each distinct cell once, in grid order; those with no outcome run.
+	var cells, todo []Cell
+	seen := map[string]bool{}
 	for _, n := range names {
 		for _, m := range modes {
-			cells = append(cells, Cell{Workload: n, Mode: m})
+			c := Cell{Workload: n, Mode: m, Index: len(todo)}
+			key := c.Key()
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			cells = append(cells, c)
+			if _, failed := r.failures[key]; r.results[key] == nil && !failed {
+				todo = append(todo, c)
+			}
 		}
 	}
-	r.run(ctx, cells)
+	if len(todo) > 0 {
+		// The error only reports a cancellation, which fails each
+		// unreached cell below.
+		rep, _ := runCells(ctx, SweepConfig{Base: r.opts, Journal: r.journal, Collect: true}, todo)
+		for _, cr := range rep.Results {
+			r.results[cr.Cell.Key()] = &cr.Res
+		}
+		for _, q := range rep.Quarantined {
+			we := asWorkloadError(q.Err, q.Workload, core.Mode(q.Scheme))
+			if we.Variant == "" {
+				we.Variant = r.variant
+			}
+			r.failures[q.Key] = we
+		}
+	}
 	var fails []*WorkloadError
 	for _, c := range cells {
-		if _, err := r.outcome(ctx, c); err != nil {
-			fails = append(fails, asWorkloadError(err, c.Workload, c.Mode))
-		}
-	}
-	return campaignError(fails)
-}
-
-// run passes the engine, in one call, every cell with neither a result
-// nor a failure, and memoizes what comes back. Caller holds r.mu.
-func (r *Runner) run(ctx context.Context, cells []Cell) {
-	var todo []Cell
-	queued := map[string]bool{}
-	for _, c := range cells {
 		key := c.Key()
-		_, done := r.results[key]
-		_, failed := r.failures[key]
-		if done || failed || queued[key] {
+		if r.results[key] != nil {
 			continue
 		}
-		queued[key] = true
-		c.Index = len(todo)
-		todo = append(todo, c)
+		we, ok := r.failures[key]
+		if !ok {
+			we = &WorkloadError{Workload: c.Workload, Mode: c.Mode, Variant: r.variant, Err: ctx.Err()}
+		}
+		fails = append(fails, we)
 	}
-	if len(todo) == 0 {
-		return
+	grid := make([][]*core.Result, len(names))
+	for i, n := range names {
+		grid[i] = make([]*core.Result, len(modes))
+		for j, m := range modes {
+			grid[i][j] = r.results[Cell{Workload: n, Mode: m}.Key()]
+		}
 	}
-	// The error only reports a cancellation, which outcome turns into
-	// each unreached cell's failure.
-	rep, _ := runCells(ctx, SweepConfig{Base: r.opts, Journal: r.journal, Collect: true}, todo)
-	for _, cr := range rep.Results {
-		r.results[cr.Cell.Key()] = cr.Res
-	}
-	for _, q := range rep.Quarantined {
-		r.failures[q.Key] = r.fail(q.Err, q.Workload, core.Mode(q.Scheme))
-	}
+	return grid, campaignError(fails)
 }
 
-// outcome returns a cell's memoized result or failure. A cell with
-// neither was never reached by a cancelled run: it fails with ctx's
-// error and stays unrun. Caller holds r.mu.
-func (r *Runner) outcome(ctx context.Context, c Cell) (core.Result, error) {
-	key := c.Key()
-	if res, ok := r.results[key]; ok {
-		return res, nil
+// completeRows turns each workload of names whose cells in grid all
+// completed into a row, in names order; a workload with a failed cell
+// has none. row gets the workload's Table 2 profile and its results, one
+// per mode of the grid.
+func completeRows[T any](names []string, grid [][]*core.Result, row func(workloads.Profile, []*core.Result) T) []T {
+	var out []T
+	for i, res := range grid {
+		if !slices.Contains(res, nil) {
+			p, _ := workloads.ByName(names[i])
+			out = append(out, row(p, res))
+		}
 	}
-	if we, ok := r.failures[key]; ok {
-		return core.Result{}, we
-	}
-	return core.Result{}, &WorkloadError{Workload: c.Workload, Mode: c.Mode, Variant: r.variant, Err: ctx.Err()}
-}
-
-// fail attributes a cell's error to the cell and to this runner's variant.
-func (r *Runner) fail(err error, name string, mode core.Mode) *WorkloadError {
-	we := asWorkloadError(err, name, mode)
-	if we.Variant == "" {
-		we.Variant = r.variant
-	}
-	return we
+	return out
 }
 
 // SimulateCell runs exactly one cell, c under base with its variant
@@ -274,27 +264,17 @@ func calibrateWalks(cfg core.Config, p workloads.Profile) core.Config {
 	return cfg
 }
 
-// workloads returns the campaign's benchmark profiles (the Options subset,
-// or all of Table 2).
-func (r *Runner) workloads() []workloads.Profile {
-	if len(r.opts.Workloads) == 0 {
-		return workloads.All()
-	}
-	var out []workloads.Profile
-	for _, n := range r.opts.Workloads {
-		if p, ok := workloads.ByName(n); ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// names returns the campaign's benchmark names.
+// names returns the campaign's Table 2 benchmark names: the Options
+// subset, or all 15.
 func (r *Runner) names() []string {
-	ps := r.workloads()
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Name
+	if len(r.opts.Workloads) == 0 {
+		return workloads.Names()
+	}
+	var out []string
+	for _, n := range r.opts.Workloads {
+		if _, ok := workloads.ByName(n); ok {
+			out = append(out, n)
+		}
 	}
 	return out
 }

@@ -32,36 +32,17 @@ var tradeoffWorkloads = []string{"mcf", "gups", "lbm", "soplex"}
 func TradeoffStudy(ctx context.Context, base Options) ([]TradeoffRow, error) {
 	opts := base
 	opts.UncalibratedWalks = true // all three machines fully simulated
-	r := variantRunner(opts, "uncalibrated")
-	modes := []core.Mode{core.Baseline, core.L4Cache, core.POMTLB}
-	_ = r.Prefetch(ctx, tradeoffWorkloads, modes)
-	var fs failureSet
-	var rows []TradeoffRow
-	for _, name := range tradeoffWorkloads {
-		var cyc [3]uint64
-		ok := true
-		for i, m := range modes {
-			res, err := r.Result(ctx, name, m)
-			if err != nil {
-				fs.record(err, name, m)
-				ok = false
-				continue
-			}
-			cyc[i] = res.Cycles
+	grid, err := variantRunner(opts, "uncalibrated").Grid(ctx, tradeoffWorkloads, core.Baseline, core.L4Cache, core.POMTLB)
+	return completeRows(tradeoffWorkloads, grid, func(p workloads.Profile, res []*core.Result) TradeoffRow {
+		row := TradeoffRow{Name: p.Name}
+		if res[1].Cycles > 0 {
+			row.L4SpeedupPct = 100 * (float64(res[0].Cycles)/float64(res[1].Cycles) - 1)
 		}
-		if !ok {
-			continue
+		if res[2].Cycles > 0 {
+			row.POMSpeedupPct = 100 * (float64(res[0].Cycles)/float64(res[2].Cycles) - 1)
 		}
-		row := TradeoffRow{Name: name}
-		if cyc[1] > 0 {
-			row.L4SpeedupPct = 100 * (float64(cyc[0])/float64(cyc[1]) - 1)
-		}
-		if cyc[2] > 0 {
-			row.POMSpeedupPct = 100 * (float64(cyc[0])/float64(cyc[2]) - 1)
-		}
-		rows = append(rows, row)
-	}
-	return rows, fs.err()
+		return row
+	}), err
 }
 
 // NativeRow is one workload of the native-execution study: the paper's
@@ -86,21 +67,10 @@ var nativeWorkloads = []string{"astar", "GemsFDTD", "gups", "mcf", "soplex", "pa
 func NativeStudy(ctx context.Context, base Options) ([]NativeRow, error) {
 	opts := base
 	opts.Virtualized = false
-	r := variantRunner(opts, "native")
-	_ = r.Prefetch(ctx, nativeWorkloads, []core.Mode{core.POMTLB})
-	var fs failureSet
-	var rows []NativeRow
-	for _, name := range nativeWorkloads {
-		res, err := r.Result(ctx, name, core.POMTLB)
-		if err != nil {
-			fs.record(err, name, core.POMTLB)
-			continue
-		}
-		p, _ := workloads.ByName(name)
-		pen := res.AvgPenalty()
-		row := NativeRow{Name: name, Penalty: pen, BasePen: p.CyclesPerMissNative}
-		row.ImprovementPct = perfmodel.ImprovementPct(perfmodel.FromProfile(p, false, pen))
-		rows = append(rows, row)
-	}
-	return rows, fs.err()
+	grid, err := variantRunner(opts, "native").Grid(ctx, nativeWorkloads, core.POMTLB)
+	return completeRows(nativeWorkloads, grid, func(p workloads.Profile, res []*core.Result) NativeRow {
+		pen := res[0].AvgPenalty()
+		return NativeRow{Name: p.Name, Penalty: pen, BasePen: p.CyclesPerMissNative,
+			ImprovementPct: perfmodel.ImprovementPct(perfmodel.FromProfile(p, false, pen))}
+	}), err
 }
